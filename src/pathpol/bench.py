@@ -29,8 +29,9 @@ from .tensor import (
     SLOT_PATH_2,
     SLOT_POL_1,
     SLOT_POL_2,
+    STATE_SHAPE,
     Array,
-    embed,
+    apply_slot,
     kron,
 )
 
@@ -56,8 +57,15 @@ class SourceSpec:
     omega: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"source amplitude must be finite, got {self.amplitude!r}")
         if abs(self.amplitude) == 0.0:
             raise ValueError("source amplitude must be nonzero")
+        if not 0.0 < self.intensity < np.inf:
+            raise ValueError(
+                f"source amplitude {self.amplitude!r} gives intensity {self.intensity!r}, "
+                "not a positive finite number"
+            )
         if not np.isfinite(self.omega):
             raise ValueError("source frequency must be finite")
 
@@ -108,6 +116,11 @@ class BenchState:
         object.__setattr__(self, "vector", v)
 
     @property
+    def tensor(self) -> Array:
+        """Read-only ``(2, 2, 2, 2)`` view of ``vector``, one axis per slot."""
+        return self.vector.reshape(STATE_SHAPE)
+
+    @property
     def norm_squared(self) -> float:
         return float(np.vdot(self.vector, self.vector).real)
 
@@ -142,14 +155,31 @@ def pr_single_beam() -> Array:
     return kron(keep_a, np.eye(2)) + kron(keep_b, elements.pol_swap())
 
 
+def phase_stage(
+    state: Array, theta1: Array, theta2: Array, phi1: Array, phi2: Array
+) -> Array:
+    """The four phase elements (source 2 conjugated), each on its own slot.
+
+    ``state`` is ``(..., 2, 2, 2, 2)``; the phases are scalars or equal-length
+    1-d arrays, one entry per setting, and the settings become the leading
+    axis of the result.
+    """
+    out = apply_slot(elements.pol_phase(theta2, sign=-1), state, SLOT_POL_2)
+    out = apply_slot(elements.path_phase(phi2, sign=-1), out, SLOT_PATH_2)
+    out = apply_slot(elements.pol_phase(theta1, sign=1), out, SLOT_POL_1)
+    return apply_slot(elements.path_phase(phi1, sign=1), out, SLOT_PATH_1)
+
+
+def bs_prime_stage(state: Array) -> Array:
+    """Second beam splitter on both path slots of ``(..., 2, 2, 2, 2)`` states."""
+    bs = elements.beam_splitter()
+    return apply_slot(bs, apply_slot(bs, state, SLOT_PATH_2), SLOT_PATH_1)
+
+
 def phase_diagonal(ps: PhaseSetting) -> Array:
-    """16x16 diagonal of the four phase elements (source 2 conjugated)."""
-    return (
-        embed(elements.path_phase(ps.phi1, sign=1), SLOT_PATH_1)
-        @ embed(elements.pol_phase(ps.theta1, sign=1), SLOT_POL_1)
-        @ embed(elements.path_phase(ps.phi2, sign=-1), SLOT_PATH_2)
-        @ embed(elements.pol_phase(ps.theta2, sign=-1), SLOT_POL_2)
-    )
+    """16x16 diagonal matrix of ``phase_stage`` at one setting."""
+    ones = np.ones(STATE_SHAPE, dtype=complex)
+    return np.diag(phase_stage(ones, ps.theta1, ps.theta2, ps.phi1, ps.phi2).reshape(DIM))
 
 
 def symmetrized_input(s1: SourceSpec, s2: SourceSpec) -> BenchState:
@@ -173,18 +203,16 @@ def evolve_prestate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchSt
     appear here.
     """
     start = symmetrized_input(s1, s2)
-    return BenchState(
-        Stage.PRE_BS_PRIME, phase_diagonal(ps) @ start.vector, start.omega_sum
-    )
+    phased = phase_stage(start.tensor, ps.theta1, ps.theta2, ps.phi1, ps.phi2)
+    return BenchState(Stage.PRE_BS_PRIME, phased.reshape(DIM), start.omega_sum)
 
 
 def apply_bs_prime(state: BenchState) -> BenchState:
     """Second beam splitter, acting on both path slots at once."""
     if state.stage is not Stage.PRE_BS_PRIME:
         raise ValueError(f"expected a pre-bs-prime state, got stage {state.stage.value!r}")
-    bs = elements.beam_splitter()
-    u = embed(bs, SLOT_PATH_1) @ embed(bs, SLOT_PATH_2)
-    return BenchState(Stage.POST_BS_PRIME, u @ state.vector, state.omega_sum)
+    out = bs_prime_stage(state.tensor)
+    return BenchState(Stage.POST_BS_PRIME, out.reshape(DIM), state.omega_sum)
 
 
 def pipeline_trace(
@@ -203,7 +231,9 @@ def pipeline_trace(
         BenchState(Stage.POST_BS, symmetrize(bs @ psi, bs @ phi), wsum),
         BenchState(Stage.POST_PR, symmetrize(pr @ bs @ psi, pr @ bs @ phi), wsum),
     ]
-    phased = phase_diagonal(ps) @ stages[-1].vector
+    phased = phase_stage(
+        stages[-1].tensor, ps.theta1, ps.theta2, ps.phi1, ps.phi2
+    ).reshape(DIM)
     stages.append(BenchState(Stage.POST_PHASES, phased, wsum))
     # the inverse prisms restore the plain path labels; amplitudes untouched
     stages.append(BenchState(Stage.PRE_BS_PRIME, phased, wsum))

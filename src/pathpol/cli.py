@@ -57,21 +57,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep requires a sweep block (at least sweep.variable)")
     s1, s2 = scn.sources()
     values = np.linspace(scn.sweep.start, scn.sweep.stop, scn.sweep.points)
+    settings = [
+        phase_setting_for(scn.sweep.variable, float(value), scn.phases) for value in values
+    ]
 
-    rows = []
-    for value in values:
-        ps = phase_setting_for(scn.sweep.variable, float(value), scn.phases)
-        state = bench.apply_bs_prime(bench.evolve_prestate(s1, s2, ps))
-        rows.append(
-            (
-                _fmt(float(value)),
-                _fmt(ps.delta),
-                _fmt(correlations.correlation_closed_form(ps, s1, s2)),
-                _fmt(correlations.correlation_numeric(ps, s1, s2)),
-                _fmt(correlations.g2_generalized(0, 0, 0, 0, ps, s1, s2)),
-                _fmt(detector.p45_intensity(state)),
-            )
+    # operator route: every setting at once, slot-local, from one input state
+    phases = [
+        np.array([getattr(ps, name) for ps in settings])
+        for name in ("theta1", "theta2", "phi1", "phi2")
+    ]
+    start = bench.symmetrized_input(s1, s2)
+    numeric = correlations.correlation_numeric_batch(start, s1, s2, *phases)
+    outputs = bench.bs_prime_stage(bench.phase_stage(start.tensor, *phases))
+    p45 = detector.p45_intensities(outputs.reshape(len(settings), -1))
+
+    rows = [
+        (
+            _fmt(float(value)),
+            _fmt(ps.delta),
+            _fmt(correlations.correlation_closed_form(ps, s1, s2)),
+            _fmt(float(c_numeric)),
+            _fmt(correlations.g2_generalized(0, 0, 0, 0, ps, s1, s2)),
+            _fmt(float(p)),
         )
+        for value, ps, c_numeric, p in zip(values, settings, numeric, p45)
+    ]
 
     def _write(stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")

@@ -3,7 +3,9 @@
 Every quantity here comes in two routes that must never be merged:
 
 * a numeric route: explicit operator expectation values on the symmetrized
-  input state built by the bench pipeline;
+  input state built by the bench pipeline, each observable acting on its own
+  slot; it takes the four phases (as arrays for a whole sweep) and never
+  reads delta;
 * a closed-form route: the normalized formulas
       C(delta)           = 4 I1 I2 cos(delta) / (I1 + I2)^2
       g2(shifts; delta)  = 1 - (-1)^{k+l+m+n} 2 I1 I2 cos(delta) / (I1+I2)^2
@@ -26,7 +28,8 @@ from math import cos, nan
 import numpy as np
 
 from . import bench, observables
-from .bench import PhaseSetting, SourceSpec
+from .bench import BenchState, PhaseSetting, SourceSpec, Stage
+from .observables import SigmaSpec
 from .tensor import Array
 
 # ratios are reported as nan when the closed form sits this close to a zero
@@ -44,6 +47,32 @@ def correlation_closed_form(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) ->
     return 4.0 * i1 * i2 * cos(ps.delta) / ssq
 
 
+def correlation_numeric_batch(
+    start: BenchState,
+    s1: SourceSpec,
+    s2: SourceSpec,
+    theta1: Array,
+    theta2: Array,
+    phi1: Array,
+    phi2: Array,
+) -> Array:
+    """``correlation_numeric`` at many phase settings, one entry per setting.
+
+    ``start`` is ``bench.symmetrized_input(s1, s2)``, built once by the
+    caller; the phases are equal-length 1-d arrays (or scalars).
+    """
+    if start.stage is not Stage.POST_PR:
+        raise ValueError(f"expected the symmetrized input, got stage {start.stage.value!r}")
+    _, _, ssq = _intensities(s1, s2)
+    specs = (
+        SigmaSpec(1, "path", phi1),
+        SigmaSpec(1, "pol", theta1),
+        SigmaSpec(2, "path", phi2),
+        SigmaSpec(2, "pol", theta2),
+    )
+    return observables.product_expectation(start.tensor, specs).real / ssq
+
+
 def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float:
     """Normalized expectation of the four flip observables, operator route.
 
@@ -51,15 +80,10 @@ def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> flo
     sigma_pol2(theta2)> on the symmetrized input and divides by (I1+I2)^2.
     Proportional to the closed form with constant ratio -1/4.
     """
-    _, _, ssq = _intensities(s1, s2)
-    op = (
-        observables.sigma_path(1, ps.phi1)
-        @ observables.sigma_pol(1, ps.theta1)
-        @ observables.sigma_path(2, ps.phi2)
-        @ observables.sigma_pol(2, ps.theta2)
+    start = bench.symmetrized_input(s1, s2)
+    return float(
+        correlation_numeric_batch(start, s1, s2, ps.theta1, ps.theta2, ps.phi1, ps.phi2)
     )
-    state = bench.symmetrized_input(s1, s2).vector
-    return observables.expectation(state, op).real / ssq
 
 
 @dataclass(frozen=True)
@@ -127,14 +151,26 @@ def intensity_term(
     i1, i2, ssq = _intensities(s1, s2)
     signed = -1.0 if (k + l + m + n) % 2 else 1.0
     closed = 2.0 * i1 * i2 * (1.0 - signed * cos(ps.delta)) / ssq
+    return IntensityTerm(k, l, m, n, closed, float(_intensity_brackets(ps, s1, s2, k, l, m, n)))
 
+
+def _intensity_brackets(
+    ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec, k: Array, l: Array, m: Array, n: Array
+) -> Array:
+    """Raw shifted joint-intensity brackets, operator route; shifts may be arrays.
+
+    The intensity operator of each source is its path and polarization
+    plus-branch projectors, so the bracket is a four-factor product.
+    """
     pi = np.pi
-    op = (
-        observables.intensity_operator(1, ps.theta1 + k * pi, ps.phi1 + l * pi).matrix
-        @ observables.intensity_operator(2, ps.theta2 + m * pi, ps.phi2 + n * pi).matrix
+    specs = (
+        SigmaSpec(1, "path", ps.phi1 + np.asarray(l) * pi, "plus"),
+        SigmaSpec(1, "pol", ps.theta1 + np.asarray(k) * pi, "plus"),
+        SigmaSpec(2, "path", ps.phi2 + np.asarray(n) * pi, "plus"),
+        SigmaSpec(2, "pol", ps.theta2 + np.asarray(m) * pi, "plus"),
     )
-    state = bench.symmetrized_input(s1, s2).vector
-    return IntensityTerm(k, l, m, n, closed, observables.expectation(state, op).real)
+    state = bench.symmetrized_input(s1, s2).tensor
+    return observables.product_expectation(state, specs).real
 
 
 def g2_hbt(alpha: float, beta: float, s1: SourceSpec, s2: SourceSpec) -> float:
@@ -169,13 +205,11 @@ def correlation_report(
     """Both correlation routes plus the sixteen raw intensity brackets."""
     numeric = correlation_numeric(ps, s1, s2)
     closed = correlation_closed_form(ps, s1, s2)
+    shifts = list(product((0, 1), repeat=4))
+    brackets = _intensity_brackets(ps, s1, s2, *np.array(shifts).T)
     terms = tuple(
-        TermEntry(
-            k, l, m, n,
-            1 if (k + l + m + n) % 2 == 0 else -1,
-            intensity_term(k, l, m, n, ps, s1, s2).bracket,
-        )
-        for k, l, m, n in product((0, 1), repeat=4)
+        TermEntry(k, l, m, n, 1 if (k + l + m + n) % 2 == 0 else -1, float(value))
+        for (k, l, m, n), value in zip(shifts, brackets)
     )
     return CorrelationReport(
         ps.delta, numeric, closed, _guarded_ratio(numeric, closed, ps.delta), terms

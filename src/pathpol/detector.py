@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench, elements
 from .bench import BenchState, PhaseSetting, SourceSpec, Stage
-from .tensor import Array, kron
+from .tensor import DIM, STATE_SHAPE, Array, kron
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -34,6 +34,9 @@ DEFAULT_OMEGA_2 = 1.3
 MIN_BEATS = 100.0
 MIN_SAMPLES = 10_000
 SAMPLES_PER_PERIOD = 20
+# ~25x the largest count the checks use (80,191); a series this long holds
+# ~130 MiB of working arrays, so longer windows are refused before allocating
+MAX_SAMPLES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ def project_aa(state: BenchState) -> AaProjection:
     pol = pol_block.reshape(4)  # VV, VH, HV, HH
     pol_unit = pol / np.sqrt(branch_norm_sq)
 
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
-    expansion = _SQRT2 * (hadamard @ pol_unit.reshape(2, 2) @ hadamard.T).reshape(4)
+    expansion = _diagonal_expansion(pol_unit.reshape(2, 2)).reshape(4)
 
     c_vv, c_hh = pol[0], pol[3]
     delta = float(np.angle(-c_hh / c_vv)) if abs(c_vv) > 0.0 else float("nan")
@@ -125,13 +127,37 @@ def project_aa(state: BenchState) -> AaProjection:
     )
 
 
+def _diagonal_expansion(pol_unit: Array) -> Array:
+    """(++, +-; -+, --) coefficients of sqrt(2) * pol_unit, for (..., 2, 2) blocks."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
+    return _SQRT2 * (hadamard @ pol_unit @ hadamard.T)
+
+
+def p45_intensities(vectors: Array) -> Array:
+    """Detection law for a stack of output-state vectors, ``(N, 16) -> (N,)``.
+
+    Same readout as ``p45_intensity``; the caller vouches that every row is
+    a post-bs-prime state.
+    """
+    vectors = np.asarray(vectors, dtype=complex)
+    if vectors.ndim != 2 or vectors.shape[1] != DIM:
+        raise ValueError(f"expected an (N, {DIM}) stack of states, got shape {vectors.shape}")
+    pol = vectors.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
+    norm_sq = np.sum(np.abs(pol) ** 2, axis=(1, 2))
+    if np.any(norm_sq == 0.0):
+        raise ValueError("the aa branch of this state is empty")
+    pol_unit = pol / np.sqrt(norm_sq)[:, None, None]
+    return np.abs(_diagonal_expansion(pol_unit)[:, 0, 0]) ** 2
+
+
 def p45_intensity(state: BenchState) -> float:
     """Detection law behind a 45-degree polarizer on the aa branch.
 
     Squared ++ expansion coefficient; equals (1 - cos delta)/2 for bench
     output states.
     """
-    return float(abs(project_aa(state).expansion[0]) ** 2)
+    _require_output_stage(state)
+    return float(p45_intensities(state.vector[None, :])[0])
 
 
 def detect(state: BenchState) -> DetectionResult:
@@ -212,6 +238,8 @@ def autocorrelation_demo(
     samples: int,
 ) -> AutocorrelationReport:
     """Integrate the squared detector intensity over a finite time window."""
+    if not np.isfinite(window):
+        raise ValueError(f"window must be finite, got {window!r}")
     beat = abs(s1.omega - s2.omega)
     if beat == 0.0:
         raise ValueError("sources must have distinct frequencies (omega1 != omega2)")
@@ -224,8 +252,14 @@ def autocorrelation_demo(
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
 
     # fastest surviving oscillation is twice the beat
-    needed = ceil(SAMPLES_PER_PERIOD * window * (2.0 * beat) / (2.0 * pi)) + 1
-    n = max(samples, needed)
+    needed = SAMPLES_PER_PERIOD * window * (2.0 * beat) / (2.0 * pi)
+    # compared as a float first: a huge window must not reach ceil() or linspace
+    if max(samples, needed + 1.0) > MAX_SAMPLES:
+        raise ValueError(
+            f"window={window:g} with samples={samples} needs "
+            f"{max(samples, needed + 1.0):.6g} samples, above MAX_SAMPLES={MAX_SAMPLES}"
+        )
+    n = max(samples, ceil(needed) + 1)
 
     u1, u2 = detector_amplitudes(ps)
     times = np.linspace(0.0, window, n)

@@ -32,16 +32,26 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
-def pol_phase(theta: float, sign: int = 1) -> Array:
-    """diag(1, e^{i*sign*theta}) on the (V, H) doublet."""
+def _phase_diag(x: float | Array, sign: int) -> Array:
     _check_sign(sign)
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * sign * theta)]])
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = np.exp(1j * sign * x)
+    return out
 
 
-def path_phase(phi: float, sign: int = 1) -> Array:
-    """diag(1, e^{i*sign*phi}) on the (a, b) doublet."""
-    _check_sign(sign)
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * sign * phi)]])
+def pol_phase(theta: float | Array, sign: int = 1) -> Array:
+    """diag(1, e^{i*sign*theta}) on the (V, H) doublet.
+
+    An array of phases gives the stack of matrices, shape ``theta.shape + (2, 2)``.
+    """
+    return _phase_diag(theta, sign)
+
+
+def path_phase(phi: float | Array, sign: int = 1) -> Array:
+    """diag(1, e^{i*sign*phi}) on the (a, b) doublet (stacked like ``pol_phase``)."""
+    return _phase_diag(phi, sign)
 
 
 def prism(omega: float) -> Array:

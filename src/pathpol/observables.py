@@ -10,11 +10,17 @@ with s = +1 for observables attached to source 1 and s = -1 for source 2
 select the rank-1 eigenprojectors instead of the full observable; an
 intensity operator is the product of the two plus-branch projectors (path
 and polarization) of one source.
+
+``product_expectation`` evaluates a product of such observables on a
+``(2, 2, 2, 2)`` state slot by slot; a spec whose phase is an array stands
+for one observable per entry, so a whole phase sweep is one call. ``sigma``
+and ``intensity_operator`` build the 16x16 matrices for the algebraic checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +31,9 @@ from .tensor import (
     SLOT_PATH_2,
     SLOT_POL_1,
     SLOT_POL_2,
+    STATE_SHAPE,
     Array,
+    apply_slot,
     dagger,
     embed,
 )
@@ -42,11 +50,15 @@ _SLOTS = {
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Which flip observable: source (1|2), dof ('path'|'pol'), phase, branch."""
+    """Which flip observable: source (1|2), dof ('path'|'pol'), phase, branch.
+
+    ``phase`` may be a 1-d array, one observable per entry; only
+    ``product_expectation`` accepts such a spec.
+    """
 
     source: int
     dof: str
-    phase: float
+    phase: float | Array
     branch: str = "full"
 
     def __post_init__(self) -> None:
@@ -58,18 +70,28 @@ class SigmaSpec:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
 
 
-def _sigma_core(phase: float, sense: int, branch: str) -> Array:
-    off = np.exp(1j * sense * phase)
+def _sigma_core(phase: float | Array, sense: int, branch: str) -> Array:
+    """2x2 core, or the ``phase.shape + (2, 2)`` stack for an array of phases."""
+    off = np.exp(1j * sense * np.asarray(phase, dtype=float))
+    core = np.zeros(off.shape + (2, 2), dtype=complex)
     if branch == "full":
-        return np.array([[0.0, off.conjugate()], [off, 0.0]])
+        core[..., 0, 1] = off.conjugate()
+        core[..., 1, 0] = off
+        return core
     sign = 1.0 if branch == "plus" else -1.0
-    return 0.5 * np.array([[1.0, sign * off.conjugate()], [sign * off, 1.0]])
+    core[..., 0, 0] = core[..., 1, 1] = 0.5
+    core[..., 0, 1] = 0.5 * (sign * off.conjugate())
+    core[..., 1, 0] = 0.5 * (sign * off)
+    return core
+
+
+def _spec_core(spec: SigmaSpec) -> Array:
+    return _sigma_core(spec.phase, 1 if spec.source == 1 else -1, spec.branch)
 
 
 def sigma(spec: SigmaSpec) -> Array:
     """16x16 flip observable (or one of its eigenprojectors)."""
-    sense = 1 if spec.source == 1 else -1
-    return embed(_sigma_core(spec.phase, sense, spec.branch), _SLOTS[(spec.source, spec.dof)])
+    return embed(_spec_core(spec), _SLOTS[(spec.source, spec.dof)])
 
 
 def sigma_pol(source: int, theta: float, branch: str = "full") -> Array:
@@ -111,6 +133,22 @@ def expectation(state: Array, op: Array) -> complex:
     if state.ndim != 1 or op.shape != (state.size, state.size):
         raise ValueError("operator and state dimensions do not match")
     return complex(np.vdot(state, op @ state))
+
+
+def product_expectation(state: Array, specs: Sequence[SigmaSpec]) -> Array:
+    """<state| spec_0 spec_1 ... |state> on a ``(2, 2, 2, 2)`` state tensor.
+
+    Each factor acts on its own slot as a 2x2 core; no 16x16 matrix is
+    built. Specs with array phases give one value per entry (shape ``(N,)``);
+    all-scalar specs give a 0-d array. No normalization is applied.
+    """
+    state = np.asarray(state, dtype=complex)
+    if state.shape != STATE_SHAPE:
+        raise ValueError(f"state must be a {STATE_SHAPE} tensor, got shape {state.shape}")
+    out = state
+    for spec in reversed(specs):
+        out = apply_slot(_spec_core(spec), out, _SLOTS[(spec.source, spec.dof)])
+    return np.einsum("wxyz,...wxyz->...", state.conj(), out)
 
 
 def path_a_projector() -> Array:

@@ -9,9 +9,13 @@ with the flat index
 
     index = 8*path1 + 4*pol1 + 2*path2 + pol2,   a = V = 0,  b = H = 1,
 
-i.e. the first factor is the most significant bit. ``numpy.kron`` applied
-left to right reproduces exactly this ordering, and ``embed`` places a 2x2
-operator on one of the four slots without disturbing the others.
+i.e. the first factor is the most significant bit. A state is held as a
+``(..., 2, 2, 2, 2)`` tensor whose last four axes are the slots in this
+order (``vector.reshape(2, 2, 2, 2)``), and ``apply_slot`` acts with a 2x2
+operator, or a stack of them, on one slot without building the 16x16
+matrix. ``kron`` applied left to right reproduces the flat ordering, and
+``embed`` builds the 16x16 matrix of a 2x2 operator on one slot for the
+algebraic checks.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ Array = np.ndarray
 
 DIM = 16
 N_SLOTS = 4
+STATE_SHAPE = (2,) * N_SLOTS
 
 SLOT_PATH_1 = 0
 SLOT_POL_1 = 1
@@ -37,14 +42,45 @@ POL_LABELS = "VH"
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
+def _kron2(a: Array, b: Array) -> Array:
+    # every entry is the single product a[i..] * b[k..], exactly as in np.kron
+    nd = max(a.ndim, b.ndim)
+    a = a.reshape((1,) * (nd - a.ndim) + a.shape)
+    b = b.reshape((1,) * (nd - b.ndim) + b.shape)
+    axes = [ax for k in range(nd) for ax in (k, nd + k)]
+    shape = [m * n for m, n in zip(a.shape, b.shape)]
+    return np.multiply.outer(a, b).transpose(axes).reshape(shape)
+
+
 def kron(*factors: Array) -> Array:
     """Kronecker product of the factors, left factor most significant."""
     if not factors:
         raise ValueError("kron needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        out = _kron2(out, np.asarray(f, dtype=complex))
     return out
+
+
+def apply_slot(op: Array, state: Array, slot: int) -> Array:
+    """Act with a 2x2 operator on one slot of a ``(..., 2, 2, 2, 2)`` state.
+
+    ``op`` may be a single ``(2, 2)`` matrix or a stack ``(N, 2, 2)``; the
+    leading axes of operator and state broadcast, so a stack acting on one
+    state gives ``(N, 2, 2, 2, 2)``. Slots follow the global ordering.
+    """
+    op = np.asarray(op, dtype=complex)
+    state = np.asarray(state, dtype=complex)
+    if op.shape[-2:] != (2, 2):
+        raise ValueError(f"apply_slot expects 2x2 operators, got shape {op.shape}")
+    if state.shape[-N_SLOTS:] != STATE_SHAPE:
+        raise ValueError(f"state must end in axes {STATE_SHAPE}, got shape {state.shape}")
+    if not 0 <= slot < N_SLOTS:
+        raise ValueError(f"slot must be in 0..3, got {slot}")
+    # operator indices "ij"; the state's slots are "wxyz" with j at ``slot``
+    src = "wxyz"[:slot] + "j" + "wxyz"[slot + 1 :]
+    dst = "wxyz"[:slot] + "i" + "wxyz"[slot + 1 :]
+    return np.einsum(f"...ij,...{src}->...{dst}", op, state)
 
 
 def embed(op: Array, slot: int) -> Array:

@@ -57,6 +57,17 @@ def test_source_spec_validation():
         SourceSpec(1.0, np.inf)
 
 
+@pytest.mark.parametrize(
+    "amplitude",
+    [float("nan"), float("inf"), complex(float("nan"), 0.0), 1e-200],
+    ids=["nan", "inf", "complex-nan", "intensity-underflow"],
+)
+def test_source_spec_rejects_bad_amplitude(amplitude):
+    # non-finite amplitudes and an intensity that underflows to 0 never get in
+    with pytest.raises(ValueError, match="amplitude"):
+        SourceSpec(amplitude, 1.0)
+
+
 def test_phase_setting_delta():
     ps = PhaseSetting(0.5, 0.1, 0.25, -0.2)
     assert abs(ps.delta - 0.85) < 1e-15

@@ -10,6 +10,7 @@ from pathpol.bench import (
 )
 from pathpol.correlations import fit_scaled_cosine
 from pathpol.detector import (
+    MAX_SAMPLES,
     TimeSeries,
     autocorrelation_demo,
     detect,
@@ -199,25 +200,31 @@ def test_autocorrelation_cross_term_carries_detection_law():
     window = 2.0 * np.pi * 160.0 / beat
     deltas = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
     values = []
+    products = []
     for d in deltas:
         ps = PhaseSetting(d, 0.0, 0.0, 0.0)
         report = autocorrelation_demo(S1, S2, ps, window, 10_000)
         values.append(report.cross_measured / window)
-    i1i2 = np.array(
-        [
-            autocorrelation_demo(
-                S1, S2, PhaseSetting(d, 0.0, 0.0, 0.0), window, 10_000
-            ).intensity1
-            * autocorrelation_demo(
-                S1, S2, PhaseSetting(d, 0.0, 0.0, 0.0), window, 10_000
-            ).intensity2
-            for d in deltas
-        ]
-    )
+        products.append(report.intensity1 * report.intensity2)
+    i1i2 = np.array(products)
     # stationary cross energy is 4 I1 I2; I1 I2 itself varies with delta
     expected = 4.0 * i1i2
     gap = np.max(np.abs(np.array(values) - expected))
     assert gap < 1e-3 * np.max(expected)
+
+
+@pytest.mark.parametrize("window", [1e9, float("inf"), float("nan")])
+def test_autocorrelation_refuses_oversized_window_before_allocating(monkeypatch, window):
+    # window=1e9 would need ~1.9e9 samples (a 14 GiB series): refused up front
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the time grid must not be allocated")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    with pytest.raises(ValueError, match="window") as info:
+        autocorrelation_demo(S1, S2, PhaseSetting(0.3, 0.0, 0.0, 0.0), window, 10_000)
+    if np.isfinite(window):
+        assert "samples" in str(info.value)
+        assert str(MAX_SAMPLES) in str(info.value)
 
 
 def test_autocorrelation_falls_back_to_trapz_without_trapezoid(monkeypatch):

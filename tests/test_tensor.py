@@ -5,6 +5,7 @@ from pathpol.tensor import (
     DIM,
     JonesVector,
     PolState,
+    apply_slot,
     basis_index,
     basis_label,
     basis_state,
@@ -50,6 +51,16 @@ def test_kron_associativity():
         assert np.max(np.abs(left - right)) < 1e-12
 
 
+def test_kron_is_bit_identical_to_numpy_kron():
+    # each entry is one product, so the outer-product form rounds like np.kron
+    rng = np.random.default_rng(11)
+    for shape_a, shape_b in (((2, 2), (2, 2)), ((4,), (4,)), ((8, 8), (2, 2)), ((2,), (3, 2))):
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+        assert kron(a, b).shape == np.kron(a, b).shape
+
+
 def test_kron_rejects_empty():
     with pytest.raises(ValueError):
         kron()
@@ -89,6 +100,30 @@ def test_embed_validation():
         embed(I2, 4)
     with pytest.raises(ValueError):
         embed(I2, -1)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_apply_slot_matches_embedded_matrix(slot):
+    rng = np.random.default_rng(slot)
+    psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
+    ops = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    # one operator on one state, then a stack of operators broadcast over it
+    single = apply_slot(ops[0], psi.reshape(2, 2, 2, 2), slot)
+    assert np.max(np.abs(single.reshape(DIM) - embed(ops[0], slot) @ psi)) < 1e-14
+    stacked = apply_slot(ops, psi.reshape(2, 2, 2, 2), slot)
+    assert stacked.shape == (5, 2, 2, 2, 2)
+    for k in range(5):
+        assert np.max(np.abs(stacked[k].reshape(DIM) - embed(ops[k], slot) @ psi)) < 1e-14
+
+
+def test_apply_slot_validation():
+    psi = np.zeros((2, 2, 2, 2))
+    with pytest.raises(ValueError):
+        apply_slot(np.eye(3), psi, 0)
+    with pytest.raises(ValueError):
+        apply_slot(I2, np.zeros(16), 0)
+    with pytest.raises(ValueError):
+        apply_slot(I2, psi, 4)
 
 
 def test_is_unitary_accepts_and_rejects():
