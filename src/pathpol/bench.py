@@ -13,12 +13,19 @@ with delta = theta1 + phi1 - theta2 - phi2, for every PhaseSetting. A second
 beam splitter on both path slots then produces the state seen by the
 detectors. Prisms before and after the phase stage are label bookkeeping
 only; amplitudes pass through them bit-identically.
+
+Every element acts on its own axis, with no Kronecker product built: a
+single beam is a ``(..., 2, 2)`` (path, pol) tensor, a two-beam state a
+``(..., 2, 2, 2, 2)`` tensor. Amplitudes and phases may be arrays, one bench
+run per entry (``trace_stages``); the ``SourceSpec``/``PhaseSetting``
+functions are single runs of the same code.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +39,11 @@ from .tensor import (
     STATE_SHAPE,
     Array,
     apply_slot,
-    kron,
+    norms_squared,
 )
 
 _SQRT2 = np.sqrt(2.0)
+_BEAM_SHAPE = (2, 2)  # one beam: path, pol
 
 
 class Stage(enum.Enum):
@@ -122,37 +130,81 @@ class BenchState:
 
     @property
     def norm_squared(self) -> float:
-        return float(np.vdot(self.vector, self.vector).real)
+        return float(norms_squared(self.vector))
+
+
+def _source_beams(a1: complex | Array, a2: complex | Array) -> tuple[Array, Array]:
+    a1 = np.asarray(a1, dtype=complex)
+    a2 = np.asarray(a2, dtype=complex)
+    shape = np.broadcast_shapes(a1.shape, a2.shape) + _BEAM_SHAPE
+    psi = np.zeros(shape, dtype=complex)
+    phi = np.zeros(shape, dtype=complex)
+    psi[..., 1, 0] = a1  # bV
+    phi[..., 0, 0] = a2  # aV
+    return psi, phi
 
 
 def build_sources(s1: SourceSpec, s2: SourceSpec) -> tuple[Array, Array]:
     """4-dim input kets: source 1 is A1|bV>, source 2 is A2|aV>."""
-    psi = np.zeros(4, dtype=complex)
-    phi = np.zeros(4, dtype=complex)
-    psi[2] = s1.amplitude  # bV
-    phi[0] = s2.amplitude  # aV
-    return psi, phi
+    psi, phi = _source_beams(s1.amplitude, s2.amplitude)
+    return psi.reshape(4), phi.reshape(4)
 
 
 def symmetrize(x: Array, y: Array) -> Array:
-    """(x (x) y + y (x) x) / sqrt2 on two 4-dim single-beam states."""
+    """(x (x) y + y (x) x) / sqrt2 on two single-beam states.
+
+    ``(..., 2, 2)`` beam tensors (path, pol) give a ``(..., 2, 2, 2, 2)``
+    state; flat 4-dim kets give the flat 16-dim vector.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape != (4,) or y.shape != (4,):
-        raise ValueError("symmetrize expects two 4-dim single-beam states")
-    return (kron(x, y) + kron(y, x)) / _SQRT2
+    if x.shape[-1:] == y.shape[-1:] == (4,):
+        beams = (v.reshape(v.shape[:-1] + _BEAM_SHAPE) for v in (x, y))
+        out = symmetrize(*beams)
+        return out.reshape(out.shape[: -len(STATE_SHAPE)] + (DIM,))
+    if x.shape[-2:] != _BEAM_SHAPE or y.shape[-2:] != _BEAM_SHAPE:
+        raise ValueError("symmetrize expects two single-beam states (4-dim or (..., 2, 2))")
+    # one product per entry, x (x) y and y (x) x each in its own factor order
+    xy = x[..., :, :, None, None] * y[..., None, None, :, :]
+    yx = y[..., :, :, None, None] * x[..., None, None, :, :]
+    return (xy + yx) / _SQRT2
+
+
+def _bs_beam(beam: Array) -> Array:
+    return elements.beam_splitter() @ beam  # acts on the path axis
+
+
+def _pr_beam(beam: Array) -> Array:
+    out = np.array(beam, dtype=complex)
+    out[..., 1, :] = out[..., 1, :] @ elements.pol_swap().T  # path b only
+    return out
+
+
+def _beam_matrix(stage) -> Array:
+    # column k is the stage applied to the k-th flat single-beam basis ket
+    basis = np.eye(4, dtype=complex).reshape((4,) + _BEAM_SHAPE)
+    return stage(basis).reshape(4, 4).T
 
 
 def bs_single_beam() -> Array:
-    """First beam splitter on one beam: path doublet only."""
-    return kron(elements.beam_splitter(), np.eye(2))
+    """First beam splitter on one beam (path doublet only), as a 4x4 matrix."""
+    return _beam_matrix(_bs_beam)
 
 
 def pr_single_beam() -> Array:
-    """Polarization rotator sitting in path b of one beam."""
-    keep_a = np.diag([1.0, 0.0]).astype(complex)
-    keep_b = np.diag([0.0, 1.0]).astype(complex)
-    return kron(keep_a, np.eye(2)) + kron(keep_b, elements.pol_swap())
+    """Polarization rotator sitting in path b of one beam, as a 4x4 matrix."""
+    return _beam_matrix(_pr_beam)
+
+
+def _input_stages(a1: complex | Array, a2: complex | Array) -> tuple[Array, Array, Array]:
+    # SOURCE, POST_BS and POST_PR, each beam acted on slot-locally before symmetrizing
+    psi, phi = _source_beams(a1, a2)
+    stages = [symmetrize(psi, phi)]
+    psi, phi = _bs_beam(psi), _bs_beam(phi)
+    stages.append(symmetrize(psi, phi))
+    psi, phi = _pr_beam(psi), _pr_beam(phi)
+    stages.append(symmetrize(psi, phi))
+    return tuple(stages)
 
 
 def phase_stage(
@@ -176,10 +228,47 @@ def bs_prime_stage(state: Array) -> Array:
     return apply_slot(bs, apply_slot(bs, state, SLOT_PATH_2), SLOT_PATH_1)
 
 
+def phase_arrays(settings: Sequence[PhaseSetting]) -> tuple[Array, Array, Array, Array]:
+    """theta1, theta2, phi1 and phi2 of many settings, as four 1-d arrays."""
+    return tuple(
+        np.array([getattr(ps, name) for ps in settings], dtype=float)
+        for name in ("theta1", "theta2", "phi1", "phi2")
+    )
+
+
 def phase_diagonal(ps: PhaseSetting) -> Array:
     """16x16 diagonal matrix of ``phase_stage`` at one setting."""
+    return phase_diagonals(ps.theta1, ps.theta2, ps.phi1, ps.phi2)
+
+
+def phase_diagonals(theta1: Array, theta2: Array, phi1: Array, phi2: Array) -> Array:
+    """``phase_diagonal`` for phase arrays: the ``(N, 16, 16)`` stack."""
     ones = np.ones(STATE_SHAPE, dtype=complex)
-    return np.diag(phase_stage(ones, ps.theta1, ps.theta2, ps.phi1, ps.phi2).reshape(DIM))
+    diag = phase_stage(ones, theta1, theta2, phi1, phi2)
+    diag = diag.reshape(diag.shape[: -len(STATE_SHAPE)] + (DIM,))
+    out = np.zeros(diag.shape + (DIM,), dtype=complex)
+    idx = np.arange(DIM)
+    out[..., idx, idx] = diag
+    return out
+
+
+def trace_stages(
+    a1: complex | Array,
+    a2: complex | Array,
+    theta1: Array,
+    theta2: Array,
+    phi1: Array,
+    phi2: Array,
+) -> tuple[Array, ...]:
+    """The six stages of ``pipeline_trace`` as ``(..., 2, 2, 2, 2)`` tensors.
+
+    Amplitudes and phases may be equal-length 1-d arrays, one bench run per
+    entry; the runs become the leading axis. Stages follow ``Stage`` order.
+    """
+    source, post_bs, post_pr = _input_stages(a1, a2)
+    phased = phase_stage(post_pr, theta1, theta2, phi1, phi2)
+    # the inverse prisms restore the plain path labels; amplitudes untouched
+    return source, post_bs, post_pr, phased, phased, bs_prime_stage(phased)
 
 
 def symmetrized_input(s1: SourceSpec, s2: SourceSpec) -> BenchState:
@@ -188,9 +277,8 @@ def symmetrized_input(s1: SourceSpec, s2: SourceSpec) -> BenchState:
     Equals (A1 A2 / sqrt2)(|aVaV> - |bHbH>); every correlation in this
     package is an expectation value on this state.
     """
-    psi, phi = build_sources(s1, s2)
-    m = pr_single_beam() @ bs_single_beam()
-    return BenchState(Stage.POST_PR, symmetrize(m @ psi, m @ phi), s1.omega + s2.omega)
+    start = _input_stages(s1.amplitude, s2.amplitude)[-1]
+    return BenchState(Stage.POST_PR, start.reshape(DIM), s1.omega + s2.omega)
 
 
 def evolve_prestate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchState:
@@ -223,19 +311,6 @@ def pipeline_trace(
     The early per-beam stages are reported through the same symmetrized lens
     so that every entry is 16-dim and carries norm |A1 A2|^2.
     """
-    psi, phi = build_sources(s1, s2)
     wsum = s1.omega + s2.omega
-    bs, pr = bs_single_beam(), pr_single_beam()
-    stages = [
-        BenchState(Stage.SOURCE, symmetrize(psi, phi), wsum),
-        BenchState(Stage.POST_BS, symmetrize(bs @ psi, bs @ phi), wsum),
-        BenchState(Stage.POST_PR, symmetrize(pr @ bs @ psi, pr @ bs @ phi), wsum),
-    ]
-    phased = phase_stage(
-        stages[-1].tensor, ps.theta1, ps.theta2, ps.phi1, ps.phi2
-    ).reshape(DIM)
-    stages.append(BenchState(Stage.POST_PHASES, phased, wsum))
-    # the inverse prisms restore the plain path labels; amplitudes untouched
-    stages.append(BenchState(Stage.PRE_BS_PRIME, phased, wsum))
-    stages.append(apply_bs_prime(stages[-1]))
-    return tuple(stages)
+    tensors = trace_stages(s1.amplitude, s2.amplitude, ps.theta1, ps.theta2, ps.phi1, ps.phi2)
+    return tuple(BenchState(stage, t.reshape(DIM), wsum) for stage, t in zip(Stage, tensors))

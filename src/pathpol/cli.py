@@ -62,10 +62,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
 
     # operator route: every setting at once, slot-local, from one input state
-    phases = [
-        np.array([getattr(ps, name) for ps in settings])
-        for name in ("theta1", "theta2", "phi1", "phi2")
-    ]
+    phases = bench.phase_arrays(settings)
     start = bench.symmetrized_input(s1, s2)
     numeric = correlations.correlation_numeric_batch(start, s1, s2, *phases)
     outputs = bench.bs_prime_stage(bench.phase_stage(start.tensor, *phases))

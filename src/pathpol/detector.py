@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench, elements
 from .bench import BenchState, PhaseSetting, SourceSpec, Stage
-from .tensor import DIM, STATE_SHAPE, Array, kron
+from .tensor import DIM, STATE_SHAPE, Array, kron, norms_squared
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -47,6 +47,7 @@ class AaProjection:
     branch, ``pol_unit`` the same normalized to unit norm, and ``expansion``
     the (++, +-, -+, --) coefficients of sqrt(2) * pol_unit. ``delta`` is
     the relative phase read back from the two occupied components.
+    ``aa_projections`` gives every field a leading axis, one entry per state.
     """
 
     branch_vector: Array
@@ -97,34 +98,61 @@ def _require_output_stage(state: BenchState) -> None:
 def project_aa(state: BenchState) -> AaProjection:
     """Extract the aa branch and its diagonal-basis polarization expansion."""
     _require_output_stage(state)
-    grid = state.vector.reshape(2, 2, 2, 2)  # path1, pol1, path2, pol2
+    stacked = aa_projections(state.vector[None, :])
+    return AaProjection(
+        branch_vector=stacked.branch_vector[0],
+        pol=stacked.pol[0],
+        pol_unit=stacked.pol_unit[0],
+        expansion=stacked.expansion[0],
+        delta=float(stacked.delta[0]),
+        branch_fraction=float(stacked.branch_fraction[0]),
+    )
 
-    total = state.norm_squared
-    if total == 0.0:
+
+def aa_projections(vectors: Array) -> AaProjection:
+    """``project_aa`` for a stack of output-state vectors, ``(N, 16)``.
+
+    Every field gains a leading axis of length N. The caller vouches that
+    every row is a post-bs-prime state.
+    """
+    vectors = _as_stack(vectors)
+    total = norms_squared(vectors)
+    if np.any(total == 0.0):
         raise ValueError("cannot project a zero state")
-    pol_block = grid[0, :, 0, :]  # 2x2: rows pol1, cols pol2
-    branch_norm_sq = float(np.sum(np.abs(pol_block) ** 2))
-    if branch_norm_sq == 0.0:
-        raise ValueError("the aa branch of this state is empty")
+    pol_block, branch_norm_sq, pol_unit, expansion = _aa_block(vectors)
 
-    branch = np.zeros_like(grid)
-    branch[0, :, 0, :] = pol_block
-    pol = pol_block.reshape(4)  # VV, VH, HV, HH
-    pol_unit = pol / np.sqrt(branch_norm_sq)
-
-    expansion = _diagonal_expansion(pol_unit.reshape(2, 2)).reshape(4)
-
-    c_vv, c_hh = pol[0], pol[3]
-    delta = float(np.angle(-c_hh / c_vv)) if abs(c_vv) > 0.0 else float("nan")
+    branch = np.zeros((len(vectors),) + STATE_SHAPE, dtype=complex)
+    branch[:, 0, :, 0, :] = pol_block
+    pol = pol_block.reshape(-1, 4)  # VV, VH, HV, HH
+    c_vv, c_hh = pol[:, 0], pol[:, 3]
+    ratio = np.divide(-c_hh, c_vv, out=np.full_like(c_vv, np.nan), where=np.abs(c_vv) > 0.0)
 
     return AaProjection(
-        branch_vector=branch.reshape(16),
+        branch_vector=branch.reshape(-1, DIM),
         pol=pol,
-        pol_unit=pol_unit,
-        expansion=expansion,
-        delta=delta,
+        pol_unit=pol_unit.reshape(-1, 4),
+        expansion=expansion.reshape(-1, 4),
+        delta=np.angle(ratio),
         branch_fraction=branch_norm_sq / total,
     )
+
+
+def _as_stack(vectors: Array) -> Array:
+    vectors = np.asarray(vectors, dtype=complex)
+    if vectors.ndim != 2 or vectors.shape[1] != DIM:
+        raise ValueError(f"expected an (N, {DIM}) stack of states, got shape {vectors.shape}")
+    return vectors
+
+
+def _aa_block(vectors: Array) -> tuple[Array, Array, Array, Array]:
+    """aa polarization blocks (rows pol1, cols pol2), their norms, the unit
+    blocks and their diagonal-basis expansions, for an ``(N, 16)`` stack."""
+    pol_block = vectors.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
+    branch_norm_sq = np.sum(np.abs(pol_block) ** 2, axis=(1, 2))
+    if np.any(branch_norm_sq == 0.0):
+        raise ValueError("the aa branch of this state is empty")
+    pol_unit = pol_block / np.sqrt(branch_norm_sq)[:, None, None]
+    return pol_block, branch_norm_sq, pol_unit, _diagonal_expansion(pol_unit)
 
 
 def _diagonal_expansion(pol_unit: Array) -> Array:
@@ -139,15 +167,8 @@ def p45_intensities(vectors: Array) -> Array:
     Same readout as ``p45_intensity``; the caller vouches that every row is
     a post-bs-prime state.
     """
-    vectors = np.asarray(vectors, dtype=complex)
-    if vectors.ndim != 2 or vectors.shape[1] != DIM:
-        raise ValueError(f"expected an (N, {DIM}) stack of states, got shape {vectors.shape}")
-    pol = vectors.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
-    norm_sq = np.sum(np.abs(pol) ** 2, axis=(1, 2))
-    if np.any(norm_sq == 0.0):
-        raise ValueError("the aa branch of this state is empty")
-    pol_unit = pol / np.sqrt(norm_sq)[:, None, None]
-    return np.abs(_diagonal_expansion(pol_unit)[:, 0, 0]) ** 2
+    expansion = _aa_block(_as_stack(vectors))[3]
+    return np.abs(expansion[:, 0, 0]) ** 2
 
 
 def p45_intensity(state: BenchState) -> float:

@@ -54,22 +54,28 @@ def path_phase(phi: float | Array, sign: int = 1) -> Array:
     return _phase_diag(phi, sign)
 
 
-def prism(omega: float) -> Array:
+def _identity(omega: float | Array) -> Array:
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("prism frequency must be finite")
+    out = np.zeros(omega.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = 1.0
+    return out
+
+
+def prism(omega: float | Array) -> Array:
     """Frequency-dispersing wedge on the lower path.
 
     Amplitudes are untouched (exact 2x2 identity); the dispersion is pure
-    bookkeeping on the path label, handled by ``annotate_path_label``.
+    bookkeeping on the path label, handled by ``annotate_path_label``. An
+    array of frequencies gives the stack of identities.
     """
-    if not np.isfinite(omega):
-        raise ValueError("prism frequency must be finite")
-    return np.eye(2, dtype=complex)
+    return _identity(omega)
 
 
-def inverse_prism(omega: float) -> Array:
+def inverse_prism(omega: float | Array) -> Array:
     """Exact inverse of ``prism``; also the 2x2 identity on amplitudes."""
-    if not np.isfinite(omega):
-        raise ValueError("prism frequency must be finite")
-    return np.eye(2, dtype=complex)
+    return _identity(omega)
 
 
 def annotate_path_label(label: str, omega: float) -> str:

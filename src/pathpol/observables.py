@@ -14,7 +14,8 @@ and polarization) of one source.
 ``product_expectation`` evaluates a product of such observables on a
 ``(2, 2, 2, 2)`` state slot by slot; a spec whose phase is an array stands
 for one observable per entry, so a whole phase sweep is one call. ``sigma``
-and ``intensity_operator`` build the 16x16 matrices for the algebraic checks.
+and ``intensity_operator`` build the 16x16 matrices for the algebraic checks
+(the ``(N, 16, 16)`` stack for an array of phases).
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ _SLOTS = {
 class SigmaSpec:
     """Which flip observable: source (1|2), dof ('path'|'pol'), phase, branch.
 
-    ``phase`` may be a 1-d array, one observable per entry; only
-    ``product_expectation`` accepts such a spec.
+    ``phase`` may be a 1-d array, one observable per entry.
     """
 
     source: int
@@ -90,15 +90,15 @@ def _spec_core(spec: SigmaSpec) -> Array:
 
 
 def sigma(spec: SigmaSpec) -> Array:
-    """16x16 flip observable (or one of its eigenprojectors)."""
+    """16x16 flip observable (or one of its eigenprojectors); a stack for array phases."""
     return embed(_spec_core(spec), _SLOTS[(spec.source, spec.dof)])
 
 
-def sigma_pol(source: int, theta: float, branch: str = "full") -> Array:
+def sigma_pol(source: int, theta: float | Array, branch: str = "full") -> Array:
     return sigma(SigmaSpec(source, "pol", theta, branch))
 
 
-def sigma_path(source: int, phi: float, branch: str = "full") -> Array:
+def sigma_path(source: int, phi: float | Array, branch: str = "full") -> Array:
     return sigma(SigmaSpec(source, "path", phi, branch))
 
 
@@ -107,12 +107,13 @@ class IntensityOperator:
     """Joint plus-branch projector of one source: path(phi) times pol(theta).
 
     The two factors act on disjoint slots, so the product is itself a rank-1
-    projector (onto the product of the two plus vectors).
+    projector (onto the product of the two plus vectors). Equal-length phase
+    arrays give the ``(N, 16, 16)`` stack of projectors.
     """
 
     source: int
-    theta: float
-    phi: float
+    theta: float | Array
+    phi: float | Array
     matrix: Array
 
     def __post_init__(self) -> None:
@@ -121,7 +122,7 @@ class IntensityOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def intensity_operator(source: int, theta: float, phi: float) -> IntensityOperator:
+def intensity_operator(source: int, theta: float | Array, phi: float | Array) -> IntensityOperator:
     m = sigma_path(source, phi, "plus") @ sigma_pol(source, theta, "plus")
     return IntensityOperator(source, theta, phi, m)
 

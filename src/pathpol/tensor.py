@@ -20,9 +20,6 @@ algebraic checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import cos, sin
-
 import numpy as np
 
 Array = np.ndarray
@@ -87,11 +84,12 @@ def embed(op: Array, slot: int) -> Array:
     """Lift a 2x2 operator onto one tensor slot of the 16-dim space.
 
     ``slot`` follows the global ordering: 0 = path 1, 1 = pol 1,
-    2 = path 2, 3 = pol 2.
+    2 = path 2, 3 = pol 2. A stack ``(N, 2, 2)`` gives the ``(N, 16, 16)``
+    stack of lifted matrices.
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"embed expects a 2x2 operator, got shape {op.shape}")
+    if op.ndim not in (2, 3) or op.shape[-2:] != (2, 2):
+        raise ValueError(f"embed expects a 2x2 operator or a stack, got shape {op.shape}")
     if not 0 <= slot < N_SLOTS:
         raise ValueError(f"slot must be in 0..3, got {slot}")
     factors = [IDENTITY_2] * N_SLOTS
@@ -99,16 +97,24 @@ def embed(op: Array, slot: int) -> Array:
     return kron(*factors)
 
 
+def norms_squared(vectors: Array) -> Array:
+    """<v|v> of each vector along the last axis, reduced as ``np.vdot`` does."""
+    v = np.asarray(vectors, dtype=complex)
+    return (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real
+
+
 def dagger(m: Array) -> Array:
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
 def is_unitary(m: Array, tol: float = 1e-12) -> bool:
-    """True when m†m = 1 entrywise within tol. Non-square never qualifies."""
+    """True when m†m = 1 entrywise within tol, for a matrix or every matrix
+    of a stack. Non-square never qualifies."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    resid = dagger(m) @ m - np.eye(m.shape[0])
+    resid = dagger(m) @ m - np.eye(m.shape[-1])
     return bool(np.max(np.abs(resid)) <= tol)
 
 
@@ -137,43 +143,3 @@ def basis_label(index: int) -> str:
         + PATH_LABELS[bits[2]]
         + POL_LABELS[bits[3]]
     )
-
-
-@dataclass(frozen=True)
-class PolState:
-    """Single-beam polarization on the Poincare sphere parameterization.
-
-    theta mixes V into H, chi is the relative phase of the H component, and
-    phi_global is an overall phase on the doublet.
-    """
-
-    theta: float
-    chi: float
-    phi_global: float = 0.0
-
-
-def make_pol_state(p: PolState) -> Array:
-    """2-component polarization vector e^{i phi} (cos theta, e^{i chi} sin theta)."""
-    phase = np.exp(1j * p.phi_global)
-    return phase * np.array([cos(p.theta), np.exp(1j * p.chi) * sin(p.theta)])
-
-
-@dataclass(frozen=True)
-class JonesVector:
-    """Complex transverse field doublet (ex, ey); intensity is |ex|^2 + |ey|^2."""
-
-    ex: complex
-    ey: complex
-
-    @property
-    def intensity(self) -> float:
-        return abs(self.ex) ** 2 + abs(self.ey) ** 2
-
-    def normalized(self) -> "JonesVector":
-        n = np.sqrt(self.intensity)
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero Jones vector")
-        return JonesVector(self.ex / n, self.ey / n)
-
-    def as_array(self) -> Array:
-        return np.array([self.ex, self.ey], dtype=complex)

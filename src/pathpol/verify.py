@@ -7,19 +7,24 @@ differ by a constant, amplitude-independent scale; both constants are
 printed and the row only turns into ``fail`` when the functional form or
 the constancy itself breaks. Given the same seed the report is
 byte-identical across runs.
+
+The randomized checks draw all their instances first, in a fixed order,
+then evaluate the operator route for every instance in one batched pass of
+slot-local stacks; the oracles they are compared with are written out
+independently and never share its intermediate results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import cos, pi, sqrt
 
 import numpy as np
 
 from . import bench, contextuality, correlations, detector, elements, observables
 from .bench import PhaseSetting, SourceSpec
-from .tensor import basis_state, dagger, is_unitary
+from .observables import SigmaSpec
+from .tensor import DIM, basis_state, dagger, is_unitary, norms_squared
 
 PASS = "pass"
 FAIL = "fail"
@@ -73,6 +78,44 @@ def _random_ps(rng: np.random.Generator) -> PhaseSetting:
 def _ps_with_delta(d: float, base: PhaseSetting = PhaseSetting(0, 0.15, -0.4, 0.2)) -> PhaseSetting:
     return PhaseSetting(
         d + base.theta2 + base.phi2 - base.phi1, base.theta2, base.phi1, base.phi2
+    )
+
+
+def _amplitudes(
+    sources: list[tuple[SourceSpec, SourceSpec]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A1 and A2 as arrays, and the norm |A1 A2|^2 every stage must keep."""
+    return (
+        np.array([s1.amplitude for s1, _ in sources], dtype=complex),
+        np.array([s2.amplitude for _, s2 in sources], dtype=complex),
+        np.array([(abs(s1.amplitude) * abs(s2.amplitude)) ** 2 for s1, s2 in sources]),
+    )
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _stack_by(keys: list, build) -> np.ndarray:
+    """Instance-ordered stack of ``build(key, rows)``, one call per distinct key.
+
+    ``rows`` indexes the instances carrying ``key``; ``build`` returns their
+    stacked results in that order.
+    """
+    out = None
+    for key in dict.fromkeys(keys):
+        rows = np.array([i for i, k in enumerate(keys) if k == key])
+        part = build(key, rows)
+        if out is None:
+            out = np.empty((len(keys),) + part.shape[1:], dtype=part.dtype)
+        out[rows] = part
+    return out
+
+
+def _sigma_stack(keys: list[tuple[int, str, str]], phase: np.ndarray) -> np.ndarray:
+    """``(N, 16, 16)`` stack of ``sigma`` with per-instance (source, dof, branch)."""
+    return _stack_by(
+        keys, lambda k, rows: observables.sigma(SigmaSpec(k[0], k[1], phase[rows], k[2]))
     )
 
 
@@ -154,26 +197,30 @@ def _check_noncontextuality(rng: np.random.Generator) -> VerifyCheck:
 
 def _check_detection_law() -> VerifyCheck:
     s1, s2 = _unit_sources()
-    worst = 0.0
-    for d in _GRID:
-        ps = _ps_with_delta(float(d))
-        state = bench.apply_bs_prime(bench.evolve_prestate(s1, s2, ps))
-        worst = max(
-            worst, abs(detector.p45_intensity(state) - 0.5 * (1.0 - cos(float(d))))
-        )
+    phases = bench.phase_arrays([_ps_with_delta(float(d)) for d in _GRID])
+    out = bench.trace_stages(s1.amplitude, s2.amplitude, *phases)[-1]
+    p45 = detector.p45_intensities(out.reshape(len(_GRID), DIM))
+    law = np.array([0.5 * (1.0 - cos(float(d))) for d in _GRID])
+    worst = _max_abs(p45 - law)
     status = PASS if worst <= _TOL else FAIL
     return VerifyCheck("detection-law-45deg", status, worst, 0.0, _TOL)
 
 
-def _literal_prestate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> np.ndarray:
-    n = s1.amplitude * s2.amplitude / sqrt(2.0)
-    rel = np.exp(1j * (ps.theta1 + ps.phi1)) * np.exp(-1j * (ps.theta2 + ps.phi2))
-    return n * (basis_state(0, 0, 0, 0) - rel * basis_state(1, 1, 1, 1))
+def _relative_phase(theta1, theta2, phi1, phi2) -> np.ndarray:
+    return np.exp(1j * (theta1 + phi1)) * np.exp(-1j * (theta2 + phi2))
 
 
-def _literal_poststate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> np.ndarray:
-    n = s1.amplitude * s2.amplitude / sqrt(2.0)
-    rel = np.exp(1j * (ps.theta1 + ps.phi1)) * np.exp(-1j * (ps.theta2 + ps.phi2))
+def _literal_prestate(a1, a2, theta1, theta2, phi1, phi2) -> np.ndarray:
+    """(A1 A2 / sqrt2)(|aVaV> - e^{i delta}|bHbH>), one row per entry."""
+    n = a1 * a2 / sqrt(2.0)
+    rel = _relative_phase(theta1, theta2, phi1, phi2)
+    return n[:, None] * (basis_state(0, 0, 0, 0) - rel[:, None] * basis_state(1, 1, 1, 1))
+
+
+def _literal_poststate(a1, a2, theta1, theta2, phi1, phi2) -> np.ndarray:
+    """The literal prestate after the second splitter, one row per entry."""
+    n = a1 * a2 / sqrt(2.0)
+    rel = _relative_phase(theta1, theta2, phi1, phi2)
     plus_branch = 0.5 * (
         basis_state(0, 0, 0, 0)
         + basis_state(0, 0, 1, 0)
@@ -186,88 +233,98 @@ def _literal_poststate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> np.n
         - basis_state(1, 1, 0, 1)
         + basis_state(1, 1, 1, 1)
     )
-    return n * (plus_branch - rel * minus_branch)
+    return n[:, None] * (plus_branch - rel[:, None] * minus_branch)
 
 
 def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
-    worst = 0.0
+    sources, settings = [], []
     for i in range(100):
-        if i % 2 == 0:
-            s1, s2 = _unit_sources()
-        else:
-            s1, s2 = _random_sources(rng)
-        ps = _random_ps(rng)
-        pre = bench.evolve_prestate(s1, s2, ps)
-        worst = max(worst, float(np.max(np.abs(pre.vector - _literal_prestate(s1, s2, ps)))))
-        post = bench.apply_bs_prime(pre)
-        worst = max(worst, float(np.max(np.abs(post.vector - _literal_poststate(s1, s2, ps)))))
-        target = (abs(s1.amplitude) * abs(s2.amplitude)) ** 2
-        worst = max(worst, abs(post.norm_squared - target))
+        sources.append(_unit_sources() if i % 2 == 0 else _random_sources(rng))
+        settings.append(_random_ps(rng))
+    a1, a2, target = _amplitudes(sources)
+    phases = bench.phase_arrays(settings)
 
-        aa = detector.project_aa(post)
-        worst = max(worst, abs(aa.branch_fraction - 0.25))
-        phase_n = s1.amplitude * s2.amplitude
-        phase_n = phase_n / abs(phase_n)
-        rel = np.exp(1j * (ps.theta1 + ps.phi1)) * np.exp(-1j * (ps.theta2 + ps.phi2))
-        expected_unit = phase_n / sqrt(2.0) * np.array([1.0, 0.0, 0.0, -rel])
-        worst = max(worst, float(np.max(np.abs(aa.pol_unit - expected_unit))))
-        worst = max(worst, abs(np.exp(1j * aa.delta) - np.exp(1j * ps.delta)))
+    *_, pre, post = bench.trace_stages(a1, a2, *phases)
+    pre = pre.reshape(len(settings), DIM)
+    post = post.reshape(len(settings), DIM)
+    worst = max(
+        _max_abs(pre - _literal_prestate(a1, a2, *phases)),
+        _max_abs(post - _literal_poststate(a1, a2, *phases)),
+        _max_abs(norms_squared(post) - target),
+    )
+
+    aa = detector.aa_projections(post)
+    phase_n = a1 * a2
+    phase_n = phase_n / np.abs(phase_n)
+    rel = _relative_phase(*phases)
+    pol_shape = np.zeros((len(settings), 4), dtype=complex)  # VV, VH, HV, HH
+    pol_shape[:, 0], pol_shape[:, 3] = 1.0, -rel
+    expected_unit = (phase_n / sqrt(2.0))[:, None] * pol_shape
+    deltas = np.array([ps.delta for ps in settings])
+    worst = max(
+        worst,
+        _max_abs(aa.branch_fraction - 0.25),
+        _max_abs(aa.pol_unit - expected_unit),
+        _max_abs(np.exp(1j * aa.delta) - np.exp(1j * deltas)),
+    )
     status = PASS if worst <= _TOL else FAIL
     return VerifyCheck("pipeline-golden-states", status, worst, 0.0, _TOL)
 
 
 def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
-    worst_unitary = 0.0
-    worst_proj = 0.0
-    worst_comm = 0.0
-    worst_norm = 0.0
-    eye16 = np.eye(16)
+    # every random instance first, drawn in the same order as one at a time
+    xs, signs, settings, sources, dofs, branches, beams = [], [], [], [], [], [], []
     for _ in range(100):
-        x = float(rng.uniform(-2.0 * pi, 2.0 * pi))
-        sign = 1 if rng.integers(0, 2) == 0 else -1
-        ps = _random_ps(rng)
-        for m in (
-            elements.beam_splitter(),
-            elements.pol_swap(),
-            elements.pol_phase(x, sign),
-            elements.path_phase(x, sign),
-            elements.prism(x),
-            elements.inverse_prism(x),
-            bench.phase_diagonal(ps),
-        ):
-            resid = dagger(m) @ m - np.eye(m.shape[0])
-            worst_unitary = max(worst_unitary, float(np.max(np.abs(resid))))
-            if not is_unitary(m, _TOL):
-                worst_unitary = max(worst_unitary, 1.0)
+        xs.append(float(rng.uniform(-2.0 * pi, 2.0 * pi)))
+        signs.append(1 if rng.integers(0, 2) == 0 else -1)
+        settings.append(_random_ps(rng))
+        sources.append(int(rng.integers(1, 3)))
+        dofs.append("path" if rng.integers(0, 2) == 0 else "pol")
+        branches.append(("full", "plus", "minus")[int(rng.integers(0, 3))])
+        beams.append(_random_sources(rng))
+    x = np.array(xs)
+    theta1, theta2, phi1, phi2 = phases = bench.phase_arrays(settings)
 
-        source = int(rng.integers(1, 3))
-        dof = "path" if rng.integers(0, 2) == 0 else "pol"
-        p_plus = observables.sigma(observables.SigmaSpec(source, dof, x, "plus"))
-        p_minus = observables.sigma(observables.SigmaSpec(source, dof, x, "minus"))
-        worst_proj = max(
-            worst_proj,
-            float(np.max(np.abs(p_plus @ p_plus - p_plus))),
-            float(np.max(np.abs(p_plus @ p_minus))),
-            float(np.max(np.abs(p_plus + p_minus - eye16))),
-        )
-        i_op = observables.intensity_operator(source, x, -0.5 * x).matrix
-        worst_proj = max(worst_proj, float(np.max(np.abs(i_op @ i_op - i_op))))
+    worst_unitary = 0.0
+    for m in (
+        elements.beam_splitter(),
+        elements.pol_swap(),
+        _stack_by(signs, lambda sign, rows: elements.pol_phase(x[rows], sign)),
+        _stack_by(signs, lambda sign, rows: elements.path_phase(x[rows], sign)),
+        elements.prism(x),
+        elements.inverse_prism(x),
+        bench.phase_diagonals(*phases),
+    ):
+        resid = dagger(m) @ m - np.eye(m.shape[-1])
+        worst_unitary = max(worst_unitary, _max_abs(resid))
+        if not is_unitary(m, _TOL):
+            worst_unitary = max(worst_unitary, 1.0)
 
-        a = observables.sigma(
-            observables.SigmaSpec(1, dof, x, ("full", "plus", "minus")[int(rng.integers(0, 3))])
-        )
-        b = observables.sigma(
-            observables.SigmaSpec(2, "pol" if dof == "path" else "path", -1.3 * x, "full")
-        )
-        worst_comm = max(worst_comm, float(np.max(np.abs(a @ b - b @ a))))
-        i1 = observables.intensity_operator(1, ps.theta1, ps.phi1).matrix
-        i2 = observables.intensity_operator(2, ps.theta2, ps.phi2).matrix
-        worst_comm = max(worst_comm, float(np.max(np.abs(i1 @ i2 - i2 @ i1))))
+    p_plus = _sigma_stack([(s, d, "plus") for s, d in zip(sources, dofs)], x)
+    p_minus = _sigma_stack([(s, d, "minus") for s, d in zip(sources, dofs)], x)
+    i_op = _stack_by(
+        sources,
+        lambda src, rows: observables.intensity_operator(src, x[rows], -0.5 * x[rows]).matrix,
+    )
+    worst_proj = max(
+        _max_abs(p_plus @ p_plus - p_plus),
+        _max_abs(p_plus @ p_minus),
+        _max_abs(p_plus + p_minus - np.eye(DIM)),
+        _max_abs(i_op @ i_op - i_op),
+    )
 
-        s1, s2 = _random_sources(rng)
-        target = (abs(s1.amplitude) * abs(s2.amplitude)) ** 2
-        for state in bench.pipeline_trace(s1, s2, ps):
-            worst_norm = max(worst_norm, abs(state.norm_squared - target))
+    other = {"path": "pol", "pol": "path"}
+    a = _sigma_stack([(1, d, b) for d, b in zip(dofs, branches)], x)
+    b = _sigma_stack([(2, other[d], "full") for d in dofs], -1.3 * x)
+    i1 = observables.intensity_operator(1, theta1, phi1).matrix
+    i2 = observables.intensity_operator(2, theta2, phi2).matrix
+    worst_comm = max(_max_abs(a @ b - b @ a), _max_abs(i1 @ i2 - i2 @ i1))
+
+    a1, a2, target = _amplitudes(beams)
+    worst_norm = max(
+        _max_abs(norms_squared(stage.reshape(len(beams), DIM)) - target)
+        for stage in bench.trace_stages(a1, a2, *phases)
+    )
 
     worst = max(worst_unitary, worst_proj, worst_comm, worst_norm)
     status = PASS if worst <= _TOL else FAIL
@@ -280,12 +337,9 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
 
 def _check_sigma_route(rng: np.random.Generator) -> VerifyCheck:
     s1, s2 = _unit_sources()
-    values = np.array(
-        [
-            correlations.correlation_numeric(_ps_with_delta(float(d)), s1, s2)
-            for d in _GRID
-        ]
-    )
+    start = bench.symmetrized_input(s1, s2)
+    phases = bench.phase_arrays([_ps_with_delta(float(d)) for d in _GRID])
+    values = correlations.correlation_numeric_batch(start, s1, s2, *phases)
     kappa, resid = correlations.fit_scaled_cosine(_GRID, values)
 
     dev = 0.0

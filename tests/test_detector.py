@@ -12,6 +12,7 @@ from pathpol.correlations import fit_scaled_cosine
 from pathpol.detector import (
     MAX_SAMPLES,
     TimeSeries,
+    aa_projections,
     autocorrelation_demo,
     detect,
     detector_amplitudes,
@@ -73,6 +74,23 @@ def test_project_aa_expansion_coefficients():
         assert abs(aa.expansion[1] - plus) < 1e-12  # +-
         assert abs(aa.expansion[2] - plus) < 1e-12  # -+
         assert abs(aa.expansion[3] - minus) < 1e-12  # --
+
+
+def test_aa_projections_equal_per_state_readout():
+    # the stacked readout is the per-state one, field by field and bit for bit
+    rng = np.random.default_rng(47)
+    states = [
+        output_state(d, SourceSpec(m1 * np.exp(1j * a), 1.0), SourceSpec(m2, 1.3))
+        for d, m1, m2, a in rng.uniform(0.3, 3.0, (6, 4))
+    ]
+    stacked = aa_projections(np.array([state.vector for state in states]))
+    for k, state in enumerate(states):
+        single = project_aa(state)
+        for field in ("branch_vector", "pol", "pol_unit", "expansion", "delta", "branch_fraction"):
+            assert np.array_equal(getattr(stacked, field)[k], getattr(single, field))
+    assert np.array_equal(np.abs(stacked.expansion[:, 0]) ** 2, [p45_intensity(s) for s in states])
+    with pytest.raises(ValueError, match="aa branch"):
+        aa_projections(np.zeros((2, 16)) + np.eye(16)[15])
 
 
 def test_expansion_is_unit_norm():

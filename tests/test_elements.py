@@ -93,6 +93,12 @@ def test_prism_round_trip_is_bit_identical():
     rng = np.random.default_rng(2)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     assert np.array_equal(m @ v, v)
+    # an array of frequencies gives one identity per entry; any non-finite one is refused
+    stack = prism(np.array([0.5, 1.3, -2.0]))
+    assert np.array_equal(stack, np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert np.array_equal(inverse_prism(np.array([0.5, 1.3])), stack[:2])
+    with pytest.raises(ValueError):
+        prism(np.array([0.5, np.inf]))
 
 
 def test_path_label_annotation_round_trip():

@@ -1,0 +1,129 @@
+"""The slot-local bench front end and trace against a 16x16 ``np.kron`` oracle.
+
+Every reference stage is built here from explicit 4x4 and 16x16 matrices
+with ``np.kron`` (no ``pathpol.tensor``), starting from the two source kets
+A1|bV> and A2|aV>, so a fault shared by the program's beam stages and tensor
+helpers cannot cancel out.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from pathpol import bench, correlations, detector
+from pathpol.bench import PhaseSetting, SourceSpec, Stage
+
+TOL = 1e-12
+I2 = np.eye(2)
+BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+KEEP_A = np.diag([1.0, 0.0])
+KEEP_B = np.diag([0.0, 1.0])
+BS_BEAM = np.kron(BS, I2)
+PR_BEAM = np.kron(KEEP_A, I2) + np.kron(KEEP_B, SWAP)
+KET_AV = np.array([1.0, 0.0, 0.0, 0.0])
+KET_BV = np.array([0.0, 0.0, 1.0, 0.0])
+
+
+def kron4(a, b, c, d):
+    return np.kron(np.kron(np.kron(a, b), c), d)
+
+
+def phase(x, sense):
+    return np.diag([1.0, np.exp(1j * sense * x)])
+
+
+def sym(x, y):
+    return (np.kron(x, y) + np.kron(y, x)) / np.sqrt(2.0)
+
+
+def reference_stages(a1, a2, theta1, theta2, phi1, phi2):
+    """The six stages in ``Stage`` order, from explicit matrices."""
+    psi, phi = a1 * KET_BV, a2 * KET_AV
+    stages = [sym(psi, phi)]
+    psi, phi = BS_BEAM @ psi, BS_BEAM @ phi
+    stages.append(sym(psi, phi))
+    psi, phi = PR_BEAM @ psi, PR_BEAM @ phi
+    stages.append(sym(psi, phi))
+    phases = kron4(phase(phi1, 1), phase(theta1, 1), phase(phi2, -1), phase(theta2, -1))
+    phased = phases @ stages[-1]
+    stages += [phased, phased, kron4(BS, I2, BS, I2) @ phased]
+    return stages
+
+
+angles = st.floats(-2.0 * np.pi, 2.0 * np.pi)
+amplitudes = st.builds(lambda mag, arg: mag * np.exp(1j * arg), st.floats(0.2, 2.0), angles)
+settings_ = st.tuples(angles, angles, angles, angles)
+
+
+@seed(20143)
+@settings(max_examples=30, deadline=None, database=None)
+@given(a1=amplitudes, a2=amplitudes, phases=settings_)
+def test_front_end_and_trace_match_kron_oracle(a1, a2, phases):
+    s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
+    want = reference_stages(a1, a2, *phases)
+    norm = abs(a1 * a2) ** 2
+
+    start = bench.symmetrized_input(s1, s2)
+    assert start.stage is Stage.POST_PR
+    assert np.max(np.abs(start.vector - want[2])) <= TOL
+
+    trace = bench.pipeline_trace(s1, s2, PhaseSetting(*phases))
+    assert [state.stage for state in trace] == list(Stage)
+    for state, ref in zip(trace, want):
+        assert np.max(np.abs(state.vector - ref)) <= TOL
+        assert abs(state.norm_squared - norm) <= TOL
+
+
+@seed(20144)
+@settings(max_examples=20, deadline=None, database=None)
+@given(runs=st.lists(st.tuples(amplitudes, amplitudes, settings_), min_size=1, max_size=5))
+def test_batched_trace_equals_per_run_trace(runs):
+    # array amplitudes and phases: one bench run per entry, bit for bit
+    a1 = np.array([run[0] for run in runs])
+    a2 = np.array([run[1] for run in runs])
+    phases = [np.array(column) for column in zip(*(run[2] for run in runs))]
+    stages = bench.trace_stages(a1, a2, *phases)
+    for k, (b1, b2, row) in enumerate(runs):
+        trace = bench.pipeline_trace(SourceSpec(b1, 1.0), SourceSpec(b2, 1.3), PhaseSetting(*row))
+        for state, batch in zip(trace, stages):
+            assert batch.shape == (len(runs), 2, 2, 2, 2)
+            assert np.array_equal(state.vector, batch[k].reshape(16))
+
+
+def test_single_beam_matrices_match_kron_oracle():
+    assert np.array_equal(bench.bs_single_beam(), BS_BEAM)
+    assert np.array_equal(bench.pr_single_beam(), PR_BEAM)
+
+
+def test_symmetrize_beam_tensors_match_flat_kets():
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    y = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    flat = bench.symmetrize(x, y)
+    tensors = bench.symmetrize(x.reshape(3, 2, 2), y.reshape(3, 2, 2))
+    assert flat.shape == (3, 16) and tensors.shape == (3, 2, 2, 2, 2)
+    assert np.array_equal(flat, tensors.reshape(3, 16))
+    for k in range(3):
+        assert flat[k].tobytes() == sym(x[k], y[k]).tobytes()
+    with pytest.raises(ValueError):
+        bench.symmetrize(np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_batched_trace_and_readout_never_touch_closed_form_or_delta(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the operator route reached the closed-form code")
+
+    monkeypatch.setattr(correlations, "correlation_closed_form", forbidden)
+    monkeypatch.setattr(correlations, "g2_generalized", forbidden)
+    monkeypatch.setattr(PhaseSetting, "delta", property(forbidden))
+
+    rng = np.random.default_rng(43)
+    a1, a2 = rng.uniform(0.5, 1.5, (2, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6)))
+    phases = rng.uniform(-np.pi, np.pi, (4, 6))
+    post = bench.trace_stages(a1, a2, *phases)[-1].reshape(6, 16)
+    aa = detector.aa_projections(post)
+    assert aa.delta.shape == aa.branch_fraction.shape == (6,)
+    first = PhaseSetting(*phases[:, 0])
+    assert np.array_equal(bench.phase_diagonals(*phases)[0], bench.phase_diagonal(first))

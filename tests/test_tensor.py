@@ -3,16 +3,15 @@ import pytest
 
 from pathpol.tensor import (
     DIM,
-    JonesVector,
-    PolState,
     apply_slot,
     basis_index,
     basis_label,
     basis_state,
+    dagger,
     embed,
     is_unitary,
     kron,
-    make_pol_state,
+    norms_squared,
 )
 
 I2 = np.eye(2)
@@ -93,9 +92,20 @@ def test_embed_slots_commute():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("slot", range(4))
+def test_embed_stack_equals_per_matrix_embed(slot):
+    ops = np.random.default_rng(slot + 10).normal(size=(3, 2, 2, 2)) @ np.array([1.0, 1j])
+    stacked = embed(ops, slot)
+    assert stacked.shape == (3, DIM, DIM)
+    for k in range(3):
+        assert stacked[k].tobytes() == embed(ops[k], slot).tobytes()
+
+
 def test_embed_validation():
     with pytest.raises(ValueError):
         embed(np.eye(3), 0)
+    with pytest.raises(ValueError):
+        embed(np.ones((2, 2, 2, 2)), 0)
     with pytest.raises(ValueError):
         embed(I2, 4)
     with pytest.raises(ValueError):
@@ -131,6 +141,19 @@ def test_is_unitary_accepts_and_rejects():
     assert is_unitary(np.diag([1.0, 1j]), 1e-12)
     assert not is_unitary(2.0 * BS, 1e-12)
     assert not is_unitary(np.ones((2, 3)), 1e-12)
+    # a stack qualifies only when every matrix does
+    assert is_unitary(np.stack([BS, X]), 1e-12)
+    assert not is_unitary(np.stack([BS, 2.0 * BS]), 1e-12)
+    assert np.array_equal(dagger(np.stack([BS, 1j * X]))[1], -1j * X)
+
+
+def test_norms_squared_reduce_like_vdot():
+    rng = np.random.default_rng(13)
+    vectors = rng.normal(size=(2, 5, DIM)) + 1j * rng.normal(size=(2, 5, DIM))
+    norms = norms_squared(vectors)
+    assert norms.shape == (2, 5)
+    for index in np.ndindex(2, 5):
+        assert norms[index] == np.vdot(vectors[index], vectors[index]).real
 
 
 def test_basis_index_label_roundtrip():
@@ -147,30 +170,3 @@ def test_basis_index_label_roundtrip():
         basis_index(2, 0, 0, 0)
     with pytest.raises(ValueError):
         basis_label(16)
-
-
-def test_make_pol_state_values():
-    v = make_pol_state(PolState(0.0, 0.0))
-    assert np.allclose(v, [1.0, 0.0])
-    v = make_pol_state(PolState(np.pi / 4.0, np.pi / 2.0))
-    assert np.max(np.abs(v - np.array([1.0, 1j]) / np.sqrt(2.0))) < 1e-15
-    v = make_pol_state(PolState(np.pi / 2.0, 0.0, np.pi))
-    assert np.max(np.abs(v - np.array([0.0, -1.0]))) < 1e-15
-
-
-def test_make_pol_state_unit_norm():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        theta, chi, phi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3)
-        v = make_pol_state(PolState(theta, chi, phi))
-        assert abs(np.vdot(v, v).real - 1.0) < 1e-12
-
-
-def test_jones_vector_intensity_and_normalization():
-    j = JonesVector(3.0, 4.0j)
-    assert j.intensity == 25.0
-    n = j.normalized()
-    assert abs(n.intensity - 1.0) < 1e-12
-    assert np.allclose(n.as_array(), [0.6, 0.8j])
-    with pytest.raises(ValueError):
-        JonesVector(0.0, 0.0).normalized()

@@ -1,0 +1,136 @@
+"""``pathpol verify`` rows pinned across seeds, the faults its batched checks
+must catch, and the number of Kronecker builds one run may make.
+
+The pinned strings are the rows as printed before the checks were batched:
+every row's name and status, and the logged constants to their printed
+digits. Residual-scale ``measured`` values are not pinned.
+"""
+
+import re
+import sys
+from collections import Counter
+
+import pytest
+
+from pathpol import bench, elements, observables, tensor
+from pathpol.cli import main
+from pathpol.verify import run_verify
+
+ROWS = (
+    ("ghz-correlation-closed-form", "pass"),
+    ("hbt-reduction", "pass"),
+    ("noncontextuality-violations", "pass"),
+    ("detection-law-45deg", "pass"),
+    ("pipeline-golden-states", "pass"),
+    ("algebraic-property-suite", "pass"),
+    ("sigma-route-vs-closed-form", "discrepancy-logged"),
+    ("signed-sum-vs-closed-form", "discrepancy-logged"),
+    ("transfer-bracket-chain", "discrepancy-logged"),
+    ("autocorrelation-averaging", "pass"),
+)
+
+# seed: (bracket as measured, formula as expected, bracket and formula in the note)
+TRANSFER = {
+    0: ("3.951185838476e-03", "1.047494799570e-01", "0.00395118583848", "0.104749479957"),
+    1: ("2.035215282544e-01", "6.916183585724e-01", "0.203521528254", "0.691618358572"),
+    7: ("1.372873495225e-02", "6.528434412020e-01", "0.0137287349522", "0.652843441202"),
+    12345: ("1.984611190654e-01", "4.170759977459e-01", "0.198461119065", "0.417075997746"),
+}
+
+ROW_RE = re.compile(r"^  (\S+)\s+(\S+)\s+measured\s+(\S+)\s+expected\s+(\S+)\s+tol (\S+)$")
+
+
+def run(capsys, *argv):
+    code = main(["verify", *argv])
+    return code, capsys.readouterr().out
+
+
+def parse_rows(out):
+    """name -> (status, measured, expected, note) as printed."""
+    rows = {}
+    last = None
+    for line in out.splitlines():
+        m = ROW_RE.match(line)
+        if m:
+            last = m.group(1)
+            rows[last] = [m.group(2), m.group(3), m.group(4), ""]
+        elif last is not None and line.startswith("    "):
+            rows[last][3] = line.strip()
+    return {name: tuple(row) for name, row in rows.items()}
+
+
+@pytest.mark.parametrize("seed", sorted(TRANSFER))
+def test_verify_rows_and_logged_constants_are_pinned(capsys, seed):
+    code, out = run(capsys, "--seed", str(seed))
+    assert code == 0
+    rows = parse_rows(out)
+    assert [(name, rows[name][0]) for name in rows] == list(ROWS)
+
+    assert rows["sigma-route-vs-closed-form"][1] == "-2.500000000000e-01"
+    sigma_note = rows["sigma-route-vs-closed-form"][3]
+    assert "; ratio -1/4 across amplitudes (max dev " in sigma_note
+    assert rows["signed-sum-vs-closed-form"][1] == "-8.000000000000e+00"
+    assert rows["signed-sum-vs-closed-form"][3].startswith("signed 16-term sum = -8 x closed form ")
+
+    measured, expected, bracket, formula = TRANSFER[seed]
+    _, got_measured, got_expected, note = rows["transfer-bracket-chain"]
+    assert (got_measured, got_expected) == (measured, expected)
+    assert note.startswith(f"brackets {bracket} / {bracket} / {bracket} (max gap ")
+    assert note.endswith(f"); formula route {formula}")
+    assert out.splitlines()[-1] == "result: PASS (10 checks, 3 discrepancies logged, 0 failures)"
+
+
+def failing_rows(out):
+    return {name for name, row in parse_rows(out).items() if row[0] == "fail"}
+
+
+@pytest.mark.parametrize("element", ["pol_phase", "path_phase"])
+def test_verify_catches_source_2_phase_with_wrong_sign(capsys, monkeypatch, element):
+    # source 2's phases enter as e^{+ix} instead of e^{-ix}
+    original = getattr(elements, element)
+    monkeypatch.setattr(elements, element, lambda x, sign=1: original(x, abs(sign)))
+    code, out = run(capsys)
+    assert code == 1
+    assert {"pipeline-golden-states", "detection-law-45deg"} <= failing_rows(out)
+
+
+def test_verify_catches_scaled_plus_branch_core(capsys, monkeypatch):
+    original = observables._sigma_core
+
+    def scaled(phase, sense, branch):
+        core = original(phase, sense, branch)
+        return 1.01 * core if branch == "plus" else core
+
+    monkeypatch.setattr(observables, "_sigma_core", scaled)
+    code, out = run(capsys)
+    assert code == 1
+    assert "algebraic-property-suite" in failing_rows(out)
+
+
+def test_verify_catches_lossy_rotator(capsys, monkeypatch):
+    # a rotator that loses 1 % of the amplitude breaks the batched norms and goldens
+    original = elements.pol_swap
+    monkeypatch.setattr(elements, "pol_swap", lambda: 0.99 * original())
+    code, out = run(capsys)
+    assert code == 1
+    assert {"algebraic-property-suite", "pipeline-golden-states"} <= failing_rows(out)
+
+
+def test_verify_call_budget(monkeypatch):
+    # count every call, whichever pathpol namespace the caller reaches it through
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathpol"]
+    for original in (tensor.kron, bench.symmetrized_input):
+
+        def counting(*args, _f=original, **kwargs):
+            counts[_f.__name__] += 1
+            return _f(*args, **kwargs)
+
+        bound = [(m, attr) for m in modules for attr, v in vars(m).items() if v is original]
+        assert (sys.modules[original.__module__], original.__name__) in bound
+        for m, attr in bound:
+            monkeypatch.setattr(m, attr, counting)
+
+    assert run_verify(0).ok
+    assert 0 < counts["kron"] <= 320
+    assert 0 < counts["symmetrized_input"] <= 20
