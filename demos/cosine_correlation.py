@@ -7,8 +7,8 @@ between the two sources' detectors. It can be computed two independent
 ways:
 
   * closed form: 4 I1 I2 cos(delta) / (I1 + I2)^2, straight arithmetic;
-  * operator route: expectation of a product of four 16x16 flip
-    observables on the symmetrized input state.
+  * operator route: expectation of a product of four flip observables,
+    each a 2x2 operator on its own slot, on the symmetrized input state.
 
 The routes differ by a constant factor of -1/4 (documented, logged by the
 verify command) but share the cosine exactly. This script tabulates both

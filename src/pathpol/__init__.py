@@ -15,9 +15,7 @@ from .bench import (
     SourceSpec,
     Stage,
     apply_bs_prime,
-    build_sources,
     evolve_prestate,
-    phase_diagonal,
     pipeline_trace,
     symmetrize,
     symmetrized_input,
@@ -25,7 +23,6 @@ from .bench import (
 from .contextuality import (
     CASE1_SETTING,
     MAX_VIOLATION,
-    ChshSetting,
     ScanResult,
     c_bar,
     c_tilde,
@@ -36,7 +33,6 @@ from .contextuality import (
 )
 from .correlations import (
     CorrelationReport,
-    IntensityTerm,
     TermEntry,
     correlation_closed_form,
     correlation_numeric,
@@ -45,14 +41,12 @@ from .correlations import (
     fit_sinusoid,
     g2_generalized,
     g2_hbt,
-    intensity_term,
     sum_identity,
 )
 from .detector import (
     AaProjection,
     AutocorrelationReport,
     DetectionResult,
-    TimeSeries,
     autocorrelation_demo,
     detect,
     detector_amplitudes,
@@ -60,25 +54,16 @@ from .detector import (
     project_aa,
 )
 from .elements import (
-    ElementSpec,
     beam_splitter,
-    element_matrix,
     inverse_prism,
     path_phase,
     pol_phase,
     pol_swap,
-    polarizer_45,
     prism,
 )
 from .observables import (
-    IntensityOperator,
     SigmaSpec,
     TransferCheckReport,
-    expectation,
-    intensity_operator,
-    sigma,
-    sigma_path,
-    sigma_pol,
     transfer_check,
 )
 from .scenario import ConfigError, Scenario, SweepSpec, parse_scenario
@@ -87,9 +72,7 @@ from .tensor import (
     basis_index,
     basis_label,
     basis_state,
-    embed,
     is_unitary,
-    kron,
 )
 from .verify import VerifyCheck, VerifyReport, format_report, run_verify
 
@@ -100,14 +83,10 @@ __all__ = [
     "AutocorrelationReport",
     "BenchState",
     "CASE1_SETTING",
-    "ChshSetting",
     "ConfigError",
     "CorrelationReport",
     "DetectionResult",
     "DIM",
-    "ElementSpec",
-    "IntensityOperator",
-    "IntensityTerm",
     "MAX_VIOLATION",
     "PhaseSetting",
     "ScanResult",
@@ -117,7 +96,6 @@ __all__ = [
     "Stage",
     "SweepSpec",
     "TermEntry",
-    "TimeSeries",
     "TransferCheckReport",
     "VerifyCheck",
     "VerifyReport",
@@ -127,7 +105,6 @@ __all__ = [
     "basis_label",
     "basis_state",
     "beam_splitter",
-    "build_sources",
     "c_bar",
     "c_tilde",
     "case2_setting",
@@ -136,37 +113,26 @@ __all__ = [
     "correlation_report",
     "detect",
     "detector_amplitudes",
-    "element_matrix",
-    "embed",
     "evolve_prestate",
-    "expectation",
     "fit_scaled_cosine",
     "fit_sinusoid",
     "format_report",
     "g2_generalized",
     "g2_hbt",
-    "intensity_operator",
-    "intensity_term",
     "inverse_prism",
     "is_unitary",
-    "kron",
     "p45_intensity",
     "parse_scenario",
     "path_phase",
-    "phase_diagonal",
     "pipeline_trace",
     "pol_phase",
     "pol_swap",
-    "polarizer_45",
     "prism",
     "project_aa",
     "run_verify",
     "s_prime_value",
     "s_value",
     "scan_max",
-    "sigma",
-    "sigma_path",
-    "sigma_pol",
     "sum_identity",
     "symmetrize",
     "symmetrized_input",

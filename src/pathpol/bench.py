@@ -144,26 +144,13 @@ def _source_beams(a1: complex | Array, a2: complex | Array) -> tuple[Array, Arra
     return psi, phi
 
 
-def build_sources(s1: SourceSpec, s2: SourceSpec) -> tuple[Array, Array]:
-    """4-dim input kets: source 1 is A1|bV>, source 2 is A2|aV>."""
-    psi, phi = _source_beams(s1.amplitude, s2.amplitude)
-    return psi.reshape(4), phi.reshape(4)
-
-
 def symmetrize(x: Array, y: Array) -> Array:
-    """(x (x) y + y (x) x) / sqrt2 on two single-beam states.
-
-    ``(..., 2, 2)`` beam tensors (path, pol) give a ``(..., 2, 2, 2, 2)``
-    state; flat 4-dim kets give the flat 16-dim vector.
-    """
+    """(x (x) y + y (x) x) / sqrt2 on two ``(..., 2, 2)`` (path, pol) beam
+    tensors, giving a ``(..., 2, 2, 2, 2)`` state."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape[-1:] == y.shape[-1:] == (4,):
-        beams = (v.reshape(v.shape[:-1] + _BEAM_SHAPE) for v in (x, y))
-        out = symmetrize(*beams)
-        return out.reshape(out.shape[: -len(STATE_SHAPE)] + (DIM,))
     if x.shape[-2:] != _BEAM_SHAPE or y.shape[-2:] != _BEAM_SHAPE:
-        raise ValueError("symmetrize expects two single-beam states (4-dim or (..., 2, 2))")
+        raise ValueError("symmetrize expects two (..., 2, 2) single-beam tensors")
     # one product per entry, x (x) y and y (x) x each in its own factor order
     xy = x[..., :, :, None, None] * y[..., None, None, :, :]
     yx = y[..., :, :, None, None] * x[..., None, None, :, :]
@@ -178,22 +165,6 @@ def _pr_beam(beam: Array) -> Array:
     out = np.array(beam, dtype=complex)
     out[..., 1, :] = out[..., 1, :] @ elements.pol_swap().T  # path b only
     return out
-
-
-def _beam_matrix(stage) -> Array:
-    # column k is the stage applied to the k-th flat single-beam basis ket
-    basis = np.eye(4, dtype=complex).reshape((4,) + _BEAM_SHAPE)
-    return stage(basis).reshape(4, 4).T
-
-
-def bs_single_beam() -> Array:
-    """First beam splitter on one beam (path doublet only), as a 4x4 matrix."""
-    return _beam_matrix(_bs_beam)
-
-
-def pr_single_beam() -> Array:
-    """Polarization rotator sitting in path b of one beam, as a 4x4 matrix."""
-    return _beam_matrix(_pr_beam)
 
 
 def _input_stages(a1: complex | Array, a2: complex | Array) -> tuple[Array, Array, Array]:
@@ -234,22 +205,6 @@ def phase_arrays(settings: Sequence[PhaseSetting]) -> tuple[Array, Array, Array,
         np.array([getattr(ps, name) for ps in settings], dtype=float)
         for name in ("theta1", "theta2", "phi1", "phi2")
     )
-
-
-def phase_diagonal(ps: PhaseSetting) -> Array:
-    """16x16 diagonal matrix of ``phase_stage`` at one setting."""
-    return phase_diagonals(ps.theta1, ps.theta2, ps.phi1, ps.phi2)
-
-
-def phase_diagonals(theta1: Array, theta2: Array, phi1: Array, phi2: Array) -> Array:
-    """``phase_diagonal`` for phase arrays: the ``(N, 16, 16)`` stack."""
-    ones = np.ones(STATE_SHAPE, dtype=complex)
-    diag = phase_stage(ones, theta1, theta2, phi1, phi2)
-    diag = diag.reshape(diag.shape[: -len(STATE_SHAPE)] + (DIM,))
-    out = np.zeros(diag.shape + (DIM,), dtype=complex)
-    idx = np.arange(DIM)
-    out[..., idx, idx] = diag
-    return out
 
 
 def trace_stages(

@@ -76,29 +76,6 @@ def s_prime_value(
 
 
 @dataclass(frozen=True)
-class ChshSetting:
-    """One evaluation point of a four-term functional."""
-
-    case: int
-    primary_pair: tuple[float, float]
-    primed_pair: tuple[float, float]
-    anchors: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if self.case not in (1, 2):
-            raise ValueError(f"case must be 1 or 2, got {self.case}")
-        if self.case == 2 and self.anchors[0] - self.anchors[1] != 0.0:
-            raise ValueError("case 2 requires equal anchors")
-
-    def evaluate(self) -> float:
-        t, tp = self.primary_pair
-        p, pp = self.primed_pair
-        if self.case == 1:
-            return s_value(t, tp, p, pp)
-        return s_prime_value(t, tp, p, pp, *self.anchors)
-
-
-@dataclass(frozen=True)
 class ScanResult:
     """Extremum of |S| over the four free angles."""
 

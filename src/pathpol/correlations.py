@@ -124,55 +124,6 @@ def _check_shift(value: int, name: str) -> None:
         raise ValueError(f"{name} must be 0 or 1, got {value}")
 
 
-@dataclass(frozen=True)
-class IntensityTerm:
-    """One shifted joint-intensity bracket, both routes.
-
-    ``bracket`` is the raw (unnormalized) expectation of the two shifted
-    intensity operators on the symmetrized input; ``closed_form`` is the
-    normalized formula value 2 I1 I2 [1 - (-1)^{k+l+m+n} cos(delta)] /
-    (I1+I2)^2. Their ratio is the constant (I1+I2)^2 / 32.
-    """
-
-    k: int
-    l: int
-    m: int
-    n: int
-    closed_form: float
-    bracket: float
-
-
-def intensity_term(
-    k: int, l: int, m: int, n: int, ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec
-) -> IntensityTerm:
-    """Joint-intensity term with the four projector phases shifted by pi."""
-    for v, name in ((k, "k"), (l, "l"), (m, "m"), (n, "n")):
-        _check_shift(v, name)
-    i1, i2, ssq = _intensities(s1, s2)
-    signed = -1.0 if (k + l + m + n) % 2 else 1.0
-    closed = 2.0 * i1 * i2 * (1.0 - signed * cos(ps.delta)) / ssq
-    return IntensityTerm(k, l, m, n, closed, float(_intensity_brackets(ps, s1, s2, k, l, m, n)))
-
-
-def _intensity_brackets(
-    ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec, k: Array, l: Array, m: Array, n: Array
-) -> Array:
-    """Raw shifted joint-intensity brackets, operator route; shifts may be arrays.
-
-    The intensity operator of each source is its path and polarization
-    plus-branch projectors, so the bracket is a four-factor product.
-    """
-    pi = np.pi
-    specs = (
-        SigmaSpec(1, "path", ps.phi1 + np.asarray(l) * pi, "plus"),
-        SigmaSpec(1, "pol", ps.theta1 + np.asarray(k) * pi, "plus"),
-        SigmaSpec(2, "path", ps.phi2 + np.asarray(n) * pi, "plus"),
-        SigmaSpec(2, "pol", ps.theta2 + np.asarray(m) * pi, "plus"),
-    )
-    state = bench.symmetrized_input(s1, s2).tensor
-    return observables.product_expectation(state, specs).real
-
-
 def g2_hbt(alpha: float, beta: float, s1: SourceSpec, s2: SourceSpec) -> float:
     """Two-detector degree of coherence for bare path interference.
 
@@ -206,7 +157,11 @@ def correlation_report(
     numeric = correlation_numeric(ps, s1, s2)
     closed = correlation_closed_form(ps, s1, s2)
     shifts = list(product((0, 1), repeat=4))
-    brackets = _intensity_brackets(ps, s1, s2, *np.array(shifts).T)
+    turn = np.array(shifts).T * np.pi  # rows k, l, m, n
+    state = bench.symmetrized_input(s1, s2).tensor
+    brackets = observables.joint_intensity(
+        state, ps.theta1 + turn[0], ps.phi1 + turn[1], ps.theta2 + turn[2], ps.phi2 + turn[3]
+    )
     terms = tuple(
         TermEntry(k, l, m, n, 1 if (k + l + m + n) % 2 == 0 else -1, float(value))
         for (k, l, m, n), value in zip(shifts, brackets)

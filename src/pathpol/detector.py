@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench, elements
 from .bench import BenchState, PhaseSetting, SourceSpec, Stage
-from .tensor import DIM, STATE_SHAPE, Array, kron, norms_squared
+from .tensor import DIM, STATE_SHAPE, Array, norms_squared
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -65,27 +65,6 @@ class DetectionResult:
     branch_probabilities: tuple[float, float, float, float]  # aa, ab, ba, bb
     p45_joint_intensity: float
     delta: float
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Uniformly sampled complex fields of the two sources."""
-
-    times: Array
-    field1: Array
-    field2: Array
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        if t.size < 2:
-            raise ValueError("a time series needs at least 2 samples")
-        steps = np.diff(t)
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-            raise ValueError("sample times must be uniformly spaced")
-        for name in ("field1", "field2"):
-            f = np.asarray(getattr(self, name), dtype=complex)
-            if f.shape != t.shape:
-                raise ValueError(f"{name} must match the sample times in length")
 
 
 def _require_output_stage(state: BenchState) -> None:
@@ -202,21 +181,19 @@ def detector_amplitudes(ps: PhaseSetting) -> tuple[complex, complex]:
     diagonal polarization. Closed forms: (1 - e^{i(theta1+phi1)})/(2 sqrt2)
     and (1 + e^{-i(theta2+phi2)})/(2 sqrt2).
     """
-    chain_in = bench.pr_single_beam() @ bench.bs_single_beam()
-    bs_out = bench.bs_single_beam()
-
     out = []
-    for start_index, theta, phi, sign in (
-        (2, ps.theta1, ps.phi1, 1),  # source 1 enters on b
-        (0, ps.theta2, ps.phi2, -1),  # source 2 enters on a
+    for beam, theta, phi, sign in zip(
+        bench._source_beams(1.0, 1.0),  # source 1 on b, source 2 on a
+        (ps.theta1, ps.theta2),
+        (ps.phi1, ps.phi2),
+        (1, -1),
     ):
-        v = np.zeros(4, dtype=complex)
-        v[start_index] = 1.0
-        phases = kron(
-            elements.path_phase(phi, sign), elements.pol_phase(theta, sign)
-        )
-        v = bs_out @ phases @ chain_in @ v
-        out.append((v[0] + v[1]) / _SQRT2)  # <a| and (<V| + <H|)/sqrt2
+        beam = bench._pr_beam(bench._bs_beam(beam))
+        # the phase pair is diagonal on the (path, pol) beam: one factor per entry
+        path = np.diagonal(elements.path_phase(phi, sign))
+        pol = np.diagonal(elements.pol_phase(theta, sign))
+        beam = bench._bs_beam(path[:, None] * pol[None, :] * beam)
+        out.append((beam[0, 0] + beam[0, 1]) / _SQRT2)  # <a| and (<V| + <H|)/sqrt2
     return out[0], out[1]
 
 
@@ -248,7 +225,6 @@ class AutocorrelationReport:
     beat_mean_square: float
     cross_measured: float
     residual: float
-    series: TimeSeries
 
 
 def autocorrelation_demo(
@@ -286,7 +262,6 @@ def autocorrelation_demo(
     times = np.linspace(0.0, window, n)
     field1 = s1.amplitude * u1 * np.exp(1j * s1.omega * times)
     field2 = s2.amplitude * u2 * np.exp(1j * s2.omega * times)
-    series = TimeSeries(times, field1, field2)
 
     intensity = np.abs(field1 + field2) ** 2
     # numpy >= 2.0 calls it trapezoid (2.4 removed trapz): name trapz only without it
@@ -318,5 +293,4 @@ def autocorrelation_demo(
         beat_mean_square=beat_ms,
         cross_measured=total - self1 - self2,
         residual=residual,
-        series=series,
     )

@@ -8,8 +8,6 @@ e^{-i x}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Array
@@ -67,8 +65,8 @@ def prism(omega: float | Array) -> Array:
     """Frequency-dispersing wedge on the lower path.
 
     Amplitudes are untouched (exact 2x2 identity); the dispersion is pure
-    bookkeeping on the path label, handled by ``annotate_path_label``. An
-    array of frequencies gives the stack of identities.
+    bookkeeping on the path label and never reaches the state. An array of
+    frequencies gives the stack of identities.
     """
     return _identity(omega)
 
@@ -76,70 +74,3 @@ def prism(omega: float | Array) -> Array:
 def inverse_prism(omega: float | Array) -> Array:
     """Exact inverse of ``prism``; also the 2x2 identity on amplitudes."""
     return _identity(omega)
-
-
-def annotate_path_label(label: str, omega: float) -> str:
-    """Tag a lower-path label with its frequency offset: 'b' -> 'b+eps(1.3)'."""
-    if label != "b":
-        return label
-    return f"b+eps({omega:g})"
-
-
-def strip_path_label(label: str, omega: float) -> str:
-    """Undo ``annotate_path_label``; rejects a tag from a different frequency."""
-    tagged = f"b+eps({omega:g})"
-    if label == tagged:
-        return "b"
-    if label.startswith("b+eps("):
-        raise ValueError(f"label {label!r} was annotated at a different frequency")
-    return label
-
-
-def polarizer_45() -> Array:
-    """Projector onto (|V> + |H>)/sqrt2."""
-    return np.full((2, 2), 0.5, dtype=complex)
-
-
-@dataclass(frozen=True)
-class ElementSpec:
-    """One bench element: kind, its phase argument, and the source sign.
-
-    kind is one of 'bs', 'pol_swap', 'pol_phase', 'path_phase', 'prism',
-    'inverse_prism', 'polarizer_45'.
-    """
-
-    kind: str
-    phase: float = 0.0
-    sign: int = 1
-
-    _KINDS = (
-        "bs",
-        "pol_swap",
-        "pol_phase",
-        "path_phase",
-        "prism",
-        "inverse_prism",
-        "polarizer_45",
-    )
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        _check_sign(self.sign)
-
-
-def element_matrix(spec: ElementSpec) -> Array:
-    """2x2 matrix of an ElementSpec (phase ignored where meaningless)."""
-    if spec.kind == "bs":
-        return beam_splitter()
-    if spec.kind == "pol_swap":
-        return pol_swap()
-    if spec.kind == "pol_phase":
-        return pol_phase(spec.phase, spec.sign)
-    if spec.kind == "path_phase":
-        return path_phase(spec.phase, spec.sign)
-    if spec.kind == "prism":
-        return prism(spec.phase)
-    if spec.kind == "inverse_prism":
-        return inverse_prism(spec.phase)
-    return polarizer_45()

@@ -7,15 +7,14 @@ gets a one-parameter family of flip observables
 
 with s = +1 for observables attached to source 1 and s = -1 for source 2
 (matching the phase-element sign convention). ``branch='plus'``/``'minus'``
-select the rank-1 eigenprojectors instead of the full observable; an
-intensity operator is the product of the two plus-branch projectors (path
-and polarization) of one source.
+select the rank-1 eigenprojectors instead of the full observable; the
+intensity operator of one source is the product of its two plus-branch
+projectors (path and polarization).
 
-``product_expectation`` evaluates a product of such observables on a
-``(2, 2, 2, 2)`` state slot by slot; a spec whose phase is an array stands
-for one observable per entry, so a whole phase sweep is one call. ``sigma``
-and ``intensity_operator`` build the 16x16 matrices for the algebraic checks
-(the ``(N, 16, 16)`` stack for an array of phases).
+Every observable is a 2x2 core acting on its own slot of a ``(2, 2, 2, 2)``
+state; ``product_expectation`` evaluates a product of them slot by slot,
+and a spec whose phase is an array stands for one observable per entry, so
+a whole phase sweep is one call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .tensor import (
     Array,
     apply_slot,
     dagger,
-    embed,
 )
 
 BRANCHES = ("full", "plus", "minus")
@@ -85,55 +83,26 @@ def _sigma_core(phase: float | Array, sense: int, branch: str) -> Array:
     return core
 
 
-def _spec_core(spec: SigmaSpec) -> Array:
-    return _sigma_core(spec.phase, 1 if spec.source == 1 else -1, spec.branch)
+def _factor(spec: SigmaSpec) -> tuple[Array, int]:
+    """The 2x2 core of ``spec`` (a stack for array phases) and its slot."""
+    sense = 1 if spec.source == 1 else -1
+    return _sigma_core(spec.phase, sense, spec.branch), _SLOTS[(spec.source, spec.dof)]
 
 
-def sigma(spec: SigmaSpec) -> Array:
-    """16x16 flip observable (or one of its eigenprojectors); a stack for array phases."""
-    return embed(_spec_core(spec), _SLOTS[(spec.source, spec.dof)])
+def _apply(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
+    """f_0 f_1 ... |state> for ``(core, slot)`` factors, the last applied first."""
+    out = state
+    for core, slot in reversed(factors):
+        out = apply_slot(core, out, slot)
+    return out
 
 
-def sigma_pol(source: int, theta: float | Array, branch: str = "full") -> Array:
-    return sigma(SigmaSpec(source, "pol", theta, branch))
-
-
-def sigma_path(source: int, phi: float | Array, branch: str = "full") -> Array:
-    return sigma(SigmaSpec(source, "path", phi, branch))
-
-
-@dataclass(frozen=True)
-class IntensityOperator:
-    """Joint plus-branch projector of one source: path(phi) times pol(theta).
-
-    The two factors act on disjoint slots, so the product is itself a rank-1
-    projector (onto the product of the two plus vectors). Equal-length phase
-    arrays give the ``(N, 16, 16)`` stack of projectors.
-    """
-
-    source: int
-    theta: float | Array
-    phi: float | Array
-    matrix: Array
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def intensity_operator(source: int, theta: float | Array, phi: float | Array) -> IntensityOperator:
-    m = sigma_path(source, phi, "plus") @ sigma_pol(source, theta, "plus")
-    return IntensityOperator(source, theta, phi, m)
-
-
-def expectation(state: Array, op: Array) -> complex:
-    """<state| op |state> (no normalization applied)."""
+def _bracket(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
+    """<state| f_0 f_1 ... |state> on a ``(2, 2, 2, 2)`` state tensor."""
     state = np.asarray(state, dtype=complex)
-    op = np.asarray(op, dtype=complex)
-    if state.ndim != 1 or op.shape != (state.size, state.size):
-        raise ValueError("operator and state dimensions do not match")
-    return complex(np.vdot(state, op @ state))
+    if state.shape != STATE_SHAPE:
+        raise ValueError(f"state must be a {STATE_SHAPE} tensor, got shape {state.shape}")
+    return np.einsum("wxyz,...wxyz->...", state.conj(), _apply(state, factors))
 
 
 def product_expectation(state: Array, specs: Sequence[SigmaSpec]) -> Array:
@@ -143,13 +112,29 @@ def product_expectation(state: Array, specs: Sequence[SigmaSpec]) -> Array:
     built. Specs with array phases give one value per entry (shape ``(N,)``);
     all-scalar specs give a 0-d array. No normalization is applied.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != STATE_SHAPE:
-        raise ValueError(f"state must be a {STATE_SHAPE} tensor, got shape {state.shape}")
-    out = state
-    for spec in reversed(specs):
-        out = apply_slot(_spec_core(spec), out, _SLOTS[(spec.source, spec.dof)])
-    return np.einsum("wxyz,...wxyz->...", state.conj(), out)
+    return _bracket(state, [_factor(spec) for spec in specs])
+
+
+def joint_intensity(
+    state: Array,
+    theta1: float | Array,
+    phi1: float | Array,
+    theta2: float | Array,
+    phi2: float | Array,
+) -> Array:
+    """Raw joint-intensity bracket <I1(theta1, phi1) I2(theta2, phi2)> (real part).
+
+    The intensity operator of each source is the product of its path and
+    polarization plus-branch projectors, so the bracket is a four-factor
+    product; equal-length phase arrays give one bracket per entry.
+    """
+    specs = (
+        SigmaSpec(1, "path", phi1, "plus"),
+        SigmaSpec(1, "pol", theta1, "plus"),
+        SigmaSpec(2, "path", phi2, "plus"),
+        SigmaSpec(2, "pol", theta2, "plus"),
+    )
+    return product_expectation(state, specs).real
 
 
 def path_a_projector() -> Array:
@@ -188,29 +173,26 @@ def transfer_check(
     if np.max(np.abs(bench.apply_bs_prime(pre).vector - post.vector)) > 1e-12:
         raise ValueError("post state is not the second-splitter image of pre")
 
-    # undo the diagonal phase stage to recover the symmetrized input
-    psi0 = dagger(bench.phase_diagonal(ps)) @ pre.vector
+    # the phase stage at negated phases undoes it, recovering the symmetrized input
+    psi0 = bench.phase_stage(pre.tensor, -ps.theta1, -ps.theta2, -ps.phi1, -ps.phi2)
 
-    v_sym = expectation(
-        psi0,
-        intensity_operator(1, ps.theta1, ps.phi1).matrix
-        @ intensity_operator(2, ps.theta2, ps.phi2).matrix,
-    ).real
-    v_pre = expectation(
-        pre.vector,
-        intensity_operator(1, 0.0, 0.0).matrix @ intensity_operator(2, 0.0, 0.0).matrix,
-    ).real
-
-    final_op = (
-        embed(path_a_projector(), SLOT_PATH_1)
-        @ sigma_pol(1, 0.0, "plus")
-        @ embed(path_a_projector(), SLOT_PATH_2)
-        @ sigma_pol(2, 0.0, "plus")
+    v_sym = float(joint_intensity(psi0, ps.theta1, ps.phi1, ps.theta2, ps.phi2))
+    v_pre = float(joint_intensity(pre.tensor, 0.0, 0.0, 0.0, 0.0))
+    port_a = path_a_projector()
+    v_fin = float(
+        _bracket(
+            post.tensor,
+            (
+                (port_a, SLOT_PATH_1),
+                _factor(SigmaSpec(1, "pol", 0.0, "plus")),
+                (port_a, SLOT_PATH_2),
+                _factor(SigmaSpec(2, "pol", 0.0, "plus")),
+            ),
+        ).real
     )
-    v_fin = expectation(post.vector, final_op).real
 
     bs = elements.beam_splitter()
-    conj = dagger(bs) @ _sigma_core(0.0, 1, "plus") @ bs - path_a_projector()
+    conj = dagger(bs) @ _sigma_core(0.0, 1, "plus") @ bs - port_a
 
     values = (v_sym, v_pre, v_fin)
     max_diff = max(abs(x - y) for x in values for y in values)

@@ -15,10 +15,9 @@ The full schema (all keys optional):
     sweep.start    = 0.0      # radians
     sweep.stop     = 6.283185307179586
     sweep.points   = 64       # >= 2
-    seed           = 0        # >= 0, feeds the randomized verify checks
     output         = out.csv  # sweep destination; '-' or unset = stdout
 
-Defaults: equal unit intensities, all phases zero, seed 0, no sweep block.
+Defaults: equal unit intensities, all phases zero, no sweep block.
 ``sweep.variable`` is required as soon as any other ``sweep.`` key appears.
 """
 
@@ -52,7 +51,6 @@ class Scenario:
     amplitudes: tuple[float, float] = (1.0, 1.0)
     phases: PhaseSetting = PhaseSetting(0.0, 0.0, 0.0, 0.0)
     sweep: SweepSpec | None = None
-    seed: int = 0
     output: str | None = None
 
     def sources(self) -> tuple[SourceSpec, SourceSpec]:
@@ -91,7 +89,6 @@ _KNOWN_KEYS = (
     "sweep.start",
     "sweep.stop",
     "sweep.points",
-    "seed",
     "output",
 )
 
@@ -145,14 +142,10 @@ def _build(table: dict[str, str]) -> Scenario:
             points=points,
         )
 
-    seed = _parse_int("seed", table.get("seed", "0"))
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
     output = table.get("output")
     if output == "-":
         output = None
-    return Scenario((i1, i2), phases, sweep, seed, output)
+    return Scenario((i1, i2), phases, sweep, output)
 
 
 def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:

@@ -12,10 +12,9 @@ with the flat index
 i.e. the first factor is the most significant bit. A state is held as a
 ``(..., 2, 2, 2, 2)`` tensor whose last four axes are the slots in this
 order (``vector.reshape(2, 2, 2, 2)``), and ``apply_slot`` acts with a 2x2
-operator, or a stack of them, on one slot without building the 16x16
-matrix. ``kron`` applied left to right reproduces the flat ordering, and
-``embed`` builds the 16x16 matrix of a 2x2 operator on one slot for the
-algebraic checks.
+operator, or a stack of them, on one slot. No 16x16 operator matrix is
+built: where a check needs one, it applies the slot-local map to the 16
+basis tensors.
 """
 
 from __future__ import annotations
@@ -35,28 +34,6 @@ SLOT_POL_2 = 3
 
 PATH_LABELS = "ab"
 POL_LABELS = "VH"
-
-IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-def _kron2(a: Array, b: Array) -> Array:
-    # every entry is the single product a[i..] * b[k..], exactly as in np.kron
-    nd = max(a.ndim, b.ndim)
-    a = a.reshape((1,) * (nd - a.ndim) + a.shape)
-    b = b.reshape((1,) * (nd - b.ndim) + b.shape)
-    axes = [ax for k in range(nd) for ax in (k, nd + k)]
-    shape = [m * n for m, n in zip(a.shape, b.shape)]
-    return np.multiply.outer(a, b).transpose(axes).reshape(shape)
-
-
-def kron(*factors: Array) -> Array:
-    """Kronecker product of the factors, left factor most significant."""
-    if not factors:
-        raise ValueError("kron needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = _kron2(out, np.asarray(f, dtype=complex))
-    return out
 
 
 def apply_slot(op: Array, state: Array, slot: int) -> Array:
@@ -78,23 +55,6 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
     src = "wxyz"[:slot] + "j" + "wxyz"[slot + 1 :]
     dst = "wxyz"[:slot] + "i" + "wxyz"[slot + 1 :]
     return np.einsum(f"...ij,...{src}->...{dst}", op, state)
-
-
-def embed(op: Array, slot: int) -> Array:
-    """Lift a 2x2 operator onto one tensor slot of the 16-dim space.
-
-    ``slot`` follows the global ordering: 0 = path 1, 1 = pol 1,
-    2 = path 2, 3 = pol 2. A stack ``(N, 2, 2)`` gives the ``(N, 16, 16)``
-    stack of lifted matrices.
-    """
-    op = np.asarray(op, dtype=complex)
-    if op.ndim not in (2, 3) or op.shape[-2:] != (2, 2):
-        raise ValueError(f"embed expects a 2x2 operator or a stack, got shape {op.shape}")
-    if not 0 <= slot < N_SLOTS:
-        raise ValueError(f"slot must be in 0..3, got {slot}")
-    factors = [IDENTITY_2] * N_SLOTS
-    factors[slot] = op
-    return kron(*factors)
 
 
 def norms_squared(vectors: Array) -> Array:

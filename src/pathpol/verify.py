@@ -17,14 +17,15 @@ independently and never share its intermediate results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import cos, pi, sqrt
 
 import numpy as np
 
 from . import bench, contextuality, correlations, detector, elements, observables
 from .bench import PhaseSetting, SourceSpec
-from .observables import SigmaSpec
-from .tensor import DIM, basis_state, dagger, is_unitary, norms_squared
+from .observables import BRANCHES, SigmaSpec
+from .tensor import DIM, STATE_SHAPE, basis_state, dagger, is_unitary, norms_squared
 
 PASS = "pass"
 FAIL = "fail"
@@ -32,6 +33,8 @@ LOGGED = "discrepancy-logged"
 
 _TOL = 1e-12
 _GRID = 2.0 * pi * np.arange(64) / 64.0
+# the 16 basis tensors, with an axis for the instances of an operator stack
+_BASIS = np.eye(DIM, dtype=complex).reshape((DIM, 1) + STATE_SHAPE)
 
 
 @dataclass(frozen=True)
@@ -93,30 +96,8 @@ def _amplitudes(
 
 
 def _max_abs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x)))
-
-
-def _stack_by(keys: list, build) -> np.ndarray:
-    """Instance-ordered stack of ``build(key, rows)``, one call per distinct key.
-
-    ``rows`` indexes the instances carrying ``key``; ``build`` returns their
-    stacked results in that order.
-    """
-    out = None
-    for key in dict.fromkeys(keys):
-        rows = np.array([i for i, k in enumerate(keys) if k == key])
-        part = build(key, rows)
-        if out is None:
-            out = np.empty((len(keys),) + part.shape[1:], dtype=part.dtype)
-        out[rows] = part
-    return out
-
-
-def _sigma_stack(keys: list[tuple[int, str, str]], phase: np.ndarray) -> np.ndarray:
-    """``(N, 16, 16)`` stack of ``sigma`` with per-instance (source, dof, branch)."""
-    return _stack_by(
-        keys, lambda k, rows: observables.sigma(SigmaSpec(k[0], k[1], phase[rows], k[2]))
-    )
+    # an empty stack (no instance drew that case) has nothing to violate
+    return float(np.max(np.abs(x), initial=0.0))
 
 
 def _check_ghz_closed_form() -> VerifyCheck:
@@ -271,6 +252,14 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     return VerifyCheck("pipeline-golden-states", status, worst, 0.0, _TOL)
 
 
+def _spec_matrices(*specs: SigmaSpec) -> np.ndarray:
+    """``(N, 16, 16)`` matrices of spec_0 spec_1 ..., each factor applied as
+    the operator route applies it (its 2x2 core on its own slot) to the 16
+    basis tensors; column k is the image of basis tensor k."""
+    images = observables._apply(_BASIS, [observables._factor(spec) for spec in specs])
+    return np.moveaxis(images.reshape(DIM, images.shape[1], DIM), 0, -1)
+
+
 def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
     # every random instance first, drawn in the same order as one at a time
     xs, signs, settings, sources, dofs, branches, beams = [], [], [], [], [], [], []
@@ -280,45 +269,54 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
         settings.append(_random_ps(rng))
         sources.append(int(rng.integers(1, 3)))
         dofs.append("path" if rng.integers(0, 2) == 0 else "pol")
-        branches.append(("full", "plus", "minus")[int(rng.integers(0, 3))])
+        branches.append(BRANCHES[int(rng.integers(0, 3))])
         beams.append(_random_sources(rng))
     x = np.array(xs)
+    sources, dofs, branches = np.array(sources), np.array(dofs), np.array(branches)
     theta1, theta2, phi1, phi2 = phases = bench.phase_arrays(settings)
 
+    advance = (np.array(signs) == 1)[:, None, None]
     worst_unitary = 0.0
     for m in (
         elements.beam_splitter(),
         elements.pol_swap(),
-        _stack_by(signs, lambda sign, rows: elements.pol_phase(x[rows], sign)),
-        _stack_by(signs, lambda sign, rows: elements.path_phase(x[rows], sign)),
+        np.where(advance, elements.pol_phase(x, 1), elements.pol_phase(x, -1)),
+        np.where(advance, elements.path_phase(x, 1), elements.path_phase(x, -1)),
         elements.prism(x),
         elements.inverse_prism(x),
-        bench.phase_diagonals(*phases),
     ):
         resid = dagger(m) @ m - np.eye(m.shape[-1])
         worst_unitary = max(worst_unitary, _max_abs(resid))
         if not is_unitary(m, _TOL):
             worst_unitary = max(worst_unitary, 1.0)
+    # every phase-stage core is diagonal, so the stage applied to the
+    # all-ones tensor is its 16-dim diagonal, which must have unit modulus
+    diagonal = bench.phase_stage(np.ones(STATE_SHAPE), *phases)
+    worst_unitary = max(worst_unitary, _max_abs(diagonal.conj() * diagonal - 1.0))
 
-    p_plus = _sigma_stack([(s, d, "plus") for s, d in zip(sources, dofs)], x)
-    p_minus = _sigma_stack([(s, d, "minus") for s, d in zip(sources, dofs)], x)
-    i_op = _stack_by(
-        sources,
-        lambda src, rows: observables.intensity_operator(src, x[rows], -0.5 * x[rows]).matrix,
-    )
+    # the 2x2 cores every observable applies, each with its source's sense
+    sense = np.where(sources == 1, 1, -1)
+    full, plus, minus = (observables._sigma_core(x, sense, b) for b in BRANCHES)
+    eye = np.eye(2)
     worst_proj = max(
-        _max_abs(p_plus @ p_plus - p_plus),
-        _max_abs(p_plus @ p_minus),
-        _max_abs(p_plus + p_minus - np.eye(DIM)),
-        _max_abs(i_op @ i_op - i_op),
+        _max_abs(full @ full - eye),
+        _max_abs(plus @ plus - plus),
+        _max_abs(plus @ minus),
+        _max_abs(plus + minus - eye),
     )
+    # products of factors on several slots need the 16-dim action: each
+    # source's intensity projector, then cross-source commutation
+    i1 = _spec_matrices(SigmaSpec(1, "path", phi1, "plus"), SigmaSpec(1, "pol", theta1, "plus"))
+    i2 = _spec_matrices(SigmaSpec(2, "path", phi2, "plus"), SigmaSpec(2, "pol", theta2, "plus"))
+    worst_proj = max(worst_proj, _max_abs(i1 @ i1 - i1), _max_abs(i2 @ i2 - i2))
 
+    worst_comm = _max_abs(i1 @ i2 - i2 @ i1)
     other = {"path": "pol", "pol": "path"}
-    a = _sigma_stack([(1, d, b) for d, b in zip(dofs, branches)], x)
-    b = _sigma_stack([(2, other[d], "full") for d in dofs], -1.3 * x)
-    i1 = observables.intensity_operator(1, theta1, phi1).matrix
-    i2 = observables.intensity_operator(2, theta2, phi2).matrix
-    worst_comm = max(_max_abs(a @ b - b @ a), _max_abs(i1 @ i2 - i2 @ i1))
+    for dof, branch in product(other, BRANCHES):
+        rows = (dofs == dof) & (branches == branch)
+        a = _spec_matrices(SigmaSpec(1, dof, x[rows], branch))
+        b = _spec_matrices(SigmaSpec(2, other[dof], -1.3 * x[rows]))
+        worst_comm = max(worst_comm, _max_abs(a @ b - b @ a))
 
     a1, a2, target = _amplitudes(beams)
     worst_norm = max(

@@ -39,7 +39,8 @@ from pathpol.correlations import (
 )
 from pathpol.detector import autocorrelation_demo, p45_intensity, project_aa
 from pathpol.elements import beam_splitter, pol_phase, pol_swap, path_phase
-from pathpol.observables import SigmaSpec, sigma, transfer_check
+from pathpol import observables
+from pathpol.observables import SigmaSpec, transfer_check
 from pathpol.tensor import basis_state, is_unitary
 
 S1 = SourceSpec(1.0, 1.0)
@@ -166,6 +167,14 @@ def test_5_state_pipeline_goldens(capsys):
     )
 
 
+def slot_action(*specs):
+    """16x16 matrix of spec_0 spec_1 ... as the operator route applies it:
+    each factor's 2x2 core on its own slot, acting on the 16 basis tensors."""
+    basis = np.eye(16, dtype=complex).reshape(16, 2, 2, 2, 2)
+    images = observables._apply(basis, [observables._factor(spec) for spec in specs])
+    return images.reshape(16, 16).T
+
+
 def test_6_property_suite(capsys):
     rng = np.random.default_rng(106)
     worst = 0.0
@@ -178,16 +187,18 @@ def test_6_property_suite(capsys):
 
         source = int(rng.integers(1, 3))
         dof = "path" if rng.integers(0, 2) else "pol"
-        full = sigma(SigmaSpec(source, dof, x))
-        plus = sigma(SigmaSpec(source, dof, x, "plus"))
-        minus = sigma(SigmaSpec(source, dof, x, "minus"))
-        worst = max(worst, float(np.max(np.abs(full @ full - eye))))
-        worst = max(worst, float(np.max(np.abs(plus @ plus - plus))))
-        worst = max(worst, float(np.max(np.abs(plus @ minus))))
-        worst = max(worst, float(np.max(np.abs(plus + minus - eye))))
+        full = SigmaSpec(source, dof, x)
+        plus = SigmaSpec(source, dof, x, "plus")
+        minus = SigmaSpec(source, dof, x, "minus")
+        worst = max(worst, float(np.max(np.abs(slot_action(full, full) - eye))))
+        worst = max(worst, float(np.max(np.abs(slot_action(plus, plus) - slot_action(plus)))))
+        worst = max(worst, float(np.max(np.abs(slot_action(plus, minus)))))
+        worst = max(worst, float(np.max(np.abs(slot_action(plus) + slot_action(minus) - eye))))
 
-        other = sigma(SigmaSpec(3 - source, dof, float(rng.uniform(-6.0, 6.0))))
-        worst = max(worst, float(np.max(np.abs(full @ other - other @ full))))
+        other = SigmaSpec(3 - source, dof, float(rng.uniform(-6.0, 6.0)))
+        worst = max(
+            worst, float(np.max(np.abs(slot_action(full, other) - slot_action(other, full))))
+        )
 
         a1, a2 = rng.uniform(0.2, 3.0, 2)
         s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)

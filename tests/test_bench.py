@@ -7,12 +7,9 @@ from pathpol.bench import (
     SourceSpec,
     Stage,
     apply_bs_prime,
-    bs_single_beam,
-    build_sources,
     evolve_prestate,
-    phase_diagonal,
+    phase_stage,
     pipeline_trace,
-    pr_single_beam,
     symmetrize,
     symmetrized_input,
 )
@@ -45,9 +42,13 @@ def literal_prestate(s1, s2, ps):
 
 
 def test_build_sources_enter_on_opposite_ports():
-    psi, phi = build_sources(SourceSpec(2.0j, 1.0), SourceSpec(3.0, 1.3))
-    assert np.array_equal(psi, [0.0, 0.0, 2.0j, 0.0])  # b port, V pol
-    assert np.array_equal(phi, [3.0, 0.0, 0.0, 0.0])  # a port, V pol
+    # source 1 is A1|bV>, source 2 is A2|aV>: the source stage holds only
+    # (A1 A2 / sqrt2)(|bVaV> + |aVbV>)
+    s1, s2 = SourceSpec(2.0j, 1.0), SourceSpec(3.0, 1.3)
+    source = pipeline_trace(s1, s2, PhaseSetting(0, 0, 0, 0))[0]
+    assert source.stage is Stage.SOURCE
+    expected = 6.0j / SQRT2 * (basis_state(1, 0, 0, 0) + basis_state(0, 0, 1, 0))
+    assert np.array_equal(source.vector, expected)
 
 
 def test_source_spec_validation():
@@ -76,29 +77,35 @@ def test_phase_setting_delta():
 
 
 def test_symmetrize_matches_hand_expansion():
-    psi, phi = build_sources(S1, S2)
-    chain = pr_single_beam() @ bs_single_beam()
-    state = symmetrize(chain @ psi, chain @ phi)
+    # each beam after splitter and rotator, as (path, pol) tensors by hand:
+    # source 1 (|aV> - |bH>)/sqrt2, source 2 (|aV> + |bH>)/sqrt2
+    psi = np.array([[1.0, 0.0], [0.0, -1.0]]) / SQRT2
+    phi = np.array([[1.0, 0.0], [0.0, 1.0]]) / SQRT2
+    state = symmetrize(psi, phi).reshape(16)
     expected = (basis_state(0, 0, 0, 0) - basis_state(1, 1, 1, 1)) / SQRT2
     assert np.max(np.abs(state - expected)) < 1e-12
 
 
 def test_symmetrize_of_identical_inputs():
     v = np.array([0.5, 0.5j, -0.5, 0.5])
-    out = symmetrize(v, v)
+    out = symmetrize(v.reshape(2, 2), v.reshape(2, 2)).reshape(16)
     assert np.max(np.abs(out - SQRT2 * np.kron(v, v))) < 1e-15
 
 
 def test_symmetrize_unit_norm_for_orthonormal_inputs():
-    e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    e2 = np.array([0.0, 0.0, 1.0, 0.0])
-    out = symmetrize(e1, e2)
+    e1 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    e2 = np.array([[0.0, 0.0], [1.0, 0.0]])
+    out = symmetrize(e1, e2).reshape(16)
     assert abs(np.vdot(out, out).real - 1.0) < 1e-15
 
 
 def test_symmetrize_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         symmetrize(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError):
+        symmetrize(np.ones(4), np.ones(4))
+    with pytest.raises(ValueError):
+        symmetrize(np.ones((2, 2)), np.ones((2, 3)))
 
 
 def test_bench_state_is_immutable_and_checked():
@@ -153,7 +160,9 @@ def test_evolve_prestate_depends_only_on_phase_sums():
 
 
 def test_phase_diagonal_is_diagonal_unitary():
-    d = phase_diagonal(PhaseSetting(0.3, -0.7, 1.1, 0.4))
+    # the phase stage's 16x16 matrix, column k its image of basis tensor k
+    basis = np.eye(16, dtype=complex).reshape(16, 2, 2, 2, 2)
+    d = phase_stage(basis, 0.3, -0.7, 1.1, 0.4).reshape(16, 16).T
     assert np.max(np.abs(d - np.diag(np.diag(d)))) == 0.0
     assert np.max(np.abs(np.abs(np.diag(d)) - 1.0)) < 1e-12
 

@@ -6,7 +6,6 @@ from pathpol.contextuality import (
     CASE1_SETTING,
     MAX_VIOLATION,
     VIOLATION_BOUND,
-    ChshSetting,
     c_bar,
     c_tilde,
     case2_setting,
@@ -58,22 +57,6 @@ def test_s_prime_value_matches_case2_setting():
 def test_s_prime_anchor_offset_rejected():
     with pytest.raises(ValueError):
         s_prime_value(0.0, np.pi / 2.0, -np.pi / 4.0, np.pi / 4.0, 0.1, 0.0)
-
-
-def test_chsh_setting_evaluate_both_cases():
-    t, tp, p, pp = CASE1_SETTING
-    s = ChshSetting(1, (t, tp), (p, pp)).evaluate()
-    assert abs(s - MAX_VIOLATION) < 1e-12
-    t, tp, p, pp = case2_setting(0.7)
-    s = ChshSetting(2, (t, tp), (p, pp), (0.3, 0.3)).evaluate()
-    assert abs(s - MAX_VIOLATION) < 1e-12
-
-
-def test_chsh_setting_validation():
-    with pytest.raises(ValueError):
-        ChshSetting(3, (0.0, 0.0), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        ChshSetting(2, (0.0, 0.0), (0.0, 0.0), (0.0, 0.5))
 
 
 @pytest.mark.parametrize("case", [1, 2])

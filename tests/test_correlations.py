@@ -13,7 +13,6 @@ from pathpol.correlations import (
     fit_sinusoid,
     g2_generalized,
     g2_hbt,
-    intensity_term,
     sum_identity,
 )
 
@@ -84,40 +83,45 @@ def test_report_ratio_guard_near_cosine_zero():
     assert math.isnan(report.ratio)
 
 
+def intensity_terms(ps, s1, s2):
+    """The sixteen shifted joint-intensity terms of the report, by (k, l, m, n)."""
+    return {(t.k, t.l, t.m, t.n): t for t in correlation_report(ps, s1, s2).terms}
+
+
 def test_intensity_term_routes_are_proportional():
     rng = np.random.default_rng(23)
     for _ in range(30):
         s1, s2 = random_pair(rng)
-        ssq = (s1.intensity + s2.intensity) ** 2
+        i1, i2 = s1.intensity, s2.intensity
+        ssq = (i1 + i2) ** 2
         ps = PhaseSetting(*rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 4))
-        k, l, m, n = (int(v) for v in rng.integers(0, 2, 4))
-        term = intensity_term(k, l, m, n, ps, s1, s2)
-        assert abs(term.bracket - term.closed_form * ssq / 32.0) < 1e-12
+        for (k, l, m, n), term in intensity_terms(ps, s1, s2).items():
+            assert term.sign == (-1) ** (k + l + m + n)
+            closed = 2.0 * i1 * i2 * (1.0 - term.sign * np.cos(ps.delta)) / ssq
+            assert abs(term.value - closed * ssq / 32.0) < 1e-12
 
 
 def test_intensity_term_values_at_unit_amplitudes():
     s1, s2 = UNIT
-    term = intensity_term(0, 0, 0, 0, setting(0.0), s1, s2)
-    assert abs(term.closed_form) < 1e-15
-    assert abs(term.bracket) < 1e-15
-    term = intensity_term(1, 0, 0, 0, setting(0.0), s1, s2)
-    assert abs(term.closed_form - 1.0) < 1e-15
-    assert abs(term.bracket - 0.125) < 1e-15
+    terms = intensity_terms(setting(0.0), s1, s2)
+    assert abs(terms[0, 0, 0, 0].value) < 1e-15
+    assert abs(terms[1, 0, 0, 0].value - 0.125) < 1e-15
 
 
 def test_intensity_term_bracket_law():
     s1, s2 = UNIT
     for d in (0.0, 0.9, np.pi / 2.0, np.pi, 5.1):
-        term = intensity_term(0, 0, 0, 0, setting(d), s1, s2)
-        assert abs(term.bracket - (1.0 - np.cos(d)) / 16.0) < 1e-12
+        term = intensity_terms(setting(d), s1, s2)[0, 0, 0, 0]
+        assert abs(term.value - (1.0 - np.cos(d)) / 16.0) < 1e-12
 
 
 def test_intensity_term_shift_validation():
+    # the shift indices label the terms; the formula route refuses any but 0/1
     s1, s2 = UNIT
     with pytest.raises(ValueError):
-        intensity_term(2, 0, 0, 0, setting(0.0), s1, s2)
+        g2_generalized(2, 0, 0, 0, setting(0.0), s1, s2)
     with pytest.raises(ValueError):
-        intensity_term(0, 0, -1, 0, setting(0.0), s1, s2)
+        g2_generalized(0, 0, -1, 0, setting(0.0), s1, s2)
 
 
 def test_g2_hbt_landmarks():

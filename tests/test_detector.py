@@ -11,7 +11,6 @@ from pathpol.bench import (
 from pathpol.correlations import fit_scaled_cosine
 from pathpol.detector import (
     MAX_SAMPLES,
-    TimeSeries,
     aa_projections,
     autocorrelation_demo,
     detect,
@@ -152,16 +151,6 @@ def test_detector_amplitude_intensity_laws():
         u1, u2 = detector_amplitudes(PhaseSetting(b1, b2, 0.0, 0.0))
         assert abs(abs(u1) ** 2 - (1.0 - np.cos(b1)) / 4.0) < 1e-12
         assert abs(abs(u2) ** 2 - (1.0 + np.cos(b2)) / 4.0) < 1e-12
-
-
-def test_time_series_validation():
-    t = np.linspace(0.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        TimeSeries(np.array([0.0]), np.array([1.0 + 0j]), np.array([1.0 + 0j]))
-    with pytest.raises(ValueError):
-        TimeSeries(np.array([0.0, 0.1, 0.5]), np.zeros(3, complex), np.zeros(3, complex))
-    with pytest.raises(ValueError):
-        TimeSeries(t, np.zeros(7, complex), np.zeros(8, complex))
 
 
 def test_autocorrelation_preconditions():

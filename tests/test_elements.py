@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from pathpol.elements import (
-    ElementSpec,
-    annotate_path_label,
     beam_splitter,
-    element_matrix,
     inverse_prism,
     path_phase,
     pol_phase,
     pol_swap,
-    polarizer_45,
     prism,
-    strip_path_label,
 )
 from pathpol.tensor import is_unitary
 
@@ -78,15 +73,6 @@ def test_all_elements_unitary(sign):
             assert is_unitary(m, 1e-12)
 
 
-def test_polarizer_projects_onto_diagonal():
-    p = polarizer_45()
-    out = p @ np.array([1.0, 0.0])
-    assert np.max(np.abs(out - np.array([0.5, 0.5]))) < 1e-15
-    # idempotent Hermitian projector
-    assert np.max(np.abs(p @ p - p)) < 1e-15
-    assert np.max(np.abs(p - p.conj().T)) < 1e-15
-
-
 def test_prism_round_trip_is_bit_identical():
     m = inverse_prism(1.3) @ prism(1.3)
     assert np.array_equal(m, np.eye(2, dtype=complex))
@@ -99,24 +85,3 @@ def test_prism_round_trip_is_bit_identical():
     assert np.array_equal(inverse_prism(np.array([0.5, 1.3])), stack[:2])
     with pytest.raises(ValueError):
         prism(np.array([0.5, np.inf]))
-
-
-def test_path_label_annotation_round_trip():
-    tagged = annotate_path_label("b", 1.3)
-    assert tagged == "b+eps(1.3)"
-    assert strip_path_label(tagged, 1.3) == "b"
-    assert annotate_path_label("a", 1.3) == "a"
-    with pytest.raises(ValueError):
-        strip_path_label(tagged, 2.0)
-
-
-def test_element_spec_dispatch():
-    assert np.array_equal(element_matrix(ElementSpec("bs")), beam_splitter())
-    assert np.array_equal(
-        element_matrix(ElementSpec("pol_phase", 0.7, -1)), pol_phase(0.7, -1)
-    )
-    assert np.array_equal(element_matrix(ElementSpec("polarizer_45")), polarizer_45())
-    with pytest.raises(ValueError):
-        ElementSpec("mirror")
-    with pytest.raises(ValueError):
-        ElementSpec("bs", sign=3)

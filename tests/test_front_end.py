@@ -93,20 +93,23 @@ def test_batched_trace_equals_per_run_trace(runs):
 
 
 def test_single_beam_matrices_match_kron_oracle():
-    assert np.array_equal(bench.bs_single_beam(), BS_BEAM)
-    assert np.array_equal(bench.pr_single_beam(), PR_BEAM)
+    # column k of a stage's 4x4 matrix is its image of the k-th basis beam
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    assert np.array_equal(bench._bs_beam(basis).reshape(4, 4).T, BS_BEAM)
+    assert np.array_equal(bench._pr_beam(basis).reshape(4, 4).T, PR_BEAM)
 
 
 def test_symmetrize_beam_tensors_match_flat_kets():
     rng = np.random.default_rng(41)
     x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     y = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    flat = bench.symmetrize(x, y)
     tensors = bench.symmetrize(x.reshape(3, 2, 2), y.reshape(3, 2, 2))
-    assert flat.shape == (3, 16) and tensors.shape == (3, 2, 2, 2, 2)
-    assert np.array_equal(flat, tensors.reshape(3, 16))
+    assert tensors.shape == (3, 2, 2, 2, 2)
     for k in range(3):
-        assert flat[k].tobytes() == sym(x[k], y[k]).tobytes()
+        assert tensors[k].reshape(16).tobytes() == sym(x[k], y[k]).tobytes()
+    # single beams are (path, pol) tensors only: flat kets are refused
+    with pytest.raises(ValueError):
+        bench.symmetrize(x, y)
     with pytest.raises(ValueError):
         bench.symmetrize(np.ones((2, 3)), np.ones((2, 3)))
 
@@ -126,4 +129,7 @@ def test_batched_trace_and_readout_never_touch_closed_form_or_delta(monkeypatch)
     aa = detector.aa_projections(post)
     assert aa.delta.shape == aa.branch_fraction.shape == (6,)
     first = PhaseSetting(*phases[:, 0])
-    assert np.array_equal(bench.phase_diagonals(*phases)[0], bench.phase_diagonal(first))
+    basis = np.eye(16, dtype=complex).reshape(16, 1, 2, 2, 2, 2)
+    batched = bench.phase_stage(basis, *phases)[:, 0]
+    single = bench.phase_stage(basis[:, 0], first.theta1, first.theta2, first.phi1, first.phi2)
+    assert np.array_equal(batched, single)

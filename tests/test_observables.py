@@ -2,23 +2,41 @@ import numpy as np
 import pytest
 
 from pathpol.bench import PhaseSetting, SourceSpec, apply_bs_prime, evolve_prestate, symmetrized_input
+from pathpol import observables
 from pathpol.observables import (
     SigmaSpec,
-    expectation,
-    intensity_operator,
     path_a_projector,
-    sigma,
-    sigma_path,
-    sigma_pol,
+    product_expectation,
     transfer_check,
 )
-from pathpol.tensor import basis_state, kron
+from pathpol.tensor import basis_state
 
 S1 = SourceSpec(1.0, 1.0)
 S2 = SourceSpec(1.0, 1.3)
 
 I2 = np.eye(2)
 PLUS2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+BASIS = np.eye(16, dtype=complex).reshape(16, 2, 2, 2, 2)
+
+
+def sigma(*specs):
+    """16x16 matrix of spec_0 spec_1 ... as the operator route applies it:
+    each 2x2 core on its own slot, acting on the 16 basis tensors."""
+    images = observables._apply(BASIS, [observables._factor(spec) for spec in specs])
+    return images.reshape(16, 16).T
+
+
+def sigma_pol(source, theta, branch="full"):
+    return sigma(SigmaSpec(source, "pol", theta, branch))
+
+
+def sigma_path(source, phi, branch="full"):
+    return sigma(SigmaSpec(source, "path", phi, branch))
+
+
+def intensity_specs(source, theta, phi):
+    """The intensity operator of one source: its path and pol plus branches."""
+    return (SigmaSpec(source, "path", phi, "plus"), SigmaSpec(source, "pol", theta, "plus"))
 
 
 def test_sigma_spec_validation():
@@ -108,39 +126,38 @@ def test_source_operators_commute():
 
 def test_intensity_operator_zero_phase_pattern():
     # acting on |aVaV>: source-1 factors become the diagonal pattern, source 2 untouched
-    op = intensity_operator(1, 0.0, 0.0)
-    out = op.matrix @ basis_state(0, 0, 0, 0)
-    expected = 0.25 * kron(
-        np.array([1.0, 1.0]), np.array([1.0, 1.0]), [1.0, 0.0], [1.0, 0.0]
+    op = sigma(*intensity_specs(1, 0.0, 0.0))
+    out = op @ basis_state(0, 0, 0, 0)
+    expected = 0.25 * np.kron(
+        np.kron(np.kron([1.0, 1.0], [1.0, 1.0]), [1.0, 0.0]), [1.0, 0.0]
     )
     assert np.max(np.abs(out - expected)) < 1e-15
 
 
 def test_intensity_operator_is_projector_of_rank_four():
     # rank one on each slot it touches, identity on the other source's slots
-    op = intensity_operator(2, 0.7, -1.1).matrix
+    op = sigma(*intensity_specs(2, 0.7, -1.1))
     assert np.max(np.abs(op @ op - op)) < 1e-12
     assert np.max(np.abs(op - op.conj().T)) < 1e-12
     assert abs(np.trace(op).real - 4.0) < 1e-12
 
 
 def test_expectation_identity_and_validation():
-    state = basis_state(0, 0, 0, 0)
-    assert expectation(state, np.eye(16)) == 1.0 + 0.0j
+    state = basis_state(0, 0, 0, 0).reshape(2, 2, 2, 2)
+    assert product_expectation(state, ()) == 1.0 + 0.0j
     with pytest.raises(ValueError):
-        expectation(np.ones(4), np.eye(16))
+        product_expectation(np.ones(4), ())
+    with pytest.raises(ValueError):
+        product_expectation(np.ones(16), ())
 
 
 def test_intensity_bracket_on_symmetrized_input():
     # the joint bracket follows (1 - cos delta)/16 at unit amplitudes
-    state = symmetrized_input(S1, S2).vector
+    state = symmetrized_input(S1, S2).tensor
     for d in (0.0, 0.31, np.pi / 2.0, np.pi, 4.4):
         ps = PhaseSetting(d, 0.0, 0.0, 0.0)
-        op = (
-            intensity_operator(1, ps.theta1, ps.phi1).matrix
-            @ intensity_operator(2, ps.theta2, ps.phi2).matrix
-        )
-        val = expectation(state, op).real
+        specs = intensity_specs(1, ps.theta1, ps.phi1) + intensity_specs(2, ps.theta2, ps.phi2)
+        val = product_expectation(state, specs).real
         assert abs(val - (1.0 - np.cos(d)) / 16.0) < 1e-12
 
 

@@ -16,7 +16,6 @@ def test_empty_text_yields_defaults():
     assert sc.amplitudes == (1.0, 1.0)
     assert sc.phases == PhaseSetting(0.0, 0.0, 0.0, 0.0)
     assert sc.sweep is None
-    assert sc.seed == 0
     assert sc.output is None
 
 
@@ -26,16 +25,16 @@ def test_comments_and_blank_lines_ignored():
         # a comment-only line
         phases.theta1 = 0.5   # trailing comment
 
-        seed = 3
+        phases.phi1 = 3
         """
     )
     assert sc.phases.theta1 == 0.5
-    assert sc.seed == 3
+    assert sc.phases.phi1 == 3.0
 
 
 def test_later_assignment_wins():
-    sc = parse_scenario("seed = 1\nseed = 9\n")
-    assert sc.seed == 9
+    sc = parse_scenario("phases.theta2 = 1\nphases.theta2 = 9\n")
+    assert sc.phases.theta2 == 9.0
 
 
 def test_override_beats_file():
@@ -59,14 +58,14 @@ def test_unknown_key_is_named_in_error():
 
 def test_error_carries_line_number():
     with pytest.raises(ConfigError, match="line 2"):
-        parse_scenario("seed = 1\nnot an assignment\n")
+        parse_scenario("output = a.csv\nnot an assignment\n")
 
 
 def test_parse_assignment_shapes():
-    assert parse_assignment("seed=4") == ("seed", "4")
+    assert parse_assignment("sweep.points=4") == ("sweep.points", "4")
     assert parse_assignment("  output =  runs.csv ") == ("output", "runs.csv")
     with pytest.raises(ConfigError, match="empty value"):
-        parse_assignment("seed =")
+        parse_assignment("sweep.points =")
     with pytest.raises(ConfigError, match="key = value"):
         parse_assignment("just words")
 
@@ -76,8 +75,8 @@ def test_bad_number_messages():
         parse_scenario("phases.theta1 = fast\n")
     with pytest.raises(ConfigError, match="must be finite"):
         parse_scenario("phases.phi1 = inf\n")
-    with pytest.raises(ConfigError, match="invalid integer for seed"):
-        parse_scenario("seed = 1.5\n")
+    with pytest.raises(ConfigError, match="invalid integer for sweep.points"):
+        parse_scenario("sweep.variable = delta\nsweep.points = 1.5\n")
 
 
 def test_intensity_bounds():
@@ -87,9 +86,12 @@ def test_intensity_bounds():
         parse_scenario("amplitudes.i2 = -3\n")
 
 
-def test_seed_bound():
-    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
-        parse_scenario("seed = -1\n")
+def test_seed_key_is_refused():
+    # the randomized checks take their seed from ``verify --seed`` only
+    with pytest.raises(ConfigError, match="unknown key 'seed'"):
+        parse_scenario("seed = 3\n")
+    with pytest.raises(ConfigError, match="unknown key 'seed'"):
+        parse_scenario("", overrides=("seed=3",))
 
 
 def test_sweep_block_defaults():
@@ -146,4 +148,4 @@ def test_phase_setting_for_unknown_variable():
 def test_scenario_is_frozen():
     sc = Scenario()
     with pytest.raises(AttributeError):
-        sc.seed = 5
+        sc.output = "runs.csv"

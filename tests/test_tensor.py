@@ -1,3 +1,7 @@
+"""Tensor helpers. A test named for ``embed`` checks the 16x16 matrix of a
+2x2 operator lifted onto one slot, read off ``apply_slot``'s images of the
+16 basis tensors and compared with an ``np.kron`` oracle written here."""
+
 import numpy as np
 import pytest
 
@@ -8,9 +12,7 @@ from pathpol.tensor import (
     basis_label,
     basis_state,
     dagger,
-    embed,
     is_unitary,
-    kron,
     norms_squared,
 )
 
@@ -19,97 +21,65 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]])
 BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
+def kron_embedded(op, slot):
+    """Oracle: the 16x16 matrix of a 2x2 operator on one slot, from np.kron."""
+    factors = [I2] * 4
+    factors[slot] = op
+    return np.kron(np.kron(np.kron(factors[0], factors[1]), factors[2]), factors[3])
 
 
-def test_kron_permutation_structure():
-    m = kron(X, X)
-    expected = np.zeros((4, 4))
-    for i, j in ((0, 3), (1, 2), (2, 1), (3, 0)):
-        expected[i, j] = 1.0
-    assert np.array_equal(m, expected)
-
-
-def test_kron_splitter_on_first_factor():
-    # |a>|V> -> ((|a>+|b>)/sqrt2)|V>
-    av = np.array([1.0, 0.0, 0.0, 0.0])
-    out = kron(BS, I2) @ av
-    expected = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
-    assert np.max(np.abs(out - expected)) < 1e-15
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        a, b, c = (
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)
-        )
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.max(np.abs(left - right)) < 1e-12
-
-
-def test_kron_is_bit_identical_to_numpy_kron():
-    # each entry is one product, so the outer-product form rounds like np.kron
-    rng = np.random.default_rng(11)
-    for shape_a, shape_b in (((2, 2), (2, 2)), ((4,), (4,)), ((8, 8), (2, 2)), ((2,), (3, 2))):
-        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
-        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
-        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
-        assert kron(a, b).shape == np.kron(a, b).shape
-
-
-def test_kron_rejects_empty():
-    with pytest.raises(ValueError):
-        kron()
+def embedded(op, slot):
+    """The 16x16 matrix(es) of ``apply_slot``: its images of the 16 basis tensors."""
+    basis = np.eye(DIM, dtype=complex).reshape(DIM, *([1] * (np.ndim(op) - 2)), 2, 2, 2, 2)
+    images = apply_slot(op, basis, slot).reshape(DIM, *np.shape(op)[:-2], DIM)
+    return np.moveaxis(images, 0, -1)
 
 
 @pytest.mark.parametrize("slot", range(4))
 def test_embed_identity_any_slot(slot):
-    assert np.array_equal(embed(I2, slot), np.eye(DIM))
+    assert np.array_equal(embedded(I2, slot), np.eye(DIM))
 
 
 def test_embed_flips_one_factor():
-    out = embed(X, 1) @ basis_state(0, 0, 0, 0)
-    assert np.array_equal(out, basis_state(0, 1, 0, 0))
+    out = apply_slot(X, basis_state(0, 0, 0, 0).reshape(2, 2, 2, 2), 1)
+    assert np.array_equal(out.reshape(DIM), basis_state(0, 1, 0, 0))
 
 
 def test_embed_matches_kron_build():
-    built = embed(BS, 0) @ embed(BS, 2)
-    direct = kron(BS, I2, BS, I2)
+    built = embedded(BS, 0) @ embedded(BS, 2)
+    direct = np.kron(np.kron(np.kron(BS, I2), BS), I2)
     assert np.max(np.abs(built - direct)) < 1e-15
 
 
 def test_embed_slots_commute():
     rng = np.random.default_rng(3)
+    basis = np.eye(DIM, dtype=complex).reshape(DIM, 2, 2, 2, 2)
     for _ in range(20):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         s, t = rng.choice(4, size=2, replace=False)
-        lhs = embed(a, s) @ embed(b, t)
-        rhs = embed(b, t) @ embed(a, s)
+        lhs = apply_slot(a, apply_slot(b, basis, t), s)
+        rhs = apply_slot(b, apply_slot(a, basis, s), t)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 @pytest.mark.parametrize("slot", range(4))
 def test_embed_stack_equals_per_matrix_embed(slot):
     ops = np.random.default_rng(slot + 10).normal(size=(3, 2, 2, 2)) @ np.array([1.0, 1j])
-    stacked = embed(ops, slot)
+    stacked = embedded(ops, slot)
     assert stacked.shape == (3, DIM, DIM)
     for k in range(3):
-        assert stacked[k].tobytes() == embed(ops[k], slot).tobytes()
+        assert stacked[k].tobytes() == embedded(ops[k], slot).tobytes()
 
 
 def test_embed_validation():
+    # lifting onto a slot takes 2x2 operators and the slots 0..3 only
     with pytest.raises(ValueError):
-        embed(np.eye(3), 0)
+        embedded(np.eye(3), 0)
     with pytest.raises(ValueError):
-        embed(np.ones((2, 2, 2, 2)), 0)
+        embedded(I2, 4)
     with pytest.raises(ValueError):
-        embed(I2, 4)
-    with pytest.raises(ValueError):
-        embed(I2, -1)
+        embedded(I2, -1)
 
 
 @pytest.mark.parametrize("slot", range(4))
@@ -119,11 +89,11 @@ def test_apply_slot_matches_embedded_matrix(slot):
     ops = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
     # one operator on one state, then a stack of operators broadcast over it
     single = apply_slot(ops[0], psi.reshape(2, 2, 2, 2), slot)
-    assert np.max(np.abs(single.reshape(DIM) - embed(ops[0], slot) @ psi)) < 1e-14
+    assert np.max(np.abs(single.reshape(DIM) - kron_embedded(ops[0], slot) @ psi)) < 1e-14
     stacked = apply_slot(ops, psi.reshape(2, 2, 2, 2), slot)
     assert stacked.shape == (5, 2, 2, 2, 2)
     for k in range(5):
-        assert np.max(np.abs(stacked[k].reshape(DIM) - embed(ops[k], slot) @ psi)) < 1e-14
+        assert np.max(np.abs(stacked[k].reshape(DIM) - kron_embedded(ops[k], slot) @ psi)) < 1e-14
 
 
 def test_apply_slot_validation():
