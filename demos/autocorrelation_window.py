@@ -19,6 +19,7 @@ import numpy as np
 from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.correlations import fit_sinusoid
 from pathpol.detector import autocorrelation_demo
+from pathpol.scenario import phase_setting_for
 
 s1 = SourceSpec(1.0, 1.0)
 s2 = SourceSpec(1.0, 1.3)
@@ -59,9 +60,7 @@ window = 2.0 * np.pi * 160.0 / beat
 deltas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 cross = []
 for d in deltas:
-    setting = PhaseSetting(
-        float(d) + ps.theta2 + ps.phi2 - ps.phi1, ps.theta2, ps.phi1, ps.phi2
-    )
+    setting = phase_setting_for("delta", float(d), ps)
     cross.append(autocorrelation_demo(s1, s2, setting, window, 10_000).cross_measured)
 coeffs, resid = fit_sinusoid(deltas, np.array(cross))
 amplitude = float(np.hypot(coeffs[1], coeffs[2]))

@@ -25,6 +25,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _resolution(text: str) -> int:
+    lo, hi = contextuality.MIN_RESOLUTION, contextuality.MAX_RESOLUTION
+    value = int(text)
+    if not lo <= value <= hi:
+        raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
+    return value
+
+
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     text = ""
     if args.config is not None:
@@ -170,7 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("chsh", help="four-term functionals and their scan maxima")
-    p.add_argument("--resolution", type=int, default=64, help="scan grid resolution")
+    p.add_argument(
+        "--resolution",
+        type=_resolution,
+        default=64,
+        help="scan grid points per angle "
+        f"({contextuality.MIN_RESOLUTION}..{contextuality.MAX_RESOLUTION})",
+    )
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("verify", help="run every acceptance check")

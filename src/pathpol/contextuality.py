@@ -27,6 +27,11 @@ from scipy.optimize import minimize
 VIOLATION_BOUND = 2.0
 MAX_VIOLATION = 2.0 * np.sqrt(2.0)
 
+# scan grid points per angle; the scan holds two R^3 float64 grids, 128 MiB
+# each at the upper end (57 MiB at R = 192)
+MIN_RESOLUTION = 8
+MAX_RESOLUTION = 256
+
 # settings attaining the 2*sqrt(2) extremum
 CASE1_SETTING = (0.0, pi / 2.0, pi / 4.0, -pi / 4.0)
 
@@ -100,8 +105,10 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     """
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case}")
-    if resolution < 8:
-        raise ValueError(f"resolution must be >= 8, got {resolution}")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(
+            f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}"
+        )
 
     grid = 2.0 * pi * np.arange(resolution) / resolution
     sign = 1.0 if case == 1 else -1.0

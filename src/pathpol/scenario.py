@@ -14,7 +14,7 @@ The full schema (all keys optional):
     sweep.variable = delta    # theta1 | theta2 | phi1 | phi2 | delta
     sweep.start    = 0.0      # radians
     sweep.stop     = 6.283185307179586
-    sweep.points   = 64       # >= 2
+    sweep.points   = 64       # 2 .. 100000 (MAX_SWEEP_POINTS)
     output         = out.csv  # sweep destination; '-' or unset = stdout
 
 Defaults: equal unit intensities, all phases zero, no sweep block.
@@ -30,6 +30,9 @@ from .bench import PhaseSetting, SourceSpec
 from .detector import DEFAULT_OMEGA_1, DEFAULT_OMEGA_2
 
 SWEEP_VARIABLES = ("theta1", "theta2", "phi1", "phi2", "delta")
+# a sweep peaks at ~1.6 KiB of resident memory per point (+155 MiB at the
+# cap), so longer sweeps are refused before anything is allocated
+MAX_SWEEP_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -135,6 +138,10 @@ def _build(table: dict[str, str]) -> Scenario:
         points = _parse_int("sweep.points", table.get("sweep.points", "64"))
         if points < 2:
             raise ConfigError(f"sweep.points must be >= 2, got {points}")
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"sweep.points must be <= MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}, got {points}"
+            )
         sweep = SweepSpec(
             variable=variable,
             start=_parse_float("sweep.start", table.get("sweep.start", "0.0")),

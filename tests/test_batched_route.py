@@ -135,6 +135,34 @@ def test_batched_route_equals_per_point_calls(mags, args, phases):
         assert p45[k] == detector.p45_intensity(state)
 
 
+# shifts of (theta1, theta2, phi1, phi2) along these directions keep delta fixed
+DELTA_KEEPING = ((1, 1, 0, 0), (1, 0, -1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 1, 0, -1))
+
+
+@seed(20143)
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    mags=st.tuples(st.floats(0.2, 4.0), st.floats(0.2, 4.0)),
+    args=st.tuples(angles, angles),
+    base=st.tuples(angles, angles, angles, angles),
+    direction=st.sampled_from(DELTA_KEEPING),
+    shift=angles,
+)
+def test_both_routes_depend_on_delta_alone(mags, args, base, direction, shift):
+    s1 = SourceSpec(mags[0] * np.exp(1j * args[0]), 1.0)
+    s2 = SourceSpec(mags[1] * np.exp(1j * args[1]), 1.3)
+    moved = tuple(x + shift * k for x, k in zip(base, direction))
+    arrays = [np.array(column) for column in zip(base, moved)]
+    start = bench.symmetrized_input(s1, s2)
+    numeric = correlations.correlation_numeric_batch(start, s1, s2, *arrays)
+    outputs = bench.bs_prime_stage(bench.phase_stage(start.tensor, *arrays))
+    p45 = detector.p45_intensities(outputs.reshape(2, 16))
+    closed = [correlations.correlation_closed_form(PhaseSetting(*p), s1, s2) for p in (base, moved)]
+    assert abs(numeric[1] - numeric[0]) < TOL
+    assert abs(p45[1] - p45[0]) < TOL
+    assert abs(closed[1] - closed[0]) < TOL
+
+
 def test_operator_route_never_touches_closed_form_or_delta(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the operator route reached the closed-form code")

@@ -4,6 +4,7 @@ import pytest
 from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.contextuality import (
     CASE1_SETTING,
+    MAX_RESOLUTION,
     MAX_VIOLATION,
     VIOLATION_BOUND,
     c_bar,
@@ -75,6 +76,8 @@ def test_scan_never_exceeds_algebraic_ceiling(case):
 def test_scan_resolution_validation():
     with pytest.raises(ValueError):
         scan_max(1, resolution=7)
+    with pytest.raises(ValueError, match=f"resolution must be in .*, got {MAX_RESOLUTION + 1}"):
+        scan_max(1, resolution=MAX_RESOLUTION + 1)
     with pytest.raises(ValueError):
         scan_max(5, resolution=64)
 

@@ -3,6 +3,7 @@ import pytest
 
 from pathpol.bench import PhaseSetting
 from pathpol.scenario import (
+    MAX_SWEEP_POINTS,
     ConfigError,
     Scenario,
     parse_assignment,
@@ -116,6 +117,9 @@ def test_sweep_variable_whitelist():
 def test_sweep_points_bound():
     with pytest.raises(ConfigError, match="sweep.points must be >= 2, got 1"):
         parse_scenario("sweep.variable = delta\nsweep.points = 1\n")
+    over = MAX_SWEEP_POINTS + 1
+    with pytest.raises(ConfigError, match=f"sweep.points must be <= MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}, got {over}"):
+        parse_scenario(f"sweep.variable = delta\nsweep.points = {over}\n")
 
 
 def test_dash_output_means_stdout():
