@@ -208,6 +208,13 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert out == first
 
 
+def test_verify_reports_documented_discrepancies(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    logged = [line for line in out.splitlines() if "discrepancy-logged" in line]
+    assert len(logged) == 3
+
+
 def test_verify_catches_tampered_splitter(capsys, monkeypatch):
     # a biased splitter must break the pipeline golden check and flip the exit code
     from pathpol import elements

@@ -187,6 +187,20 @@ def test_autocorrelation_residual_shrinks_with_window():
     assert large.residual < 1e-3
 
 
+def test_autocorrelation_residual_halves_at_odd_pi_windows():
+    # windows holding an odd number of half beat periods leave a lone
+    # quarter-oscillation whose size halves as the window doubles
+    ps = PhaseSetting(0.7, 0.2, 0.4, -0.3)
+    beat = abs(S1.omega - S2.omega)
+    reports = [
+        autocorrelation_demo(S1, S2, ps, m * np.pi / beat, n)
+        for m, n in ((317, 20_001), (635, 40_064), (1271, 80_191))
+    ]
+    r0, r1, r2 = (r.residual for r in reports)
+    assert 0.4 < r1 / r0 < 0.6
+    assert 0.4 < r2 / r1 < 0.6
+
+
 def test_autocorrelation_cross_term_carries_detection_law():
     # sweep delta at whole-beat windows, fit the measured cross term
     beat = abs(S1.omega - S2.omega)
