@@ -55,11 +55,9 @@ from .detector import (
 )
 from .elements import (
     beam_splitter,
-    inverse_prism,
     path_phase,
     pol_phase,
     pol_swap,
-    prism,
 )
 from .observables import (
     SigmaSpec,
@@ -119,7 +117,6 @@ __all__ = [
     "format_report",
     "g2_generalized",
     "g2_hbt",
-    "inverse_prism",
     "is_unitary",
     "p45_intensity",
     "parse_scenario",
@@ -127,7 +124,6 @@ __all__ = [
     "pipeline_trace",
     "pol_phase",
     "pol_swap",
-    "prism",
     "project_aa",
     "run_verify",
     "s_prime_value",

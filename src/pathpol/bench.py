@@ -16,16 +16,18 @@ only; amplitudes pass through them bit-identically.
 
 Every element acts on its own axis, with no Kronecker product built: a
 single beam is a ``(..., 2, 2)`` (path, pol) tensor, a two-beam state a
-``(..., 2, 2, 2, 2)`` tensor. Amplitudes and phases may be arrays, one bench
-run per entry (``trace_stages``); the ``SourceSpec``/``PhaseSetting``
-functions are single runs of the same code.
+``(..., 2, 2, 2, 2)`` tensor. A batch is an ordinary value: a
+``PhaseSetting`` of equal-length arrays is a sweep, and ``phase_stage``,
+``evolve_prestate``, ``apply_bs_prime``, ``pipeline_trace`` and
+``trace_stages`` then give one state per setting as the leading axis (a
+``BenchState`` holding an ``(N, 16)`` stack). ``trace_stages`` also takes
+array amplitudes, one bench run per entry.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .tensor import (
     SLOT_POL_2,
     STATE_SHAPE,
     Array,
+    _float_or_array,
     apply_slot,
     norms_squared,
 )
@@ -82,55 +85,79 @@ class SourceSpec:
         return abs(self.amplitude) ** 2
 
 
+_PHASE_NAMES = ("theta1", "theta2", "phi1", "phi2")
+
+
 @dataclass(frozen=True)
 class PhaseSetting:
-    """The four tunable phases (pol 1, pol 2, path 1, path 2)."""
+    """The four tunable phases (pol 1, pol 2, path 1, path 2).
 
-    theta1: float
-    theta2: float
-    phi1: float
-    phi2: float
+    Each field is a float or a 1-d array; the arrays of one setting have
+    equal lengths and make it a sweep, one setting per entry (float fields
+    hold for every entry).
+    """
+
+    theta1: float | Array
+    theta2: float | Array
+    phi1: float | Array
+    phi2: float | Array
 
     def __post_init__(self) -> None:
-        for name in ("theta1", "theta2", "phi1", "phi2"):
-            if not np.isfinite(getattr(self, name)):
+        lengths = set()
+        for name in _PHASE_NAMES:
+            value = getattr(self, name)
+            if np.ndim(value) > 1:
+                raise ValueError(f"{name} must be a float or a 1-d array")
+            if np.ndim(value) == 1:
+                value = np.array(value, dtype=float)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+                lengths.add(len(value))
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
+        if len(lengths) > 1:
+            raise ValueError(f"phase arrays must have equal lengths, got {sorted(lengths)}")
 
     @property
-    def delta(self) -> float:
+    def delta(self) -> float | Array:
         """The single combination the bench output depends on."""
         return self.theta1 + self.phi1 - self.theta2 - self.phi2
 
 
+def _require_single(ps: PhaseSetting) -> None:
+    """Refuse a sweep where a report is defined for one setting only."""
+    if any(np.ndim(getattr(ps, name)) for name in _PHASE_NAMES):
+        raise ValueError("a report takes a single phase setting, not a sweep")
+
+
 @dataclass(frozen=True)
 class BenchState:
-    """A 16-dim state vector tagged with its pipeline stage.
+    """A 16-dim state vector, or an ``(N, 16)`` stack of them, tagged with
+    its pipeline stage.
 
     The rotating global factor e^{-i(omega1+omega2)t} common to every
-    component is not stored in the amplitudes; its frequency sum rides along
-    as ``omega_sum``.
+    component is not stored in the amplitudes.
     """
 
     stage: Stage
     vector: Array
-    omega_sum: float
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vector, dtype=complex)
-        if v.shape != (DIM,):
-            raise ValueError(f"bench state must have shape ({DIM},), got {v.shape}")
+        if v.ndim not in (1, 2) or v.shape[-1] != DIM:
+            raise ValueError(f"bench state must have shape ({DIM},) or (N, {DIM}), got {v.shape}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 
     @property
     def tensor(self) -> Array:
-        """Read-only ``(2, 2, 2, 2)`` view of ``vector``, one axis per slot."""
-        return self.vector.reshape(STATE_SHAPE)
+        """Read-only ``(..., 2, 2, 2, 2)`` view of ``vector``, one axis per slot."""
+        return self.vector.reshape(self.vector.shape[:-1] + STATE_SHAPE)
 
     @property
-    def norm_squared(self) -> float:
-        return float(norms_squared(self.vector))
+    def norm_squared(self) -> float | Array:
+        return _float_or_array(norms_squared(self.vector))
 
 
 def _source_beams(a1: complex | Array, a2: complex | Array) -> tuple[Array, Array]:
@@ -178,19 +205,16 @@ def _input_stages(a1: complex | Array, a2: complex | Array) -> tuple[Array, Arra
     return tuple(stages)
 
 
-def phase_stage(
-    state: Array, theta1: Array, theta2: Array, phi1: Array, phi2: Array
-) -> Array:
+def phase_stage(state: Array, ps: PhaseSetting) -> Array:
     """The four phase elements (source 2 conjugated), each on its own slot.
 
-    ``state`` is ``(..., 2, 2, 2, 2)``; the phases are scalars or equal-length
-    1-d arrays, one entry per setting, and the settings become the leading
-    axis of the result.
+    ``state`` is ``(..., 2, 2, 2, 2)``; a sweep ``ps`` gives one state per
+    setting, the settings becoming the leading axis of the result.
     """
-    out = apply_slot(elements.pol_phase(theta2, sign=-1), state, SLOT_POL_2)
-    out = apply_slot(elements.path_phase(phi2, sign=-1), out, SLOT_PATH_2)
-    out = apply_slot(elements.pol_phase(theta1, sign=1), out, SLOT_POL_1)
-    return apply_slot(elements.path_phase(phi1, sign=1), out, SLOT_PATH_1)
+    out = apply_slot(elements.pol_phase(ps.theta2, sign=-1), state, SLOT_POL_2)
+    out = apply_slot(elements.path_phase(ps.phi2, sign=-1), out, SLOT_PATH_2)
+    out = apply_slot(elements.pol_phase(ps.theta1, sign=1), out, SLOT_POL_1)
+    return apply_slot(elements.path_phase(ps.phi1, sign=1), out, SLOT_PATH_1)
 
 
 def bs_prime_stage(state: Array) -> Array:
@@ -199,31 +223,21 @@ def bs_prime_stage(state: Array) -> Array:
     return apply_slot(bs, apply_slot(bs, state, SLOT_PATH_2), SLOT_PATH_1)
 
 
-def phase_arrays(settings: Sequence[PhaseSetting]) -> tuple[Array, Array, Array, Array]:
-    """theta1, theta2, phi1 and phi2 of many settings, as four 1-d arrays."""
-    return tuple(
-        np.array([getattr(ps, name) for ps in settings], dtype=float)
-        for name in ("theta1", "theta2", "phi1", "phi2")
-    )
-
-
-def trace_stages(
-    a1: complex | Array,
-    a2: complex | Array,
-    theta1: Array,
-    theta2: Array,
-    phi1: Array,
-    phi2: Array,
-) -> tuple[Array, ...]:
+def trace_stages(a1: complex | Array, a2: complex | Array, ps: PhaseSetting) -> tuple[Array, ...]:
     """The six stages of ``pipeline_trace`` as ``(..., 2, 2, 2, 2)`` tensors.
 
-    Amplitudes and phases may be equal-length 1-d arrays, one bench run per
-    entry; the runs become the leading axis. Stages follow ``Stage`` order.
+    Amplitudes may be equal-length 1-d arrays and ``ps`` a sweep of the same
+    length, one bench run per entry; the runs become the leading axis.
+    Stages follow ``Stage`` order.
     """
     source, post_bs, post_pr = _input_stages(a1, a2)
-    phased = phase_stage(post_pr, theta1, theta2, phi1, phi2)
+    phased = phase_stage(post_pr, ps)
     # the inverse prisms restore the plain path labels; amplitudes untouched
     return source, post_bs, post_pr, phased, phased, bs_prime_stage(phased)
+
+
+def _state(stage: Stage, tensor: Array) -> BenchState:
+    return BenchState(stage, tensor.reshape(tensor.shape[:-4] + (DIM,)))
 
 
 def symmetrized_input(s1: SourceSpec, s2: SourceSpec) -> BenchState:
@@ -232,8 +246,7 @@ def symmetrized_input(s1: SourceSpec, s2: SourceSpec) -> BenchState:
     Equals (A1 A2 / sqrt2)(|aVaV> - |bHbH>); every correlation in this
     package is an expectation value on this state.
     """
-    start = _input_stages(s1.amplitude, s2.amplitude)[-1]
-    return BenchState(Stage.POST_PR, start.reshape(DIM), s1.omega + s2.omega)
+    return _state(Stage.POST_PR, _input_stages(s1.amplitude, s2.amplitude)[-1])
 
 
 def evolve_prestate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchState:
@@ -243,19 +256,16 @@ def evolve_prestate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchSt
     relative phase -e^{i delta}; it depends on the four phases only through
     the sums theta1+phi1 and theta2+phi2. The prism / inverse-prism pair
     around the phase stage leaves amplitudes bit-identical, so it does not
-    appear here.
+    appear here. A sweep ``ps`` gives the ``(N, 16)`` stack.
     """
-    start = symmetrized_input(s1, s2)
-    phased = phase_stage(start.tensor, ps.theta1, ps.theta2, ps.phi1, ps.phi2)
-    return BenchState(Stage.PRE_BS_PRIME, phased.reshape(DIM), start.omega_sum)
+    return _state(Stage.PRE_BS_PRIME, phase_stage(symmetrized_input(s1, s2).tensor, ps))
 
 
 def apply_bs_prime(state: BenchState) -> BenchState:
-    """Second beam splitter, acting on both path slots at once."""
+    """Second beam splitter, acting on both path slots of a state or a stack."""
     if state.stage is not Stage.PRE_BS_PRIME:
         raise ValueError(f"expected a pre-bs-prime state, got stage {state.stage.value!r}")
-    out = bs_prime_stage(state.tensor)
-    return BenchState(Stage.POST_BS_PRIME, out.reshape(DIM), state.omega_sum)
+    return _state(Stage.POST_BS_PRIME, bs_prime_stage(state.tensor))
 
 
 def pipeline_trace(
@@ -264,8 +274,8 @@ def pipeline_trace(
     """All six stages of the bench in order, each as a symmetrized state.
 
     The early per-beam stages are reported through the same symmetrized lens
-    so that every entry is 16-dim and carries norm |A1 A2|^2.
+    so that every entry is 16-dim and carries norm |A1 A2|^2; for a sweep
+    ``ps`` the stages from the phases on are ``(N, 16)`` stacks.
     """
-    wsum = s1.omega + s2.omega
-    tensors = trace_stages(s1.amplitude, s2.amplitude, ps.theta1, ps.theta2, ps.phi1, ps.phi2)
-    return tuple(BenchState(stage, t.reshape(DIM), wsum) for stage, t in zip(Stage, tensors))
+    tensors = trace_stages(s1.amplitude, s2.amplitude, ps)
+    return tuple(_state(stage, t) for stage, t in zip(Stage, tensors))

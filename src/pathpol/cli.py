@@ -65,28 +65,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep requires a sweep block (at least sweep.variable)")
     s1, s2 = scn.sources()
     values = np.linspace(scn.sweep.start, scn.sweep.stop, scn.sweep.points)
-    settings = [
-        phase_setting_for(scn.sweep.variable, float(value), scn.phases) for value in values
-    ]
-
-    # operator route: every setting at once, slot-local, from one input state
-    phases = bench.phase_arrays(settings)
-    start = bench.symmetrized_input(s1, s2)
-    numeric = correlations.correlation_numeric_batch(start, s1, s2, *phases)
-    outputs = bench.bs_prime_stage(bench.phase_stage(start.tensor, *phases))
-    p45 = detector.p45_intensities(outputs.reshape(len(settings), -1))
-
-    rows = [
-        (
-            _fmt(float(value)),
-            _fmt(ps.delta),
-            _fmt(correlations.correlation_closed_form(ps, s1, s2)),
-            _fmt(float(c_numeric)),
-            _fmt(correlations.g2_generalized(0, 0, 0, 0, ps, s1, s2)),
-            _fmt(float(p)),
-        )
-        for value, ps, c_numeric, p in zip(values, settings, numeric, p45)
-    ]
+    ps = phase_setting_for(scn.sweep.variable, values, scn.phases)
+    post = bench.apply_bs_prime(bench.evolve_prestate(s1, s2, ps))
+    columns = (
+        values,
+        ps.delta,
+        correlations.correlation_closed_form(ps, s1, s2),
+        correlations.correlation_numeric(ps, s1, s2),
+        correlations.g2_generalized(0, 0, 0, 0, ps, s1, s2),
+        detector.p45_intensity(post),
+    )
+    rows = [tuple(map(_fmt, row)) for row in zip(*columns)]
 
     def _write(stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")

@@ -4,8 +4,7 @@ Every quantity here comes in two routes that must never be merged:
 
 * a numeric route: explicit operator expectation values on the symmetrized
   input state built by the bench pipeline, each observable acting on its own
-  slot; it takes the four phases (as arrays for a whole sweep) and never
-  reads delta;
+  slot; it reads the four phases and never delta;
 * a closed-form route: the normalized formulas
       C(delta)           = 4 I1 I2 cos(delta) / (I1 + I2)^2
       g2(shifts; delta)  = 1 - (-1)^{k+l+m+n} 2 I1 I2 cos(delta) / (I1+I2)^2
@@ -17,20 +16,25 @@ factors (the raw sigma-route bracket is -I1 I2 cos(delta), the signed sum of
 the sixteen shifted g2 terms is -8 times the closed form). Reports expose
 both values and their ratio so the scales stay visible instead of being
 silently normalized away.
+
+``correlation_numeric``, ``correlation_closed_form``, ``g2_generalized``
+and ``sum_identity`` take a sweep ``PhaseSetting`` (and ``g2_hbt`` array
+phases) and then give one value per setting; ``correlation_report`` is a
+single-setting report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import cos, nan
+from math import nan
 
 import numpy as np
 
 from . import bench, observables
-from .bench import BenchState, PhaseSetting, SourceSpec, Stage
+from .bench import PhaseSetting, SourceSpec
 from .observables import SigmaSpec
-from .tensor import Array
+from .tensor import Array, _float_or_array
 
 # ratios are reported as nan when the closed form sits this close to a zero
 COSINE_GUARD = 1e-3
@@ -41,49 +45,28 @@ def _intensities(s1: SourceSpec, s2: SourceSpec) -> tuple[float, float, float]:
     return i1, i2, (i1 + i2) ** 2
 
 
-def correlation_closed_form(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float:
+def correlation_closed_form(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float | Array:
     """Normalized correlation of the two detector intensities, formula route."""
     i1, i2, ssq = _intensities(s1, s2)
-    return 4.0 * i1 * i2 * cos(ps.delta) / ssq
+    return _float_or_array(4.0 * i1 * i2 * np.cos(ps.delta) / ssq)
 
 
-def correlation_numeric_batch(
-    start: BenchState,
-    s1: SourceSpec,
-    s2: SourceSpec,
-    theta1: Array,
-    theta2: Array,
-    phi1: Array,
-    phi2: Array,
-) -> Array:
-    """``correlation_numeric`` at many phase settings, one entry per setting.
-
-    ``start`` is ``bench.symmetrized_input(s1, s2)``, built once by the
-    caller; the phases are equal-length 1-d arrays (or scalars).
-    """
-    if start.stage is not Stage.POST_PR:
-        raise ValueError(f"expected the symmetrized input, got stage {start.stage.value!r}")
-    _, _, ssq = _intensities(s1, s2)
-    specs = (
-        SigmaSpec(1, "path", phi1),
-        SigmaSpec(1, "pol", theta1),
-        SigmaSpec(2, "path", phi2),
-        SigmaSpec(2, "pol", theta2),
-    )
-    return observables.product_expectation(start.tensor, specs).real / ssq
-
-
-def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float:
+def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float | Array:
     """Normalized expectation of the four flip observables, operator route.
 
     Evaluates <sigma_path1(phi1) sigma_pol1(theta1) sigma_path2(phi2)
     sigma_pol2(theta2)> on the symmetrized input and divides by (I1+I2)^2.
     Proportional to the closed form with constant ratio -1/4.
     """
-    start = bench.symmetrized_input(s1, s2)
-    return float(
-        correlation_numeric_batch(start, s1, s2, ps.theta1, ps.theta2, ps.phi1, ps.phi2)
+    _, _, ssq = _intensities(s1, s2)
+    specs = (
+        SigmaSpec(1, "path", ps.phi1),
+        SigmaSpec(1, "pol", ps.theta1),
+        SigmaSpec(2, "path", ps.phi2),
+        SigmaSpec(2, "pol", ps.theta2),
     )
+    start = bench.symmetrized_input(s1, s2).tensor
+    return _float_or_array(observables.product_expectation(start, specs).real / ssq)
 
 
 @dataclass(frozen=True)
@@ -95,17 +78,17 @@ class TermEntry:
     m: int
     n: int
     sign: int
-    value: float
+    value: float | Array
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
     """Both correlation routes side by side plus the per-term breakdown."""
 
-    delta: float
-    numeric: float
-    closed_form: float
-    ratio: float
+    delta: float | Array
+    numeric: float | Array
+    closed_form: float | Array
+    ratio: float | Array
     terms: tuple[TermEntry, ...]
 
     def __post_init__(self) -> None:
@@ -113,10 +96,12 @@ class CorrelationReport:
             raise ValueError(f"expected 16 terms, got {len(self.terms)}")
 
 
-def _guarded_ratio(numeric: float, closed: float, delta: float) -> float:
-    if abs(cos(delta)) < COSINE_GUARD:
-        return nan
-    return numeric / closed
+def _guarded_ratio(
+    numeric: float | Array, closed: float | Array, delta: float | Array
+) -> float | Array:
+    ratio = np.full(np.shape(closed), nan)
+    np.divide(numeric, closed, out=ratio, where=np.abs(np.cos(delta)) >= COSINE_GUARD)
+    return _float_or_array(ratio)
 
 
 def _check_shift(value: int, name: str) -> None:
@@ -124,7 +109,9 @@ def _check_shift(value: int, name: str) -> None:
         raise ValueError(f"{name} must be 0 or 1, got {value}")
 
 
-def g2_hbt(alpha: float, beta: float, s1: SourceSpec, s2: SourceSpec) -> float:
+def g2_hbt(
+    alpha: float | Array, beta: float | Array, s1: SourceSpec, s2: SourceSpec
+) -> float | Array:
     """Two-detector degree of coherence for bare path interference.
 
     1 - 2 I1 I2 cos(alpha - beta) / (I1+I2)^2: bounded by [1/2, 3/2] at equal
@@ -132,12 +119,12 @@ def g2_hbt(alpha: float, beta: float, s1: SourceSpec, s2: SourceSpec) -> float:
     taking its intensity to zero relative to the other.
     """
     i1, i2, ssq = _intensities(s1, s2)
-    return 1.0 - 2.0 * i1 * i2 * cos(alpha - beta) / ssq
+    return _float_or_array(1.0 - 2.0 * i1 * i2 * np.cos(alpha - beta) / ssq)
 
 
 def g2_generalized(
     k: int, l: int, m: int, n: int, ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec
-) -> float:
+) -> float | Array:
     """Degree of coherence of the shifted intensity pair, formula route.
 
     Reduces to ``g2_hbt(phi1, phi2)`` when both polarization phases are held
@@ -147,13 +134,15 @@ def g2_generalized(
         _check_shift(v, name)
     i1, i2, ssq = _intensities(s1, s2)
     signed = -1.0 if (k + l + m + n) % 2 else 1.0
-    return (i1 * i1 + i2 * i2 + 2.0 * i1 * i2 * (1.0 - signed * cos(ps.delta))) / ssq
+    g2 = (i1 * i1 + i2 * i2 + 2.0 * i1 * i2 * (1.0 - signed * np.cos(ps.delta))) / ssq
+    return _float_or_array(g2)
 
 
 def correlation_report(
     ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec
 ) -> CorrelationReport:
     """Both correlation routes plus the sixteen raw intensity brackets."""
+    bench._require_single(ps)
     numeric = correlation_numeric(ps, s1, s2)
     closed = correlation_closed_form(ps, s1, s2)
     shifts = list(product((0, 1), repeat=4))
@@ -176,7 +165,7 @@ def sum_identity(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> Correlatio
 
     The sum equals -8 times the closed form for every amplitude pair; the
     ratio field reports the measured constant (nan near the cosine zeros,
-    where the ratio is 0/0).
+    where the ratio is 0/0). A sweep ``ps`` makes every value an array.
     """
     terms = []
     total = 0.0

@@ -5,7 +5,9 @@ and the time-domain intensity autocorrelation.
 expands its polarization content in the diagonal (+/-) basis, using the
 convention that the expansion coefficients are those of the unit-norm
 polarization part scaled by sqrt(2); the squared ++ coefficient is then the
-detection law (1 - cos delta)/2.
+detection law (1 - cos delta)/2. ``project_aa`` and ``p45_intensity`` read
+one output state or an ``(N, 16)`` stack of them; ``detect`` and
+``autocorrelation_demo`` are single-setting reports.
 
 ``autocorrelation_demo`` reinstates the time dependence dropped by the
 bench: the two sources are distinct frequencies, so every first-order
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import bench, elements
 from .bench import BenchState, PhaseSetting, SourceSpec, Stage
-from .tensor import DIM, STATE_SHAPE, Array, norms_squared
+from .tensor import DIM, STATE_SHAPE, Array, _float_or_array, norms_squared
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -47,15 +49,16 @@ class AaProjection:
     branch, ``pol_unit`` the same normalized to unit norm, and ``expansion``
     the (++, +-, -+, --) coefficients of sqrt(2) * pol_unit. ``delta`` is
     the relative phase read back from the two occupied components.
-    ``aa_projections`` gives every field a leading axis, one entry per state.
+    ``project_aa`` of a stacked state gives every field a leading axis, one
+    entry per state.
     """
 
     branch_vector: Array
     pol: Array
     pol_unit: Array
     expansion: Array
-    delta: float
-    branch_fraction: float
+    delta: float | Array
+    branch_fraction: float | Array
 
 
 @dataclass(frozen=True)
@@ -75,58 +78,36 @@ def _require_output_stage(state: BenchState) -> None:
 
 
 def project_aa(state: BenchState) -> AaProjection:
-    """Extract the aa branch and its diagonal-basis polarization expansion."""
-    _require_output_stage(state)
-    stacked = aa_projections(state.vector[None, :])
-    return AaProjection(
-        branch_vector=stacked.branch_vector[0],
-        pol=stacked.pol[0],
-        pol_unit=stacked.pol_unit[0],
-        expansion=stacked.expansion[0],
-        delta=float(stacked.delta[0]),
-        branch_fraction=float(stacked.branch_fraction[0]),
-    )
+    """Extract the aa branch and its diagonal-basis polarization expansion.
 
-
-def aa_projections(vectors: Array) -> AaProjection:
-    """``project_aa`` for a stack of output-state vectors, ``(N, 16)``.
-
-    Every field gains a leading axis of length N. The caller vouches that
-    every row is a post-bs-prime state.
+    A stacked ``(N, 16)`` state gives every field a leading axis of length N.
     """
-    vectors = _as_stack(vectors)
-    total = norms_squared(vectors)
-    if np.any(total == 0.0):
-        raise ValueError("cannot project a zero state")
-    pol_block, branch_norm_sq, pol_unit, expansion = _aa_block(vectors)
-
-    branch = np.zeros((len(vectors),) + STATE_SHAPE, dtype=complex)
+    pol_block, branch_norm_sq, pol_unit, expansion = _aa_block(state)
+    # a nonempty aa branch makes the state nonzero
+    total = norms_squared(state.vector.reshape(-1, DIM))
+    lead = state.vector.shape[:-1]
+    branch = np.zeros((len(pol_block),) + STATE_SHAPE, dtype=complex)
     branch[:, 0, :, 0, :] = pol_block
     pol = pol_block.reshape(-1, 4)  # VV, VH, HV, HH
     c_vv, c_hh = pol[:, 0], pol[:, 3]
     ratio = np.divide(-c_hh, c_vv, out=np.full_like(c_vv, np.nan), where=np.abs(c_vv) > 0.0)
 
     return AaProjection(
-        branch_vector=branch.reshape(-1, DIM),
-        pol=pol,
-        pol_unit=pol_unit.reshape(-1, 4),
-        expansion=expansion.reshape(-1, 4),
-        delta=np.angle(ratio),
-        branch_fraction=branch_norm_sq / total,
+        branch_vector=branch.reshape(lead + (DIM,)),
+        pol=pol.reshape(lead + (4,)),
+        pol_unit=pol_unit.reshape(lead + (4,)),
+        expansion=expansion.reshape(lead + (4,)),
+        delta=_float_or_array(np.angle(ratio).reshape(lead)),
+        branch_fraction=_float_or_array((branch_norm_sq / total).reshape(lead)),
     )
 
 
-def _as_stack(vectors: Array) -> Array:
-    vectors = np.asarray(vectors, dtype=complex)
-    if vectors.ndim != 2 or vectors.shape[1] != DIM:
-        raise ValueError(f"expected an (N, {DIM}) stack of states, got shape {vectors.shape}")
-    return vectors
-
-
-def _aa_block(vectors: Array) -> tuple[Array, Array, Array, Array]:
+def _aa_block(state: BenchState) -> tuple[Array, Array, Array, Array]:
     """aa polarization blocks (rows pol1, cols pol2), their norms, the unit
-    blocks and their diagonal-basis expansions, for an ``(N, 16)`` stack."""
-    pol_block = vectors.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
+    blocks and their diagonal-basis expansions, for a post-bs-prime state
+    taken as an ``(N, 16)`` stack."""
+    _require_output_stage(state)
+    pol_block = state.vector.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
     branch_norm_sq = np.sum(np.abs(pol_block) ** 2, axis=(1, 2))
     if np.any(branch_norm_sq == 0.0):
         raise ValueError("the aa branch of this state is empty")
@@ -140,29 +121,21 @@ def _diagonal_expansion(pol_unit: Array) -> Array:
     return _SQRT2 * (hadamard @ pol_unit @ hadamard.T)
 
 
-def p45_intensities(vectors: Array) -> Array:
-    """Detection law for a stack of output-state vectors, ``(N, 16) -> (N,)``.
-
-    Same readout as ``p45_intensity``; the caller vouches that every row is
-    a post-bs-prime state.
-    """
-    expansion = _aa_block(_as_stack(vectors))[3]
-    return np.abs(expansion[:, 0, 0]) ** 2
-
-
-def p45_intensity(state: BenchState) -> float:
+def p45_intensity(state: BenchState) -> float | Array:
     """Detection law behind a 45-degree polarizer on the aa branch.
 
     Squared ++ expansion coefficient; equals (1 - cos delta)/2 for bench
-    output states.
+    output states. A stacked state gives one value per state.
     """
-    _require_output_stage(state)
-    return float(p45_intensities(state.vector[None, :])[0])
+    p45 = np.abs(_aa_block(state)[3][:, 0, 0]) ** 2
+    return _float_or_array(p45.reshape(state.vector.shape[:-1]))
 
 
 def detect(state: BenchState) -> DetectionResult:
-    """Port probabilities plus the 45-degree joint intensity."""
+    """Port probabilities plus the 45-degree joint intensity of one state."""
     _require_output_stage(state)
+    if state.vector.ndim != 1:
+        raise ValueError("detect takes a single state, not a stack")
     grid = state.vector.reshape(2, 2, 2, 2)
     total = state.norm_squared
     probs = tuple(
@@ -181,6 +154,7 @@ def detector_amplitudes(ps: PhaseSetting) -> tuple[complex, complex]:
     diagonal polarization. Closed forms: (1 - e^{i(theta1+phi1)})/(2 sqrt2)
     and (1 + e^{-i(theta2+phi2)})/(2 sqrt2).
     """
+    bench._require_single(ps)
     out = []
     for beam, theta, phi, sign in zip(
         bench._source_beams(1.0, 1.0),  # source 1 on b, source 2 on a

@@ -50,27 +50,3 @@ def pol_phase(theta: float | Array, sign: int = 1) -> Array:
 def path_phase(phi: float | Array, sign: int = 1) -> Array:
     """diag(1, e^{i*sign*phi}) on the (a, b) doublet (stacked like ``pol_phase``)."""
     return _phase_diag(phi, sign)
-
-
-def _identity(omega: float | Array) -> Array:
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("prism frequency must be finite")
-    out = np.zeros(omega.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = 1.0
-    return out
-
-
-def prism(omega: float | Array) -> Array:
-    """Frequency-dispersing wedge on the lower path.
-
-    Amplitudes are untouched (exact 2x2 identity); the dispersion is pure
-    bookkeeping on the path label and never reaches the state. An array of
-    frequencies gives the stack of identities.
-    """
-    return _identity(omega)
-
-
-def inverse_prism(omega: float | Array) -> Array:
-    """Exact inverse of ``prism``; also the 2x2 identity on amplitudes."""
-    return _identity(omega)

@@ -166,6 +166,7 @@ def transfer_check(
     pre: BenchState, post: BenchState, ps: PhaseSetting
 ) -> TransferCheckReport:
     """Verify the intensity bracket transfers unchanged along the pipeline."""
+    bench._require_single(ps)
     if pre.stage is not Stage.PRE_BS_PRIME:
         raise ValueError(f"pre must be a pre-bs-prime state, got {pre.stage.value!r}")
     if post.stage is not Stage.POST_BS_PRIME:
@@ -174,7 +175,8 @@ def transfer_check(
         raise ValueError("post state is not the second-splitter image of pre")
 
     # the phase stage at negated phases undoes it, recovering the symmetrized input
-    psi0 = bench.phase_stage(pre.tensor, -ps.theta1, -ps.theta2, -ps.phi1, -ps.phi2)
+    undo = PhaseSetting(-ps.theta1, -ps.theta2, -ps.phi1, -ps.phi2)
+    psi0 = bench.phase_stage(pre.tensor, undo)
 
     v_sym = float(joint_intensity(psi0, ps.theta1, ps.phi1, ps.theta2, ps.phi2))
     v_pre = float(joint_intensity(pre.tensor, 0.0, 0.0, 0.0, 0.0))

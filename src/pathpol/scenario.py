@@ -28,10 +28,12 @@ from math import isfinite, pi, sqrt
 
 from .bench import PhaseSetting, SourceSpec
 from .detector import DEFAULT_OMEGA_1, DEFAULT_OMEGA_2
+from .tensor import Array
 
 SWEEP_VARIABLES = ("theta1", "theta2", "phi1", "phi2", "delta")
-# a sweep peaks at ~1.6 KiB of resident memory per point (+155 MiB at the
-# cap), so longer sweeps are refused before anything is allocated
+# a sweep peaks at ~1.2 KiB of resident memory per point (+113 MiB at the
+# cap over a ~78 MiB interpreter, about half of it the CSV row strings), so
+# longer sweeps are refused before anything is allocated
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -173,11 +175,12 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
     return _build(table)
 
 
-def phase_setting_for(variable: str, value: float, base: PhaseSetting) -> PhaseSetting:
+def phase_setting_for(variable: str, value: float | Array, base: PhaseSetting) -> PhaseSetting:
     """Phase setting with one swept coordinate pinned to ``value``.
 
     Sweeping ``delta`` moves theta1 so that the total phase difference equals
-    ``value`` while the other three phases keep their base values.
+    ``value`` while the other three phases keep their base values. An array
+    of values gives the sweep, one setting per entry.
     """
     if variable == "delta":
         return PhaseSetting(

@@ -63,6 +63,11 @@ def norms_squared(vectors: Array) -> Array:
     return (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real
 
 
+def _float_or_array(x: float | Array) -> float | Array:
+    """A single result as a plain ``float``, a stack of results unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def dagger(m: Array) -> Array:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return np.swapaxes(np.asarray(m), -1, -2).conj()

@@ -1,4 +1,4 @@
-"""The batched operator route of ``pathpol sweep`` against an independent oracle.
+"""The operator route of ``pathpol sweep`` against an independent oracle.
 
 The reference operators are written out here with ``np.kron`` on 2x2 blocks
 (no ``pathpol.tensor``), and the reference input state is the documented
@@ -117,14 +117,12 @@ def test_sweep_operator_columns_match_kron_oracle(i1, i2, base, variable, span, 
     phases=st.lists(st.tuples(angles, angles, angles, angles), min_size=1, max_size=5),
 )
 def test_batched_route_equals_per_point_calls(mags, args, phases):
-    # complex amplitudes; the per-point functions are N=1 calls of the batch
+    # complex amplitudes; a sweep setting gives, entry by entry, the per-point values
     s1 = SourceSpec(mags[0] * np.exp(1j * args[0]), 1.0)
     s2 = SourceSpec(mags[1] * np.exp(1j * args[1]), 1.3)
-    arrays = [np.array(column) for column in zip(*phases)]
-    start = bench.symmetrized_input(s1, s2)
-    numeric = correlations.correlation_numeric_batch(start, s1, s2, *arrays)
-    outputs = bench.bs_prime_stage(bench.phase_stage(start.tensor, *arrays))
-    p45 = detector.p45_intensities(outputs.reshape(len(phases), 16))
+    sweep = PhaseSetting(*(np.array(column) for column in zip(*phases)))
+    numeric = correlations.correlation_numeric(sweep, s1, s2)
+    p45 = detector.p45_intensity(bench.apply_bs_prime(bench.evolve_prestate(s1, s2, sweep)))
     for k, row in enumerate(phases):
         ps = PhaseSetting(*row)
         want_c, want_p45 = reference_row(s1.amplitude, s2.amplitude, *row)
@@ -152,11 +150,9 @@ def test_both_routes_depend_on_delta_alone(mags, args, base, direction, shift):
     s1 = SourceSpec(mags[0] * np.exp(1j * args[0]), 1.0)
     s2 = SourceSpec(mags[1] * np.exp(1j * args[1]), 1.3)
     moved = tuple(x + shift * k for x, k in zip(base, direction))
-    arrays = [np.array(column) for column in zip(base, moved)]
-    start = bench.symmetrized_input(s1, s2)
-    numeric = correlations.correlation_numeric_batch(start, s1, s2, *arrays)
-    outputs = bench.bs_prime_stage(bench.phase_stage(start.tensor, *arrays))
-    p45 = detector.p45_intensities(outputs.reshape(2, 16))
+    sweep = PhaseSetting(*(np.array(column) for column in zip(base, moved)))
+    numeric = correlations.correlation_numeric(sweep, s1, s2)
+    p45 = detector.p45_intensity(bench.apply_bs_prime(bench.evolve_prestate(s1, s2, sweep)))
     closed = [correlations.correlation_closed_form(PhaseSetting(*p), s1, s2) for p in (base, moved)]
     assert abs(numeric[1] - numeric[0]) < TOL
     assert abs(p45[1] - p45[0]) < TOL
@@ -173,10 +169,9 @@ def test_operator_route_never_touches_closed_form_or_delta(monkeypatch):
 
     s1, s2 = SourceSpec(0.8, 1.0), SourceSpec(1.7j, 1.3)
     theta1, theta2, phi1, phi2 = np.random.default_rng(3).uniform(-np.pi, np.pi, (4, 8))
-    start = bench.symmetrized_input(s1, s2)
-    numeric = correlations.correlation_numeric_batch(start, s1, s2, theta1, theta2, phi1, phi2)
-    outputs = bench.bs_prime_stage(bench.phase_stage(start.tensor, theta1, theta2, phi1, phi2))
-    p45 = detector.p45_intensities(outputs.reshape(8, 16))
+    sweep = PhaseSetting(theta1, theta2, phi1, phi2)
+    numeric = correlations.correlation_numeric(sweep, s1, s2)
+    p45 = detector.p45_intensity(bench.apply_bs_prime(bench.evolve_prestate(s1, s2, sweep)))
     assert numeric.shape == p45.shape == (8,)
 
     ps = PhaseSetting(theta1[0], theta2[0], phi1[0], phi2[0])
@@ -185,9 +180,3 @@ def test_operator_route_never_touches_closed_form_or_delta(monkeypatch):
     with pytest.raises(AssertionError, match="closed-form"):
         ps.delta
 
-
-def test_batched_correlation_requires_the_symmetrized_input():
-    s1, s2 = SourceSpec(1.0, 1.0), SourceSpec(1.0, 1.3)
-    pre = bench.evolve_prestate(s1, s2, PhaseSetting(0.1, 0.2, 0.3, 0.4))
-    with pytest.raises(ValueError, match="symmetrized input"):
-        correlations.correlation_numeric_batch(pre, s1, s2, 0.0, 0.0, 0.0, 0.0)

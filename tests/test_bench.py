@@ -13,6 +13,9 @@ from pathpol.bench import (
     symmetrize,
     symmetrized_input,
 )
+from pathpol.correlations import correlation_report
+from pathpol.detector import autocorrelation_demo, detect
+from pathpol.observables import transfer_check
 from pathpol.tensor import basis_state
 
 SQRT2 = np.sqrt(2.0)
@@ -74,6 +77,30 @@ def test_phase_setting_delta():
     assert abs(ps.delta - 0.85) < 1e-15
     with pytest.raises(ValueError):
         PhaseSetting(np.nan, 0, 0, 0)
+    # equal-length arrays make a sweep, one setting per entry
+    sweep = PhaseSetting(np.array([0.5, 1.0]), 0.1, np.array([0.25, 0.0]), -0.2)
+    assert np.array_equal(sweep.delta, [0.5 + 0.25 - 0.1 + 0.2, 1.0 + 0.0 - 0.1 + 0.2])
+    with pytest.raises(ValueError, match="phi1 must be finite"):
+        PhaseSetting(0.0, 0.0, np.array([0.0, np.inf]), 0.0)
+    with pytest.raises(ValueError, match="equal lengths"):
+        PhaseSetting(np.zeros(2), np.zeros(3), 0.0, 0.0)
+    with pytest.raises(ValueError, match="theta2 must be a float or a 1-d array"):
+        PhaseSetting(0.0, np.zeros((2, 2)), 0.0, 0.0)
+
+
+def test_reports_refuse_a_sweep():
+    # a 16-entry sweep would otherwise pair entry k with shift term k
+    sweep = PhaseSetting(np.linspace(0.0, 3.0, 16), 0.0, 0.0, 0.0)
+    pre = evolve_prestate(S1, S2, sweep)
+    post = apply_bs_prime(pre)
+    for report in (
+        lambda: correlation_report(sweep, S1, S2),
+        lambda: transfer_check(pre, post, sweep),
+        lambda: detect(post),
+        lambda: autocorrelation_demo(S1, S2, sweep, 4000.0, 20_000),
+    ):
+        with pytest.raises(ValueError, match="single"):
+            report()
 
 
 def test_symmetrize_matches_hand_expansion():
@@ -113,13 +140,12 @@ def test_bench_state_is_immutable_and_checked():
     with pytest.raises(ValueError):
         state.vector[0] = 1.0
     with pytest.raises(ValueError):
-        BenchState(Stage.SOURCE, np.zeros(4), 2.3)
+        BenchState(Stage.SOURCE, np.zeros(4))
 
 
 def test_symmetrized_input_two_components():
     state = symmetrized_input(S1, S2)
     assert state.stage is Stage.POST_PR
-    assert state.omega_sum == 2.3
     expected = (basis_state(0, 0, 0, 0) - basis_state(1, 1, 1, 1)) / SQRT2
     assert np.max(np.abs(state.vector - expected)) < 1e-12
 
@@ -162,7 +188,7 @@ def test_evolve_prestate_depends_only_on_phase_sums():
 def test_phase_diagonal_is_diagonal_unitary():
     # the phase stage's 16x16 matrix, column k its image of basis tensor k
     basis = np.eye(16, dtype=complex).reshape(16, 2, 2, 2, 2)
-    d = phase_stage(basis, 0.3, -0.7, 1.1, 0.4).reshape(16, 16).T
+    d = phase_stage(basis, PhaseSetting(0.3, -0.7, 1.1, 0.4)).reshape(16, 16).T
     assert np.max(np.abs(d - np.diag(np.diag(d)))) == 0.0
     assert np.max(np.abs(np.abs(np.diag(d)) - 1.0)) < 1e-12
 

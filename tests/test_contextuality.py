@@ -73,6 +73,19 @@ def test_scan_never_exceeds_algebraic_ceiling(case):
     assert result.max_abs <= MAX_VIOLATION + 1e-9
 
 
+@pytest.mark.parametrize("resolution", [8, 12, 13, 64, 100])
+@pytest.mark.parametrize("case", [1, 2])
+def test_scan_result_is_consistent(case, resolution):
+    # pair(x, y) = cos(x + y) for case 1 and cos(x - y) for case 2
+    result = scan_max(case, resolution)
+    t, tp, p, pp = result.angles
+    s = 1.0 if case == 1 else -1.0
+    value = np.cos(t + s * p) + np.cos(t + s * pp) - np.cos(tp + s * p) + np.cos(tp + s * pp)
+    assert result.max_abs == abs(result.value)
+    assert abs(value - result.value) <= 1e-12
+    assert abs(result.max_abs - MAX_VIOLATION) <= 1e-4
+
+
 def test_scan_resolution_validation():
     with pytest.raises(ValueError):
         scan_max(1, resolution=7)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from pathpol.bench import (
+    BenchState,
     PhaseSetting,
     SourceSpec,
+    Stage,
     apply_bs_prime,
     evolve_prestate,
     symmetrized_input,
@@ -11,7 +13,6 @@ from pathpol.bench import (
 from pathpol.correlations import fit_scaled_cosine
 from pathpol.detector import (
     MAX_SAMPLES,
-    aa_projections,
     autocorrelation_demo,
     detect,
     detector_amplitudes,
@@ -75,6 +76,15 @@ def test_project_aa_expansion_coefficients():
         assert abs(aa.expansion[3] - minus) < 1e-12  # --
 
 
+def test_stacked_readouts_require_output_stage():
+    sweep = PhaseSetting(np.array([0.1, 0.7, 2.0]), 0.0, 0.0, 0.0)
+    pre = evolve_prestate(S1, S2, sweep)
+    assert pre.vector.shape == (3, 16)
+    for readout in (p45_intensity, project_aa):
+        with pytest.raises(ValueError, match="post-bs-prime"):
+            readout(pre)
+
+
 def test_aa_projections_equal_per_state_readout():
     # the stacked readout is the per-state one, field by field and bit for bit
     rng = np.random.default_rng(47)
@@ -82,14 +92,14 @@ def test_aa_projections_equal_per_state_readout():
         output_state(d, SourceSpec(m1 * np.exp(1j * a), 1.0), SourceSpec(m2, 1.3))
         for d, m1, m2, a in rng.uniform(0.3, 3.0, (6, 4))
     ]
-    stacked = aa_projections(np.array([state.vector for state in states]))
+    stacked = project_aa(BenchState(Stage.POST_BS_PRIME, np.array([s.vector for s in states])))
     for k, state in enumerate(states):
         single = project_aa(state)
         for field in ("branch_vector", "pol", "pol_unit", "expansion", "delta", "branch_fraction"):
             assert np.array_equal(getattr(stacked, field)[k], getattr(single, field))
     assert np.array_equal(np.abs(stacked.expansion[:, 0]) ** 2, [p45_intensity(s) for s in states])
     with pytest.raises(ValueError, match="aa branch"):
-        aa_projections(np.zeros((2, 16)) + np.eye(16)[15])
+        project_aa(BenchState(Stage.POST_BS_PRIME, np.zeros((2, 16)) + np.eye(16)[15]))
 
 
 def test_expansion_is_unit_norm():
@@ -185,6 +195,14 @@ def test_autocorrelation_residual_shrinks_with_window():
     large = autocorrelation_demo(S1, S2, ps, 16_000.0, 10_000)
     assert large.residual < small.residual / 4.0
     assert large.residual < 1e-3
+
+
+def test_autocorrelation_window_is_closed():
+    # theta1 = phi1 = 0 keeps source 1 off the detector, so the intensity is
+    # constant and a time grid short of the window's end shows in the residual
+    ps = PhaseSetting(0.0, 0.9, 0.0, -0.4)
+    report = autocorrelation_demo(S1, S2, ps, 4000.0, 20_000)
+    assert report.residual <= 1e-12
 
 
 def test_autocorrelation_residual_halves_at_odd_pi_windows():

@@ -3,11 +3,9 @@ import pytest
 
 from pathpol.elements import (
     beam_splitter,
-    inverse_prism,
     path_phase,
     pol_phase,
     pol_swap,
-    prism,
 )
 from pathpol.tensor import is_unitary
 
@@ -67,21 +65,6 @@ def test_all_elements_unitary(sign):
             pol_swap(),
             pol_phase(x, sign),
             path_phase(x, sign),
-            prism(x),
-            inverse_prism(x),
         ):
             assert is_unitary(m, 1e-12)
 
-
-def test_prism_round_trip_is_bit_identical():
-    m = inverse_prism(1.3) @ prism(1.3)
-    assert np.array_equal(m, np.eye(2, dtype=complex))
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    assert np.array_equal(m @ v, v)
-    # an array of frequencies gives one identity per entry; any non-finite one is refused
-    stack = prism(np.array([0.5, 1.3, -2.0]))
-    assert np.array_equal(stack, np.broadcast_to(np.eye(2), (3, 2, 2)))
-    assert np.array_equal(inverse_prism(np.array([0.5, 1.3])), stack[:2])
-    with pytest.raises(ValueError):
-        prism(np.array([0.5, np.inf]))

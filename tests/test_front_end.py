@@ -83,8 +83,8 @@ def test_batched_trace_equals_per_run_trace(runs):
     # array amplitudes and phases: one bench run per entry, bit for bit
     a1 = np.array([run[0] for run in runs])
     a2 = np.array([run[1] for run in runs])
-    phases = [np.array(column) for column in zip(*(run[2] for run in runs))]
-    stages = bench.trace_stages(a1, a2, *phases)
+    sweep = PhaseSetting(*(np.array(column) for column in zip(*(run[2] for run in runs))))
+    stages = bench.trace_stages(a1, a2, sweep)
     for k, (b1, b2, row) in enumerate(runs):
         trace = bench.pipeline_trace(SourceSpec(b1, 1.0), SourceSpec(b2, 1.3), PhaseSetting(*row))
         for state, batch in zip(trace, stages):
@@ -125,11 +125,11 @@ def test_batched_trace_and_readout_never_touch_closed_form_or_delta(monkeypatch)
     rng = np.random.default_rng(43)
     a1, a2 = rng.uniform(0.5, 1.5, (2, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6)))
     phases = rng.uniform(-np.pi, np.pi, (4, 6))
-    post = bench.trace_stages(a1, a2, *phases)[-1].reshape(6, 16)
-    aa = detector.aa_projections(post)
+    post = bench.trace_stages(a1, a2, PhaseSetting(*phases))[-1].reshape(6, 16)
+    aa = detector.project_aa(bench.BenchState(Stage.POST_BS_PRIME, post))
     assert aa.delta.shape == aa.branch_fraction.shape == (6,)
     first = PhaseSetting(*phases[:, 0])
     basis = np.eye(16, dtype=complex).reshape(16, 1, 2, 2, 2, 2)
-    batched = bench.phase_stage(basis, *phases)[:, 0]
-    single = bench.phase_stage(basis[:, 0], first.theta1, first.theta2, first.phi1, first.phi2)
+    batched = bench.phase_stage(basis, PhaseSetting(*phases))[:, 0]
+    single = bench.phase_stage(basis[:, 0], first)
     assert np.array_equal(batched, single)

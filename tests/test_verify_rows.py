@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from pathpol import bench, elements, observables
+from pathpol import bench, correlations, elements, observables
 from pathpol.cli import main
 from pathpol.verify import run_verify
 
@@ -115,6 +115,17 @@ def test_verify_catches_lossy_rotator(capsys, monkeypatch):
     code, out = run(capsys)
     assert code == 1
     assert {"algebraic-property-suite", "pipeline-golden-states"} <= failing_rows(out)
+
+
+def test_verify_catches_a_wrong_signed_sum_constant(capsys, monkeypatch):
+    # g2's parity taken from k alone keeps the ratio constant, at 0 instead of -8
+    original = correlations.g2_generalized
+    monkeypatch.setattr(
+        correlations, "g2_generalized", lambda k, l, m, n, *rest: original(k, 0, 0, 0, *rest)
+    )
+    code, out = run(capsys)
+    assert code == 1
+    assert "signed-sum-vs-closed-form" in failing_rows(out)
 
 
 def test_verify_call_budget(monkeypatch):
