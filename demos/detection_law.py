@@ -22,9 +22,8 @@ def output_state(delta):
 
 
 # the four port pairs are always equally likely...
-result = detect(output_state(0.8))
-print("port probabilities (aa, ab, ba, bb):",
-      tuple(round(p, 6) for p in result.branch_probabilities))
+probs = detect(output_state(0.8))
+print("port probabilities (aa, ab, ba, bb):", tuple(round(p, 6) for p in probs))
 
 # ...but the polarization content of the aa branch rotates with delta
 aa = project_aa(output_state(0.8))

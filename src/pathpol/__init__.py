@@ -46,7 +46,6 @@ from .correlations import (
 from .detector import (
     AaProjection,
     AutocorrelationReport,
-    DetectionResult,
     autocorrelation_demo,
     detect,
     detector_amplitudes,
@@ -70,7 +69,6 @@ from .tensor import (
     basis_index,
     basis_label,
     basis_state,
-    is_unitary,
 )
 from .verify import VerifyCheck, VerifyReport, format_report, run_verify
 
@@ -83,7 +81,6 @@ __all__ = [
     "CASE1_SETTING",
     "ConfigError",
     "CorrelationReport",
-    "DetectionResult",
     "DIM",
     "MAX_VIOLATION",
     "PhaseSetting",
@@ -117,7 +114,6 @@ __all__ = [
     "format_report",
     "g2_generalized",
     "g2_hbt",
-    "is_unitary",
     "p45_intensity",
     "parse_scenario",
     "path_phase",

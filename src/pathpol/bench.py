@@ -118,6 +118,18 @@ class PhaseSetting:
         if len(lengths) > 1:
             raise ValueError(f"phase arrays must have equal lengths, got {sorted(lengths)}")
 
+    def __eq__(self, other: object) -> bool:
+        """Same shape and same values in every field: a float never equals a
+        1-entry array, and 0.0 equals -0.0."""
+        if not isinstance(other, PhaseSetting):
+            return NotImplemented
+        pairs = ((getattr(self, name), getattr(other, name)) for name in _PHASE_NAMES)
+        return all(np.shape(a) == np.shape(b) and np.array_equal(a, b) for a, b in pairs)
+
+    def __hash__(self) -> int:
+        values = (getattr(self, name) for name in _PHASE_NAMES)
+        return hash(tuple((np.shape(v), tuple(np.ravel(v).tolist())) for v in values))
+
     @property
     def delta(self) -> float | Array:
         """The single combination the bench output depends on."""

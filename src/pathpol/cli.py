@@ -75,12 +75,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         correlations.g2_generalized(0, 0, 0, 0, ps, s1, s2),
         detector.p45_intensity(post),
     )
-    rows = [tuple(map(_fmt, row)) for row in zip(*columns)]
 
     def _write(stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+        # formatted as written: no list of every row is held
+        writer.writerows(map(_fmt, row) for row in zip(*columns))
 
     if scn.output is None:
         _write(sys.stdout)
@@ -96,7 +96,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_chsh(args: argparse.Namespace) -> int:
     s_fixed = contextuality.s_value(*contextuality.CASE1_SETTING)
     angles2 = contextuality.case2_setting(0.0)
-    sp_fixed = contextuality.s_prime_value(*angles2, 0.0, 0.0)
+    sp_fixed = contextuality.s_prime_value(*angles2)
     print(f"case 1 fixed set   S  = {_fmt(s_fixed)}  at {contextuality.CASE1_SETTING}")
     print(f"case 2 fixed set   S' = {_fmt(sp_fixed)}  at {angles2}")
     for case in (1, 2):

@@ -5,7 +5,9 @@ Two families of two-setting correlations are evaluated:
 * case 1: pair(x, y) = cos(x + y), with x a polarization-phase difference
   and y a path-phase difference;
 * case 2: pair(x, y) = cos(x - y), with x the source-1 polarization phase
-  and y the source-2 path phase, both measured from a common anchor.
+  and y the source-2 path phase. Both are measured from one common anchor,
+  which cancels in the difference: ``case2_setting(anchor)`` shifts all
+  four angles by it and leaves the functional's value unchanged.
 
 The four-term functional uses the sign pattern + + - + (the minus sits on
 the (primed, unprimed) cross term):
@@ -61,17 +63,8 @@ def s_value(theta: float, theta_p: float, phi: float, phi_p: float) -> float:
     )
 
 
-def s_prime_value(
-    theta1: float,
-    theta1_p: float,
-    phi2: float,
-    phi2_p: float,
-    alpha: float = 0.0,
-    beta: float = 0.0,
-) -> float:
-    """Case-2 four-term functional; the two anchors must coincide."""
-    if alpha - beta != 0.0:
-        raise ValueError(f"anchors must satisfy alpha - beta = 0, got {alpha - beta}")
+def s_prime_value(theta1: float, theta1_p: float, phi2: float, phi2_p: float) -> float:
+    """Case-2 four-term functional with the + + - + sign pattern."""
     return (
         c_tilde(theta1, phi2)
         + c_tilde(theta1, phi2_p)
@@ -87,12 +80,6 @@ class ScanResult:
     max_abs: float
     angles: tuple[float, float, float, float]
     value: float
-
-
-def _functional(case: int):
-    if case == 1:
-        return s_value
-    return lambda t, tp, p, pp: s_prime_value(t, tp, p, pp)
 
 
 def scan_max(case: int, resolution: int) -> ScanResult:
@@ -135,7 +122,7 @@ def scan_max(case: int, resolution: int) -> ScanResult:
             best_value = value
             best_angles = (grid[i_t], grid[i_tp], grid[i_p], grid[i_pp])
 
-    func = _functional(case)
+    func = s_value if case == 1 else s_prime_value
     orient = 1.0 if best_value >= 0.0 else -1.0
     result = minimize(
         lambda v: -orient * func(*v),

@@ -5,15 +5,16 @@ and the time-domain intensity autocorrelation.
 expands its polarization content in the diagonal (+/-) basis, using the
 convention that the expansion coefficients are those of the unit-norm
 polarization part scaled by sqrt(2); the squared ++ coefficient is then the
-detection law (1 - cos delta)/2. ``project_aa`` and ``p45_intensity`` read
-one output state or an ``(N, 16)`` stack of them; ``detect`` and
-``autocorrelation_demo`` are single-setting reports.
+detection law (1 - cos delta)/2, which ``p45_intensity`` returns. Both read
+one output state or an ``(N, 16)`` stack of them; ``detect`` (the four port
+probabilities) and ``autocorrelation_demo`` are single-setting reports.
 
 ``autocorrelation_demo`` reinstates the time dependence dropped by the
 bench: the two sources are distinct frequencies, so every first-order
 interference term oscillates at the beat (or twice the beat) and averages
 out of the windowed integral of the squared total intensity, leaving the
-stationary combination I1^2 + I2^2 + 4 I1 I2.
+stationary combination I1^2 + I2^2 + 4 I1 I2, with I_k = |A_k u_k|^2 and
+u_k from ``detector_amplitudes``.
 """
 
 from __future__ import annotations
@@ -45,29 +46,18 @@ MAX_SAMPLES = 2_000_000
 class AaProjection:
     """Both-beams-on-port-a component of an output state.
 
-    ``pol`` holds the four polarization amplitudes (VV, VH, HV, HH) of the
-    branch, ``pol_unit`` the same normalized to unit norm, and ``expansion``
-    the (++, +-, -+, --) coefficients of sqrt(2) * pol_unit. ``delta`` is
-    the relative phase read back from the two occupied components.
-    ``project_aa`` of a stacked state gives every field a leading axis, one
-    entry per state.
+    ``pol_unit`` holds the four polarization amplitudes (VV, VH, HV, HH) of
+    the branch normalized to unit norm, and ``expansion`` the (++, +-, -+,
+    --) coefficients of sqrt(2) * pol_unit. ``delta`` is the relative phase
+    read back from the two occupied components, and ``branch_fraction`` the
+    branch's share of the state's norm. ``project_aa`` of a stacked state
+    gives every field a leading axis, one entry per state.
     """
 
-    branch_vector: Array
-    pol: Array
     pol_unit: Array
     expansion: Array
     delta: float | Array
     branch_fraction: float | Array
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Port statistics of an output state plus the 45-degree detection law."""
-
-    branch_probabilities: tuple[float, float, float, float]  # aa, ab, ba, bb
-    p45_joint_intensity: float
-    delta: float
 
 
 def _require_output_stage(state: BenchState) -> None:
@@ -82,43 +72,27 @@ def project_aa(state: BenchState) -> AaProjection:
 
     A stacked ``(N, 16)`` state gives every field a leading axis of length N.
     """
-    pol_block, branch_norm_sq, pol_unit, expansion = _aa_block(state)
-    # a nonempty aa branch makes the state nonzero
-    total = norms_squared(state.vector.reshape(-1, DIM))
-    lead = state.vector.shape[:-1]
-    branch = np.zeros((len(pol_block),) + STATE_SHAPE, dtype=complex)
-    branch[:, 0, :, 0, :] = pol_block
-    pol = pol_block.reshape(-1, 4)  # VV, VH, HV, HH
-    c_vv, c_hh = pol[:, 0], pol[:, 3]
-    ratio = np.divide(-c_hh, c_vv, out=np.full_like(c_vv, np.nan), where=np.abs(c_vv) > 0.0)
-
-    return AaProjection(
-        branch_vector=branch.reshape(lead + (DIM,)),
-        pol=pol.reshape(lead + (4,)),
-        pol_unit=pol_unit.reshape(lead + (4,)),
-        expansion=expansion.reshape(lead + (4,)),
-        delta=_float_or_array(np.angle(ratio).reshape(lead)),
-        branch_fraction=_float_or_array((branch_norm_sq / total).reshape(lead)),
-    )
-
-
-def _aa_block(state: BenchState) -> tuple[Array, Array, Array, Array]:
-    """aa polarization blocks (rows pol1, cols pol2), their norms, the unit
-    blocks and their diagonal-basis expansions, for a post-bs-prime state
-    taken as an ``(N, 16)`` stack."""
     _require_output_stage(state)
+    lead = state.vector.shape[:-1]
+    # rows pol1, cols pol2, one block per state
     pol_block = state.vector.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
     branch_norm_sq = np.sum(np.abs(pol_block) ** 2, axis=(1, 2))
     if np.any(branch_norm_sq == 0.0):
         raise ValueError("the aa branch of this state is empty")
     pol_unit = pol_block / np.sqrt(branch_norm_sq)[:, None, None]
-    return pol_block, branch_norm_sq, pol_unit, _diagonal_expansion(pol_unit)
-
-
-def _diagonal_expansion(pol_unit: Array) -> Array:
-    """(++, +-; -+, --) coefficients of sqrt(2) * pol_unit, for (..., 2, 2) blocks."""
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
-    return _SQRT2 * (hadamard @ pol_unit @ hadamard.T)
+    expansion = _SQRT2 * (hadamard @ pol_unit @ hadamard.T)
+    # a nonempty aa branch makes the state nonzero
+    total = norms_squared(state.vector.reshape(-1, DIM))
+    c_vv, c_hh = pol_block[:, 0, 0], pol_block[:, 1, 1]
+    ratio = np.divide(-c_hh, c_vv, out=np.full_like(c_vv, np.nan), where=np.abs(c_vv) > 0.0)
+
+    return AaProjection(
+        pol_unit=pol_unit.reshape(lead + (4,)),
+        expansion=expansion.reshape(lead + (4,)),
+        delta=_float_or_array(np.angle(ratio).reshape(lead)),
+        branch_fraction=_float_or_array((branch_norm_sq / total).reshape(lead)),
+    )
 
 
 def p45_intensity(state: BenchState) -> float | Array:
@@ -127,23 +101,20 @@ def p45_intensity(state: BenchState) -> float | Array:
     Squared ++ expansion coefficient; equals (1 - cos delta)/2 for bench
     output states. A stacked state gives one value per state.
     """
-    p45 = np.abs(_aa_block(state)[3][:, 0, 0]) ** 2
-    return _float_or_array(p45.reshape(state.vector.shape[:-1]))
+    return _float_or_array(np.abs(project_aa(state).expansion[..., 0]) ** 2)
 
 
-def detect(state: BenchState) -> DetectionResult:
-    """Port probabilities plus the 45-degree joint intensity of one state."""
+def detect(state: BenchState) -> tuple[float, float, float, float]:
+    """Port probabilities (aa, ab, ba, bb) of one output state."""
     _require_output_stage(state)
     if state.vector.ndim != 1:
         raise ValueError("detect takes a single state, not a stack")
     grid = state.vector.reshape(2, 2, 2, 2)
     total = state.norm_squared
-    probs = tuple(
+    return tuple(
         float(np.sum(np.abs(grid[p1, :, p2, :]) ** 2)) / total
         for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1))
     )
-    aa = project_aa(state)
-    return DetectionResult(probs, float(abs(aa.expansion[0]) ** 2), aa.delta)
 
 
 def detector_amplitudes(ps: PhaseSetting) -> tuple[complex, complex]:
@@ -180,18 +151,13 @@ class AutocorrelationReport:
     beat_mean_square (the last two are both 2 I1 I2 window: the product
     cross term and the time average of the squared beat note).
     ``cross_measured`` = total - self terms, the part carrying the
-    cos(delta) dependence through I1 I2 = |A1 u1|^2 |A2 u2|^2.
-    ``residual`` is the leftover oscillatory fraction of the total; it
-    decays as 1/(window |omega1 - omega2|).
+    cos(delta) dependence through I1 I2 = |A1 u1|^2 |A2 u2|^2, with u1 and
+    u2 from ``detector_amplitudes``. ``residual`` is the leftover
+    oscillatory fraction of the total; it decays as
+    1/(window |omega1 - omega2|). ``samples`` is the length of the time grid.
     """
 
-    window: float
     samples: int
-    delta: float
-    u1: complex
-    u2: complex
-    intensity1: float
-    intensity2: float
     total: float
     self_term_1: float
     self_term_2: float
@@ -253,13 +219,7 @@ def autocorrelation_demo(
     residual = abs(leftover) / total if total > 0.0 else 0.0
 
     return AutocorrelationReport(
-        window=window,
         samples=n,
-        delta=ps.delta,
-        u1=u1,
-        u2=u2,
-        intensity1=i1,
-        intensity2=i2,
         total=total,
         self_term_1=self1,
         self_term_2=self2,

@@ -31,8 +31,8 @@ from .detector import DEFAULT_OMEGA_1, DEFAULT_OMEGA_2
 from .tensor import Array
 
 SWEEP_VARIABLES = ("theta1", "theta2", "phi1", "phi2", "delta")
-# a sweep peaks at ~1.2 KiB of resident memory per point (+113 MiB at the
-# cap over a ~78 MiB interpreter, about half of it the CSV row strings), so
+# a sweep peaks at ~1.0 KiB of resident memory per point (+100 MiB at the
+# cap over a ~78 MiB interpreter, nearly all of it state stacks), so
 # longer sweeps are refused before anything is allocated
 MAX_SWEEP_POINTS = 100_000
 

@@ -73,16 +73,6 @@ def dagger(m: Array) -> Array:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
-def is_unitary(m: Array, tol: float = 1e-12) -> bool:
-    """True when m†m = 1 entrywise within tol, for a matrix or every matrix
-    of a stack. Non-square never qualifies."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        return False
-    resid = dagger(m) @ m - np.eye(m.shape[-1])
-    return bool(np.max(np.abs(resid)) <= tol)
-
-
 def basis_index(path1: int, pol1: int, path2: int, pol2: int) -> int:
     for v in (path1, pol1, path2, pol2):
         if v not in (0, 1):

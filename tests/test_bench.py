@@ -88,6 +88,22 @@ def test_phase_setting_delta():
         PhaseSetting(0.0, np.zeros((2, 2)), 0.0, 0.0)
 
 
+def test_phase_setting_equality_and_hash_cover_sweeps():
+    sweep = PhaseSetting(np.array([0.1, 0.2]), 0.0, [0.3, 0.4], 0.0)
+    same = PhaseSetting([0.1, 0.2], -0.0, np.array([0.3, 0.4]), 0)
+    assert sweep == same and hash(sweep) == hash(same)
+    assert len({sweep, same}) == 1
+    assert sweep != PhaseSetting(np.array([0.1, 0.25]), 0.0, [0.3, 0.4], 0.0)
+    assert sweep != PhaseSetting(np.array([0.1]), 0.0, [0.3], 0.0)
+    # a float never equals a 1-entry array, whatever its value
+    assert PhaseSetting(0.5, 0.0, 0.0, 0.0) != PhaseSetting([0.5], 0.0, 0.0, 0.0)
+    # single settings compare and hash as plain numbers do
+    assert PhaseSetting(0, 0, 0, 0) == PhaseSetting(0.0, -0.0, 0.0, 0.0)
+    assert hash(PhaseSetting(0, 0, 0, 0)) == hash(PhaseSetting(0.0, -0.0, 0.0, 0.0))
+    assert PhaseSetting(0.1, 0.2, 0.3, 0.4) != PhaseSetting(0.1, 0.2, 0.3, 0.5)
+    assert PhaseSetting(0.1, 0.2, 0.3, 0.4) != (0.1, 0.2, 0.3, 0.4)
+
+
 def test_reports_refuse_a_sweep():
     # a 16-entry sweep would otherwise pair entry k with shift term k
     sweep = PhaseSetting(np.linspace(0.0, 3.0, 16), 0.0, 0.0, 0.0)

@@ -55,11 +55,6 @@ def test_s_prime_value_matches_case2_setting():
         assert abs(s_prime_value(t, tp, p, pp) - MAX_VIOLATION) < 1e-12
 
 
-def test_s_prime_anchor_offset_rejected():
-    with pytest.raises(ValueError):
-        s_prime_value(0.0, np.pi / 2.0, -np.pi / 4.0, np.pi / 4.0, 0.1, 0.0)
-
-
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_reaches_maximal_violation(case):
     result = scan_max(case, resolution=64)

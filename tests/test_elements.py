@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pathpol.elements import (
     beam_splitter,
@@ -7,7 +9,7 @@ from pathpol.elements import (
     pol_phase,
     pol_swap,
 )
-from pathpol.tensor import is_unitary
+from pathpol.observables import _sigma_core
 
 SQRT2 = np.sqrt(2.0)
 
@@ -55,16 +57,29 @@ def test_phase_sign_validation():
         path_phase(0.3, 2)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_all_elements_unitary(sign):
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        x = float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi))
-        for m in (
-            beam_splitter(),
-            pol_swap(),
-            pol_phase(x, sign),
-            path_phase(x, sign),
-        ):
-            assert is_unitary(m, 1e-12)
+phases = st.floats(-2.0 * np.pi, 2.0 * np.pi)
 
+
+# both senses on every drawn phase
+@pytest.mark.parametrize("sign", [1, -1])
+@seed(20145)
+@settings(max_examples=50, deadline=None, database=None)
+@given(x=phases)
+def test_all_elements_unitary(sign, x):
+    for m in (beam_splitter(), pol_swap(), pol_phase(x, sign), path_phase(x, sign)):
+        resid = m.conj().T @ m - np.eye(2)
+        assert np.max(np.abs(resid)) <= 1e-12
+
+
+@pytest.mark.parametrize("sense", [1, -1])
+@seed(20146)
+@settings(max_examples=50, deadline=None, database=None)
+@given(x=phases)
+def test_sigma_cores_flip_and_project(sense, x):
+    # the flip squares to one; its two branches are complementary projectors
+    full, plus, minus = (_sigma_core(x, sense, b) for b in ("full", "plus", "minus"))
+    eye = np.eye(2)
+    assert np.max(np.abs(full @ full - eye)) <= 1e-12
+    assert np.max(np.abs(plus @ plus - plus)) <= 1e-12
+    assert np.max(np.abs(plus @ minus)) <= 1e-12
+    assert np.max(np.abs(plus + minus - eye)) <= 1e-12

@@ -12,7 +12,6 @@ from pathpol.tensor import (
     basis_label,
     basis_state,
     dagger,
-    is_unitary,
     norms_squared,
 )
 
@@ -106,14 +105,7 @@ def test_apply_slot_validation():
         apply_slot(I2, psi, 4)
 
 
-def test_is_unitary_accepts_and_rejects():
-    assert is_unitary(BS, 1e-12)
-    assert is_unitary(np.diag([1.0, 1j]), 1e-12)
-    assert not is_unitary(2.0 * BS, 1e-12)
-    assert not is_unitary(np.ones((2, 3)), 1e-12)
-    # a stack qualifies only when every matrix does
-    assert is_unitary(np.stack([BS, X]), 1e-12)
-    assert not is_unitary(np.stack([BS, 2.0 * BS]), 1e-12)
+def test_dagger_of_a_stack_conjugates_each_matrix():
     assert np.array_equal(dagger(np.stack([BS, 1j * X]))[1], -1j * X)
 
 
