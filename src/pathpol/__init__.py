@@ -58,11 +58,7 @@ from .elements import (
     pol_phase,
     pol_swap,
 )
-from .observables import (
-    SigmaSpec,
-    TransferCheckReport,
-    transfer_check,
-)
+from .observables import TransferCheckReport, transfer_check
 from .scenario import ConfigError, Scenario, SweepSpec, parse_scenario
 from .tensor import (
     DIM,
@@ -86,7 +82,6 @@ __all__ = [
     "PhaseSetting",
     "ScanResult",
     "Scenario",
-    "SigmaSpec",
     "SourceSpec",
     "Stage",
     "SweepSpec",

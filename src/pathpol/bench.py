@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -47,6 +48,10 @@ from .tensor import (
 
 _SQRT2 = np.sqrt(2.0)
 _BEAM_SHAPE = (2, 2)  # one beam: path, pol
+# source intensities |A|^2 in this range keep (I1 + I2)^2 finite and I1 I2 a
+# normal float, so no correlation, g2 or readout of two sources overflows,
+# underflows to an empty branch or turns NaN
+INTENSITY_RANGE = (1e-150, 1e150)
 
 
 class Stage(enum.Enum):
@@ -70,12 +75,11 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if not np.isfinite(self.amplitude):
             raise ValueError(f"source amplitude must be finite, got {self.amplitude!r}")
-        if abs(self.amplitude) == 0.0:
-            raise ValueError("source amplitude must be nonzero")
-        if not 0.0 < self.intensity < np.inf:
+        # compared as |A|, with the same sqrt a scenario takes of its intensities
+        lo, hi = INTENSITY_RANGE
+        if not sqrt(lo) <= abs(self.amplitude) <= sqrt(hi):
             raise ValueError(
-                f"source amplitude {self.amplitude!r} gives intensity {self.intensity!r}, "
-                "not a positive finite number"
+                f"source amplitude {self.amplitude!r} must have |A|^2 in [{lo:g}, {hi:g}]"
             )
         if not np.isfinite(self.omega):
             raise ValueError("source frequency must be finite")

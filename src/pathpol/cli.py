@@ -33,6 +33,16 @@ def _resolution(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # worded as argparse words it for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     text = ""
     if args.config is not None:
@@ -177,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("verify", help="run every acceptance check")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks (>= 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="correlate + transfer check + signed sum")

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bench, observables
 from .bench import PhaseSetting, SourceSpec
-from .observables import SigmaSpec
+from .observables import sigma
 from .tensor import Array, _float_or_array
 
 # ratios are reported as nan when the closed form sits this close to a zero
@@ -59,14 +59,14 @@ def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> flo
     Proportional to the closed form with constant ratio -1/4.
     """
     _, _, ssq = _intensities(s1, s2)
-    specs = (
-        SigmaSpec(1, "path", ps.phi1),
-        SigmaSpec(1, "pol", ps.theta1),
-        SigmaSpec(2, "path", ps.phi2),
-        SigmaSpec(2, "pol", ps.theta2),
+    factors = (
+        sigma(1, "path", ps.phi1),
+        sigma(1, "pol", ps.theta1),
+        sigma(2, "path", ps.phi2),
+        sigma(2, "pol", ps.theta2),
     )
     start = bench.symmetrized_input(s1, s2).tensor
-    return _float_or_array(observables.product_expectation(start, specs).real / ssq)
+    return _float_or_array(observables.product_expectation(start, factors).real / ssq)
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,8 @@ class AutocorrelationReport:
     ``cross_measured`` = total - self terms, the part carrying the
     cos(delta) dependence through I1 I2 = |A1 u1|^2 |A2 u2|^2, with u1 and
     u2 from ``detector_amplitudes``. ``residual`` is the leftover
-    oscillatory fraction of the total; it decays as
-    1/(window |omega1 - omega2|). ``samples`` is the length of the time grid.
+    oscillatory fraction of the total (NaN when the total is); it decays
+    as 1/(window |omega1 - omega2|). ``samples`` is the length of the time grid.
     """
 
     samples: int
@@ -216,7 +216,8 @@ def autocorrelation_demo(
     beat_ms = 2.0 * i1 * i2 * window
 
     leftover = total - (self1 + self2 + cross + beat_ms)
-    residual = abs(leftover) / total if total > 0.0 else 0.0
+    # a NaN total gives a NaN residual, which no tolerance accepts
+    residual = abs(leftover) / total if total != 0.0 else 0.0
 
     return AutocorrelationReport(
         samples=n,

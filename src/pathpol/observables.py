@@ -11,10 +11,12 @@ select the rank-1 eigenprojectors instead of the full observable; the
 intensity operator of one source is the product of its two plus-branch
 projectors (path and polarization).
 
-Every observable is a 2x2 core acting on its own slot of a ``(2, 2, 2, 2)``
-state; ``product_expectation`` evaluates a product of them slot by slot,
-and a spec whose phase is an array stands for one observable per entry, so
-a whole phase sweep is one call.
+An observable is a factor, a ``(core, slot)`` pair like every element: the
+2x2 core acts on its own slot of a ``(2, 2, 2, 2)`` state. ``sigma`` makes
+the factor, and ``product_expectation``, the one bracket function, applies
+a product of factors slot by slot through ``tensor.apply_factors``. A
+factor whose phase is an array stands for one observable per entry, so a
+whole phase sweep is one call.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .tensor import (
     SLOT_POL_2,
     STATE_SHAPE,
     Array,
-    apply_slot,
+    apply_factors,
     dagger,
 )
 
@@ -45,27 +47,6 @@ _SLOTS = {
     (2, "path"): SLOT_PATH_2,
     (2, "pol"): SLOT_POL_2,
 }
-
-
-@dataclass(frozen=True)
-class SigmaSpec:
-    """Which flip observable: source (1|2), dof ('path'|'pol'), phase, branch.
-
-    ``phase`` may be a 1-d array, one observable per entry.
-    """
-
-    source: int
-    dof: str
-    phase: float | Array
-    branch: str = "full"
-
-    def __post_init__(self) -> None:
-        if self.source not in (1, 2):
-            raise ValueError(f"source must be 1 or 2, got {self.source}")
-        if self.dof not in ("path", "pol"):
-            raise ValueError(f"dof must be 'path' or 'pol', got {self.dof!r}")
-        if self.branch not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
 
 
 def _sigma_core(phase: float | Array, sense: int, branch: str) -> Array:
@@ -83,36 +64,33 @@ def _sigma_core(phase: float | Array, sense: int, branch: str) -> Array:
     return core
 
 
-def _factor(spec: SigmaSpec) -> tuple[Array, int]:
-    """The 2x2 core of ``spec`` (a stack for array phases) and its slot."""
-    sense = 1 if spec.source == 1 else -1
-    return _sigma_core(spec.phase, sense, spec.branch), _SLOTS[(spec.source, spec.dof)]
+def sigma(source: int, dof: str, phase: float | Array, branch: str = "full") -> tuple[Array, int]:
+    """The flip observable of source (1|2) and dof ('path'|'pol') at ``phase``,
+    or one of its ``branch`` projectors, as a ``(core, slot)`` factor.
+
+    ``phase`` may be a 1-d array; the core is then a stack, one per entry.
+    """
+    if source not in (1, 2):
+        raise ValueError(f"source must be 1 or 2, got {source}")
+    if dof not in ("path", "pol"):
+        raise ValueError(f"dof must be 'path' or 'pol', got {dof!r}")
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    sense = 1 if source == 1 else -1
+    return _sigma_core(phase, sense, branch), _SLOTS[(source, dof)]
 
 
-def _apply(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
-    """f_0 f_1 ... |state> for ``(core, slot)`` factors, the last applied first."""
-    out = state
-    for core, slot in reversed(factors):
-        out = apply_slot(core, out, slot)
-    return out
+def product_expectation(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
+    """<state| f_0 f_1 ... |state> on a ``(2, 2, 2, 2)`` state tensor.
 
-
-def _bracket(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
-    """<state| f_0 f_1 ... |state> on a ``(2, 2, 2, 2)`` state tensor."""
+    Each ``(core, slot)`` factor acts on its own slot; no 16x16 matrix is
+    built. Factors with stacked cores give one value per entry (shape
+    ``(N,)``); single cores give a 0-d array. No normalization is applied.
+    """
     state = np.asarray(state, dtype=complex)
     if state.shape != STATE_SHAPE:
         raise ValueError(f"state must be a {STATE_SHAPE} tensor, got shape {state.shape}")
-    return np.einsum("wxyz,...wxyz->...", state.conj(), _apply(state, factors))
-
-
-def product_expectation(state: Array, specs: Sequence[SigmaSpec]) -> Array:
-    """<state| spec_0 spec_1 ... |state> on a ``(2, 2, 2, 2)`` state tensor.
-
-    Each factor acts on its own slot as a 2x2 core; no 16x16 matrix is
-    built. Specs with array phases give one value per entry (shape ``(N,)``);
-    all-scalar specs give a 0-d array. No normalization is applied.
-    """
-    return _bracket(state, [_factor(spec) for spec in specs])
+    return np.einsum("wxyz,...wxyz->...", state.conj(), apply_factors(state, factors))
 
 
 def joint_intensity(
@@ -128,13 +106,13 @@ def joint_intensity(
     polarization plus-branch projectors, so the bracket is a four-factor
     product; equal-length phase arrays give one bracket per entry.
     """
-    specs = (
-        SigmaSpec(1, "path", phi1, "plus"),
-        SigmaSpec(1, "pol", theta1, "plus"),
-        SigmaSpec(2, "path", phi2, "plus"),
-        SigmaSpec(2, "pol", theta2, "plus"),
+    factors = (
+        sigma(1, "path", phi1, "plus"),
+        sigma(1, "pol", theta1, "plus"),
+        sigma(2, "path", phi2, "plus"),
+        sigma(2, "pol", theta2, "plus"),
     )
-    return product_expectation(state, specs).real
+    return product_expectation(state, factors).real
 
 
 def path_a_projector() -> Array:
@@ -181,17 +159,13 @@ def transfer_check(
     v_sym = float(joint_intensity(psi0, ps.theta1, ps.phi1, ps.theta2, ps.phi2))
     v_pre = float(joint_intensity(pre.tensor, 0.0, 0.0, 0.0, 0.0))
     port_a = path_a_projector()
-    v_fin = float(
-        _bracket(
-            post.tensor,
-            (
-                (port_a, SLOT_PATH_1),
-                _factor(SigmaSpec(1, "pol", 0.0, "plus")),
-                (port_a, SLOT_PATH_2),
-                _factor(SigmaSpec(2, "pol", 0.0, "plus")),
-            ),
-        ).real
+    factors = (
+        (port_a, SLOT_PATH_1),
+        sigma(1, "pol", 0.0, "plus"),
+        (port_a, SLOT_PATH_2),
+        sigma(2, "pol", 0.0, "plus"),
     )
+    v_fin = float(product_expectation(post.tensor, factors).real)
 
     bs = elements.beam_splitter()
     conj = dagger(bs) @ _sigma_core(0.0, 1, "plus") @ bs - port_a

@@ -5,7 +5,7 @@ line; ``#`` starts a comment and blank lines are ignored. Later assignments
 win, and ``--set key=value`` command-line overrides use the same syntax.
 The full schema (all keys optional):
 
-    amplitudes.i1  = 1.0      # source intensities |A|^2, must be > 0
+    amplitudes.i1  = 1.0      # source intensities |A|^2, in [1e-150, 1e150]
     amplitudes.i2  = 1.0
     phases.theta1  = 0.0      # radians
     phases.theta2  = 0.0
@@ -23,10 +23,10 @@ Defaults: equal unit intensities, all phases zero, no sweep block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite, pi, sqrt
 
-from .bench import PhaseSetting, SourceSpec
+from .bench import INTENSITY_RANGE, PhaseSetting, SourceSpec
 from .detector import DEFAULT_OMEGA_1, DEFAULT_OMEGA_2
 from .tensor import Array
 
@@ -114,9 +114,12 @@ def parse_assignment(text: str) -> tuple[str, str]:
 def _build(table: dict[str, str]) -> Scenario:
     i1 = _parse_float("amplitudes.i1", table.get("amplitudes.i1", "1.0"))
     i2 = _parse_float("amplitudes.i2", table.get("amplitudes.i2", "1.0"))
+    lo, hi = INTENSITY_RANGE
     for key, value in (("amplitudes.i1", i1), ("amplitudes.i2", i2)):
         if value <= 0.0:
             raise ConfigError(f"{key} must be > 0, got {value:g}")
+        if not lo <= value <= hi:
+            raise ConfigError(f"{key} must be in [{lo:g}, {hi:g}], got {value:g}")
 
     phases = PhaseSetting(
         theta1=_parse_float("phases.theta1", table.get("phases.theta1", "0.0")),
@@ -183,19 +186,7 @@ def phase_setting_for(variable: str, value: float | Array, base: PhaseSetting) -
     of values gives the sweep, one setting per entry.
     """
     if variable == "delta":
-        return PhaseSetting(
-            theta1=value + base.theta2 + base.phi2 - base.phi1,
-            theta2=base.theta2,
-            phi1=base.phi1,
-            phi2=base.phi2,
-        )
+        return replace(base, theta1=value + base.theta2 + base.phi2 - base.phi1)
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}")
-    fields = {
-        "theta1": base.theta1,
-        "theta2": base.theta2,
-        "phi1": base.phi1,
-        "phi2": base.phi2,
-    }
-    fields[variable] = value
-    return PhaseSetting(**fields)
+    return replace(base, **{variable: value})

@@ -12,12 +12,15 @@ with the flat index
 i.e. the first factor is the most significant bit. A state is held as a
 ``(..., 2, 2, 2, 2)`` tensor whose last four axes are the slots in this
 order (``vector.reshape(2, 2, 2, 2)``), and ``apply_slot`` acts with a 2x2
-operator, or a stack of them, on one slot. No 16x16 operator matrix is
-built: where a check needs one, it applies the slot-local map to the 16
+operator, or a stack of them, on one slot. A ``(core, slot)`` pair is a
+factor, and ``apply_factors`` applies a product of them. No 16x16 operator
+matrix is built: where a check needs one, it applies the factors to the 16
 basis tensors.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +58,13 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
     src = "wxyz"[:slot] + "j" + "wxyz"[slot + 1 :]
     dst = "wxyz"[:slot] + "i" + "wxyz"[slot + 1 :]
     return np.einsum(f"...ij,...{src}->...{dst}", op, state)
+
+
+def apply_factors(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
+    """f_0 f_1 ... |state> for ``(core, slot)`` factors, the last applied first."""
+    for core, slot in reversed(factors):
+        state = apply_slot(core, state, slot)
+    return state
 
 
 def norms_squared(vectors: Array) -> Array:

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import bench, contextuality, correlations, detector, elements, observables
 from .bench import BenchState, PhaseSetting, SourceSpec, Stage
-from .observables import BRANCHES, SigmaSpec
+from .observables import BRANCHES, sigma
 from .scenario import phase_setting_for
-from .tensor import DIM, STATE_SHAPE, basis_state, dagger, norms_squared
+from .tensor import DIM, STATE_SHAPE, apply_factors, basis_state, dagger, norms_squared
 
 PASS = "pass"
 FAIL = "fail"
@@ -252,11 +252,11 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     return VerifyCheck("pipeline-golden-states", status, worst, 0.0, _TOL)
 
 
-def _spec_matrices(*specs: SigmaSpec) -> np.ndarray:
-    """``(N, 16, 16)`` matrices of spec_0 spec_1 ..., each factor applied as
-    the operator route applies it (its 2x2 core on its own slot) to the 16
+def _matrices(*factors: tuple[np.ndarray, int]) -> np.ndarray:
+    """``(N, 16, 16)`` matrices of f_0 f_1 ..., each factor applied as the
+    operator route applies it (its 2x2 core on its own slot) to the 16
     basis tensors; column k is the image of basis tensor k."""
-    images = observables._apply(_BASIS, [observables._factor(spec) for spec in specs])
+    images = apply_factors(_BASIS, factors)
     return np.moveaxis(images.reshape(DIM, images.shape[1], DIM), 0, -1)
 
 
@@ -291,28 +291,30 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
     diagonal = bench.phase_stage(np.ones(STATE_SHAPE), ps)
     worst_unitary = max(worst_unitary, _max_abs(diagonal.conj() * diagonal - 1.0))
 
-    # the 2x2 cores every observable applies, each with its source's sense
-    sense = np.where(sources == 1, 1, -1)
-    full, plus, minus = (observables._sigma_core(x, sense, b) for b in BRANCHES)
+    # the 2x2 cores every observable applies, each source with its own sense
     eye = np.eye(2)
-    worst_proj = max(
-        _max_abs(full @ full - eye),
-        _max_abs(plus @ plus - plus),
-        _max_abs(plus @ minus),
-        _max_abs(plus + minus - eye),
-    )
+    worst_proj = 0.0
+    for source in (1, 2):
+        full, plus, minus = (sigma(source, "pol", x[sources == source], b)[0] for b in BRANCHES)
+        worst_proj = max(
+            worst_proj,
+            _max_abs(full @ full - eye),
+            _max_abs(plus @ plus - plus),
+            _max_abs(plus @ minus),
+            _max_abs(plus + minus - eye),
+        )
     # products of factors on several slots need the 16-dim action: each
     # source's intensity projector, then cross-source commutation
-    i1 = _spec_matrices(SigmaSpec(1, "path", phi1, "plus"), SigmaSpec(1, "pol", theta1, "plus"))
-    i2 = _spec_matrices(SigmaSpec(2, "path", phi2, "plus"), SigmaSpec(2, "pol", theta2, "plus"))
+    i1 = _matrices(sigma(1, "path", phi1, "plus"), sigma(1, "pol", theta1, "plus"))
+    i2 = _matrices(sigma(2, "path", phi2, "plus"), sigma(2, "pol", theta2, "plus"))
     worst_proj = max(worst_proj, _max_abs(i1 @ i1 - i1), _max_abs(i2 @ i2 - i2))
 
     worst_comm = _max_abs(i1 @ i2 - i2 @ i1)
     other = {"path": "pol", "pol": "path"}
     for dof, branch in product(other, BRANCHES):
         rows = (dofs == dof) & (branches == branch)
-        a = _spec_matrices(SigmaSpec(1, dof, x[rows], branch))
-        b = _spec_matrices(SigmaSpec(2, other[dof], -1.3 * x[rows]))
+        a = _matrices(sigma(1, dof, x[rows], branch))
+        b = _matrices(sigma(2, other[dof], -1.3 * x[rows]))
         worst_comm = max(worst_comm, _max_abs(a @ b - b @ a))
 
     a1, a2, target = _amplitudes(beams)

@@ -63,11 +63,12 @@ def test_source_spec_validation():
 
 @pytest.mark.parametrize(
     "amplitude",
-    [float("nan"), float("inf"), complex(float("nan"), 0.0), 1e-200],
-    ids=["nan", "inf", "complex-nan", "intensity-underflow"],
+    [float("nan"), float("inf"), complex(float("nan"), 0.0), 1e-200, 1e-76, 1e76, 1e200],
+    ids=["nan", "inf", "complex-nan", "intensity-underflow", "below-range", "above-range",
+         "intensity-overflow"],
 )
 def test_source_spec_rejects_bad_amplitude(amplitude):
-    # non-finite amplitudes and an intensity that underflows to 0 never get in
+    # non-finite amplitudes and intensities outside INTENSITY_RANGE never get in
     with pytest.raises(ValueError, match="amplitude"):
         SourceSpec(amplitude, 1.0)
 

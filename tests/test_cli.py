@@ -227,6 +227,41 @@ def test_verify_catches_tampered_splitter(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--seed", "-1"])
+    assert info.value.code == 2
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, intensity",
+    [("correlate", "1e154"), ("sweep", "1e154"), ("report", "1e154"),
+     ("correlate", "1e-170"), ("sweep", "1e-200"), ("report", "1e-200")],
+)
+def test_intensity_out_of_range_is_config_error(capsys, command, intensity):
+    # these crashed with OverflowError, printed NaN or found an empty aa branch
+    code, out, err = run_cli(
+        capsys, command, "--set", "sweep.variable=delta",
+        "--set", f"amplitudes.i1={intensity}", "--set", f"amplitudes.i2={intensity}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "amplitudes.i1 must be in [1e-150, 1e+150]" in err
+
+
+def test_verify_fails_a_nan_autocorrelation_row(capsys, monkeypatch):
+    # a NaN detector amplitude makes every integral NaN: that row fails, nothing raises
+    from pathpol import detector
+
+    monkeypatch.setattr(detector, "detector_amplitudes", lambda ps: (complex("nan"), 0.5))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    rows = [line.split()[:2] for line in out.splitlines() if " measured " in line]
+    assert len(rows) == 10
+    assert [name for name, status in rows if status == "fail"] == ["autocorrelation-averaging"]
+
+
 def test_config_file_loading(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("phases.theta1 = 3.141592653589793\n", encoding="utf-8")

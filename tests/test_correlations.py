@@ -3,9 +3,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.correlations import (
+    COSINE_GUARD,
     correlation_closed_form,
     correlation_numeric,
     correlation_report,
@@ -202,3 +205,41 @@ def test_fit_sinusoid_recovers_coefficients():
     coeffs, resid = fit_sinusoid(x, y)
     assert np.max(np.abs(coeffs - [2.0, 0.5, -1.5])) < 1e-12
     assert resid < 1e-12
+
+
+def test_fit_sinusoid_of_nan_data_is_nan():
+    # NaN in, NaN out without raising: a NaN series fails the autocorrelation row
+    x = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    y = np.cos(x)
+    y[3] = np.nan
+    coeffs, resid = fit_sinusoid(x, y)
+    assert np.all(np.isnan(coeffs))
+    assert np.isnan(resid)
+
+
+angles = st.floats(-2.0 * np.pi, 2.0 * np.pi)
+complex_amplitudes = st.builds(lambda m, a: m * np.exp(1j * a), st.floats(0.2, 4.0), angles)
+sweeps = st.lists(st.tuples(angles, angles, angles, angles), min_size=1, max_size=8).map(
+    lambda rows: PhaseSetting(*(np.array(column) for column in zip(*rows)))
+)
+
+
+@seed(20147)
+@settings(max_examples=25, deadline=None, database=None)
+@given(a1=complex_amplitudes, a2=complex_amplitudes, ps=sweeps)
+def test_sigma_route_is_minus_quarter_of_closed_form(a1, a2, ps):
+    # the logged -1/4, for any complex amplitudes, wherever the ratio is defined
+    s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
+    guarded = np.abs(np.cos(ps.delta)) >= COSINE_GUARD
+    numeric = correlation_numeric(ps, s1, s2)[guarded]
+    assert np.all(np.abs(numeric / correlation_closed_form(ps, s1, s2)[guarded] + 0.25) <= 1e-10)
+
+
+@seed(20148)
+@settings(max_examples=25, deadline=None, database=None)
+@given(a1=complex_amplitudes, a2=complex_amplitudes, ps=sweeps)
+def test_signed_sum_is_minus_eight_times_closed_form(a1, a2, ps):
+    report = sum_identity(ps, SourceSpec(a1, 1.0), SourceSpec(a2, 1.3))
+    guarded = np.abs(np.cos(ps.delta)) >= COSINE_GUARD
+    assert np.all(np.abs(report.ratio[guarded] + 8.0) <= 1e-10)
+    assert np.all(np.isnan(report.ratio[~guarded]))

@@ -189,6 +189,16 @@ def test_autocorrelation_decomposition_is_consistent():
     ) < 1e-12
 
 
+def test_autocorrelation_nan_total_gives_nan_residual(monkeypatch):
+    # a NaN series must not read as a perfect average (residual 0)
+    from pathpol import detector
+
+    monkeypatch.setattr(detector, "detector_amplitudes", lambda ps: (complex("nan"), 0.5))
+    report = autocorrelation_demo(S1, S2, PhaseSetting(0.8, 0.0, 0.0, 0.0), 4000.0, 20_000)
+    assert np.isnan(report.total)
+    assert np.isnan(report.residual)
+
+
 def test_autocorrelation_residual_shrinks_with_window():
     ps = PhaseSetting(1.1, 0.0, 0.0, 0.0)
     small = autocorrelation_demo(S1, S2, ps, 1000.0, 10_000)

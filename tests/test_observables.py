@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pathpol.bench import PhaseSetting, SourceSpec, apply_bs_prime, evolve_prestate, symmetrized_input
-from pathpol import observables
-from pathpol.observables import (
-    SigmaSpec,
-    path_a_projector,
-    product_expectation,
-    transfer_check,
-)
-from pathpol.tensor import basis_state
+from pathpol.observables import path_a_projector, product_expectation, sigma, transfer_check
+from pathpol.tensor import apply_factors, basis_state
 
 S1 = SourceSpec(1.0, 1.0)
 S2 = SourceSpec(1.0, 1.3)
@@ -19,33 +15,32 @@ PLUS2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
 BASIS = np.eye(16, dtype=complex).reshape(16, 2, 2, 2, 2)
 
 
-def sigma(*specs):
-    """16x16 matrix of spec_0 spec_1 ... as the operator route applies it:
+def matrix(*factors):
+    """16x16 matrix of f_0 f_1 ... as the operator route applies it:
     each 2x2 core on its own slot, acting on the 16 basis tensors."""
-    images = observables._apply(BASIS, [observables._factor(spec) for spec in specs])
-    return images.reshape(16, 16).T
+    return apply_factors(BASIS, factors).reshape(16, 16).T
 
 
 def sigma_pol(source, theta, branch="full"):
-    return sigma(SigmaSpec(source, "pol", theta, branch))
+    return matrix(sigma(source, "pol", theta, branch))
 
 
 def sigma_path(source, phi, branch="full"):
-    return sigma(SigmaSpec(source, "path", phi, branch))
+    return matrix(sigma(source, "path", phi, branch))
 
 
-def intensity_specs(source, theta, phi):
+def intensity_factors(source, theta, phi):
     """The intensity operator of one source: its path and pol plus branches."""
-    return (SigmaSpec(source, "path", phi, "plus"), SigmaSpec(source, "pol", theta, "plus"))
+    return (sigma(source, "path", phi, "plus"), sigma(source, "pol", theta, "plus"))
 
 
 def test_sigma_spec_validation():
-    with pytest.raises(ValueError):
-        SigmaSpec(3, "pol", 0.0)
-    with pytest.raises(ValueError):
-        SigmaSpec(1, "spin", 0.0)
-    with pytest.raises(ValueError):
-        SigmaSpec(1, "pol", 0.0, "left")
+    with pytest.raises(ValueError, match="source must be 1 or 2"):
+        sigma(3, "pol", 0.0)
+    with pytest.raises(ValueError, match="dof must be"):
+        sigma(1, "spin", 0.0)
+    with pytest.raises(ValueError, match="branch must be one of"):
+        sigma(1, "pol", 0.0, "left")
 
 
 def test_sigma_zero_phase_acts_as_flip():
@@ -73,9 +68,9 @@ def test_sigma_full_is_difference_of_branches():
             dof="path" if rng.integers(0, 2) else "pol",
             phase=float(rng.uniform(-6.0, 6.0)),
         )
-        full = sigma(SigmaSpec(branch="full", **spec))
-        plus = sigma(SigmaSpec(branch="plus", **spec))
-        minus = sigma(SigmaSpec(branch="minus", **spec))
+        full = matrix(sigma(branch="full", **spec))
+        plus = matrix(sigma(branch="plus", **spec))
+        minus = matrix(sigma(branch="minus", **spec))
         assert np.max(np.abs(full - (plus - minus))) < 1e-12
         assert np.max(np.abs(full @ full - np.eye(16))) < 1e-12
 
@@ -94,8 +89,8 @@ def test_projector_algebra():
             dof="path" if rng.integers(0, 2) else "pol",
             phase=float(rng.uniform(-6.0, 6.0)),
         )
-        plus = sigma(SigmaSpec(branch="plus", **spec))
-        minus = sigma(SigmaSpec(branch="minus", **spec))
+        plus = matrix(sigma(branch="plus", **spec))
+        minus = matrix(sigma(branch="minus", **spec))
         assert np.max(np.abs(plus @ plus - plus)) < 1e-12
         assert np.max(np.abs(minus @ minus - minus)) < 1e-12
         assert np.max(np.abs(plus @ minus)) < 1e-12
@@ -105,16 +100,16 @@ def test_projector_algebra():
 def test_source_operators_commute():
     rng = np.random.default_rng(37)
     for _ in range(100):
-        a = sigma(
-            SigmaSpec(
+        a = matrix(
+            sigma(
                 1,
                 "path" if rng.integers(0, 2) else "pol",
                 float(rng.uniform(-6.0, 6.0)),
                 ("full", "plus", "minus")[int(rng.integers(0, 3))],
             )
         )
-        b = sigma(
-            SigmaSpec(
+        b = matrix(
+            sigma(
                 2,
                 "path" if rng.integers(0, 2) else "pol",
                 float(rng.uniform(-6.0, 6.0)),
@@ -126,7 +121,7 @@ def test_source_operators_commute():
 
 def test_intensity_operator_zero_phase_pattern():
     # acting on |aVaV>: source-1 factors become the diagonal pattern, source 2 untouched
-    op = sigma(*intensity_specs(1, 0.0, 0.0))
+    op = matrix(*intensity_factors(1, 0.0, 0.0))
     out = op @ basis_state(0, 0, 0, 0)
     expected = 0.25 * np.kron(
         np.kron(np.kron([1.0, 1.0], [1.0, 1.0]), [1.0, 0.0]), [1.0, 0.0]
@@ -136,7 +131,7 @@ def test_intensity_operator_zero_phase_pattern():
 
 def test_intensity_operator_is_projector_of_rank_four():
     # rank one on each slot it touches, identity on the other source's slots
-    op = sigma(*intensity_specs(2, 0.7, -1.1))
+    op = matrix(*intensity_factors(2, 0.7, -1.1))
     assert np.max(np.abs(op @ op - op)) < 1e-12
     assert np.max(np.abs(op - op.conj().T)) < 1e-12
     assert abs(np.trace(op).real - 4.0) < 1e-12
@@ -156,8 +151,8 @@ def test_intensity_bracket_on_symmetrized_input():
     state = symmetrized_input(S1, S2).tensor
     for d in (0.0, 0.31, np.pi / 2.0, np.pi, 4.4):
         ps = PhaseSetting(d, 0.0, 0.0, 0.0)
-        specs = intensity_specs(1, ps.theta1, ps.phi1) + intensity_specs(2, ps.theta2, ps.phi2)
-        val = product_expectation(state, specs).real
+        factors = intensity_factors(1, ps.theta1, ps.phi1)
+        val = product_expectation(state, factors + intensity_factors(2, ps.theta2, ps.phi2)).real
         assert abs(val - (1.0 - np.cos(d)) / 16.0) < 1e-12
 
 
@@ -171,6 +166,26 @@ def test_transfer_check_brackets_agree():
         assert report.max_difference < 1e-12
         assert report.conjugation_residual < 1e-12
         assert abs(report.value_symmetrized - (1.0 - np.cos(ps.delta)) / 16.0) < 1e-12
+
+
+angles = st.floats(-2.0 * np.pi, 2.0 * np.pi)
+complex_amplitudes = st.builds(lambda m, a: m * np.exp(1j * a), st.floats(0.2, 4.0), angles)
+
+
+@seed(20149)
+@settings(max_examples=25, deadline=None, database=None)
+@given(a1=complex_amplitudes, a2=complex_amplitudes, phases=st.tuples(*[angles] * 4))
+def test_transfer_bracket_is_unnormalized(a1, a2, phases):
+    # the logged scale: the bracket is (I1+I2)^2/32 times the normalized term
+    s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
+    ps = PhaseSetting(*phases)
+    pre = evolve_prestate(s1, s2, ps)
+    report = transfer_check(pre, apply_bs_prime(pre), ps)
+    i1, i2 = s1.intensity, s2.intensity
+    normalized = 2.0 * i1 * i2 * (1.0 - np.cos(ps.delta)) / (i1 + i2) ** 2
+    assert abs(report.value_symmetrized - i1 * i2 * (1.0 - np.cos(ps.delta)) / 16.0) <= 1e-12
+    assert abs(report.value_symmetrized * 32.0 / (i1 + i2) ** 2 - normalized) <= 1e-12
+    assert report.max_difference <= 1e-12
 
 
 def test_transfer_check_stage_validation():

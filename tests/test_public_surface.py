@@ -7,6 +7,9 @@ own definition. A field of a dataclass in ``pathpol.__all__`` counts as read
 when one of those files, or a ``perfbench/*.py`` file (the benchmark's
 tracer reads report fields), reads it as an Attribute node. Import lists,
 ``__all__`` strings, docstrings and tests do not count.
+
+``pathpol verify`` checks the package the way a caller uses it, so
+``verify.py`` reads no name private to another pathpol module.
 """
 
 import ast
@@ -51,6 +54,35 @@ def _names_read_in(paths: list[Path], kinds: tuple[type, ...] = _READS) -> set[s
     return used
 
 
+def private_reads(tree: ast.AST) -> set[str]:
+    """``module._name`` reads and ``from .module import _name`` imports of a
+    name private to a pathpol module (dunders excluded)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    bound, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a for a in node.names if a.name.startswith("pathpol")]
+            bound |= {a.asname or a.name.split(".")[0] for a in names}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pathpol")):
+            bound |= {a.asname or a.name for a in node.names}
+            found |= {f"{node.module}.{a.name}" for a in node.names if private(a.name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.add(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_verify_reads_nothing_private_of_another_module():
+    path = ROOT / "src" / "pathpol" / "verify.py"
+    assert private_reads(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
 def test_every_public_name_has_a_caller():
     assert sorted(set(pathpol.__all__) - _names_read_in(FILES)) == []
 
@@ -79,3 +111,16 @@ def test_guard_ignores_definitions_imports_and_docstrings():
     )
     assert names_read(tree) == {"print", "used_d", "mod", "used_e"}
     assert names_read(tree, kinds=(ast.Attribute,)) == {"used_e"}
+
+
+def test_private_read_guard_sees_attributes_and_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import pathpol.tensor as pt\n"
+        "from . import bench\n"
+        "from .observables import _core, sigma\n"
+        "from pathpol.bench import _beam\n"
+        "bench._x, pt.m._y, sigma.__name__, other._w\n"
+    )
+    want = {"observables._core", "pathpol.bench._beam", "bench._x", "pt.m._y"}
+    assert private_reads(tree) == want

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from pathpol.bench import PhaseSetting
+from pathpol.bench import INTENSITY_RANGE, PhaseSetting
 from pathpol.scenario import (
     MAX_SWEEP_POINTS,
+    SWEEP_VARIABLES,
     ConfigError,
     Scenario,
     parse_assignment,
@@ -85,6 +88,15 @@ def test_intensity_bounds():
         parse_scenario("amplitudes.i1 = 0\n")
     with pytest.raises(ConfigError, match="amplitudes.i2 must be > 0"):
         parse_scenario("amplitudes.i2 = -3\n")
+    with pytest.raises(ConfigError, match=r"amplitudes.i1 must be in \[1e-150, 1e\+150\]"):
+        parse_scenario("amplitudes.i1 = 1e-151\n")
+    with pytest.raises(ConfigError, match=r"amplitudes.i2 must be in \[1e-150, 1e\+150\]"):
+        parse_scenario("amplitudes.i2 = 2e150\n")
+    # the bounds themselves are in range, and so are the sources they give
+    for bound in INTENSITY_RANGE:
+        sc = parse_scenario(f"amplitudes.i1 = {bound!r}\namplitudes.i2 = {bound!r}\n")
+        assert sc.amplitudes == (bound, bound)
+        sc.sources()
 
 
 def test_seed_key_is_refused():
@@ -153,3 +165,74 @@ def test_scenario_is_frozen():
     sc = Scenario()
     with pytest.raises(AttributeError):
         sc.output = "runs.csv"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+VALUES = {
+    "amplitudes.i1": st.floats(*INTENSITY_RANGE).map(repr),
+    "amplitudes.i2": st.floats(*INTENSITY_RANGE).map(repr),
+    "phases.theta1": finite,
+    "phases.theta2": finite,
+    "phases.phi1": finite,
+    "phases.phi2": finite,
+    "sweep.variable": st.sampled_from(SWEEP_VARIABLES),
+    "sweep.start": finite,
+    "sweep.stop": finite,
+    "sweep.points": st.integers(2, MAX_SWEEP_POINTS).map(str),
+    "output": st.sampled_from(["-", "out.csv", "runs/sweep_1.csv"]),
+}
+assignments = st.lists(
+    st.sampled_from(sorted(VALUES)).flatmap(lambda key: st.tuples(st.just(key), VALUES[key])),
+    max_size=12,
+)
+
+
+@seed(20150)
+@settings(max_examples=60, deadline=None, database=None)
+@given(first=assignments, later=assignments)
+def test_file_and_overrides_round_trip(first, later):
+    # a sweep key needs sweep.variable, so every drawn table carries one first
+    items = [("sweep.variable", "delta")] + first + later
+    text = "".join(f"{key} = {raw}\n" for key, raw in items)
+    sets = tuple(f"{key}={raw}" for key, raw in items)
+    from_file = parse_scenario(text)
+    assert parse_scenario("", sets) == from_file
+    # overrides come after the file, and the later assignment wins either way
+    head = len(items) - len(later)
+    assert parse_scenario(text, sets[head:]) == from_file
+    assert parse_scenario("".join(text.splitlines(True)[:head]), sets[head:]) == from_file
+    last = dict(items)
+    phases = (float(last.get(f"phases.{n}", "0.0")) for n in ("theta1", "theta2", "phi1", "phi2"))
+    assert from_file.phases == PhaseSetting(*phases)
+    assert from_file.amplitudes == tuple(float(last.get(f"amplitudes.i{k}", "1.0")) for k in (1, 2))
+    assert from_file.sweep.variable == last["sweep.variable"]
+
+
+BAD_VALUES = {
+    key: st.sampled_from(["nan", "inf", "-inf", "1e400"])
+    for key in VALUES
+    if key.startswith(("amplitudes.", "phases.", "sweep.st"))
+}
+for key in ("amplitudes.i1", "amplitudes.i2"):
+    BAD_VALUES[key] = BAD_VALUES[key] | st.one_of(
+        st.floats(max_value=INTENSITY_RANGE[0], exclude_max=True, allow_nan=False),
+        st.floats(min_value=INTENSITY_RANGE[1], exclude_min=True, allow_nan=False),
+    ).map(repr)
+BAD_VALUES["sweep.points"] = st.one_of(
+    st.integers(max_value=1), st.integers(min_value=MAX_SWEEP_POINTS + 1)
+).map(str)
+
+
+@seed(20151)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    bad=st.sampled_from(sorted(BAD_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), BAD_VALUES[key])
+    )
+)
+def test_non_finite_or_out_of_range_value_is_refused_by_name(bad):
+    key, raw = bad
+    table = f"sweep.variable = delta\n{key} = {raw}\n"
+    for text, sets in ((table, ()), ("sweep.variable = delta\n", (f"{key}={raw}",))):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_scenario(text, sets)
