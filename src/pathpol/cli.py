@@ -8,7 +8,6 @@ precision (17 significant digits).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from typing import Sequence
 
@@ -27,7 +26,10 @@ def _fmt(x: float) -> str:
 
 def _resolution(text: str) -> int:
     lo, hi = contextuality.MIN_RESOLUTION, contextuality.MAX_RESOLUTION
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # worded as argparse words it for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if not lo <= value <= hi:
         raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
     return value
@@ -86,11 +88,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         detector.p45_intensity(post),
     )
 
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+
     def _write(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        stream.write(",".join(CSV_HEADER) + "\n")
         # formatted as written: no list of every row is held
-        writer.writerows(map(_fmt, row) for row in zip(*columns))
+        stream.writelines(row % r for r in zip(*columns))
 
     if scn.output is None:
         _write(sys.stdout)

@@ -14,7 +14,11 @@ bench: the two sources are distinct frequencies, so every first-order
 interference term oscillates at the beat (or twice the beat) and averages
 out of the windowed integral of the squared total intensity, leaving the
 stationary combination I1^2 + I2^2 + 4 I1 I2, with I_k = |A_k u_k|^2 and
-u_k from ``detector_amplitudes``.
+u_k from ``detector_amplitudes``. The intensity is sampled as one real
+cosine, I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c) with
+c = A1 u1 conj(A2 u2), the exact identity |E1 + E2|^2 = I1 + I2 +
+2 Re(E1 E2*); it is still integrated in time, so the residual measures how
+well the numerical average cancels the oscillating terms.
 """
 
 from __future__ import annotations
@@ -146,10 +150,12 @@ def detector_amplitudes(ps: PhaseSetting) -> tuple[complex, complex]:
 class AutocorrelationReport:
     """Windowed integral of the squared total intensity, decomposed.
 
-    ``total`` is the trapezoid integral of (|E1 + E2|^2)^2. The stationary
-    part is self_term_1 + self_term_2 + cross_product_term +
-    beat_mean_square (the last two are both 2 I1 I2 window: the product
-    cross term and the time average of the squared beat note).
+    ``total`` is the trapezoid integral of (|E1 + E2|^2)^2, the intensity
+    sampled as I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c) with
+    c = A1 u1 conj(A2 u2). The stationary part is self_term_1 +
+    self_term_2 + cross_product_term + beat_mean_square (the last two are
+    both 2 I1 I2 window: the product cross term and the time average of the
+    squared beat note).
     ``cross_measured`` = total - self terms, the part carrying the
     cos(delta) dependence through I1 I2 = |A1 u1|^2 |A2 u2|^2, with u1 and
     u2 from ``detector_amplitudes``. ``residual`` is the leftover
@@ -177,6 +183,14 @@ def autocorrelation_demo(
     """Integrate the squared detector intensity over a finite time window."""
     if not np.isfinite(window):
         raise ValueError(f"window must be finite, got {window!r}")
+    # (|A1| + |A2|)^4 bounds the squared intensity, so this bounds the
+    # integral and every term it is compared with
+    reach = abs(s1.amplitude) + abs(s2.amplitude)
+    if not np.isfinite(reach * reach * reach * reach * window):
+        raise ValueError(
+            f"window={window:g} overflows the integral: (|A1| + |A2|)^4 * window "
+            f"must be at most {np.finfo(float).max:.6g}"
+        )
     beat = abs(s1.omega - s2.omega)
     if beat == 0.0:
         raise ValueError("sources must have distinct frequencies (omega1 != omega2)")
@@ -199,17 +213,21 @@ def autocorrelation_demo(
     n = max(samples, ceil(needed) + 1)
 
     u1, u2 = detector_amplitudes(ps)
+    a1, a2 = s1.amplitude * u1, s2.amplitude * u2
+    i1 = abs(a1) ** 2
+    i2 = abs(a2) ** 2
+    # |E1 + E2|^2 = I1 + I2 + 2 Re(E1 E2*), and E1 E2* = c e^{i(omega1 - omega2) t}
+    c = a1 * np.conj(a2)
     times = np.linspace(0.0, window, n)
-    field1 = s1.amplitude * u1 * np.exp(1j * s1.omega * times)
-    field2 = s2.amplitude * u2 * np.exp(1j * s2.omega * times)
-
-    intensity = np.abs(field1 + field2) ** 2
+    phase = (s1.omega - s2.omega) * times
+    phase += np.angle(c)
+    intensity = np.cos(phase, out=phase)  # in the phase's buffer
+    intensity *= 2.0 * abs(c)
+    intensity += i1 + i2
     # numpy >= 2.0 calls it trapezoid (2.4 removed trapz): name trapz only without it
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     total = float(trapezoid(intensity**2, times))
 
-    i1 = abs(s1.amplitude * u1) ** 2
-    i2 = abs(s2.amplitude * u2) ** 2
     self1 = i1 * i1 * window
     self2 = i2 * i2 * window
     cross = 2.0 * i1 * i2 * window

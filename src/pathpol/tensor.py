@@ -12,7 +12,8 @@ with the flat index
 i.e. the first factor is the most significant bit. A state is held as a
 ``(..., 2, 2, 2, 2)`` tensor whose last four axes are the slots in this
 order (``vector.reshape(2, 2, 2, 2)``), and ``apply_slot`` acts with a 2x2
-operator, or a stack of them, on one slot. A ``(core, slot)`` pair is a
+operator, or a stack of them, on one slot as a two-term multiply-add over
+the slot's two halves of the state. A ``(core, slot)`` pair is a
 factor, and ``apply_factors`` applies a product of them. No 16x16 operator
 matrix is built: where a check needs one, it applies the factors to the 16
 basis tensors.
@@ -35,6 +36,20 @@ SLOT_POL_1 = 1
 SLOT_PATH_2 = 2
 SLOT_POL_2 = 3
 
+# per slot and term j of ``apply_slot``: column j of an operator with its
+# rows laid along the slot axis, and the state's half j on that slot kept as
+# a length-1 axis (basic indexing, so a view)
+_TERMS = tuple(
+    tuple(
+        (
+            (Ellipsis,) + (None,) * slot + (slice(None), j) + (None,) * (N_SLOTS - 1 - slot),
+            (Ellipsis, slice(j, j + 1)) + (slice(None),) * (N_SLOTS - 1 - slot),
+        )
+        for j in (0, 1)
+    )
+    for slot in range(N_SLOTS)
+)
+
 PATH_LABELS = "ab"
 POL_LABELS = "VH"
 
@@ -45,6 +60,8 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
     ``op`` may be a single ``(2, 2)`` matrix or a stack ``(N, 2, 2)``; the
     leading axes of operator and state broadcast, so a stack acting on one
     state gives ``(N, 2, 2, 2, 2)``. Slots follow the global ordering.
+    Each output entry is ``op[..., i, 0] x0 + op[..., i, 1] x1``, with x0
+    and x1 the state's entries 0 and 1 on ``slot``.
     """
     op = np.asarray(op, dtype=complex)
     state = np.asarray(state, dtype=complex)
@@ -54,10 +71,11 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
         raise ValueError(f"state must end in axes {STATE_SHAPE}, got shape {state.shape}")
     if not 0 <= slot < N_SLOTS:
         raise ValueError(f"slot must be in 0..3, got {slot}")
-    # operator indices "ij"; the state's slots are "wxyz" with j at ``slot``
-    src = "wxyz"[:slot] + "j" + "wxyz"[slot + 1 :]
-    dst = "wxyz"[:slot] + "i" + "wxyz"[slot + 1 :]
-    return np.einsum(f"...ij,...{src}->...{dst}", op, state)
+    # each product already has the output's shape and slot order
+    (col0, half0), (col1, half1) = _TERMS[slot]
+    out = op[col0] * state[half0]
+    out += op[col1] * state[half1]
+    return out
 
 
 def apply_factors(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:

@@ -104,6 +104,11 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
+def _worst(*deviations: float) -> float:
+    # np.max, not max: max(0.0, nan) is 0.0, and a NaN must reach the row
+    return float(np.max(deviations))
+
+
 def _check_ghz_closed_form() -> VerifyCheck:
     s1, s2 = _unit_sources()
     ps = _DELTA_SETTINGS
@@ -130,12 +135,13 @@ def _check_hbt_reduction() -> VerifyCheck:
     g2 = correlations.g2_generalized(0, 0, 0, 0, ps, s1, s2)
     ref = 1.0 - 0.5 * np.cos(_GRID + (theta1 - theta2))
     shifted = PhaseSetting(theta1, theta2, _GRID + 0.25 + 1.7, 0.25 + 1.7)
-    worst = max(
+    worst = _worst(
         _max_abs(g2 - ref),
         _max_abs(g2 - correlations.g2_generalized(0, 0, 0, 0, shifted, s1, s2)),
     )
     values = correlations.g2_generalized(0, 0, 0, 0, PhaseSetting(_GRID, 0.0, 0.0, 0.0), s1, s2)
-    range_exact = min(values) == 0.5 and max(values) == 1.5
+    lo, hi = np.min(values), np.max(values)
+    range_exact = lo == 0.5 and hi == 1.5
     status = PASS if worst <= _TOL and range_exact else FAIL
     return VerifyCheck(
         "hbt-reduction",
@@ -143,7 +149,7 @@ def _check_hbt_reduction() -> VerifyCheck:
         worst,
         0.0,
         _TOL,
-        f"range [{min(values):.1f}, {max(values):.1f}] exact={range_exact}",
+        f"range [{lo:.1f}, {hi:.1f}] exact={range_exact}",
     )
 
 
@@ -153,11 +159,11 @@ def _check_noncontextuality(rng: np.random.Generator) -> VerifyCheck:
     dev_case2 = 0.0
     for anchor in rng.uniform(-pi, pi, 10):
         value = contextuality.s_prime_value(*contextuality.case2_setting(float(anchor)))
-        dev_case2 = max(dev_case2, abs(value - target))
+        dev_case2 = _worst(dev_case2, abs(value - target))
     scan1 = contextuality.scan_max(1, 64)
     scan2 = contextuality.scan_max(2, 64)
-    dev_scan = max(abs(scan1.max_abs - target), abs(scan2.max_abs - target))
-    setting_dev = max(dev_case1, dev_case2)
+    dev_scan = _worst(abs(scan1.max_abs - target), abs(scan2.max_abs - target))
+    setting_dev = _worst(dev_case1, dev_case2)
     status = PASS if setting_dev <= _TOL and dev_scan <= 1e-4 else FAIL
     return VerifyCheck(
         "noncontextuality-violations",
@@ -220,7 +226,7 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     post = post.reshape(len(rows), DIM)
     want_pre = _literal_prestate(a1, a2, ps)
     want_post = _literal_poststate(a1, a2, ps)
-    worst = max(
+    worst = _worst(
         _max_abs(pre - want_pre),
         _max_abs(post - want_post),
         _max_abs(norms_squared(post) - target),
@@ -232,7 +238,7 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     pol_shape = np.zeros((len(rows), 4), dtype=complex)  # VV, VH, HV, HH
     pol_shape[:, 0], pol_shape[:, 3] = 1.0, -_relative_phase(ps)
     expected_unit = (phase_n / sqrt(2.0))[:, None] * pol_shape
-    worst = max(
+    worst = _worst(
         worst,
         _max_abs(aa.branch_fraction - 0.25),
         _max_abs(aa.pol_unit - expected_unit),
@@ -242,7 +248,7 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     for k in (0, 1):
         one_pre = bench.evolve_prestate(*sources[k], PhaseSetting(*rows[k]))
         one_post = bench.apply_bs_prime(one_pre)
-        worst = max(
+        worst = _worst(
             worst,
             _max_abs(one_pre.vector - want_pre[k]),
             _max_abs(one_post.vector - want_post[k]),
@@ -285,18 +291,18 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
         np.where(advance, elements.path_phase(x, 1), elements.path_phase(x, -1)),
     ):
         resid = dagger(m) @ m - np.eye(m.shape[-1])
-        worst_unitary = max(worst_unitary, _max_abs(resid))
+        worst_unitary = _worst(worst_unitary, _max_abs(resid))
     # every phase-stage core is diagonal, so the stage applied to the
     # all-ones tensor is its 16-dim diagonal, which must have unit modulus
     diagonal = bench.phase_stage(np.ones(STATE_SHAPE), ps)
-    worst_unitary = max(worst_unitary, _max_abs(diagonal.conj() * diagonal - 1.0))
+    worst_unitary = _worst(worst_unitary, _max_abs(diagonal.conj() * diagonal - 1.0))
 
     # the 2x2 cores every observable applies, each source with its own sense
     eye = np.eye(2)
     worst_proj = 0.0
     for source in (1, 2):
         full, plus, minus = (sigma(source, "pol", x[sources == source], b)[0] for b in BRANCHES)
-        worst_proj = max(
+        worst_proj = _worst(
             worst_proj,
             _max_abs(full @ full - eye),
             _max_abs(plus @ plus - plus),
@@ -307,7 +313,7 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
     # source's intensity projector, then cross-source commutation
     i1 = _matrices(sigma(1, "path", phi1, "plus"), sigma(1, "pol", theta1, "plus"))
     i2 = _matrices(sigma(2, "path", phi2, "plus"), sigma(2, "pol", theta2, "plus"))
-    worst_proj = max(worst_proj, _max_abs(i1 @ i1 - i1), _max_abs(i2 @ i2 - i2))
+    worst_proj = _worst(worst_proj, _max_abs(i1 @ i1 - i1), _max_abs(i2 @ i2 - i2))
 
     worst_comm = _max_abs(i1 @ i2 - i2 @ i1)
     other = {"path": "pol", "pol": "path"}
@@ -315,15 +321,17 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
         rows = (dofs == dof) & (branches == branch)
         a = _matrices(sigma(1, dof, x[rows], branch))
         b = _matrices(sigma(2, other[dof], -1.3 * x[rows]))
-        worst_comm = max(worst_comm, _max_abs(a @ b - b @ a))
+        worst_comm = _worst(worst_comm, _max_abs(a @ b - b @ a))
 
     a1, a2, target = _amplitudes(beams)
-    worst_norm = max(
-        _max_abs(norms_squared(stage.reshape(len(beams), DIM)) - target)
-        for stage in bench.trace_stages(a1, a2, ps)
+    worst_norm = _worst(
+        *(
+            _max_abs(norms_squared(stage.reshape(len(beams), DIM)) - target)
+            for stage in bench.trace_stages(a1, a2, ps)
+        )
     )
 
-    worst = max(worst_unitary, worst_proj, worst_comm, worst_norm)
+    worst = _worst(worst_unitary, worst_proj, worst_comm, worst_norm)
     status = PASS if worst <= _TOL else FAIL
     note = (
         f"unitarity {worst_unitary:.2e} projectors {worst_proj:.2e} "
@@ -344,7 +352,7 @@ def _check_sigma_route(rng: np.random.Generator) -> VerifyCheck:
         ratio = correlations.correlation_numeric(probe, ra, rb) / (
             correlations.correlation_closed_form(probe, ra, rb)
         )
-        dev = max(dev, abs(ratio - (-0.25)))
+        dev = _worst(dev, abs(ratio - (-0.25)))
 
     ok = resid <= 1e-10 and dev <= 1e-10
     return VerifyCheck(

@@ -91,6 +91,29 @@ def test_sweep_writes_file_and_is_deterministic(tmp_path, capsys):
     assert len(first.splitlines()) == 10
 
 
+def test_sweep_fields_print_17_significant_digits(capsys, monkeypatch):
+    # signed zero, the smallest subnormal, a huge value and a non-terminating one
+    special = np.array([-0.0, 5e-324, 1e300, -1.0 / 3.0])
+    for module, name in (
+        (cli.correlations, "correlation_closed_form"),
+        (cli.correlations, "correlation_numeric"),
+        (cli.correlations, "g2_generalized"),
+        (cli.detector, "p45_intensity"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args: special)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--set", "sweep.variable=delta", "--set", "sweep.points=4",
+        "--set", "sweep.stop=-1.0",
+    )
+    assert code == 0
+    values = np.linspace(0.0, -1.0, 4)
+    want = [",".join(CSV_HEADER)] + [
+        ",".join(f"{x:.17g}" for x in (v, v, s, s, s, s)) for v, s in zip(values, special)
+    ]
+    assert out.splitlines() == want
+    assert out.splitlines()[1].split(",")[2] == "-0"
+
+
 def test_sweep_without_block_is_config_error(capsys):
     code, out, err = run_cli(capsys, "sweep")
     assert code == 2
@@ -153,6 +176,13 @@ def test_chsh_resolution_out_of_range_is_usage_error(capsys, monkeypatch, value)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--resolution: must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]" in captured.err
+
+
+def test_chsh_non_integer_resolution_is_worded_as_int(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["chsh", "--resolution", "x"])
+    assert info.value.code == 2
+    assert "argument --resolution: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_report_sections_and_identities(capsys):
@@ -260,6 +290,26 @@ def test_verify_fails_a_nan_autocorrelation_row(capsys, monkeypatch):
     rows = [line.split()[:2] for line in out.splitlines() if " measured " in line]
     assert len(rows) == 10
     assert [name for name, status in rows if status == "fail"] == ["autocorrelation-averaging"]
+
+
+# NaN states warn where they are divided; the row's status is what is checked
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_verify_fails_the_property_row_on_a_nan_rotator(capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: the row must combine its deviations so a NaN reaches it
+    from pathpol import elements
+
+    swap = elements.pol_swap()
+
+    def nan_swap():
+        out = swap.astype(complex)
+        out[0, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(elements, "pol_swap", nan_swap)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    statuses = dict(line.split()[:2] for line in out.splitlines() if " measured " in line)
+    assert statuses["algebraic-property-suite"] == "fail"
 
 
 def test_config_file_loading(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pathpol.bench import (
     BenchState,
@@ -301,3 +303,50 @@ def test_autocorrelation_never_names_trapz_when_trapezoid_exists(monkeypatch):
     ps = PhaseSetting(0.8, 0.0, 0.0, 0.0)
     assert autocorrelation_demo(S1, S2, ps, 4000.0, 20_000).total > 0.0
     assert "trapz" not in looked_up
+
+
+def test_autocorrelation_refuses_an_overflowing_integral_before_allocating(monkeypatch):
+    # (2e75)^4 * 1e9 is not a finite float: the total would be inf and the residual NaN
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the time grid must not be allocated")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    loud = SourceSpec(1e75, 1.0), SourceSpec(1e75, 1.0001)
+    with pytest.raises(ValueError, match="window") as info:
+        autocorrelation_demo(*loud, PhaseSetting(0.3, 0.0, 0.0, 0.0), 1e9, 10_000)
+    assert f"{np.finfo(float).max:.6g}" in str(info.value)
+
+
+def test_autocorrelation_just_inside_the_bound_stays_finite():
+    loud = SourceSpec(1e75, 1.0), SourceSpec(1e75, 1.0001)
+    report = autocorrelation_demo(*loud, PhaseSetting(0.3, 0.0, 0.0, 0.0), 1e7, 10_000)
+    assert np.isfinite(report.total) and np.isfinite(report.residual)
+
+
+angles = st.floats(-2.0 * np.pi, 2.0 * np.pi)
+complex_amplitudes = st.builds(lambda m, a: m * np.exp(1j * a), st.floats(0.2, 4.0), angles)
+
+
+@seed(20150)
+@settings(max_examples=20, deadline=None, database=None)
+@given(a1=complex_amplitudes, a2=complex_amplitudes, phases=st.tuples(angles, angles, angles, angles))
+def test_autocorrelation_intensity_is_the_squared_field_sum(a1, a2, phases):
+    # the integrand is the squared intensity; read it where it is integrated
+    real = getattr(np, "trapezoid", None) or np.trapz
+    seen = []
+
+    def recording(y, x):
+        seen.append((y, x))
+        return real(y, x)
+
+    s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
+    ps = PhaseSetting(*phases)
+    window = 400.0  # 120 beats
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "trapezoid" if hasattr(np, "trapezoid") else "trapz", recording)
+        autocorrelation_demo(s1, s2, ps, window, 10_000)
+    (squared, times), = seen
+    u1, u2 = detector_amplitudes(ps)
+    field = a1 * u1 * np.exp(1j * s1.omega * times) + a2 * u2 * np.exp(1j * s2.omega * times)
+    want = np.abs(field) ** 2
+    assert np.max(np.abs(np.sqrt(squared) - want)) <= 1e-13 * np.max(want)

@@ -4,6 +4,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pathpol.tensor import (
     DIM,
@@ -93,6 +95,49 @@ def test_apply_slot_matches_embedded_matrix(slot):
     assert stacked.shape == (5, 2, 2, 2, 2)
     for k in range(5):
         assert np.max(np.abs(stacked[k].reshape(DIM) - kron_embedded(ops[k], slot) @ psi)) < 1e-14
+
+
+def _paired_oracle(ops, states, slot):
+    """kron_embedded(op_k, slot) @ psi_k for each paired operator and state."""
+    return np.stack(
+        [kron_embedded(op, slot) @ psi.reshape(DIM) for op, psi in zip(ops, states)]
+    )
+
+
+# every leading-shape form a caller uses, and the oracle's reading of it
+LEADING_FORMS = ("single-on-single", "single-on-stack", "stack-on-stack", "stack-on-basis")
+
+
+@pytest.mark.parametrize("form", LEADING_FORMS)
+@pytest.mark.parametrize("slot", range(4))
+@seed(20149)
+@settings(max_examples=10, deadline=None, database=None)
+@given(n=st.integers(1, 6), draw=st.integers(0, 2**32 - 1))
+def test_apply_slot_matches_kron_oracle(slot, form, n, draw):
+    rng = np.random.default_rng(draw)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if form == "single-on-single":
+        op, state = normal(2, 2), normal(2, 2, 2, 2)
+        want = _paired_oracle([op], [state], slot).reshape(2, 2, 2, 2)
+    elif form == "single-on-stack":
+        op, state = normal(2, 2), normal(n, 2, 2, 2, 2)
+        want = _paired_oracle([op] * n, state, slot).reshape(n, 2, 2, 2, 2)
+    elif form == "stack-on-stack":
+        op, state = normal(n, 2, 2), normal(n, 2, 2, 2, 2)
+        want = _paired_oracle(op, state, slot).reshape(n, 2, 2, 2, 2)
+    else:
+        # the 16 basis tensors, with an axis for the instances of the stack
+        op = normal(n, 2, 2)
+        state = np.eye(DIM, dtype=complex).reshape(DIM, 1, 2, 2, 2, 2)
+        columns = np.stack([kron_embedded(m, slot) for m in op]).transpose(2, 0, 1)
+        want = columns.reshape(DIM, n, 2, 2, 2, 2)
+    got = apply_slot(op, state, slot)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(op)) * np.max(np.abs(state))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 def test_apply_slot_validation():
