@@ -29,8 +29,8 @@ from scipy.optimize import minimize
 VIOLATION_BOUND = 2.0
 MAX_VIOLATION = 2.0 * np.sqrt(2.0)
 
-# scan grid points per angle; the scan holds two R^3 float64 grids, 128 MiB
-# each at the upper end (57 MiB at R = 192)
+# scan grid points per angle; the scan holds a few R^2 float64 tables,
+# 512 KiB each at the upper end
 MIN_RESOLUTION = 8
 MAX_RESOLUTION = 256
 
@@ -87,8 +87,22 @@ def scan_max(case: int, resolution: int) -> ScanResult:
 
     The functional splits into a part depending on the unprimed primary
     angle and a part depending on the primed one, so for each pair of
-    secondary angles the two primary maximizations are independent; the
-    grid stage exploits that before a derivative-free polish.
+    secondary angles the two primary maximizations are independent.
+
+    On the periodic grid x_a = 2*pi*a/R with c[a] = cos(x_a) and s = +1
+    (case 1) or -1 (case 2), the pair table is pair[i, j] = c[(i + s*j) mod R].
+    The primary parts f[i, j, k] = pair[i, j] + pair[i, k] and
+    g[i, j, k] = -pair[i, j] + pair[i, k] then depend on (i, j, k) only
+    through a = (i + s*j) mod R and d = (k - j) mod R:
+
+        f = h_f[a, d] = c[a] + c[(a + s*d) mod R],
+        g = h_g[a, d] = -c[a] + c[(a + s*d) mod R].
+
+    As i runs over the grid so does a, so the extremum over the primary
+    angle depends on d alone, and the first best secondary pair is
+    (j, k) = (0, d). The grid stage is O(R^2) in time and memory and picks
+    the same grid point as the dense R^3 search; a derivative-free polish
+    follows.
     """
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case}")
@@ -97,30 +111,30 @@ def scan_max(case: int, resolution: int) -> ScanResult:
             f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}"
         )
 
-    grid = 2.0 * pi * np.arange(resolution) / resolution
-    sign = 1.0 if case == 1 else -1.0
-    pair = np.cos(grid[:, None] + sign * grid[None, :])  # pair[i, j]
-
-    f = pair[:, :, None] + pair[:, None, :]  # + pair(t,p) + pair(t,p')
-    g = -pair[:, :, None] + pair[:, None, :]  # - pair(t',p) + pair(t',p')
+    step = np.arange(resolution)
+    grid = 2.0 * pi * step / resolution
+    cos_grid = np.cos(grid)
+    sign = 1 if case == 1 else -1
+    shifted = cos_grid[(step[:, None] + sign * step[None, :]) % resolution]  # [a, d]
+    h_f = cos_grid[:, None] + shifted  # + pair(t,p) + pair(t,p')
+    h_g = -cos_grid[:, None] + shifted  # - pair(t',p) + pair(t',p')
 
     best_abs = -1.0
     best_angles = (0.0, 0.0, 0.0, 0.0)
     best_value = 0.0
     for f_part, g_part, picker in (
-        (f.max(axis=0), g.max(axis=0), np.argmax),
-        (f.min(axis=0), g.min(axis=0), np.argmin),
+        (h_f.max(axis=0), h_g.max(axis=0), np.argmax),
+        (h_f.min(axis=0), h_g.min(axis=0), np.argmin),
     ):
         total = f_part + g_part
-        flat = np.argmax(np.abs(total))
-        i_p, i_pp = np.unravel_index(flat, total.shape)
-        value = float(total[i_p, i_pp])
+        d = int(np.argmax(np.abs(total)))
+        value = float(total[d])
         if abs(value) > best_abs:
-            i_t = int(picker(f[:, i_p, i_pp]))
-            i_tp = int(picker(g[:, i_p, i_pp]))
+            i_t = int(picker(h_f[:, d]))
+            i_tp = int(picker(h_g[:, d]))
             best_abs = abs(value)
             best_value = value
-            best_angles = (grid[i_t], grid[i_tp], grid[i_p], grid[i_pp])
+            best_angles = (grid[i_t], grid[i_tp], grid[0], grid[d])
 
     func = s_value if case == 1 else s_prime_value
     orient = 1.0 if best_value >= 0.0 else -1.0

@@ -83,7 +83,9 @@ def project_aa(state: BenchState) -> AaProjection:
     branch_norm_sq = np.sum(np.abs(pol_block) ** 2, axis=(1, 2))
     if np.any(branch_norm_sq == 0.0):
         raise ValueError("the aa branch of this state is empty")
-    pol_unit = pol_block / np.sqrt(branch_norm_sq)[:, None, None]
+    # a NaN state divides to NaN fields for its caller to judge, not a warning
+    with np.errstate(invalid="ignore"):
+        pol_unit = pol_block / np.sqrt(branch_norm_sq)[:, None, None]
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
     expansion = _SQRT2 * (hadamard @ pol_unit @ hadamard.T)
     # a nonempty aa branch makes the state nonzero

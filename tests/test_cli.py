@@ -165,7 +165,7 @@ def test_chsh_reports_maximal_violation(capsys):
 
 @pytest.mark.parametrize("value", ["3", "-5", "7", str(MAX_RESOLUTION + 1), "1048576"])
 def test_chsh_resolution_out_of_range_is_usage_error(capsys, monkeypatch, value):
-    # R = 1048576 would need two 8 EiB grids: refused before any grid is built
+    # R = 1048576 would need 8 TiB R^2 tables: refused before any grid is built
     def no_grid(*args, **kwargs):
         raise AssertionError("the scan grid must not be built")
 
@@ -292,8 +292,6 @@ def test_verify_fails_a_nan_autocorrelation_row(capsys, monkeypatch):
     assert [name for name, status in rows if status == "fail"] == ["autocorrelation-averaging"]
 
 
-# NaN states warn where they are divided; the row's status is what is checked
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_verify_fails_the_property_row_on_a_nan_rotator(capsys, monkeypatch):
     # max(0.0, nan) is 0.0: the row must combine its deviations so a NaN reaches it
     from pathpol import elements

@@ -1,6 +1,10 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from pathpol import contextuality
 from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.contextuality import (
     CASE1_SETTING,
@@ -68,7 +72,7 @@ def test_scan_never_exceeds_algebraic_ceiling(case):
     assert result.max_abs <= MAX_VIOLATION + 1e-9
 
 
-@pytest.mark.parametrize("resolution", [8, 12, 13, 64, 100])
+@pytest.mark.parametrize("resolution", [8, 12, 13, 64, 100, 192, MAX_RESOLUTION])
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_result_is_consistent(case, resolution):
     # pair(x, y) = cos(x + y) for case 1 and cos(x - y) for case 2
@@ -79,6 +83,58 @@ def test_scan_result_is_consistent(case, resolution):
     assert result.max_abs == abs(result.value)
     assert abs(value - result.value) <= 1e-12
     assert abs(result.max_abs - MAX_VIOLATION) <= 1e-4
+    assert result.max_abs <= MAX_VIOLATION + 1e-12
+
+
+def _dense_grid_stage(case, resolution):
+    """Brute-force R^3 grid stage: best grid angles and value of |S|."""
+    grid = 2.0 * np.pi * np.arange(resolution) / resolution
+    cos_grid = np.cos(grid)
+    step = np.arange(resolution)
+    sign = 1 if case == 1 else -1
+    pair = cos_grid[(step[:, None] + sign * step[None, :]) % resolution]  # pair[i, j]
+    f = pair[:, :, None] + pair[:, None, :]
+    g = -pair[:, :, None] + pair[:, None, :]
+    best_abs, best = -1.0, None
+    for f_part, g_part, picker in (
+        (f.max(axis=0), g.max(axis=0), np.argmax),
+        (f.min(axis=0), g.min(axis=0), np.argmin),
+    ):
+        total = f_part + g_part
+        i_p, i_pp = np.unravel_index(np.argmax(np.abs(total)), total.shape)
+        value = float(total[i_p, i_pp])
+        if abs(value) > best_abs:
+            i_t, i_tp = picker(f[:, i_p, i_pp]), picker(g[:, i_p, i_pp])
+            best_abs = abs(value)
+            best = ((grid[i_t], grid[i_tp], grid[i_p], grid[i_pp]), value)
+    return best
+
+
+@pytest.mark.parametrize("resolution", [8, 12, 13, 64, 100])
+@pytest.mark.parametrize("case", [1, 2])
+def test_scan_grid_stage_equals_the_dense_search(monkeypatch, case, resolution):
+    # with the polish held at its start, the scan reports its grid point, valued
+    # by the functional there unless that loses ground on the grid sum
+    monkeypatch.setattr(contextuality, "minimize", lambda fun, x0, **kw: SimpleNamespace(x=x0))
+    angles, grid_value = _dense_grid_stage(case, resolution)
+    func = s_value if case == 1 else s_prime_value
+    value = max(func(*angles), grid_value, key=abs)
+    result = scan_max(case, resolution)
+    assert result.angles == angles
+    assert result.value == value
+    assert result.max_abs == abs(value)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_scan_memory_stays_quadratic(case):
+    # a cubic grid at MAX_RESOLUTION would hold 128 MiB per array
+    tracemalloc.start()
+    try:
+        scan_max(case, MAX_RESOLUTION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_scan_resolution_validation():
