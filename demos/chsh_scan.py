@@ -41,8 +41,8 @@ for anchor in (0.0, 0.5, -1.2):
     sp = s_prime_value(*case2_setting(anchor))
     print(f"  anchor {anchor:+.1f}:  S' = {sp:.12f}")
 
-# exhaustive check: grid over all four angles, then a local polish
-print("\nfull scans (64-point grid + refinement):")
+# exhaustive check: grid over all four angles, then the closed-form polish
+print("\nfull scans (64-point grid + closed-form polish):")
 for case in (1, 2):
     result = scan_max(case, resolution=64)
     angles = ", ".join(f"{a:+.6f}" for a in result.angles)

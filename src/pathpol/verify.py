@@ -164,14 +164,14 @@ def _check_noncontextuality(rng: np.random.Generator) -> VerifyCheck:
     scan2 = contextuality.scan_max(2, 64)
     dev_scan = _worst(abs(scan1.max_abs - target), abs(scan2.max_abs - target))
     setting_dev = _worst(dev_case1, dev_case2)
-    status = PASS if setting_dev <= _TOL and dev_scan <= 1e-4 else FAIL
+    status = PASS if setting_dev <= _TOL and dev_scan <= _TOL else FAIL
     return VerifyCheck(
         "noncontextuality-violations",
         status,
         setting_dev,
         0.0,
         _TOL,
-        f"scan max dev {dev_scan:.3e} (tol 1e-04)",
+        f"scan max dev {dev_scan:.3e} (tol {_TOL:.0e})",
     )
 
 

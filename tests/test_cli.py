@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,14 @@ def test_chsh_reports_maximal_violation(capsys):
         scanned = float(line.split("=")[1].split()[0])
         assert scanned >= fixed_s - 1e-9
         assert scanned <= two_sqrt2 + 1e-9
+
+
+@pytest.mark.parametrize("resolution", [8, 24, 48, 64, 96, 128, 192, 256])
+def test_chsh_scan_angles_print_as_a_literal_tuple(capsys, resolution):
+    code, out, _ = run_cli(capsys, "chsh", "--resolution", str(resolution))
+    assert code == 0
+    for line in out.splitlines()[2:]:
+        assert len(ast.literal_eval(line.split("  at ")[1])) == 4
 
 
 @pytest.mark.parametrize("value", ["3", "-5", "7", str(MAX_RESOLUTION + 1), "1048576"])

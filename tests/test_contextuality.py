@@ -1,14 +1,16 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pathpol import contextuality
 from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.contextuality import (
     CASE1_SETTING,
     MAX_RESOLUTION,
+    MIN_RESOLUTION,
     MAX_VIOLATION,
     VIOLATION_BOUND,
     c_bar,
@@ -62,7 +64,7 @@ def test_s_prime_value_matches_case2_setting():
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_reaches_maximal_violation(case):
     result = scan_max(case, resolution=64)
-    assert abs(result.max_abs - MAX_VIOLATION) < 1e-4
+    assert abs(result.max_abs - MAX_VIOLATION) <= 1e-12
     assert abs(abs(result.value) - result.max_abs) < 1e-15
 
 
@@ -72,7 +74,7 @@ def test_scan_never_exceeds_algebraic_ceiling(case):
     assert result.max_abs <= MAX_VIOLATION + 1e-9
 
 
-@pytest.mark.parametrize("resolution", [8, 12, 13, 64, 100, 192, MAX_RESOLUTION])
+@pytest.mark.parametrize("resolution", [8, 12, 13, 24, 64, 100, 192, MAX_RESOLUTION])
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_result_is_consistent(case, resolution):
     # pair(x, y) = cos(x + y) for case 1 and cos(x - y) for case 2
@@ -82,8 +84,30 @@ def test_scan_result_is_consistent(case, resolution):
     value = np.cos(t + s * p) + np.cos(t + s * pp) - np.cos(tp + s * p) + np.cos(tp + s * pp)
     assert result.max_abs == abs(result.value)
     assert abs(value - result.value) <= 1e-12
-    assert abs(result.max_abs - MAX_VIOLATION) <= 1e-4
+    # the polish keeps the orientation of S that the grid stage picked, and
+    # never loses ground on it
+    _, grid_value = contextuality._grid_stage(case, resolution)
+    assert np.sign(result.value) == np.sign(grid_value)
+    assert result.max_abs >= abs(grid_value)
+    assert abs(result.max_abs - MAX_VIOLATION) <= 1e-12
     assert result.max_abs <= MAX_VIOLATION + 1e-12
+
+
+def test_scan_reaches_the_ceiling_at_every_resolution():
+    # stride 5 from 8 takes odd R and the multiples of 8 at 8, 48, 88, ..., 248
+    for resolution in range(MIN_RESOLUTION, MAX_RESOLUTION + 1, 5):
+        for case in (1, 2):
+            result = scan_max(case, resolution)
+            assert abs(result.max_abs - MAX_VIOLATION) <= 1e-12, (case, resolution)
+
+
+@pytest.mark.parametrize("resolution", [8, 24, 48, 64, 96, 128, 192, 256])
+@pytest.mark.parametrize("case", [1, 2])
+def test_scan_angles_are_python_floats(case, resolution):
+    # at R = 24, 48, 96 and 192 the grid point wins by an ulp over the polish
+    result = scan_max(case, resolution)
+    assert all(type(a) is float for a in result.angles)
+    assert type(result.value) is float and type(result.max_abs) is float
 
 
 def _dense_grid_stage(case, resolution):
@@ -112,17 +136,31 @@ def _dense_grid_stage(case, resolution):
 
 @pytest.mark.parametrize("resolution", [8, 12, 13, 64, 100])
 @pytest.mark.parametrize("case", [1, 2])
-def test_scan_grid_stage_equals_the_dense_search(monkeypatch, case, resolution):
-    # with the polish held at its start, the scan reports its grid point, valued
-    # by the functional there unless that loses ground on the grid sum
-    monkeypatch.setattr(contextuality, "minimize", lambda fun, x0, **kw: SimpleNamespace(x=x0))
-    angles, grid_value = _dense_grid_stage(case, resolution)
-    func = s_value if case == 1 else s_prime_value
-    value = max(func(*angles), grid_value, key=abs)
-    result = scan_max(case, resolution)
-    assert result.angles == angles
-    assert result.value == value
-    assert result.max_abs == abs(value)
+def test_scan_grid_stage_equals_the_dense_search(case, resolution):
+    angles, value = contextuality._grid_stage(case, resolution)
+    dense_angles, dense_value = _dense_grid_stage(case, resolution)
+    assert angles == dense_angles
+    assert value == dense_value
+
+
+_ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+
+
+@seed(1969)
+@settings(max_examples=25, deadline=None, database=None)
+@given(p=_ANGLE, p_prime=_ANGLE)
+def test_best_primaries_attain_the_closed_form(p, p_prime):
+    half = (p_prime - p) / 2.0
+    optimum = 2.0 * (abs(np.cos(half)) + abs(np.sin(half)))
+    grid = 2.0 * np.pi * np.arange(64) / 64.0
+    for case, func in ((1, s_value), (2, s_prime_value)):
+        t, t_prime = contextuality._best_primaries(case, p, p_prime)
+        value = func(t, t_prime, p, p_prime)
+        assert abs(value - optimum) <= 1e-12
+        s = 1.0 if case == 1 else -1.0
+        f = np.cos(grid + s * p) + np.cos(grid + s * p_prime)
+        g = -np.cos(grid + s * p) + np.cos(grid + s * p_prime)
+        assert value >= f.max() + g.max() - 1e-12
 
 
 @pytest.mark.parametrize("case", [1, 2])
