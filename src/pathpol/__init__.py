@@ -24,11 +24,9 @@ from .contextuality import (
     CASE1_SETTING,
     MAX_VIOLATION,
     ScanResult,
-    c_bar,
-    c_tilde,
     case2_setting,
-    s_prime_value,
-    s_value,
+    functional,
+    pair,
     scan_max,
 )
 from .correlations import (
@@ -54,8 +52,7 @@ from .detector import (
 )
 from .elements import (
     beam_splitter,
-    path_phase,
-    pol_phase,
+    phase,
     pol_swap,
 )
 from .observables import TransferCheckReport, transfer_check
@@ -95,8 +92,6 @@ __all__ = [
     "basis_label",
     "basis_state",
     "beam_splitter",
-    "c_bar",
-    "c_tilde",
     "case2_setting",
     "correlation_closed_form",
     "correlation_numeric",
@@ -107,18 +102,17 @@ __all__ = [
     "fit_scaled_cosine",
     "fit_sinusoid",
     "format_report",
+    "functional",
     "g2_generalized",
     "g2_hbt",
     "p45_intensity",
+    "pair",
     "parse_scenario",
-    "path_phase",
+    "phase",
     "pipeline_trace",
-    "pol_phase",
     "pol_swap",
     "project_aa",
     "run_verify",
-    "s_prime_value",
-    "s_value",
     "scan_max",
     "sum_identity",
     "symmetrize",

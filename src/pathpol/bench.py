@@ -121,6 +121,12 @@ class PhaseSetting:
                 raise ValueError(f"{name} must be finite")
         if len(lengths) > 1:
             raise ValueError(f"phase arrays must have equal lengths, got {sorted(lengths)}")
+        # finite phases can still sum past the float range (summed here, not
+        # through ``delta``, which the operator route must never read)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.theta1 + self.phi1 - self.theta2 - self.phi2)
+        if not np.all(finite):
+            raise ValueError("delta = theta1 + phi1 - theta2 - phi2 must be finite")
 
     def __eq__(self, other: object) -> bool:
         """Same shape and same values in every field: a float never equals a
@@ -222,15 +228,15 @@ def _input_stages(a1: complex | Array, a2: complex | Array) -> tuple[Array, Arra
 
 
 def phase_stage(state: Array, ps: PhaseSetting) -> Array:
-    """The four phase elements (source 2 conjugated), each on its own slot.
+    """The four phase plates (``elements.phase``, source 2 conjugated), one per slot.
 
     ``state`` is ``(..., 2, 2, 2, 2)``; a sweep ``ps`` gives one state per
     setting, the settings becoming the leading axis of the result.
     """
-    out = apply_slot(elements.pol_phase(ps.theta2, sign=-1), state, SLOT_POL_2)
-    out = apply_slot(elements.path_phase(ps.phi2, sign=-1), out, SLOT_PATH_2)
-    out = apply_slot(elements.pol_phase(ps.theta1, sign=1), out, SLOT_POL_1)
-    return apply_slot(elements.path_phase(ps.phi1, sign=1), out, SLOT_PATH_1)
+    out = apply_slot(elements.phase(ps.theta2, sign=-1), state, SLOT_POL_2)
+    out = apply_slot(elements.phase(ps.phi2, sign=-1), out, SLOT_PATH_2)
+    out = apply_slot(elements.phase(ps.theta1, sign=1), out, SLOT_POL_1)
+    return apply_slot(elements.phase(ps.phi1, sign=1), out, SLOT_PATH_1)
 
 
 def bs_prime_stage(state: Array) -> Array:

@@ -8,7 +8,9 @@ precision (17 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -24,25 +26,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _resolution(text: str) -> int:
-    lo, hi = contextuality.MIN_RESOLUTION, contextuality.MAX_RESOLUTION
-    try:
-        value = int(text)
-    except ValueError:  # worded as argparse words it for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not lo <= value <= hi:
-        raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
-    return value
+def _bounded_int(lo: int, hi: float = inf):
+    """argparse type: an int in [lo, hi]."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # worded as argparse words it for type=int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if hi == inf else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:  # worded as argparse words it for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -107,9 +104,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_chsh(args: argparse.Namespace) -> int:
-    s_fixed = contextuality.s_value(*contextuality.CASE1_SETTING)
+    s_fixed = contextuality.functional(1, *contextuality.CASE1_SETTING)
     angles2 = contextuality.case2_setting(0.0)
-    sp_fixed = contextuality.s_prime_value(*angles2)
+    sp_fixed = contextuality.functional(2, *angles2)
     print(f"case 1 fixed set   S  = {_fmt(s_fixed)}  at {contextuality.CASE1_SETTING}")
     print(f"case 2 fixed set   S' = {_fmt(sp_fixed)}  at {angles2}")
     for case in (1, 2):
@@ -136,9 +133,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"  {t.k} {t.l} {t.m} {t.n} {t.sign:+d} {_fmt(t.value)}")
     print()
     print("[transfer check]")
-    pre = bench.evolve_prestate(s1, s2, scn.phases)
-    post = bench.apply_bs_prime(pre)
-    transfer = observables.transfer_check(pre, post, scn.phases)
+    transfer = observables.transfer_check(bench.evolve_prestate(s1, s2, scn.phases), scn.phases)
     print(f"bracket on symmetrized input = {_fmt(transfer.value_symmetrized)}")
     print(f"bracket on phased prestate   = {_fmt(transfer.value_prestate)}")
     print(f"bracket on output state      = {_fmt(transfer.value_final)}")
@@ -164,6 +159,7 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathpol",
@@ -173,38 +169,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="both correlation routes at one setting")
     _add_scenario_args(p)
-    p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("sweep", help="CSV sweep of one phase variable")
     _add_scenario_args(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("chsh", help="four-term functionals and their scan maxima")
     p.add_argument(
         "--resolution",
-        type=_resolution,
+        type=_bounded_int(contextuality.MIN_RESOLUTION, contextuality.MAX_RESOLUTION),
         default=64,
         help="scan grid points per angle "
         f"({contextuality.MIN_RESOLUTION}..{contextuality.MAX_RESOLUTION})",
     )
-    p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("verify", help="run every acceptance check")
-    p.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks (>= 0)")
-    p.set_defaults(func=cmd_verify)
+    p.add_argument(
+        "--seed", type=_bounded_int(0), default=0, help="seed for randomized checks (>= 0)"
+    )
 
     p = sub.add_parser("report", help="correlate + transfer check + signed sum")
     _add_scenario_args(p)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a wrapped or patched command is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,17 @@
 """CHSH-type functionals of the bench correlations and their extrema.
 
-Two families of two-setting correlations are evaluated:
+Two families of two-setting correlations are one pair correlation,
+pair(case, x, y) = cos(x + s*y), with the sign s set by the case:
 
-* case 1: pair(x, y) = cos(x + y), with x a polarization-phase difference
-  and y a path-phase difference;
-* case 2: pair(x, y) = cos(x - y), with x the source-1 polarization phase
+* case 1, s = +1 (the paper's C-bar): x a polarization-phase difference and
+  y a path-phase difference;
+* case 2, s = -1 (the paper's C-tilde): x the source-1 polarization phase
   and y the source-2 path phase. Both are measured from one common anchor,
   which cancels in the difference: ``case2_setting(anchor)`` shifts all
   four angles by it and leaves the functional's value unchanged.
 
-The four-term functional uses the sign pattern + + - + (the minus sits on
-the (primed, unprimed) cross term):
+The four-term functional (the paper's S for case 1, S' for case 2) uses the
+sign pattern + + - + (the minus sits on the (primed, unprimed) cross term):
 
     S = pair(t, p) + pair(t, p') - pair(t', p) + pair(t', p').
 
@@ -52,33 +53,25 @@ def case2_setting(anchor: float = 0.0) -> tuple[float, float, float, float]:
     return (anchor, pi / 2.0 + anchor, anchor - pi / 4.0, anchor + pi / 4.0)
 
 
-def c_bar(theta: float, phi: float) -> float:
-    """Case-1 pair correlation: cos(theta + phi) of the two phase differences."""
-    return cos(theta + phi)
+def _sign(case: int) -> int:
+    """The sign s of the secondary angle in pair(x, y) = cos(x + s*y)."""
+    if case not in (1, 2):
+        raise ValueError(f"case must be 1 or 2, got {case}")
+    return 1 if case == 1 else -1
 
 
-def c_tilde(theta1: float, phi2: float) -> float:
-    """Case-2 pair correlation: cos(theta1 - phi2) of the anchored phases."""
-    return cos(theta1 - phi2)
+def pair(case: int, x: float, y: float) -> float:
+    """Pair correlation cos(x + s*y), s = +1 for case 1 and -1 for case 2."""
+    return cos(x + _sign(case) * y)
 
 
-def s_value(theta: float, theta_p: float, phi: float, phi_p: float) -> float:
-    """Case-1 four-term functional with the + + - + sign pattern."""
+def functional(case: int, t: float, t_prime: float, p: float, p_prime: float) -> float:
+    """Four-term functional of ``case`` with the + + - + sign pattern."""
     return (
-        c_bar(theta, phi)
-        + c_bar(theta, phi_p)
-        - c_bar(theta_p, phi)
-        + c_bar(theta_p, phi_p)
-    )
-
-
-def s_prime_value(theta1: float, theta1_p: float, phi2: float, phi2_p: float) -> float:
-    """Case-2 four-term functional with the + + - + sign pattern."""
-    return (
-        c_tilde(theta1, phi2)
-        + c_tilde(theta1, phi2_p)
-        - c_tilde(theta1_p, phi2)
-        + c_tilde(theta1_p, phi2_p)
+        pair(case, t, p)
+        + pair(case, t, p_prime)
+        - pair(case, t_prime, p)
+        + pair(case, t_prime, p_prime)
     )
 
 
@@ -114,7 +107,7 @@ def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, 
     step = np.arange(resolution)
     grid = 2.0 * pi * step / resolution
     cos_grid = np.cos(grid)
-    sign = 1 if case == 1 else -1
+    sign = _sign(case)
     shifted = cos_grid[(step[:, None] + sign * step[None, :]) % resolution]  # [a, d]
     h_f = cos_grid[:, None] + shifted  # + pair(t,p) + pair(t,p')
     h_g = -cos_grid[:, None] + shifted  # - pair(t',p) + pair(t',p')
@@ -147,7 +140,7 @@ def _best_primaries(case: int, p: float, p_prime: float) -> tuple[float, float]:
     those sums. The maximum is 2(|cos(delta/2)| + |sin(delta/2)|) with
     delta = p' - p.
     """
-    sign = 1.0 if case == 1 else -1.0
+    sign = _sign(case)
     u, u_prime = cmath.exp(1j * sign * p), cmath.exp(1j * sign * p_prime)
     return -cmath.phase(u + u_prime), -cmath.phase(u_prime - u)
 
@@ -161,8 +154,6 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     at 2*sqrt(2), and sets the primaries to their exact optimum there,
     shifted by pi when the grid picked the negative orientation of S.
     """
-    if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case}")
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(
             f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}"
@@ -175,8 +166,7 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     if grid_value < 0.0:
         t, t_prime = t + pi, t_prime + pi
     angles = (t, t_prime, p, p_prime)
-    func = s_value if case == 1 else s_prime_value
-    value = func(*angles)
+    value = functional(case, *angles)
     if abs(value) < abs(grid_value):  # the polish must never lose ground
         angles, value = grid_angles, grid_value
     return ScanResult(abs(value), angles, value)

@@ -141,8 +141,8 @@ def detector_amplitudes(ps: PhaseSetting) -> tuple[complex, complex]:
     ):
         beam = bench._pr_beam(bench._bs_beam(beam))
         # the phase pair is diagonal on the (path, pol) beam: one factor per entry
-        path = np.diagonal(elements.path_phase(phi, sign))
-        pol = np.diagonal(elements.pol_phase(theta, sign))
+        path = np.diagonal(elements.phase(phi, sign))
+        pol = np.diagonal(elements.phase(theta, sign))
         beam = bench._bs_beam(path[:, None] * pol[None, :] * beam)
         out.append((beam[0, 0] + beam[0, 1]) / _SQRT2)  # <a| and (<V| + <H|)/sqrt2
     return out[0], out[1]

@@ -1,9 +1,10 @@
 """2x2 factories for the optical elements of the bench.
 
 Path operators act on the (a, b) doublet, polarization operators on (V, H).
-Phase elements are diagonal and carry a sign convention: elements attached to
-source 1 advance phases as e^{+i x}, elements attached to source 2 as
-e^{-i x}.
+A phase plate is the same diagonal matrix on either doublet, so one factory,
+``phase``, makes the path and the polarization elements alike. It carries a
+sign convention: elements attached to source 1 advance phases as e^{+i x},
+elements attached to source 2 as e^{-i x}.
 """
 
 from __future__ import annotations
@@ -25,28 +26,15 @@ def pol_swap() -> Array:
     return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def _check_sign(sign: int) -> None:
+def phase(x: float | Array, sign: int) -> Array:
+    """diag(1, e^{i*sign*x}) on the (a, b) or the (V, H) doublet.
+
+    An array of phases gives the stack of matrices, shape ``x.shape + (2, 2)``.
+    """
     if sign not in _SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-
-def _phase_diag(x: float | Array, sign: int) -> Array:
-    _check_sign(sign)
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = 1.0
     out[..., 1, 1] = np.exp(1j * sign * x)
     return out
-
-
-def pol_phase(theta: float | Array, sign: int = 1) -> Array:
-    """diag(1, e^{i*sign*theta}) on the (V, H) doublet.
-
-    An array of phases gives the stack of matrices, shape ``theta.shape + (2, 2)``.
-    """
-    return _phase_diag(theta, sign)
-
-
-def path_phase(phi: float | Array, sign: int = 1) -> Array:
-    """diag(1, e^{i*sign*phi}) on the (a, b) doublet (stacked like ``pol_phase``)."""
-    return _phase_diag(phi, sign)

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import isfinite, pi, sqrt
 
+import numpy as np
+
 from .bench import INTENSITY_RANGE, PhaseSetting, SourceSpec
 from .detector import DEFAULT_OMEGA_1, DEFAULT_OMEGA_2
 from .tensor import Array
@@ -121,12 +123,15 @@ def _build(table: dict[str, str]) -> Scenario:
         if not lo <= value <= hi:
             raise ConfigError(f"{key} must be in [{lo:g}, {hi:g}], got {value:g}")
 
-    phases = PhaseSetting(
-        theta1=_parse_float("phases.theta1", table.get("phases.theta1", "0.0")),
-        theta2=_parse_float("phases.theta2", table.get("phases.theta2", "0.0")),
-        phi1=_parse_float("phases.phi1", table.get("phases.phi1", "0.0")),
-        phi2=_parse_float("phases.phi2", table.get("phases.phi2", "0.0")),
-    )
+    try:
+        phases = PhaseSetting(
+            theta1=_parse_float("phases.theta1", table.get("phases.theta1", "0.0")),
+            theta2=_parse_float("phases.theta2", table.get("phases.theta2", "0.0")),
+            phi1=_parse_float("phases.phi1", table.get("phases.phi1", "0.0")),
+            phi2=_parse_float("phases.phi2", table.get("phases.phi2", "0.0")),
+        )
+    except ValueError as exc:  # finite phases whose delta overflows
+        raise ConfigError(f"phases: {exc}") from None
 
     sweep = None
     if any(key.startswith("sweep.") for key in table):
@@ -147,12 +152,11 @@ def _build(table: dict[str, str]) -> Scenario:
             raise ConfigError(
                 f"sweep.points must be <= MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}, got {points}"
             )
-        sweep = SweepSpec(
-            variable=variable,
-            start=_parse_float("sweep.start", table.get("sweep.start", "0.0")),
-            stop=_parse_float("sweep.stop", table.get("sweep.stop", repr(2.0 * pi))),
-            points=points,
-        )
+        start = _parse_float("sweep.start", table.get("sweep.start", "0.0"))
+        stop = _parse_float("sweep.stop", table.get("sweep.stop", repr(2.0 * pi)))
+        if not isfinite(stop - start):
+            raise ConfigError(f"sweep.stop - sweep.start must be finite, got {stop:g} - {start:g}")
+        sweep = SweepSpec(variable, start, stop, points)
 
     output = table.get("output")
     if output == "-":
@@ -185,8 +189,13 @@ def phase_setting_for(variable: str, value: float | Array, base: PhaseSetting) -
     ``value`` while the other three phases keep their base values. An array
     of values gives the sweep, one setting per entry.
     """
-    if variable == "delta":
-        return replace(base, theta1=value + base.theta2 + base.phi2 - base.phi1)
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}")
-    return replace(base, **{variable: value})
+    # finite values and base phases can still sum past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if variable == "delta":
+                return replace(base, theta1=value + base.theta2 + base.phi2 - base.phi1)
+            return replace(base, **{variable: value})
+        except ValueError as exc:
+            raise ConfigError(f"sweep of {variable} reaches a non-finite phase: {exc}") from None

@@ -155,10 +155,10 @@ def _check_hbt_reduction() -> VerifyCheck:
 
 def _check_noncontextuality(rng: np.random.Generator) -> VerifyCheck:
     target = contextuality.MAX_VIOLATION
-    dev_case1 = abs(contextuality.s_value(*contextuality.CASE1_SETTING) - target)
+    dev_case1 = abs(contextuality.functional(1, *contextuality.CASE1_SETTING) - target)
     dev_case2 = 0.0
     for anchor in rng.uniform(-pi, pi, 10):
-        value = contextuality.s_prime_value(*contextuality.case2_setting(float(anchor)))
+        value = contextuality.functional(2, *contextuality.case2_setting(float(anchor)))
         dev_case2 = _worst(dev_case2, abs(value - target))
     scan1 = contextuality.scan_max(1, 64)
     scan2 = contextuality.scan_max(2, 64)
@@ -287,8 +287,7 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
     for m in (
         elements.beam_splitter(),
         elements.pol_swap(),
-        np.where(advance, elements.pol_phase(x, 1), elements.pol_phase(x, -1)),
-        np.where(advance, elements.path_phase(x, 1), elements.path_phase(x, -1)),
+        np.where(advance, elements.phase(x, 1), elements.phase(x, -1)),
     ):
         resid = dagger(m) @ m - np.eye(m.shape[-1])
         worst_unitary = _worst(worst_unitary, _max_abs(resid))
@@ -386,9 +385,7 @@ def _check_signed_sum(rng: np.random.Generator) -> VerifyCheck:
 def _check_transfer_chain(rng: np.random.Generator) -> VerifyCheck:
     s1, s2 = _random_sources(rng)
     ps = PhaseSetting(*_random_phases(rng))
-    pre = bench.evolve_prestate(s1, s2, ps)
-    post = bench.apply_bs_prime(pre)
-    report = observables.transfer_check(pre, post, ps)
+    report = observables.transfer_check(bench.evolve_prestate(s1, s2, ps), ps)
     i1, i2 = s1.intensity, s2.intensity
     formula = 2.0 * i1 * i2 * (1.0 - cos(ps.delta)) / (i1 + i2) ** 2
     ok = report.max_difference <= _TOL and report.conjugation_residual <= _TOL
@@ -408,8 +405,7 @@ def _check_transfer_chain(rng: np.random.Generator) -> VerifyCheck:
 
 
 def _check_autocorrelation() -> VerifyCheck:
-    s1 = SourceSpec(1.0, detector.DEFAULT_OMEGA_1)
-    s2 = SourceSpec(1.0, detector.DEFAULT_OMEGA_2)
+    s1, s2 = _unit_sources()
     beat = abs(s1.omega - s2.omega)
     ps = PhaseSetting(0.7, 0.2, 0.4, -0.3)
 

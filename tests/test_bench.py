@@ -89,6 +89,19 @@ def test_phase_setting_delta():
         PhaseSetting(0.0, np.zeros((2, 2)), 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "phases",
+    [(1e308, 0.0, 1e308, 0.0), (0.0, 1e308, -1e308, 0.0), (1e308, -1e308, 0.0, 0.0)],
+)
+def test_phase_setting_rejects_a_delta_that_overflows(phases):
+    # each phase is finite, their combination is not: refused by name, quietly
+    with pytest.raises(ValueError, match=r"delta = theta1 \+ phi1 - theta2 - phi2 must be finite"):
+        PhaseSetting(*phases)
+    sweep = [np.array([0.0, p]) for p in phases]
+    with pytest.raises(ValueError, match="delta .* must be finite"):
+        PhaseSetting(*sweep)
+
+
 def test_phase_setting_equality_and_hash_cover_sweeps():
     sweep = PhaseSetting(np.array([0.1, 0.2]), 0.0, [0.3, 0.4], 0.0)
     same = PhaseSetting([0.1, 0.2], -0.0, np.array([0.3, 0.4]), 0)
@@ -112,7 +125,7 @@ def test_reports_refuse_a_sweep():
     post = apply_bs_prime(pre)
     for report in (
         lambda: correlation_report(sweep, S1, S2),
-        lambda: transfer_check(pre, post, sweep),
+        lambda: transfer_check(pre, sweep),
         lambda: detect(post),
         lambda: autocorrelation_demo(S1, S2, sweep, 4000.0, 20_000),
     ):

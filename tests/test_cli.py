@@ -320,6 +320,42 @@ def test_verify_fails_the_property_row_on_a_nan_rotator(capsys, monkeypatch):
     assert statuses["algebraic-property-suite"] == "fail"
 
 
+_DELTA = "delta = theta1 + phi1 - theta2 - phi2"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep", "--set", "sweep.variable=phi1", "--set", "sweep.start=-1e308",
+          "--set", "sweep.stop=1e308", "--set", "sweep.points=3"], "sweep.stop - sweep.start"),
+        (["sweep", "--set", "sweep.variable=delta", "--set", "phases.theta2=1e308",
+          "--set", "sweep.stop=1e308", "--set", "sweep.points=3"], "theta1"),
+        (["correlate", "--set", "phases.theta1=1e308", "--set", "phases.phi1=1e308"], _DELTA),
+        (["report", "--set", "phases.theta1=1e308", "--set", "phases.phi1=1e308"], _DELTA),
+    ],
+    ids=["sweep-span", "sweep-delta", "correlate", "report"],
+)
+def test_finite_phases_that_overflow_are_config_errors(capsys, argv, field):
+    # these raised a traceback, or printed inf and NaN under RuntimeWarnings
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"{field} must be finite" in err
+
+
+def test_consecutive_calls_share_no_parser_state(capsys):
+    # the parser is built once; an override must not leak into the next call
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(capsys, "correlate", "--set", f"phases.theta1={np.pi}")
+    assert code == 0 and "C_closed  = -1" in out
+    code, out, _ = run_cli(capsys, "correlate")
+    assert code == 0 and "C_closed  = 1" in out
+    assert cli.build_parser().parse_args(["correlate"]).set == []
+    assert cli.build_parser().parse_args(["chsh", "--resolution", "8"]).resolution == 8
+    assert cli.build_parser().parse_args(["chsh"]).resolution == 64
+
+
 def test_config_file_loading(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("phases.theta1 = 3.141592653589793\n", encoding="utf-8")

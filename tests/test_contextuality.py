@@ -1,4 +1,5 @@
 import tracemalloc
+from math import cos
 
 import numpy as np
 import pytest
@@ -13,52 +14,78 @@ from pathpol.contextuality import (
     MIN_RESOLUTION,
     MAX_VIOLATION,
     VIOLATION_BOUND,
-    c_bar,
-    c_tilde,
     case2_setting,
-    s_prime_value,
-    s_value,
+    functional,
+    pair,
     scan_max,
 )
 from pathpol.correlations import correlation_closed_form
 
 
 def test_pair_correlation_values():
-    assert c_bar(0.0, 0.0) == 1.0
-    assert abs(c_bar(np.pi / 4.0, np.pi / 4.0)) < 1e-15
-    assert abs(c_bar(np.pi / 2.0, np.pi / 4.0) + np.sqrt(0.5)) < 1e-15
-    assert abs(c_tilde(np.pi / 4.0, 0.0) - np.sqrt(0.5)) < 1e-15
+    assert pair(1, 0.0, 0.0) == 1.0
+    assert abs(pair(1, np.pi / 4.0, np.pi / 4.0)) < 1e-15
+    assert abs(pair(1, np.pi / 2.0, np.pi / 4.0) + np.sqrt(0.5)) < 1e-15
+    assert abs(pair(2, np.pi / 4.0, 0.0) - np.sqrt(0.5)) < 1e-15
+    # case 2 flips the sign of the secondary angle
+    assert pair(2, np.pi / 4.0, np.pi / 4.0) == 1.0
 
 
 def test_c_bar_matches_bench_correlation():
-    # the pair function is the two-route bench correlation at equal amplitudes
+    # the case-1 pair function (the paper's C-bar) is the two-route bench
+    # correlation at equal amplitudes
     s1, s2 = SourceSpec(1.0, 1.0), SourceSpec(1.0, 1.3)
     rng = np.random.default_rng(3)
     for _ in range(50):
         theta, phi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 2)
         ps = PhaseSetting(theta, 0.0, phi, 0.0)
-        assert abs(c_bar(theta, phi) - correlation_closed_form(ps, s1, s2)) < 1e-12
+        assert abs(pair(1, theta, phi) - correlation_closed_form(ps, s1, s2)) < 1e-12
 
 
+# the paper's S is functional(1, ...) and its S' is functional(2, ...)
 def test_s_value_at_extremal_setting():
-    assert abs(s_value(*CASE1_SETTING) - MAX_VIOLATION) < 1e-12
-    assert s_value(*CASE1_SETTING) > VIOLATION_BOUND
+    assert abs(functional(1, *CASE1_SETTING) - MAX_VIOLATION) < 1e-12
+    assert functional(1, *CASE1_SETTING) > VIOLATION_BOUND
 
 
 def test_s_value_swapped_pairs_cancels():
     # feeding the primary pair into the primed slots collapses the functional
     theta, theta_p, phi, phi_p = CASE1_SETTING
-    assert abs(s_value(phi, phi_p, theta, theta_p)) < 1e-12
+    assert abs(functional(1, phi, phi_p, theta, theta_p)) < 1e-12
 
 
 def test_s_value_classical_point():
-    assert abs(s_value(0.0, np.pi / 2.0, 0.0, 0.0) - 2.0) < 1e-15
+    assert abs(functional(1, 0.0, np.pi / 2.0, 0.0, 0.0) - 2.0) < 1e-15
 
 
 def test_s_prime_value_matches_case2_setting():
     for anchor in np.linspace(-np.pi, np.pi, 10):
         t, tp, p, pp = case2_setting(anchor)
-        assert abs(s_prime_value(t, tp, p, pp) - MAX_VIOLATION) < 1e-12
+        assert abs(functional(2, t, tp, p, pp) - MAX_VIOLATION) < 1e-12
+
+
+_ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+
+
+@seed(1880)
+@settings(max_examples=50, deadline=None, database=None)
+@given(t=_ANGLE, t_prime=_ANGLE, p=_ANGLE, p_prime=_ANGLE)
+def test_case_2_functional_is_the_cos_difference_sum(t, t_prime, p, p_prime):
+    # x + (-1)*y is x - y in IEEE arithmetic, so the fold is exact
+    explicit = cos(t - p) + cos(t - p_prime) - cos(t_prime - p) + cos(t_prime - p_prime)
+    assert functional(2, t, t_prime, p, p_prime) == explicit
+    explicit = cos(t + p) + cos(t + p_prime) - cos(t_prime + p) + cos(t_prime + p_prime)
+    assert functional(1, t, t_prime, p, p_prime) == explicit
+
+
+@pytest.mark.parametrize("case", [0, 3, -1, "1"])
+def test_unknown_case_is_refused(case):
+    with pytest.raises(ValueError, match="case must be 1 or 2"):
+        pair(case, 0.1, 0.2)
+    with pytest.raises(ValueError, match="case must be 1 or 2"):
+        functional(case, 0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(ValueError, match="case must be 1 or 2"):
+        scan_max(case, 64)
 
 
 @pytest.mark.parametrize("case", [1, 2])
@@ -143,9 +170,6 @@ def test_scan_grid_stage_equals_the_dense_search(case, resolution):
     assert value == dense_value
 
 
-_ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
-
-
 @seed(1969)
 @settings(max_examples=25, deadline=None, database=None)
 @given(p=_ANGLE, p_prime=_ANGLE)
@@ -153,9 +177,9 @@ def test_best_primaries_attain_the_closed_form(p, p_prime):
     half = (p_prime - p) / 2.0
     optimum = 2.0 * (abs(np.cos(half)) + abs(np.sin(half)))
     grid = 2.0 * np.pi * np.arange(64) / 64.0
-    for case, func in ((1, s_value), (2, s_prime_value)):
+    for case in (1, 2):
         t, t_prime = contextuality._best_primaries(case, p, p_prime)
-        value = func(t, t_prime, p, p_prime)
+        value = functional(case, t, t_prime, p, p_prime)
         assert abs(value - optimum) <= 1e-12
         s = 1.0 if case == 1 else -1.0
         f = np.cos(grid + s * p) + np.cos(grid + s * p_prime)
@@ -186,7 +210,7 @@ def test_scan_resolution_validation():
 
 def test_scan_angles_reproduce_value():
     result = scan_max(1, resolution=16)
-    assert abs(s_value(*result.angles) - result.value) < 1e-12
+    assert abs(functional(1, *result.angles) - result.value) < 1e-12
 
 
 def test_restricted_functional_respects_classical_bound():
@@ -194,7 +218,7 @@ def test_restricted_functional_respects_classical_bound():
     rng = np.random.default_rng(17)
     for _ in range(300):
         theta, phi, phi_p = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3)
-        assert abs(s_value(theta, theta, phi, phi_p)) <= 2.0 + 1e-12
+        assert abs(functional(1, theta, theta, phi, phi_p)) <= 2.0 + 1e-12
 
 
 def test_dense_grid_stays_under_ceiling():

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from pathpol.elements import (
     beam_splitter,
-    path_phase,
-    pol_phase,
+    phase,
     pol_swap,
 )
 from pathpol.observables import _sigma_core
@@ -30,15 +29,25 @@ def test_pol_swap_exchanges_components():
     assert np.array_equal(pol_swap() @ [0.0, 1.0], [1.0, 0.0])
 
 
+# one phase factory serves the polarization (V, H) and the path (a, b) plates
 def test_pol_phase_half_turn_flips_superposition_sign():
-    plus = np.array([1.0, 1.0]) / SQRT2
-    minus = np.array([1.0, -1.0]) / SQRT2
-    assert np.max(np.abs(pol_phase(np.pi, 1) @ plus - minus)) < 1e-15
+    diagonal = np.array([1.0, 1.0]) / SQRT2  # (|V> + |H>)/sqrt2
+    antidiagonal = np.array([1.0, -1.0]) / SQRT2
+    assert np.max(np.abs(phase(np.pi, 1) @ diagonal - antidiagonal)) < 1e-15
 
 
 def test_path_phase_quarter_turn_conjugate_sign():
-    out = path_phase(np.pi / 2.0, -1) @ np.array([0.0, 1.0])
+    out = phase(np.pi / 2.0, -1) @ np.array([0.0, 1.0])  # |b> picks up e^{-i pi/2}
     assert np.max(np.abs(out - np.array([0.0, -1j]))) < 1e-15
+
+
+def test_phase_stacks_one_matrix_per_entry():
+    x = np.array([0.0, 0.4, -2.5])
+    stack = phase(x, -1)
+    assert stack.shape == (3, 2, 2)
+    for k, xk in enumerate(x):
+        assert np.array_equal(stack[k], phase(xk, -1))
+    assert np.array_equal(stack[:, 1, 1], np.exp(-1j * x))
 
 
 def test_phase_elements_invert_with_opposite_phase():
@@ -46,15 +55,13 @@ def test_phase_elements_invert_with_opposite_phase():
     for _ in range(50):
         x = float(rng.uniform(-7.0, 7.0))
         sign = 1 if rng.integers(0, 2) else -1
-        assert np.max(np.abs(pol_phase(x, sign) @ pol_phase(-x, sign) - np.eye(2))) < 1e-12
-        assert np.max(np.abs(path_phase(x, sign) @ path_phase(-x, sign) - np.eye(2))) < 1e-12
+        assert np.max(np.abs(phase(x, sign) @ phase(-x, sign) - np.eye(2))) < 1e-12
 
 
 def test_phase_sign_validation():
-    with pytest.raises(ValueError):
-        pol_phase(0.3, 0)
-    with pytest.raises(ValueError):
-        path_phase(0.3, 2)
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match=f"sign must be \\+1 or -1, got {sign}"):
+            phase(0.3, sign)
 
 
 phases = st.floats(-2.0 * np.pi, 2.0 * np.pi)
@@ -66,7 +73,7 @@ phases = st.floats(-2.0 * np.pi, 2.0 * np.pi)
 @settings(max_examples=50, deadline=None, database=None)
 @given(x=phases)
 def test_all_elements_unitary(sign, x):
-    for m in (beam_splitter(), pol_swap(), pol_phase(x, sign), path_phase(x, sign)):
+    for m in (beam_splitter(), pol_swap(), phase(x, sign)):
         resid = m.conj().T @ m - np.eye(2)
         assert np.max(np.abs(resid)) <= 1e-12
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pathpol.bench import PhaseSetting, SourceSpec, apply_bs_prime, evolve_prestate, symmetrized_input
 from pathpol.observables import path_a_projector, product_expectation, sigma, transfer_check
-from pathpol.tensor import apply_factors, basis_state
+from pathpol.tensor import SLOT_PATH_1, SLOT_PATH_2, apply_factors, basis_state
 
 S1 = SourceSpec(1.0, 1.0)
 S2 = SourceSpec(1.0, 1.3)
@@ -160,9 +160,7 @@ def test_transfer_check_brackets_agree():
     rng = np.random.default_rng(43)
     for _ in range(25):
         ps = PhaseSetting(*rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 4))
-        pre = evolve_prestate(S1, S2, ps)
-        post = apply_bs_prime(pre)
-        report = transfer_check(pre, post, ps)
+        report = transfer_check(evolve_prestate(S1, S2, ps), ps)
         assert report.max_difference < 1e-12
         assert report.conjugation_residual < 1e-12
         assert abs(report.value_symmetrized - (1.0 - np.cos(ps.delta)) / 16.0) < 1e-12
@@ -179,8 +177,7 @@ def test_transfer_bracket_is_unnormalized(a1, a2, phases):
     # the logged scale: the bracket is (I1+I2)^2/32 times the normalized term
     s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
     ps = PhaseSetting(*phases)
-    pre = evolve_prestate(s1, s2, ps)
-    report = transfer_check(pre, apply_bs_prime(pre), ps)
+    report = transfer_check(evolve_prestate(s1, s2, ps), ps)
     i1, i2 = s1.intensity, s2.intensity
     normalized = 2.0 * i1 * i2 * (1.0 - np.cos(ps.delta)) / (i1 + i2) ** 2
     assert abs(report.value_symmetrized - i1 * i2 * (1.0 - np.cos(ps.delta)) / 16.0) <= 1e-12
@@ -191,15 +188,22 @@ def test_transfer_bracket_is_unnormalized(a1, a2, phases):
 def test_transfer_check_stage_validation():
     ps = PhaseSetting(0.3, 0.0, 0.0, 0.0)
     pre = evolve_prestate(S1, S2, ps)
-    post = apply_bs_prime(pre)
-    with pytest.raises(ValueError):
-        transfer_check(post, post, ps)
-    with pytest.raises(ValueError):
-        transfer_check(pre, pre, ps)
-    # mismatched pre/post pair
-    other = apply_bs_prime(evolve_prestate(S1, S2, PhaseSetting(1.0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        transfer_check(pre, other, ps)
+    # only the phased prestate has a second-splitter image
+    for wrong in (apply_bs_prime(pre), symmetrized_input(S1, S2)):
+        with pytest.raises(ValueError, match="expected a pre-bs-prime state"):
+            transfer_check(wrong, ps)
+    # the output bracket is read on the second-splitter image of ``pre`` itself,
+    # so no mismatched pre/post pair can be passed in
+    report = transfer_check(pre, ps)
+    post = apply_bs_prime(pre).tensor
+    port_a = path_a_projector()
+    factors = (
+        (port_a, SLOT_PATH_1),
+        sigma(1, "pol", 0.0, "plus"),
+        (port_a, SLOT_PATH_2),
+        sigma(2, "pol", 0.0, "plus"),
+    )
+    assert report.value_final == float(product_expectation(post, factors).real)
 
 
 def test_path_projector_conjugation_by_splitter():

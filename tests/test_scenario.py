@@ -156,6 +156,24 @@ def test_phase_setting_for_delta_pins_total():
         assert (ps.theta2, ps.phi1, ps.phi2) == (0.2, 0.3, 0.4)
 
 
+def test_phase_setting_for_overflow_is_config_error():
+    # finite sweep values and base phases whose sum leaves the float range
+    big = PhaseSetting(0.0, 1e308, 0.0, 0.0)
+    with pytest.raises(ConfigError, match="sweep of delta .*: theta1 must be finite"):
+        phase_setting_for("delta", np.array([0.0, 1e308]), big)
+    with pytest.raises(ConfigError, match="sweep of phi1 .*: delta .* must be finite"):
+        phase_setting_for("phi1", np.array([0.0, 1e308]), PhaseSetting(1e308, 0.0, 0.0, 0.0))
+
+
+def test_overflowing_phase_combinations_are_refused_by_name():
+    with pytest.raises(ConfigError, match=r"phases: delta = theta1 \+ phi1 .* must be finite"):
+        parse_scenario("", ("phases.theta1=1e308", "phases.phi1=1e308"))
+    with pytest.raises(ConfigError, match=r"sweep\.stop - sweep\.start must be finite"):
+        parse_scenario(
+            "", ("sweep.variable=phi1", "sweep.start=-1e308", "sweep.stop=1e308")
+        )
+
+
 def test_phase_setting_for_unknown_variable():
     with pytest.raises(ConfigError, match="unknown sweep variable"):
         phase_setting_for("gamma", 0.0, PhaseSetting(0, 0, 0, 0))

@@ -85,11 +85,10 @@ def failing_rows(out):
     return {name for name, row in parse_rows(out).items() if row[0] == "fail"}
 
 
-@pytest.mark.parametrize("element", ["pol_phase", "path_phase"])
-def test_verify_catches_source_2_phase_with_wrong_sign(capsys, monkeypatch, element):
-    # source 2's phases enter as e^{+ix} instead of e^{-ix}
-    original = getattr(elements, element)
-    monkeypatch.setattr(elements, element, lambda x, sign=1: original(x, abs(sign)))
+def test_verify_catches_source_2_phase_with_wrong_sign(capsys, monkeypatch):
+    # source 2's polarization and path phases enter as e^{+ix} instead of e^{-ix}
+    original = elements.phase
+    monkeypatch.setattr(elements, "phase", lambda x, sign: original(x, abs(sign)))
     code, out = run(capsys)
     assert code == 1
     assert {"pipeline-golden-states", "detection-law-45deg"} <= failing_rows(out)
