@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from pathpol import bench, correlations, elements, observables
+from pathpol.bench import PhaseSetting
 from pathpol.cli import main
 from pathpol.verify import run_verify
 
@@ -85,11 +86,34 @@ def failing_rows(out):
     return {name for name, row in parse_rows(out).items() if row[0] == "fail"}
 
 
-def test_verify_catches_source_2_phase_with_wrong_sign(capsys, monkeypatch):
+def test_verify_catches_source_2_phases_with_wrong_sign(capsys, monkeypatch):
     # source 2's polarization and path phases enter as e^{+ix} instead of e^{-ix}
     original = elements.phase
     monkeypatch.setattr(elements, "phase", lambda x, sign: original(x, abs(sign)))
     code, out = run(capsys)
+    assert code == 1
+    assert {"pipeline-golden-states", "detection-law-45deg"} <= failing_rows(out)
+
+
+@pytest.mark.parametrize("element", ["pol_phase", "path_phase"])
+def test_verify_catches_source_2_phase_with_wrong_sign(capsys, monkeypatch, element):
+    # one of source 2's plates, polarization (theta2) or path (phi2), enters as
+    # e^{+ix} instead of e^{-ix}. The one factory serves both plates, so the
+    # patch tells them apart by the PhaseSetting field its caller passes in.
+    field = {"pol_phase": "theta2", "path_phase": "phi2"}[element]
+    original = elements.phase
+    flipped = []
+
+    def wrong_sign(x, sign):
+        ps = sys._getframe(1).f_locals.get("ps")
+        if isinstance(ps, PhaseSetting) and x is getattr(ps, field):
+            flipped.append(sign)
+            sign = abs(sign)
+        return original(x, sign)
+
+    monkeypatch.setattr(elements, "phase", wrong_sign)
+    code, out = run(capsys)
+    assert flipped and set(flipped) == {-1}
     assert code == 1
     assert {"pipeline-golden-states", "detection-law-45deg"} <= failing_rows(out)
 
