@@ -3,9 +3,9 @@
 The two beams enter on distinct ports (source 1 on b, source 2 on a), split
 at the first beam splitter, have the polarization of their b branch rotated
 from V to H, and are then symmetrized into a single two-beam state. The four
-tunable phases enter afterwards as slot-diagonal factors: source 1 advances
-its H component by e^{+i theta1} and its b component by e^{+i phi1}, source 2
-applies the conjugate signs. The result keeps exactly two nonzero amplitudes,
+tunable phases enter afterwards as the plates of ``elements.PLATES``: source
+1 advances its H and b components by e^{+i theta1} and e^{+i phi1}, source 2
+by the conjugates. The result keeps exactly two nonzero amplitudes,
 
     (A1 A2 / sqrt2) [ |aVaV>  -  e^{i delta} |bHbH> ],
 
@@ -37,11 +37,10 @@ from .tensor import (
     DIM,
     SLOT_PATH_1,
     SLOT_PATH_2,
-    SLOT_POL_1,
-    SLOT_POL_2,
     STATE_SHAPE,
     Array,
     _float_or_array,
+    apply_factors,
     apply_slot,
     norms_squared,
 )
@@ -228,15 +227,18 @@ def _input_stages(a1: complex | Array, a2: complex | Array) -> tuple[Array, Arra
 
 
 def phase_stage(state: Array, ps: PhaseSetting) -> Array:
-    """The four phase plates (``elements.phase``, source 2 conjugated), one per slot.
+    """The four phase plates (``elements.plate``), one per slot.
 
     ``state`` is ``(..., 2, 2, 2, 2)``; a sweep ``ps`` gives one state per
     setting, the settings becoming the leading axis of the result.
     """
-    out = apply_slot(elements.phase(ps.theta2, sign=-1), state, SLOT_POL_2)
-    out = apply_slot(elements.phase(ps.phi2, sign=-1), out, SLOT_PATH_2)
-    out = apply_slot(elements.phase(ps.theta1, sign=1), out, SLOT_POL_1)
-    return apply_slot(elements.phase(ps.phi1, sign=1), out, SLOT_PATH_1)
+    plates = (
+        elements.plate(1, "path", ps.phi1),
+        elements.plate(1, "pol", ps.theta1),
+        elements.plate(2, "path", ps.phi2),
+        elements.plate(2, "pol", ps.theta2),
+    )
+    return apply_factors(state, plates)
 
 
 def bs_prime_stage(state: Array) -> Array:

@@ -48,7 +48,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     return parse_scenario(text, tuple(args.set))
 

@@ -36,8 +36,11 @@ from .bench import PhaseSetting, SourceSpec
 from .observables import sigma
 from .tensor import Array, _float_or_array
 
-# ratios are reported as nan when the closed form sits this close to a zero
+# ratios are nan where |cos delta| is below this, at the closed form's zeros
 COSINE_GUARD = 1e-3
+# the signed sum cancels sixteen g2 ~ 1 terms to ~1e-15, so its ratio is also
+# nan where the closed form is smaller than this (a small I1 I2 / (I1 + I2)^2)
+SIGNED_SUM_FLOOR = 1e-6
 
 
 def _intensities(s1: SourceSpec, s2: SourceSpec) -> tuple[float, float, float]:
@@ -97,10 +100,11 @@ class CorrelationReport:
 
 
 def _guarded_ratio(
-    numeric: float | Array, closed: float | Array, delta: float | Array
+    numeric: float | Array, closed: float | Array, delta: float | Array, floor: float = 0.0
 ) -> float | Array:
     ratio = np.full(np.shape(closed), nan)
-    np.divide(numeric, closed, out=ratio, where=np.abs(np.cos(delta)) >= COSINE_GUARD)
+    defined = (np.abs(np.cos(delta)) >= COSINE_GUARD) & (np.abs(closed) >= floor)
+    np.divide(numeric, closed, out=ratio, where=defined)
     return _float_or_array(ratio)
 
 
@@ -165,7 +169,8 @@ def sum_identity(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> Correlatio
 
     The sum equals -8 times the closed form for every amplitude pair; the
     ratio field reports the measured constant (nan near the cosine zeros,
-    where the ratio is 0/0). A sweep ``ps`` makes every value an array.
+    where it is 0/0, and below ``SIGNED_SUM_FLOOR``, where the sum is
+    rounding error). A sweep ``ps`` makes every value an array.
     """
     terms = []
     total = 0.0
@@ -175,9 +180,8 @@ def sum_identity(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> Correlatio
         total += sign * value
         terms.append(TermEntry(k, l, m, n, sign, value))
     closed = correlation_closed_form(ps, s1, s2)
-    return CorrelationReport(
-        ps.delta, total, closed, _guarded_ratio(total, closed, ps.delta), tuple(terms)
-    )
+    ratio = _guarded_ratio(total, closed, ps.delta, SIGNED_SUM_FLOOR)
+    return CorrelationReport(ps.delta, total, closed, ratio, tuple(terms))
 
 
 def fit_scaled_cosine(deltas: Array, values: Array) -> tuple[float, float]:

@@ -133,16 +133,16 @@ def detector_amplitudes(ps: PhaseSetting) -> tuple[complex, complex]:
     """
     bench._require_single(ps)
     out = []
-    for beam, theta, phi, sign in zip(
+    for source, beam, theta, phi in zip(
+        (1, 2),
         bench._source_beams(1.0, 1.0),  # source 1 on b, source 2 on a
         (ps.theta1, ps.theta2),
         (ps.phi1, ps.phi2),
-        (1, -1),
     ):
         beam = bench._pr_beam(bench._bs_beam(beam))
         # the phase pair is diagonal on the (path, pol) beam: one factor per entry
-        path = np.diagonal(elements.phase(phi, sign))
-        pol = np.diagonal(elements.phase(theta, sign))
+        path = np.diagonal(elements.plate(source, "path", phi)[0])
+        pol = np.diagonal(elements.plate(source, "pol", theta)[0])
         beam = bench._bs_beam(path[:, None] * pol[None, :] * beam)
         out.append((beam[0, 0] + beam[0, 1]) / _SQRT2)  # <a| and (<V| + <H|)/sqrt2
     return out[0], out[1]

@@ -6,10 +6,10 @@ gets a one-parameter family of flip observables
     sigma(x) = e^{+i s x} |1><0|  +  e^{-i s x} |0><1|,
 
 with s = +1 for observables attached to source 1 and s = -1 for source 2
-(matching the phase-element sign convention). ``branch='plus'``/``'minus'``
-select the rank-1 eigenprojectors instead of the full observable; the
-intensity operator of one source is the product of its two plus-branch
-projectors (path and polarization).
+(the plate signs of ``elements.PLATES``, which also gives each observable
+its slot). ``branch='plus'``/``'minus'`` select the rank-1 eigenprojectors
+instead of the full observable; the intensity operator of one source is the
+product of its two plus-branch projectors (path and polarization).
 
 An observable is a factor, a ``(core, slot)`` pair like every element: the
 2x2 core acts on its own slot of a ``(2, 2, 2, 2)`` state. ``sigma`` makes
@@ -28,25 +28,9 @@ import numpy as np
 
 from . import bench, elements
 from .bench import BenchState, PhaseSetting
-from .tensor import (
-    SLOT_PATH_1,
-    SLOT_PATH_2,
-    SLOT_POL_1,
-    SLOT_POL_2,
-    STATE_SHAPE,
-    Array,
-    apply_factors,
-    dagger,
-)
+from .tensor import SLOT_PATH_1, SLOT_PATH_2, STATE_SHAPE, Array, apply_factors, dagger
 
 BRANCHES = ("full", "plus", "minus")
-
-_SLOTS = {
-    (1, "path"): SLOT_PATH_1,
-    (1, "pol"): SLOT_POL_1,
-    (2, "path"): SLOT_PATH_2,
-    (2, "pol"): SLOT_POL_2,
-}
 
 
 def _sigma_core(phase: float | Array, sense: int, branch: str) -> Array:
@@ -76,8 +60,8 @@ def sigma(source: int, dof: str, phase: float | Array, branch: str = "full") -> 
         raise ValueError(f"dof must be 'path' or 'pol', got {dof!r}")
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    sense = 1 if source == 1 else -1
-    return _sigma_core(phase, sense, branch), _SLOTS[(source, dof)]
+    slot, sense = elements.PLATES[(source, dof)]
+    return _sigma_core(phase, sense, branch), slot
 
 
 def product_expectation(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:

@@ -6,13 +6,13 @@ guarantee, and its oracle and tolerance are defined here only; the test
 suite's acceptance gate asserts the rows by name instead of re-deriving
 them.
 
-Rows carry one of three statuses. ``pass``/``fail`` report ordinary checks
-against tolerances. ``discrepancy-logged`` rows cover the cross-route
-comparisons whose functional form must hold exactly while the two routes
-differ by a constant, amplitude-independent scale; both constants are
-printed and the row only turns into ``fail`` when the functional form or
-the constancy itself breaks. Given the same seed the report is
-byte-identical across runs.
+Rows carry one of three statuses, each set by ``_row``. ``pass``/``fail``
+report ordinary checks against tolerances. ``discrepancy-logged`` rows
+cover the cross-route comparisons whose functional form must hold exactly
+while the two routes differ by a constant, amplitude-independent scale;
+both constants are printed and the row only turns into ``fail`` when the
+functional form or the constancy breaks. Fixed-source rows use the default
+pair, ``Scenario().sources()``; a seed gives a byte-identical report.
 
 The randomized checks draw all their instances first, in a fixed order,
 then evaluate the operator route for every instance in one batched pass of
@@ -31,7 +31,7 @@ import numpy as np
 from . import bench, contextuality, correlations, detector, elements, observables
 from .bench import BenchState, PhaseSetting, SourceSpec, Stage
 from .observables import BRANCHES, sigma
-from .scenario import phase_setting_for
+from .scenario import Scenario, phase_setting_for
 from .tensor import DIM, STATE_SHAPE, apply_factors, basis_state, dagger, norms_squared
 
 PASS = "pass"
@@ -67,20 +67,25 @@ class VerifyReport:
         return all(c.status != FAIL for c in self.checks)
 
 
-def _unit_sources() -> tuple[SourceSpec, SourceSpec]:
-    return (
-        SourceSpec(1.0, detector.DEFAULT_OMEGA_1),
-        SourceSpec(1.0, detector.DEFAULT_OMEGA_2),
-    )
+def _row(
+    name: str,
+    ok: bool,
+    measured: float,
+    expected: float = 0.0,
+    tol: float = _TOL,
+    note: str = "",
+    logged: bool = False,
+) -> VerifyCheck:
+    """A row that fails unless ``ok``; a logged row otherwise reads LOGGED."""
+    status = FAIL if not ok else LOGGED if logged else PASS
+    return VerifyCheck(name, status, measured, expected, tol, note)
 
 
 def _random_sources(rng: np.random.Generator) -> tuple[SourceSpec, SourceSpec]:
     mags = rng.uniform(0.5, 1.5, 2)
     args = rng.uniform(-pi, pi, 2)
-    return (
-        SourceSpec(mags[0] * np.exp(1j * args[0]), detector.DEFAULT_OMEGA_1),
-        SourceSpec(mags[1] * np.exp(1j * args[1]), detector.DEFAULT_OMEGA_2),
-    )
+    omegas = (detector.DEFAULT_OMEGA_1, detector.DEFAULT_OMEGA_2)
+    return tuple(SourceSpec(m * np.exp(1j * a), w) for m, a, w in zip(mags, args, omegas))
 
 
 def _random_phases(rng: np.random.Generator) -> np.ndarray:
@@ -110,26 +115,19 @@ def _worst(*deviations: float) -> float:
 
 
 def _check_ghz_closed_form() -> VerifyCheck:
-    s1, s2 = _unit_sources()
+    s1, s2 = Scenario().sources()
     ps = _DELTA_SETTINGS
     ref = np.cos(ps.theta1 - ps.theta2 + ps.phi1 - ps.phi2)
     worst = _max_abs(correlations.correlation_closed_form(ps, s1, s2) - ref)
     at_zero = correlations.correlation_closed_form(PhaseSetting(0, 0, 0, 0), s1, s2)
     at_pi = correlations.correlation_closed_form(PhaseSetting(pi, 0, 0, 0), s1, s2)
     exact = at_zero == 1.0 and at_pi == -1.0
-    status = PASS if worst <= _TOL and exact else FAIL
-    return VerifyCheck(
-        "ghz-correlation-closed-form",
-        status,
-        worst,
-        0.0,
-        _TOL,
-        f"extremes {at_zero:+.1f}/{at_pi:+.1f} exact={exact}",
-    )
+    note = f"extremes {at_zero:+.1f}/{at_pi:+.1f} exact={exact}"
+    return _row("ghz-correlation-closed-form", worst <= _TOL and exact, worst, note=note)
 
 
 def _check_hbt_reduction() -> VerifyCheck:
-    s1, s2 = _unit_sources()
+    s1, s2 = Scenario().sources()
     theta1, theta2 = 0.37, 0.11
     ps = PhaseSetting(theta1, theta2, _GRID + 0.25, 0.25)
     g2 = correlations.g2_generalized(0, 0, 0, 0, ps, s1, s2)
@@ -142,15 +140,8 @@ def _check_hbt_reduction() -> VerifyCheck:
     values = correlations.g2_generalized(0, 0, 0, 0, PhaseSetting(_GRID, 0.0, 0.0, 0.0), s1, s2)
     lo, hi = np.min(values), np.max(values)
     range_exact = lo == 0.5 and hi == 1.5
-    status = PASS if worst <= _TOL and range_exact else FAIL
-    return VerifyCheck(
-        "hbt-reduction",
-        status,
-        worst,
-        0.0,
-        _TOL,
-        f"range [{lo:.1f}, {hi:.1f}] exact={range_exact}",
-    )
+    note = f"range [{lo:.1f}, {hi:.1f}] exact={range_exact}"
+    return _row("hbt-reduction", worst <= _TOL and range_exact, worst, note=note)
 
 
 def _check_noncontextuality(rng: np.random.Generator) -> VerifyCheck:
@@ -164,23 +155,16 @@ def _check_noncontextuality(rng: np.random.Generator) -> VerifyCheck:
     scan2 = contextuality.scan_max(2, 64)
     dev_scan = _worst(abs(scan1.max_abs - target), abs(scan2.max_abs - target))
     setting_dev = _worst(dev_case1, dev_case2)
-    status = PASS if setting_dev <= _TOL and dev_scan <= _TOL else FAIL
-    return VerifyCheck(
-        "noncontextuality-violations",
-        status,
-        setting_dev,
-        0.0,
-        _TOL,
-        f"scan max dev {dev_scan:.3e} (tol {_TOL:.0e})",
-    )
+    ok = setting_dev <= _TOL and dev_scan <= _TOL
+    note = f"scan max dev {dev_scan:.3e} (tol {_TOL:.0e})"
+    return _row("noncontextuality-violations", ok, setting_dev, note=note)
 
 
 def _check_detection_law() -> VerifyCheck:
-    s1, s2 = _unit_sources()
+    s1, s2 = Scenario().sources()
     post = bench.apply_bs_prime(bench.evolve_prestate(s1, s2, _DELTA_SETTINGS))
     worst = _max_abs(detector.p45_intensity(post) - 0.5 * (1.0 - np.cos(_GRID)))
-    status = PASS if worst <= _TOL else FAIL
-    return VerifyCheck("detection-law-45deg", status, worst, 0.0, _TOL)
+    return _row("detection-law-45deg", worst <= _TOL, worst)
 
 
 def _relative_phase(ps: PhaseSetting) -> np.ndarray:
@@ -215,8 +199,9 @@ def _literal_poststate(a1, a2, ps: PhaseSetting) -> np.ndarray:
 
 def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     sources, rows = [], []
+    unit = Scenario().sources()
     for i in range(100):
-        sources.append(_unit_sources() if i % 2 == 0 else _random_sources(rng))
+        sources.append(unit if i % 2 == 0 else _random_sources(rng))
         rows.append(_random_phases(rng))
     a1, a2, target = _amplitudes(sources)
     ps = PhaseSetting(*np.transpose(rows))
@@ -254,8 +239,7 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
             _max_abs(one_post.vector - want_post[k]),
             _max_abs(detector.project_aa(one_post).pol_unit - expected_unit[k]),
         )
-    status = PASS if worst <= _TOL else FAIL
-    return VerifyCheck("pipeline-golden-states", status, worst, 0.0, _TOL)
+    return _row("pipeline-golden-states", worst <= _TOL, worst)
 
 
 def _matrices(*factors: tuple[np.ndarray, int]) -> np.ndarray:
@@ -331,16 +315,15 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
     )
 
     worst = _worst(worst_unitary, worst_proj, worst_comm, worst_norm)
-    status = PASS if worst <= _TOL else FAIL
     note = (
         f"unitarity {worst_unitary:.2e} projectors {worst_proj:.2e} "
         f"commutation {worst_comm:.2e} norms {worst_norm:.2e}"
     )
-    return VerifyCheck("algebraic-property-suite", status, worst, 0.0, _TOL, note)
+    return _row("algebraic-property-suite", worst <= _TOL, worst, note=note)
 
 
 def _check_sigma_route(rng: np.random.Generator) -> VerifyCheck:
-    s1, s2 = _unit_sources()
+    s1, s2 = Scenario().sources()
     values = correlations.correlation_numeric(_DELTA_SETTINGS, s1, s2)
     kappa, resid = correlations.fit_scaled_cosine(_GRID, values)
 
@@ -354,14 +337,8 @@ def _check_sigma_route(rng: np.random.Generator) -> VerifyCheck:
         dev = _worst(dev, abs(ratio - (-0.25)))
 
     ok = resid <= 1e-10 and dev <= 1e-10
-    return VerifyCheck(
-        "sigma-route-vs-closed-form",
-        LOGGED if ok else FAIL,
-        kappa,
-        1.0,
-        1e-10,
-        f"fit residual {resid:.2e}; ratio -1/4 across amplitudes (max dev {dev:.2e})",
-    )
+    note = f"fit residual {resid:.2e}; ratio -1/4 across amplitudes (max dev {dev:.2e})"
+    return _row("sigma-route-vs-closed-form", ok, kappa, 1.0, 1e-10, note, logged=True)
 
 
 def _check_signed_sum(rng: np.random.Generator) -> VerifyCheck:
@@ -372,14 +349,8 @@ def _check_signed_sum(rng: np.random.Generator) -> VerifyCheck:
     dev = float(np.max(np.abs(ratios - mean)))
     # the constant itself is documented: a constant ratio alone is not enough
     ok = dev <= 1e-10 and abs(mean - (-8.0)) <= 1e-10
-    return VerifyCheck(
-        "signed-sum-vs-closed-form",
-        LOGGED if ok else FAIL,
-        mean,
-        1.0,
-        1e-10,
-        f"signed 16-term sum = {mean:.12g} x closed form (ratio spread {dev:.2e})",
-    )
+    note = f"signed 16-term sum = {mean:.12g} x closed form (ratio spread {dev:.2e})"
+    return _row("signed-sum-vs-closed-form", ok, mean, 1.0, 1e-10, note, logged=True)
 
 
 def _check_transfer_chain(rng: np.random.Generator) -> VerifyCheck:
@@ -394,18 +365,12 @@ def _check_transfer_chain(rng: np.random.Generator) -> VerifyCheck:
         f"/ {report.value_final:.12g} (max gap {report.max_difference:.2e}); "
         f"formula route {formula:.12g}"
     )
-    return VerifyCheck(
-        "transfer-bracket-chain",
-        LOGGED if ok else FAIL,
-        report.value_symmetrized,
-        formula,
-        _TOL,
-        note,
-    )
+    measured = report.value_symmetrized
+    return _row("transfer-bracket-chain", ok, measured, formula, note=note, logged=True)
 
 
 def _check_autocorrelation() -> VerifyCheck:
-    s1, s2 = _unit_sources()
+    s1, s2 = Scenario().sources()
     beat = abs(s1.omega - s2.omega)
     ps = PhaseSetting(0.7, 0.2, 0.4, -0.3)
 
@@ -445,14 +410,7 @@ def _check_autocorrelation() -> VerifyCheck:
         f"residual ratios {ratio_a:.3f}, {ratio_b:.3f}; "
         f"cos-fit residual {fit_resid / amplitude:.2e} of amplitude"
     )
-    return VerifyCheck(
-        "autocorrelation-averaging",
-        PASS if ok else FAIL,
-        base.residual,
-        0.0,
-        1e-2,
-        note,
-    )
+    return _row("autocorrelation-averaging", ok, base.residual, tol=1e-2, note=note)
 
 
 def run_verify(seed: int = 0) -> VerifyReport:

@@ -149,6 +149,17 @@ def test_missing_config_file_exits_2(capsys):
     assert "cannot read config" in err
 
 
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    # a Latin-1 byte in a comment raised a UnicodeDecodeError traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# caf\xe9\nphases.theta1 = 0.4\n")
+    code, out, err = run_cli(capsys, "correlate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot read config {str(cfg)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_chsh_reports_maximal_violation(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--resolution", "32")
     assert code == 0
@@ -235,6 +246,17 @@ def test_report_sections_and_identities(capsys):
     summed = section("[signed-sum identity]")
     assert abs(summed["ratio"] + 8.0) < 1e-9
     assert abs(summed["signed 16-term sum"] + 8.0 * summed["closed form"]) < 1e-9
+
+
+def test_report_signed_sum_ratio_is_nan_below_the_floor(capsys):
+    # the sum cancels to rounding error here; it printed ratio = -9.64...
+    code, out, _ = run_cli(
+        capsys, "report", "--set", "amplitudes.i2=1e-16", "--set", "phases.theta1=0.4"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "ratio              = nan"
+    assert lines[-4] == "[signed-sum identity]"
 
 
 def test_verify_passes_and_is_deterministic(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.correlations import (
     COSINE_GUARD,
+    SIGNED_SUM_FLOOR,
     correlation_closed_form,
     correlation_numeric,
     correlation_report,
@@ -243,3 +244,15 @@ def test_signed_sum_is_minus_eight_times_closed_form(a1, a2, ps):
     guarded = np.abs(np.cos(ps.delta)) >= COSINE_GUARD
     assert np.all(np.abs(report.ratio[guarded] + 8.0) <= 1e-10)
     assert np.all(np.isnan(report.ratio[~guarded]))
+
+
+@seed(20149)
+@settings(max_examples=25, deadline=None, database=None)
+@given(log_ratio=st.floats(-149.9, 0.0), ps=sweeps)
+def test_signed_sum_ratio_is_minus_eight_or_nan_at_any_intensity_ratio(log_ratio, ps):
+    # at I2 / I1 = 1e-16 the sum cancels to ~1e-15 and the ratio read -9.64;
+    # below the floor it reads nan, and every ratio left is -8
+    report = sum_identity(ps, UNIT[0], SourceSpec(10.0 ** (log_ratio / 2.0), 1.3))
+    defined = np.isfinite(report.ratio)
+    assert np.all(np.abs(report.ratio[defined] + 8.0) <= 1e-8)
+    assert not np.any(defined & (np.abs(report.closed_form) < SIGNED_SUM_FLOOR))

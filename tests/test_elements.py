@@ -4,11 +4,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pathpol.elements import (
+    PLATES,
     beam_splitter,
     phase,
+    plate,
     pol_swap,
 )
-from pathpol.observables import _sigma_core
+from pathpol.observables import _sigma_core, sigma
 
 SQRT2 = np.sqrt(2.0)
 
@@ -90,3 +92,18 @@ def test_sigma_cores_flip_and_project(sense, x):
     assert np.max(np.abs(plus @ plus - plus)) <= 1e-12
     assert np.max(np.abs(plus @ minus)) <= 1e-12
     assert np.max(np.abs(plus + minus - eye)) <= 1e-12
+
+
+@seed(20150)
+@settings(max_examples=30, deadline=None, database=None)
+@given(x=st.one_of(phases, st.lists(phases, min_size=1, max_size=8).map(np.array)))
+def test_plates_and_observables_share_one_table(x):
+    # each plate and its flip observable sit on the table's slot and turn
+    # the same way, bit for bit
+    for (source, dof), (slot, sign) in PLATES.items():
+        core, core_slot = plate(source, dof, x)
+        flip, flip_slot = sigma(source, dof, x)
+        assert core_slot == flip_slot == slot
+        assert np.array_equal(flip[..., 1, 0], core[..., 1, 1])
+        assert np.array_equal(core, phase(x, sign))
+    assert len({slot for slot, _ in PLATES.values()}) == 4

@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 from pathpol import bench, correlations, elements, observables
-from pathpol.bench import PhaseSetting
 from pathpol.cli import main
 from pathpol.verify import run_verify
 
@@ -98,22 +97,21 @@ def test_verify_catches_source_2_phases_with_wrong_sign(capsys, monkeypatch):
 @pytest.mark.parametrize("element", ["pol_phase", "path_phase"])
 def test_verify_catches_source_2_phase_with_wrong_sign(capsys, monkeypatch, element):
     # one of source 2's plates, polarization (theta2) or path (phi2), enters as
-    # e^{+ix} instead of e^{-ix}. The one factory serves both plates, so the
-    # patch tells them apart by the PhaseSetting field its caller passes in.
-    field = {"pol_phase": "theta2", "path_phase": "phi2"}[element]
-    original = elements.phase
+    # e^{+ix} instead of e^{-ix}: its core is conjugated wherever it is made
+    dof = {"pol_phase": "pol", "path_phase": "path"}[element]
+    original = elements.plate
     flipped = []
 
-    def wrong_sign(x, sign):
-        ps = sys._getframe(1).f_locals.get("ps")
-        if isinstance(ps, PhaseSetting) and x is getattr(ps, field):
-            flipped.append(sign)
-            sign = abs(sign)
-        return original(x, sign)
+    def wrong_sign(source, plate_dof, x):
+        core, slot = original(source, plate_dof, x)
+        if (source, plate_dof) == (2, dof):
+            flipped.append(slot)
+            core = core.conj()
+        return core, slot
 
-    monkeypatch.setattr(elements, "phase", wrong_sign)
+    monkeypatch.setattr(elements, "plate", wrong_sign)
     code, out = run(capsys)
-    assert flipped and set(flipped) == {-1}
+    assert flipped
     assert code == 1
     assert {"pipeline-golden-states", "detection-law-45deg"} <= failing_rows(out)
 
