@@ -58,11 +58,10 @@ print(f"  unexplained fraction:        {rep.residual:.3e}")
 # offset + cosine + sine, with the residual tiny against the amplitude
 window = 2.0 * np.pi * 160.0 / beat
 deltas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-cross = []
-for d in deltas:
-    setting = phase_setting_for("delta", float(d), ps)
-    cross.append(autocorrelation_demo(s1, s2, setting, window, 10_000).cross_measured)
-coeffs, resid = fit_sinusoid(deltas, np.array(cross))
+# one call integrates the whole sweep, every setting on the same time grid
+sweep = phase_setting_for("delta", deltas, ps)
+cross = autocorrelation_demo(s1, s2, sweep, window, 10_000).cross_measured
+coeffs, resid = fit_sinusoid(deltas, cross)
 amplitude = float(np.hypot(coeffs[1], coeffs[2]))
 print(f"\ncross term vs delta: offset {coeffs[0]:.4f}, "
       f"amplitude {amplitude:.4f}, fit residual {resid / amplitude:.2e} of amplitude")

@@ -145,9 +145,14 @@ class PhaseSetting:
         return self.theta1 + self.phi1 - self.theta2 - self.phi2
 
 
+def _setting_shape(ps: PhaseSetting) -> tuple[int, ...]:
+    """``()`` for a single setting, ``(N,)`` for a sweep of N."""
+    return np.broadcast_shapes(*(np.shape(getattr(ps, name)) for name in _PHASE_NAMES))
+
+
 def _require_single(ps: PhaseSetting) -> None:
     """Refuse a sweep where a report is defined for one setting only."""
-    if any(np.ndim(getattr(ps, name)) for name in _PHASE_NAMES):
+    if _setting_shape(ps):
         raise ValueError("a report takes a single phase setting, not a sweep")
 
 

@@ -89,8 +89,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     def _write(stream) -> None:
         stream.write(",".join(CSV_HEADER) + "\n")
-        # formatted as written: no list of every row is held
-        stream.writelines(row % r for r in zip(*columns))
+        # rows formatted as written, from Python floats (numpy scalars
+        # format the same, but slower)
+        stream.writelines(row % r for r in zip(*(c.tolist() for c in columns)))
 
     if scn.output is None:
         _write(sys.stdout)

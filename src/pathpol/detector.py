@@ -7,7 +7,9 @@ convention that the expansion coefficients are those of the unit-norm
 polarization part scaled by sqrt(2); the squared ++ coefficient is then the
 detection law (1 - cos delta)/2, which ``p45_intensity`` returns. Both read
 one output state or an ``(N, 16)`` stack of them; ``detect`` (the four port
-probabilities) and ``autocorrelation_demo`` are single-setting reports.
+probabilities) is a single-state report. ``detector_amplitudes`` and
+``autocorrelation_demo`` take one phase setting or a sweep, and a sweep
+gives one entry per setting.
 
 ``autocorrelation_demo`` reinstates the time dependence dropped by the
 bench: the two sources are distinct frequencies, so every first-order
@@ -18,7 +20,10 @@ u_k from ``detector_amplitudes``. The intensity is sampled as one real
 cosine, I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c) with
 c = A1 u1 conj(A2 u2), the exact identity |E1 + E2|^2 = I1 + I2 +
 2 Re(E1 E2*); it is still integrated in time, so the residual measures how
-well the numerical average cancels the oscillating terms.
+well the numerical average cancels the oscillating terms. A sweep is
+integrated on one shared time grid, each setting's series in the same
+reused buffers, by the trapezoid rule written out in ``np.trapezoid``'s own
+order of operations, so every total is bit-identical to that routine's.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ DEFAULT_OMEGA_2 = 1.3
 MIN_BEATS = 100.0
 MIN_SAMPLES = 10_000
 SAMPLES_PER_PERIOD = 20
-# ~25x the largest count the checks use (80,191); a series this long holds
-# ~130 MiB of working arrays, so longer windows are refused before allocating
+# ~25x the largest count the checks use (80,191); a grid this long peaks at
+# ~61 MiB of working arrays (tracemalloc, one setting or a sweep), so longer
+# windows are refused before allocating
 MAX_SAMPLES = 2_000_000
 
 
@@ -123,28 +129,29 @@ def detect(state: BenchState) -> tuple[float, float, float, float]:
     )
 
 
-def detector_amplitudes(ps: PhaseSetting) -> tuple[complex, complex]:
+def detector_amplitudes(ps: PhaseSetting) -> tuple[complex | Array, complex | Array]:
     """Per-source amplitude reaching the (port a, 45 degrees) detector.
 
     Runs each unit-amplitude source alone through splitter, rotator, its own
     phase pair, and the second splitter, then projects onto port a and the
     diagonal polarization. Closed forms: (1 - e^{i(theta1+phi1)})/(2 sqrt2)
-    and (1 + e^{-i(theta2+phi2)})/(2 sqrt2).
+    and (1 + e^{-i(theta2+phi2)})/(2 sqrt2). A sweep gives both amplitudes
+    one entry per setting, even where a source's own two phases are floats.
     """
-    bench._require_single(ps)
+    shape = bench._setting_shape(ps)
     out = []
     for source, beam, theta, phi in zip(
         (1, 2),
         bench._source_beams(1.0, 1.0),  # source 1 on b, source 2 on a
-        (ps.theta1, ps.theta2),
-        (ps.phi1, ps.phi2),
+        (np.broadcast_to(ps.theta1, shape), np.broadcast_to(ps.theta2, shape)),
+        (np.broadcast_to(ps.phi1, shape), np.broadcast_to(ps.phi2, shape)),
     ):
         beam = bench._pr_beam(bench._bs_beam(beam))
         # the phase pair is diagonal on the (path, pol) beam: one factor per entry
-        path = np.diagonal(elements.plate(source, "path", phi)[0])
-        pol = np.diagonal(elements.plate(source, "pol", theta)[0])
-        beam = bench._bs_beam(path[:, None] * pol[None, :] * beam)
-        out.append((beam[0, 0] + beam[0, 1]) / _SQRT2)  # <a| and (<V| + <H|)/sqrt2
+        path = np.diagonal(elements.plate(source, "path", phi)[0], 0, -2, -1)
+        pol = np.diagonal(elements.plate(source, "pol", theta)[0], 0, -2, -1)
+        beam = bench._bs_beam(path[..., :, None] * pol[..., None, :] * beam)
+        out.append((beam[..., 0, 0] + beam[..., 0, 1]) / _SQRT2)  # <a| and (<V| + <H|)/sqrt2
     return out[0], out[1]
 
 
@@ -162,17 +169,19 @@ class AutocorrelationReport:
     cos(delta) dependence through I1 I2 = |A1 u1|^2 |A2 u2|^2, with u1 and
     u2 from ``detector_amplitudes``. ``residual`` is the leftover
     oscillatory fraction of the total (NaN when the total is); it decays
-    as 1/(window |omega1 - omega2|). ``samples`` is the length of the time grid.
+    as 1/(window |omega1 - omega2|). ``samples`` is the length of the time
+    grid, one grid for every setting. A sweep makes every other field an
+    array, one entry per setting; a single setting gives floats.
     """
 
     samples: int
-    total: float
-    self_term_1: float
-    self_term_2: float
-    cross_product_term: float
-    beat_mean_square: float
-    cross_measured: float
-    residual: float
+    total: float | Array
+    self_term_1: float | Array
+    self_term_2: float | Array
+    cross_product_term: float | Array
+    beat_mean_square: float | Array
+    cross_measured: float | Array
+    residual: float | Array
 
 
 def autocorrelation_demo(
@@ -182,7 +191,10 @@ def autocorrelation_demo(
     window: float,
     samples: int,
 ) -> AutocorrelationReport:
-    """Integrate the squared detector intensity over a finite time window."""
+    """Integrate the squared detector intensity over a finite time window.
+
+    A sweep ``ps`` integrates every setting on the one time grid.
+    """
     if not np.isfinite(window):
         raise ValueError(f"window must be finite, got {window!r}")
     # (|A1| + |A2|)^4 bounds the squared intensity, so this bounds the
@@ -201,6 +213,9 @@ def autocorrelation_demo(
             f"window * |omega1 - omega2| must be >= {MIN_BEATS:g}, "
             f"got {window * beat:g}"
         )
+    # a bool is an int to Python, but never a sample count
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
 
@@ -214,38 +229,44 @@ def autocorrelation_demo(
         )
     n = max(samples, ceil(needed) + 1)
 
-    u1, u2 = detector_amplitudes(ps)
-    a1, a2 = s1.amplitude * u1, s2.amplitude * u2
-    i1 = abs(a1) ** 2
-    i2 = abs(a2) ** 2
-    # |E1 + E2|^2 = I1 + I2 + 2 Re(E1 E2*), and E1 E2* = c e^{i(omega1 - omega2) t}
-    c = a1 * np.conj(a2)
+    shape = bench._setting_shape(ps)
+    u1s, u2s = (np.broadcast_to(u, shape) for u in detector_amplitudes(ps))
+    # one grid serves every setting, read only through its steps and the
+    # beat phase, which takes over its buffer
     times = np.linspace(0.0, window, n)
-    phase = (s1.omega - s2.omega) * times
-    phase += np.angle(c)
-    intensity = np.cos(phase, out=phase)  # in the phase's buffer
-    intensity *= 2.0 * abs(c)
-    intensity += i1 + i2
-    # numpy >= 2.0 calls it trapezoid (2.4 removed trapz): name trapz only without it
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    total = float(trapezoid(intensity**2, times))
+    steps = np.diff(times)
+    beat_phase = np.multiply(s1.omega - s2.omega, times, out=times)
+    series = np.empty(n)
+    pairs = np.empty(n - 1)
+    rows = []
+    for u1, u2 in zip(u1s.flat, u2s.flat):
+        a1, a2 = s1.amplitude * u1, s2.amplitude * u2
+        i1 = abs(a1) ** 2
+        i2 = abs(a2) ** 2
+        # |E1 + E2|^2 = I1 + I2 + 2 Re(E1 E2*), and E1 E2* = c e^{i(omega1 - omega2) t}
+        c = a1 * np.conj(a2)
+        np.add(beat_phase, np.angle(c), out=series)
+        np.cos(series, out=series)
+        series *= 2.0 * abs(c)
+        series += i1 + i2
+        np.square(series, out=series)
+        # np.trapezoid(series, times) in its own order of operations, so the
+        # total is bit-identical to it: d * (y[1:] + y[:-1]) / 2, then summed
+        np.add(series[1:], series[:-1], out=pairs)
+        pairs *= steps
+        pairs /= 2.0
+        total = np.add.reduce(pairs)
 
-    self1 = i1 * i1 * window
-    self2 = i2 * i2 * window
-    cross = 2.0 * i1 * i2 * window
-    beat_ms = 2.0 * i1 * i2 * window
+        self1 = i1 * i1 * window
+        self2 = i2 * i2 * window
+        cross = 2.0 * i1 * i2 * window
+        beat_ms = 2.0 * i1 * i2 * window
 
-    leftover = total - (self1 + self2 + cross + beat_ms)
-    # a NaN total gives a NaN residual, which no tolerance accepts
-    residual = abs(leftover) / total if total != 0.0 else 0.0
+        leftover = total - (self1 + self2 + cross + beat_ms)
+        # a NaN total gives a NaN residual, which no tolerance accepts
+        residual = abs(leftover) / total if total != 0.0 else 0.0
+        rows.append((total, self1, self2, cross, beat_ms, total - self1 - self2, residual))
 
-    return AutocorrelationReport(
-        samples=n,
-        total=total,
-        self_term_1=self1,
-        self_term_2=self2,
-        cross_product_term=cross,
-        beat_mean_square=beat_ms,
-        cross_measured=total - self1 - self2,
-        residual=residual,
-    )
+    # the report's seven fields after ``samples``, one row per setting
+    table = np.array(rows, dtype=float).reshape(shape + (7,))
+    return AutocorrelationReport(n, *(_float_or_array(f) for f in np.moveaxis(table, -1, 0)))

@@ -81,11 +81,19 @@ def _row(
     return VerifyCheck(name, status, measured, expected, tol, note)
 
 
-def _random_sources(rng: np.random.Generator) -> tuple[SourceSpec, SourceSpec]:
+def _random_amplitudes(rng: np.random.Generator) -> np.ndarray:
+    """A1 and A2 of one random source pair: |A| in [0.5, 1.5], any phase."""
     mags = rng.uniform(0.5, 1.5, 2)
     args = rng.uniform(-pi, pi, 2)
-    omegas = (detector.DEFAULT_OMEGA_1, detector.DEFAULT_OMEGA_2)
-    return tuple(SourceSpec(m * np.exp(1j * a), w) for m, a, w in zip(mags, args, omegas))
+    return mags * np.exp(1j * args)
+
+
+def _source_pair(a1: complex, a2: complex) -> tuple[SourceSpec, SourceSpec]:
+    return SourceSpec(a1, detector.DEFAULT_OMEGA_1), SourceSpec(a2, detector.DEFAULT_OMEGA_2)
+
+
+def _random_sources(rng: np.random.Generator) -> tuple[SourceSpec, SourceSpec]:
+    return _source_pair(*_random_amplitudes(rng))
 
 
 def _random_phases(rng: np.random.Generator) -> np.ndarray:
@@ -93,15 +101,13 @@ def _random_phases(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-2.0 * pi, 2.0 * pi, 4)
 
 
-def _amplitudes(
-    sources: list[tuple[SourceSpec, SourceSpec]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A1 and A2 as arrays, and the norm |A1 A2|^2 every stage must keep."""
-    return (
-        np.array([s1.amplitude for s1, _ in sources], dtype=complex),
-        np.array([s2.amplitude for _, s2 in sources], dtype=complex),
-        np.array([(abs(s1.amplitude) * abs(s2.amplitude)) ** 2 for s1, s2 in sources]),
-    )
+def _amplitudes(pairs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A1 and A2 of each drawn pair as arrays, and the norm |A1 A2|^2 every
+    stage must keep."""
+    a1, a2 = np.transpose(pairs)
+    # pair by pair: the scalar abs and ** 2 (hypot, pow) may round apart from
+    # numpy's array loops, and the report prints deviations from this norm
+    return a1, a2, np.array([(abs(x) * abs(y)) ** 2 for x, y in pairs])
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -198,12 +204,12 @@ def _literal_poststate(a1, a2, ps: PhaseSetting) -> np.ndarray:
 
 
 def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
-    sources, rows = [], []
-    unit = Scenario().sources()
+    pairs, rows = [], []
+    unit = np.array([s.amplitude for s in Scenario().sources()], dtype=complex)
     for i in range(100):
-        sources.append(unit if i % 2 == 0 else _random_sources(rng))
+        pairs.append(unit if i % 2 == 0 else _random_amplitudes(rng))
         rows.append(_random_phases(rng))
-    a1, a2, target = _amplitudes(sources)
+    a1, a2, target = _amplitudes(pairs)
     ps = PhaseSetting(*np.transpose(rows))
 
     *_, pre, post = bench.trace_stages(a1, a2, ps)
@@ -231,7 +237,7 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     )
     # the single-state chain a caller runs, on a unit- and a random-source instance
     for k in (0, 1):
-        one_pre = bench.evolve_prestate(*sources[k], PhaseSetting(*rows[k]))
+        one_pre = bench.evolve_prestate(*_source_pair(*pairs[k]), PhaseSetting(*rows[k]))
         one_post = bench.apply_bs_prime(one_pre)
         worst = _worst(
             worst,
@@ -252,7 +258,7 @@ def _matrices(*factors: tuple[np.ndarray, int]) -> np.ndarray:
 
 def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
     # every random instance first, drawn in the same order as one at a time
-    xs, signs, rows, sources, dofs, branches, beams = [], [], [], [], [], [], []
+    xs, signs, rows, sources, dofs, branches, pairs = [], [], [], [], [], [], []
     for _ in range(100):
         xs.append(float(rng.uniform(-2.0 * pi, 2.0 * pi)))
         signs.append(1 if rng.integers(0, 2) == 0 else -1)
@@ -260,7 +266,7 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
         sources.append(int(rng.integers(1, 3)))
         dofs.append("path" if rng.integers(0, 2) == 0 else "pol")
         branches.append(BRANCHES[int(rng.integers(0, 3))])
-        beams.append(_random_sources(rng))
+        pairs.append(_random_amplitudes(rng))
     x = np.array(xs)
     sources, dofs, branches = np.array(sources), np.array(dofs), np.array(branches)
     theta1, theta2, phi1, phi2 = np.transpose(rows)
@@ -306,10 +312,10 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
         b = _matrices(sigma(2, other[dof], -1.3 * x[rows]))
         worst_comm = _worst(worst_comm, _max_abs(a @ b - b @ a))
 
-    a1, a2, target = _amplitudes(beams)
+    a1, a2, target = _amplitudes(pairs)
     worst_norm = _worst(
         *(
-            _max_abs(norms_squared(stage.reshape(len(beams), DIM)) - target)
+            _max_abs(norms_squared(stage.reshape(len(pairs), DIM)) - target)
             for stage in bench.trace_stages(a1, a2, ps)
         )
     )
@@ -393,14 +399,8 @@ def _check_autocorrelation() -> VerifyCheck:
     # leaving the pure cos(delta) law of the cross term
     fit_window = 2.0 * pi * 160 / beat
     deltas = 2.0 * pi * np.arange(16) / 16.0
-    cross = np.array(
-        [
-            detector.autocorrelation_demo(
-                s1, s2, phase_setting_for("delta", float(d), ps), fit_window, 10_000
-            ).cross_measured
-            for d in deltas
-        ]
-    )
+    sweep = phase_setting_for("delta", deltas, ps)
+    cross = detector.autocorrelation_demo(s1, s2, sweep, fit_window, 10_000).cross_measured
     coeffs, fit_resid = correlations.fit_sinusoid(deltas, cross)
     amplitude = float(np.hypot(coeffs[1], coeffs[2]))
     fit_ok = fit_resid <= 1e-3 * amplitude

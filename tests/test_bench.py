@@ -14,7 +14,7 @@ from pathpol.bench import (
     symmetrized_input,
 )
 from pathpol.correlations import correlation_report
-from pathpol.detector import autocorrelation_demo, detect
+from pathpol.detector import detect
 from pathpol.observables import transfer_check
 from pathpol.tensor import basis_state
 
@@ -127,7 +127,6 @@ def test_reports_refuse_a_sweep():
         lambda: correlation_report(sweep, S1, S2),
         lambda: transfer_check(pre, sweep),
         lambda: detect(post),
-        lambda: autocorrelation_demo(S1, S2, sweep, 4000.0, 20_000),
     ):
         with pytest.raises(ValueError, match="single"):
             report()

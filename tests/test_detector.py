@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from pathpol.bench import (
@@ -15,6 +17,7 @@ from pathpol.bench import (
 from pathpol.correlations import fit_scaled_cosine
 from pathpol.detector import (
     MAX_SAMPLES,
+    MIN_SAMPLES,
     autocorrelation_demo,
     detect,
     detector_amplitudes,
@@ -24,6 +27,8 @@ from pathpol.detector import (
 
 S1 = SourceSpec(1.0, 1.0)
 S2 = SourceSpec(1.0, 1.3)
+# a 16-setting sweep, for the refusals that must hold for a stack too
+STACK = PhaseSetting(np.linspace(0.0, 3.0, 16), 0.0, 0.0, 0.0)
 
 
 def output_state(delta: float, s1: SourceSpec = S1, s2: SourceSpec = S2):
@@ -259,29 +264,28 @@ def test_autocorrelation_refuses_oversized_window_before_allocating(monkeypatch,
         raise AssertionError("the time grid must not be allocated")
 
     monkeypatch.setattr(np, "linspace", no_allocation)
-    with pytest.raises(ValueError, match="window") as info:
-        autocorrelation_demo(S1, S2, PhaseSetting(0.3, 0.0, 0.0, 0.0), window, 10_000)
-    if np.isfinite(window):
-        assert "samples" in str(info.value)
-        assert str(MAX_SAMPLES) in str(info.value)
+    for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
+        with pytest.raises(ValueError, match="window") as info:
+            autocorrelation_demo(S1, S2, ps, window, 10_000)
+        if np.isfinite(window):
+            assert "samples" in str(info.value)
+            assert str(MAX_SAMPLES) in str(info.value)
 
 
-def test_autocorrelation_falls_back_to_trapz_without_trapezoid(monkeypatch):
-    # numpy < 2.0 has only trapz; mimic it by hiding trapezoid
-    ps = PhaseSetting(0.8, 0.0, 0.0, 0.0)
-    expected = autocorrelation_demo(S1, S2, ps, 4000.0, 20_000).total
-    real = getattr(np, "trapezoid", None) or np.trapz
-    calls = []
+@pytest.mark.parametrize(
+    "samples",
+    [20_000.0, float("nan"), True, np.True_, "20000"],
+    ids=["float", "nan", "bool", "numpy-bool", "str"],
+)
+def test_autocorrelation_refuses_a_sample_count_that_is_not_an_integer(monkeypatch, samples):
+    # 20000.0 and NaN reached linspace (a bare TypeError), "20000" failed on <
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the time grid must not be allocated")
 
-    def recording_trapz(y, x):
-        calls.append(len(x))
-        return real(y, x)
-
-    monkeypatch.delattr(np, "trapezoid", raising=False)
-    monkeypatch.setattr(np, "trapz", recording_trapz, raising=False)
-    report = autocorrelation_demo(S1, S2, ps, 4000.0, 20_000)
-    assert calls == [report.samples]
-    assert report.total == expected
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            autocorrelation_demo(S1, S2, ps, 4000.0, samples)
 
 
 @pytest.mark.skipif(
@@ -312,9 +316,10 @@ def test_autocorrelation_refuses_an_overflowing_integral_before_allocating(monke
 
     monkeypatch.setattr(np, "linspace", no_allocation)
     loud = SourceSpec(1e75, 1.0), SourceSpec(1e75, 1.0001)
-    with pytest.raises(ValueError, match="window") as info:
-        autocorrelation_demo(*loud, PhaseSetting(0.3, 0.0, 0.0, 0.0), 1e9, 10_000)
-    assert f"{np.finfo(float).max:.6g}" in str(info.value)
+    for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
+        with pytest.raises(ValueError, match="window") as info:
+            autocorrelation_demo(*loud, ps, 1e9, 10_000)
+        assert f"{np.finfo(float).max:.6g}" in str(info.value)
 
 
 def test_autocorrelation_just_inside_the_bound_stays_finite():
@@ -331,22 +336,98 @@ complex_amplitudes = st.builds(lambda m, a: m * np.exp(1j * a), st.floats(0.2, 4
 @settings(max_examples=20, deadline=None, database=None)
 @given(a1=complex_amplitudes, a2=complex_amplitudes, phases=st.tuples(angles, angles, angles, angles))
 def test_autocorrelation_intensity_is_the_squared_field_sum(a1, a2, phases):
-    # the integrand is the squared intensity; read it where it is integrated
-    real = getattr(np, "trapezoid", None) or np.trapz
+    # the integrand is the squared intensity; read it where it is squared
+    real = np.square
     seen = []
 
-    def recording(y, x):
-        seen.append((y, x))
-        return real(y, x)
+    def recording(x, out=None):
+        y = real(x, out=out)
+        seen.append(y.copy())
+        return y
 
     s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
     ps = PhaseSetting(*phases)
     window = 400.0  # 120 beats
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "trapezoid" if hasattr(np, "trapezoid") else "trapz", recording)
-        autocorrelation_demo(s1, s2, ps, window, 10_000)
-    (squared, times), = seen
+        mp.setattr(np, "square", recording)
+        report = autocorrelation_demo(s1, s2, ps, window, 10_000)
+    (squared,) = seen
+    times = np.linspace(0.0, window, report.samples)
     u1, u2 = detector_amplitudes(ps)
     field = a1 * u1 * np.exp(1j * s1.omega * times) + a2 * u2 * np.exp(1j * s2.omega * times)
     want = np.abs(field) ** 2
     assert np.max(np.abs(np.sqrt(squared) - want)) <= 1e-13 * np.max(want)
+
+
+def _trapezoid_reference(s1, s2, ps, window, samples):
+    """One setting's total the direct way: the intensity sampled on a fresh
+    grid, squared, and integrated by numpy's own trapezoid routine."""
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    u1, u2 = detector_amplitudes(ps)
+    a1, a2 = s1.amplitude * u1, s2.amplitude * u2
+    c = a1 * np.conj(a2)
+    times = np.linspace(0.0, window, samples)
+    intensity = 2.0 * abs(c) * np.cos((s1.omega - s2.omega) * times + np.angle(c))
+    intensity += abs(a1) ** 2 + abs(a2) ** 2
+    return float(trapezoid(intensity**2, times))
+
+
+@seed(20151)
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    a1=complex_amplitudes,
+    a2=complex_amplitudes,
+    phases=st.tuples(angles, angles, angles, angles),
+    beats=st.floats(101.0, 600.0),
+    samples=st.integers(MIN_SAMPLES, MIN_SAMPLES + 2_000),
+)
+def test_autocorrelation_total_is_numpy_trapezoid_bit_for_bit(a1, a2, phases, beats, samples):
+    s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
+    ps = PhaseSetting(*phases)
+    window = beats / abs(s1.omega - s2.omega)
+    report = autocorrelation_demo(s1, s2, ps, window, samples)
+    assert report.total == _trapezoid_reference(s1, s2, ps, window, report.samples)
+
+
+phase_lists = st.lists(st.tuples(angles, angles, angles, angles), min_size=1, max_size=5)
+
+
+@seed(20152)
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    a1=complex_amplitudes,
+    a2=complex_amplitudes,
+    rows=phase_lists,
+    fixed=st.sets(st.integers(0, 3), max_size=3),
+)
+# one source's phases both floats: its amplitude still has an entry per setting
+@example(a1=1.0, a2=0.5j, rows=[(0.1, 0.2, 0.3, 0.4), (1.1, 1.2, 1.3, 1.4)], fixed={0, 2})
+@example(a1=1.0, a2=0.5j, rows=[(0.1, 0.2, 0.3, 0.4), (1.1, 1.2, 1.3, 1.4)], fixed={1, 3})
+def test_stacked_detector_calls_equal_their_single_calls(a1, a2, rows, fixed):
+    # a stack gives one entry per setting, each bit for bit its single call;
+    # the fields in ``fixed`` stay floats in the stack (held for every entry)
+    columns = [np.array(c) for c in zip(*rows)]
+    for k in fixed:
+        columns[k] = rows[0][k]
+    stack = PhaseSetting(*columns)
+    singles = [PhaseSetting(*(c if k in fixed else c[i] for k, c in enumerate(columns)))
+               for i in range(len(rows))]
+    s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
+
+    u1, u2 = detector_amplitudes(stack)
+    assert u1.shape == u2.shape == (len(rows),)
+    assert [complex(u) for u in u1] == [complex(detector_amplitudes(ps)[0]) for ps in singles]
+    assert [complex(u) for u in u2] == [complex(detector_amplitudes(ps)[1]) for ps in singles]
+
+    window = 400.0
+    stacked = autocorrelation_demo(s1, s2, stack, window, MIN_SAMPLES)
+    reports = [autocorrelation_demo(s1, s2, ps, window, MIN_SAMPLES) for ps in singles]
+    for field in dataclasses.fields(stacked):
+        values = [getattr(r, field.name) for r in reports]
+        if field.name == "samples":
+            assert values == [stacked.samples] * len(rows)
+            continue
+        assert all(type(v) is float for v in values)
+        column = getattr(stacked, field.name)
+        assert column.shape == (len(rows),)
+        assert np.array_equal(column, values, equal_nan=True)
