@@ -16,14 +16,15 @@ bench: the two sources are distinct frequencies, so every first-order
 interference term oscillates at the beat (or twice the beat) and averages
 out of the windowed integral of the squared total intensity, leaving the
 stationary combination I1^2 + I2^2 + 4 I1 I2, with I_k = |A_k u_k|^2 and
-u_k from ``detector_amplitudes``. The intensity is sampled as one real
-cosine, I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c) with
-c = A1 u1 conj(A2 u2), the exact identity |E1 + E2|^2 = I1 + I2 +
-2 Re(E1 E2*); it is still integrated in time, so the residual measures how
-well the numerical average cancels the oscillating terms. A sweep is
-integrated on one shared time grid, each setting's series in the same
-reused buffers, by the trapezoid rule written out in ``np.trapezoid``'s own
-order of operations, so every total is bit-identical to that routine's.
+u_k from ``detector_amplitudes``. The intensity is one real cosine,
+I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c) with c = A1 u1 conj(A2 u2),
+the exact identity |E1 + E2|^2 = I1 + I2 + 2 Re(E1 E2*). Its square is
+integrated by the trapezoid rule on a uniform n-point time grid, so the
+residual measures how well a finite sampled window cancels the oscillating
+terms; but the grid is never built. The square is a constant plus cosines
+at the beat and twice the beat, and the trapezoid sum of a cosine over a
+uniform grid is a geometric series, so the rule's value is taken in closed
+form: O(1) work per setting, whatever n, every setting of a sweep at once.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ DEFAULT_OMEGA_2 = 1.3
 MIN_BEATS = 100.0
 MIN_SAMPLES = 10_000
 SAMPLES_PER_PERIOD = 20
-# ~25x the largest count the checks use (80,191); a grid this long peaks at
-# ~61 MiB of working arrays (tracemalloc, one setting or a sweep), so longer
-# windows are refused before allocating
+# an input-domain bound, ~25x the largest count the checks use (80,191): the
+# closed-form sum costs the same at any n, so it caps the grid (and the
+# window, through the samples a window needs) a caller may ask for, not memory
 MAX_SAMPLES = 2_000_000
 
 
@@ -159,9 +160,10 @@ def detector_amplitudes(ps: PhaseSetting) -> tuple[complex | Array, complex | Ar
 class AutocorrelationReport:
     """Windowed integral of the squared total intensity, decomposed.
 
-    ``total`` is the trapezoid integral of (|E1 + E2|^2)^2, the intensity
-    sampled as I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c) with
-    c = A1 u1 conj(A2 u2). The stationary part is self_term_1 +
+    ``total`` is the trapezoid rule's value for (|E1 + E2|^2)^2 on the
+    uniform ``samples``-point grid over the window, summed exactly in closed
+    form, with the intensity I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c)
+    and c = A1 u1 conj(A2 u2). The stationary part is self_term_1 +
     self_term_2 + cross_product_term + beat_mean_square (the last two are
     both 2 I1 I2 window: the product cross term and the time average of the
     squared beat note).
@@ -170,8 +172,9 @@ class AutocorrelationReport:
     u2 from ``detector_amplitudes``. ``residual`` is the leftover
     oscillatory fraction of the total (NaN when the total is); it decays
     as 1/(window |omega1 - omega2|). ``samples`` is the length of the time
-    grid, one grid for every setting. A sweep makes every other field an
-    array, one entry per setting; a single setting gives floats.
+    grid the sum stands for, one grid for every setting. A sweep makes every
+    other field an array, one entry per setting; a single setting gives
+    floats.
     """
 
     samples: int
@@ -193,8 +196,13 @@ def autocorrelation_demo(
 ) -> AutocorrelationReport:
     """Integrate the squared detector intensity over a finite time window.
 
-    A sweep ``ps`` integrates every setting on the one time grid.
+    A sweep ``ps`` gives one entry per setting, each on the same n-point grid.
     """
+    # a bool is an int to Python, but never a window length
+    if isinstance(window, bool) or not isinstance(
+        window, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"window must be a real number, got {window!r}")
     if not np.isfinite(window):
         raise ValueError(f"window must be finite, got {window!r}")
     # (|A1| + |A2|)^4 bounds the squared intensity, so this bounds the
@@ -221,7 +229,7 @@ def autocorrelation_demo(
 
     # fastest surviving oscillation is twice the beat
     needed = SAMPLES_PER_PERIOD * window * (2.0 * beat) / (2.0 * pi)
-    # compared as a float first: a huge window must not reach ceil() or linspace
+    # compared as a float first: a huge window must not reach ceil()
     if max(samples, needed + 1.0) > MAX_SAMPLES:
         raise ValueError(
             f"window={window:g} with samples={samples} needs "
@@ -230,43 +238,50 @@ def autocorrelation_demo(
     n = max(samples, ceil(needed) + 1)
 
     shape = bench._setting_shape(ps)
-    u1s, u2s = (np.broadcast_to(u, shape) for u in detector_amplitudes(ps))
-    # one grid serves every setting, read only through its steps and the
-    # beat phase, which takes over its buffer
-    times = np.linspace(0.0, window, n)
-    steps = np.diff(times)
-    beat_phase = np.multiply(s1.omega - s2.omega, times, out=times)
-    series = np.empty(n)
-    pairs = np.empty(n - 1)
-    rows = []
-    for u1, u2 in zip(u1s.flat, u2s.flat):
-        a1, a2 = s1.amplitude * u1, s2.amplitude * u2
-        i1 = abs(a1) ** 2
-        i2 = abs(a2) ** 2
-        # |E1 + E2|^2 = I1 + I2 + 2 Re(E1 E2*), and E1 E2* = c e^{i(omega1 - omega2) t}
-        c = a1 * np.conj(a2)
-        np.add(beat_phase, np.angle(c), out=series)
-        np.cos(series, out=series)
-        series *= 2.0 * abs(c)
-        series += i1 + i2
-        np.square(series, out=series)
-        # np.trapezoid(series, times) in its own order of operations, so the
-        # total is bit-identical to it: d * (y[1:] + y[:-1]) / 2, then summed
-        np.add(series[1:], series[:-1], out=pairs)
-        pairs *= steps
-        pairs /= 2.0
-        total = np.add.reduce(pairs)
+    # a single setting runs as a sweep of one, so every setting's numbers come
+    # from the same array loops whether it is integrated alone or in a sweep
+    u1, u2 = (np.broadcast_to(u, shape).reshape(-1) for u in detector_amplitudes(ps))
+    a1, a2 = s1.amplitude * u1, s2.amplitude * u2
+    i1 = np.abs(a1) ** 2
+    i2 = np.abs(a2) ** 2
+    # |E1 + E2|^2 = I1 + I2 + 2 Re(E1 E2*), and E1 E2* = c e^{i(omega1 - omega2) t}
+    total = _trapezoid_integral(i1 + i2, a1 * np.conj(a2), s1.omega - s2.omega, window, n)
 
-        self1 = i1 * i1 * window
-        self2 = i2 * i2 * window
-        cross = 2.0 * i1 * i2 * window
-        beat_ms = 2.0 * i1 * i2 * window
+    self1 = i1 * i1 * window
+    self2 = i2 * i2 * window
+    cross = 2.0 * i1 * i2 * window
+    beat_ms = 2.0 * i1 * i2 * window
+    leftover = total - (self1 + self2 + cross + beat_ms)
+    # a NaN total gives a NaN residual, which no tolerance accepts
+    residual = np.divide(np.abs(leftover), total, out=np.zeros_like(total), where=total != 0.0)
+    fields = (total, self1, self2, cross, beat_ms, total - self1 - self2, residual)
+    return AutocorrelationReport(n, *(_float_or_array(f.reshape(shape)) for f in fields))
 
-        leftover = total - (self1 + self2 + cross + beat_ms)
-        # a NaN total gives a NaN residual, which no tolerance accepts
-        residual = abs(leftover) / total if total != 0.0 else 0.0
-        rows.append((total, self1, self2, cross, beat_ms, total - self1 - self2, residual))
 
-    # the report's seven fields after ``samples``, one row per setting
-    table = np.array(rows, dtype=float).reshape(shape + (7,))
-    return AutocorrelationReport(n, *(_float_or_array(f) for f in np.moveaxis(table, -1, 0)))
+def _trapezoid_integral(s: Array, c: Array, omega: float, window: float, n: int) -> Array:
+    """The trapezoid rule's value, exactly, for the squared intensity
+    y(t) = (s + 2|c| cos(omega t + arg c))^2 on the n-point grid t_j = j h,
+    h = window / (n - 1): h (sum_j y_j - (y_0 + y_{n-1}) / 2), one value per
+    entry of ``s`` and ``c``.
+
+    Expanded, y = A + B cos(theta) + D cos(2 theta) with theta = omega t + arg c,
+    A = s^2 + 2|c|^2, B = 4 s |c| and D = 2|c|^2, and on the uniform grid each
+    cosine sums as a geometric series:
+    sum_j cos(k theta_j) = cos(k arg c + (n - 1) k omega h / 2)
+    * sin(n k omega h / 2) / sin(k omega h / 2).
+    """
+    mag, phase = np.abs(c), np.angle(c)
+    a = s * s + 2.0 * mag * mag
+    b = 4.0 * s * mag
+    d = 2.0 * mag * mag
+    h = window / (n - 1)
+    # the grid resolves twice the beat, so k omega h / 2 <= pi / 20: no 0/0
+    half = 0.5 * omega * h
+    last = phase + omega * window
+    # (n - 1) A is the constant's n samples less its two end halves
+    series = (n - 1) * a
+    for k, weight in ((1, b), (2, d)):
+        geometric = np.cos(k * (phase + (n - 1) * half)) * np.sin(n * k * half) / np.sin(k * half)
+        ends = np.cos(k * phase) + np.cos(k * last)
+        series = series + weight * (geometric - 0.5 * ends)
+    return h * series

@@ -14,10 +14,11 @@ both constants are printed and the row only turns into ``fail`` when the
 functional form or the constancy breaks. Fixed-source rows use the default
 pair, ``Scenario().sources()``; a seed gives a byte-identical report.
 
-The randomized checks draw all their instances first, in a fixed order,
-then evaluate the operator route for every instance in one batched pass of
-slot-local stacks; the oracles they are compared with are written out
-independently and never share its intermediate results.
+The randomized checks draw all their instances first, one generator call
+per field in a fixed order, then evaluate the operator route for every
+instance in one batched pass of slot-local stacks; the oracles they are
+compared with are written out independently and never share its
+intermediate results.
 """
 
 from __future__ import annotations
@@ -81,10 +82,11 @@ def _row(
     return VerifyCheck(name, status, measured, expected, tol, note)
 
 
-def _random_amplitudes(rng: np.random.Generator) -> np.ndarray:
-    """A1 and A2 of one random source pair: |A| in [0.5, 1.5], any phase."""
-    mags = rng.uniform(0.5, 1.5, 2)
-    args = rng.uniform(-pi, pi, 2)
+def _random_amplitudes(rng: np.random.Generator, count: int = 1) -> np.ndarray:
+    """A1 and A2 of ``count`` random source pairs, one row each: |A| in
+    [0.5, 1.5], any phase."""
+    mags = rng.uniform(0.5, 1.5, (count, 2))
+    args = rng.uniform(-pi, pi, (count, 2))
     return mags * np.exp(1j * args)
 
 
@@ -93,17 +95,17 @@ def _source_pair(a1: complex, a2: complex) -> tuple[SourceSpec, SourceSpec]:
 
 
 def _random_sources(rng: np.random.Generator) -> tuple[SourceSpec, SourceSpec]:
-    return _source_pair(*_random_amplitudes(rng))
+    return _source_pair(*_random_amplitudes(rng)[0])
 
 
-def _random_phases(rng: np.random.Generator) -> np.ndarray:
-    """theta1, theta2, phi1 and phi2 of one random setting."""
-    return rng.uniform(-2.0 * pi, 2.0 * pi, 4)
+def _random_phases(rng: np.random.Generator, count: int = 1) -> np.ndarray:
+    """theta1, theta2, phi1 and phi2 of ``count`` random settings, one row each."""
+    return rng.uniform(-2.0 * pi, 2.0 * pi, (count, 4))
 
 
-def _amplitudes(pairs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A1 and A2 of each drawn pair as arrays, and the norm |A1 A2|^2 every
-    stage must keep."""
+def _amplitudes(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A1 and A2 of each drawn pair (one row each), and the norm |A1 A2|^2
+    every stage must keep."""
     a1, a2 = np.transpose(pairs)
     # pair by pair: the scalar abs and ** 2 (hypot, pow) may round apart from
     # numpy's array loops, and the report prints deviations from this norm
@@ -204,11 +206,11 @@ def _literal_poststate(a1, a2, ps: PhaseSetting) -> np.ndarray:
 
 
 def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
-    pairs, rows = [], []
-    unit = np.array([s.amplitude for s in Scenario().sources()], dtype=complex)
-    for i in range(100):
-        pairs.append(unit if i % 2 == 0 else _random_amplitudes(rng))
-        rows.append(_random_phases(rng))
+    # every other instance keeps the unit sources
+    pairs = np.empty((100, 2), dtype=complex)
+    pairs[0::2] = [s.amplitude for s in Scenario().sources()]
+    pairs[1::2] = _random_amplitudes(rng, 50)
+    rows = _random_phases(rng, 100)
     a1, a2, target = _amplitudes(pairs)
     ps = PhaseSetting(*np.transpose(rows))
 
@@ -257,22 +259,16 @@ def _matrices(*factors: tuple[np.ndarray, int]) -> np.ndarray:
 
 
 def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
-    # every random instance first, drawn in the same order as one at a time
-    xs, signs, rows, sources, dofs, branches, pairs = [], [], [], [], [], [], []
-    for _ in range(100):
-        xs.append(float(rng.uniform(-2.0 * pi, 2.0 * pi)))
-        signs.append(1 if rng.integers(0, 2) == 0 else -1)
-        rows.append(_random_phases(rng))
-        sources.append(int(rng.integers(1, 3)))
-        dofs.append("path" if rng.integers(0, 2) == 0 else "pol")
-        branches.append(BRANCHES[int(rng.integers(0, 3))])
-        pairs.append(_random_amplitudes(rng))
-    x = np.array(xs)
-    sources, dofs, branches = np.array(sources), np.array(dofs), np.array(branches)
-    theta1, theta2, phi1, phi2 = np.transpose(rows)
+    # every random instance first, one draw per field
+    x = rng.uniform(-2.0 * pi, 2.0 * pi, 100)
+    advance = (rng.integers(0, 2, 100) == 0)[:, None, None]
+    theta1, theta2, phi1, phi2 = np.transpose(_random_phases(rng, 100))
+    sources = rng.integers(1, 3, 100)
+    dofs = np.where(rng.integers(0, 2, 100) == 0, "path", "pol")
+    branches = np.array(BRANCHES)[rng.integers(0, 3, 100)]
+    pairs = _random_amplitudes(rng, 100)
     ps = PhaseSetting(theta1, theta2, phi1, phi2)
 
-    advance = (np.array(signs) == 1)[:, None, None]
     worst_unitary = 0.0
     for m in (
         elements.beam_splitter(),
@@ -361,7 +357,7 @@ def _check_signed_sum(rng: np.random.Generator) -> VerifyCheck:
 
 def _check_transfer_chain(rng: np.random.Generator) -> VerifyCheck:
     s1, s2 = _random_sources(rng)
-    ps = PhaseSetting(*_random_phases(rng))
+    ps = PhaseSetting(*_random_phases(rng)[0])
     report = observables.transfer_check(bench.evolve_prestate(s1, s2, ps), ps)
     i1, i2 = s1.intensity, s2.intensity
     formula = 2.0 * i1 * i2 * (1.0 - cos(ps.delta)) / (i1 + i2) ** 2
@@ -375,12 +371,32 @@ def _check_transfer_chain(rng: np.random.Generator) -> VerifyCheck:
     return _row("transfer-bracket-chain", ok, measured, formula, note=note, logged=True)
 
 
+def _sampled_total(
+    s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting, window: float, samples: int
+) -> float:
+    """One setting's windowed integral the direct way: the intensity
+    I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c) sampled on the time grid,
+    squared, and integrated by numpy's trapezoid rule."""
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0
+    u1, u2 = detector.detector_amplitudes(ps)
+    e1, e2 = s1.amplitude * u1, s2.amplitude * u2
+    c = e1 * np.conj(e2)
+    times = np.linspace(0.0, window, samples)
+    beat = 2.0 * abs(c) * np.cos((s1.omega - s2.omega) * times + np.angle(c))
+    return float(trapezoid((abs(e1) ** 2 + abs(e2) ** 2 + beat) ** 2, times))
+
+
 def _check_autocorrelation() -> VerifyCheck:
     s1, s2 = Scenario().sources()
     beat = abs(s1.omega - s2.omega)
     ps = PhaseSetting(0.7, 0.2, 0.4, -0.3)
 
-    base = detector.autocorrelation_demo(s1, s2, ps, 1000.0 / beat, 10_000)
+    window = 1000.0 / beat
+    base = detector.autocorrelation_demo(s1, s2, ps, window, 10_000)
+    # the kernel sums the trapezoid rule in closed form; sampling the same
+    # grid must give the same total to rounding
+    sampled = _sampled_total(s1, s2, ps, window, base.samples)
+    sampled_gap = abs(base.total - sampled) / sampled
 
     # windows sized to an odd number of beat half-periods: the surviving
     # endpoint contribution of the slowest term is then window-independent,
@@ -403,12 +419,13 @@ def _check_autocorrelation() -> VerifyCheck:
     cross = detector.autocorrelation_demo(s1, s2, sweep, fit_window, 10_000).cross_measured
     coeffs, fit_resid = correlations.fit_sinusoid(deltas, cross)
     amplitude = float(np.hypot(coeffs[1], coeffs[2]))
-    fit_ok = fit_resid <= 1e-3 * amplitude
+    fit_ok = fit_resid <= 1e-12 * amplitude
 
-    ok = base.residual <= 1e-2 and halving and fit_ok
+    ok = base.residual <= 1e-2 and halving and fit_ok and sampled_gap <= 1e-13
     note = (
         f"residual ratios {ratio_a:.3f}, {ratio_b:.3f}; "
-        f"cos-fit residual {fit_resid / amplitude:.2e} of amplitude"
+        f"cos-fit residual {fit_resid / amplitude:.2e} of amplitude; "
+        f"sampled-total gap {sampled_gap:.2e}"
     )
     return _row("autocorrelation-averaging", ok, base.residual, tol=1e-2, note=note)
 

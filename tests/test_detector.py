@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,18 @@ def test_autocorrelation_refuses_a_sample_count_that_is_not_an_integer(monkeypat
             autocorrelation_demo(S1, S2, ps, 4000.0, samples)
 
 
+@pytest.mark.parametrize(
+    "window",
+    ["4000", None, 4000j, True, np.True_],
+    ids=["str", "none", "complex", "bool", "numpy-bool"],
+)
+def test_autocorrelation_refuses_a_window_that_is_not_a_real_number(window):
+    # "4000" and None failed in np.isfinite, 4000j on <: a bare TypeError
+    for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
+        with pytest.raises(ValueError, match="window must be a real number"):
+            autocorrelation_demo(S1, S2, ps, window, 20_000)
+
+
 @pytest.mark.skipif(
     not hasattr(np, "trapezoid"), reason="numpy < 2.0 has no trapezoid"
 )
@@ -332,33 +345,6 @@ angles = st.floats(-2.0 * np.pi, 2.0 * np.pi)
 complex_amplitudes = st.builds(lambda m, a: m * np.exp(1j * a), st.floats(0.2, 4.0), angles)
 
 
-@seed(20150)
-@settings(max_examples=20, deadline=None, database=None)
-@given(a1=complex_amplitudes, a2=complex_amplitudes, phases=st.tuples(angles, angles, angles, angles))
-def test_autocorrelation_intensity_is_the_squared_field_sum(a1, a2, phases):
-    # the integrand is the squared intensity; read it where it is squared
-    real = np.square
-    seen = []
-
-    def recording(x, out=None):
-        y = real(x, out=out)
-        seen.append(y.copy())
-        return y
-
-    s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
-    ps = PhaseSetting(*phases)
-    window = 400.0  # 120 beats
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "square", recording)
-        report = autocorrelation_demo(s1, s2, ps, window, 10_000)
-    (squared,) = seen
-    times = np.linspace(0.0, window, report.samples)
-    u1, u2 = detector_amplitudes(ps)
-    field = a1 * u1 * np.exp(1j * s1.omega * times) + a2 * u2 * np.exp(1j * s2.omega * times)
-    want = np.abs(field) ** 2
-    assert np.max(np.abs(np.sqrt(squared) - want)) <= 1e-13 * np.max(want)
-
-
 def _trapezoid_reference(s1, s2, ps, window, samples):
     """One setting's total the direct way: the intensity sampled on a fresh
     grid, squared, and integrated by numpy's own trapezoid routine."""
@@ -372,6 +358,17 @@ def _trapezoid_reference(s1, s2, ps, window, samples):
     return float(trapezoid(intensity**2, times))
 
 
+def _field_reference(s1, s2, ps, window, samples):
+    """The same integral from the two fields themselves: |E1 + E2|^4 sampled
+    with each source at its own frequency."""
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    u1, u2 = detector_amplitudes(ps)
+    times = np.linspace(0.0, window, samples)
+    field = s1.amplitude * u1 * np.exp(1j * s1.omega * times)
+    field = field + s2.amplitude * u2 * np.exp(1j * s2.omega * times)
+    return float(trapezoid(np.abs(field) ** 4, times))
+
+
 @seed(20151)
 @settings(max_examples=15, deadline=None, database=None)
 @given(
@@ -381,12 +378,37 @@ def _trapezoid_reference(s1, s2, ps, window, samples):
     beats=st.floats(101.0, 600.0),
     samples=st.integers(MIN_SAMPLES, MIN_SAMPLES + 2_000),
 )
-def test_autocorrelation_total_is_numpy_trapezoid_bit_for_bit(a1, a2, phases, beats, samples):
+def test_autocorrelation_total_is_the_sampled_trapezoid(a1, a2, phases, beats, samples):
+    # the kernel sums the trapezoid rule in closed form, so nothing is sampled
+    # to compare bit for bit: both sampled references agree to rounding
     s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
     ps = PhaseSetting(*phases)
     window = beats / abs(s1.omega - s2.omega)
     report = autocorrelation_demo(s1, s2, ps, window, samples)
-    assert report.total == _trapezoid_reference(s1, s2, ps, window, report.samples)
+    assert report.samples == samples
+    cos_form = _trapezoid_reference(s1, s2, ps, window, samples)
+    fields = _field_reference(s1, s2, ps, window, samples)
+    assert abs(report.total - cos_form) <= 1e-14 * cos_form
+    assert abs(report.total - fields) <= 1e-13 * fields
+
+
+def test_autocorrelation_cost_does_not_grow_with_samples(monkeypatch):
+    # the closed-form sum does O(settings) work: no time grid, and a 16-setting
+    # call at the largest sample count holds no per-sample array
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the time grid must not be allocated")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    autocorrelation_demo(S1, S2, STACK, 4000.0, MAX_SAMPLES)  # warm-up
+    tracemalloc.start()
+    try:
+        report = autocorrelation_demo(S1, S2, STACK, 4000.0, MAX_SAMPLES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.samples == MAX_SAMPLES
+    assert report.total.shape == (16,)
+    assert peak < 64 * 1024
 
 
 phase_lists = st.lists(st.tuples(angles, angles, angles, angles), min_size=1, max_size=5)

@@ -1,6 +1,6 @@
 """``pathpol verify`` rows pinned across seeds, the faults its batched checks
-must catch, and the work one run may do: no Kronecker builds, and a bounded
-number of symmetrized inputs.
+and its autocorrelation row must catch, and the work one run may do: no
+Kronecker builds, and a bounded number of symmetrized inputs.
 
 The pinned strings are the rows as printed before the checks were batched:
 every row's name and status, and the logged constants to their printed
@@ -11,9 +11,10 @@ import re
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from pathpol import bench, correlations, elements, observables
+from pathpol import bench, correlations, detector, elements, observables
 from pathpol.cli import main
 from pathpol.verify import run_verify
 
@@ -147,6 +148,45 @@ def test_verify_catches_a_wrong_signed_sum_constant(capsys, monkeypatch):
     code, out = run(capsys)
     assert code == 1
     assert "signed-sum-vs-closed-form" in failing_rows(out)
+
+
+def planted_trapezoid_integral(fault):
+    """``detector._trapezoid_integral`` written out again with one fault."""
+
+    def integral(s, c, omega, window, n):
+        mag, phase = np.abs(c), np.angle(c)
+        a = s * s + 2.0 * mag * mag
+        b = 4.0 * s * mag
+        d = 2.0 * mag * mag
+        if fault == "flipped-2theta-sign":
+            d = -d
+        h = window / (n - 1)
+        half = 0.5 * omega * h
+        last = phase if fault == "last-sample-is-first" else phase + omega * window
+        m = n - 1 if fault == "n-1-in-geometric-sum" else n
+        series = (n if fault == "dropped-end-halves" else n - 1) * a
+        for k, weight in ((1, b), (2, d)):
+            geometric = np.cos(k * (phase + (m - 1) * half)) * np.sin(m * k * half) / np.sin(k * half)
+            ends = np.cos(k * phase) + np.cos(k * last)
+            if fault == "dropped-end-halves":
+                ends = 0.0
+            series = series + weight * (geometric - 0.5 * ends)
+        return h * series
+
+    return integral
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["dropped-end-halves", "flipped-2theta-sign", "n-1-in-geometric-sum", "last-sample-is-first"],
+)
+def test_verify_catches_a_wrong_closed_form_window_sum(capsys, monkeypatch, fault):
+    # each fault moves the total by under 1e-3 and keeps the residual ratios
+    # at 0.499: the sampled-total gap sees every one, the cos fit two of them
+    monkeypatch.setattr(detector, "_trapezoid_integral", planted_trapezoid_integral(fault))
+    code, out = run(capsys)
+    assert code == 1
+    assert failing_rows(out) == {"autocorrelation-averaging"}
 
 
 def test_verify_call_budget(monkeypatch):
