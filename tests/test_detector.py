@@ -369,6 +369,20 @@ def _field_reference(s1, s2, ps, window, samples):
     return float(trapezoid(np.abs(field) ** 4, times))
 
 
+@seed(20150)
+@settings(max_examples=20, deadline=None, database=None)
+@given(a1=complex_amplitudes, a2=complex_amplitudes, phases=st.tuples(angles, angles, angles, angles))
+def test_autocorrelation_intensity_is_the_squared_field_sum(a1, a2, phases):
+    # the integrand is the squared intensity |E1 + E2|^2, each source at its
+    # own frequency: the total is the trapezoid rule over |E1 + E2|^4
+    s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
+    ps = PhaseSetting(*phases)
+    window = 400.0  # 120 beats
+    report = autocorrelation_demo(s1, s2, ps, window, 10_000)
+    fields = _field_reference(s1, s2, ps, window, report.samples)
+    assert abs(report.total - fields) <= 1e-13 * fields
+
+
 @seed(20151)
 @settings(max_examples=15, deadline=None, database=None)
 @given(
@@ -378,18 +392,17 @@ def _field_reference(s1, s2, ps, window, samples):
     beats=st.floats(101.0, 600.0),
     samples=st.integers(MIN_SAMPLES, MIN_SAMPLES + 2_000),
 )
-def test_autocorrelation_total_is_the_sampled_trapezoid(a1, a2, phases, beats, samples):
-    # the kernel sums the trapezoid rule in closed form, so nothing is sampled
-    # to compare bit for bit: both sampled references agree to rounding
+def test_autocorrelation_total_is_numpy_trapezoid_bit_for_bit(a1, a2, phases, beats, samples):
+    # the name dates from when the kernel called np.trapezoid on a sampled
+    # grid; it now sums the same trapezoid rule in closed form, so the two
+    # agree to rounding rather than bit for bit
     s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
     ps = PhaseSetting(*phases)
     window = beats / abs(s1.omega - s2.omega)
     report = autocorrelation_demo(s1, s2, ps, window, samples)
     assert report.samples == samples
     cos_form = _trapezoid_reference(s1, s2, ps, window, samples)
-    fields = _field_reference(s1, s2, ps, window, samples)
     assert abs(report.total - cos_form) <= 1e-14 * cos_form
-    assert abs(report.total - fields) <= 1e-13 * fields
 
 
 def test_autocorrelation_cost_does_not_grow_with_samples(monkeypatch):
