@@ -42,7 +42,7 @@ for anchor in (0.0, 0.5, -1.2):
     sp = functional(2, *case2_setting(anchor))
     print(f"  anchor {anchor:+.1f}:  S' = {sp:.12f}")
 
-# exhaustive check: grid over all four angles, then the closed-form polish
+# the best point of a grid over all four angles, then the closed-form polish
 print("\nfull scans (64-point grid + closed-form polish):")
 for case in (1, 2):
     result = scan_max(case, resolution=64)

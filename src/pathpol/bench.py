@@ -275,7 +275,8 @@ def symmetrized_input(s1: SourceSpec, s2: SourceSpec) -> BenchState:
     Equals (A1 A2 / sqrt2)(|aVaV> - |bHbH>); every correlation in this
     package is an expectation value on this state.
     """
-    return _state(Stage.POST_PR, _input_stages(s1.amplitude, s2.amplitude)[-1])
+    psi, phi = _source_beams(s1.amplitude, s2.amplitude)
+    return _state(Stage.POST_PR, symmetrize(_pr_beam(_bs_beam(psi)), _pr_beam(_bs_beam(phi))))
 
 
 def evolve_prestate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchState:

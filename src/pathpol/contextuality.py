@@ -16,9 +16,10 @@ sign pattern + + - + (the minus sits on the (primed, unprimed) cross term):
     S = pair(t, p) + pair(t, p') - pair(t', p) + pair(t', p').
 
 Each term is bounded by 1, so any value outside [-2, 2] violates the
-noncontextual bound; both families attain 2*sqrt(2). ``scan_max`` searches
-a grid over all four angles and polishes its best point to the closed-form
-optimum.
+noncontextual bound; both families attain 2*sqrt(2). ``scan_max`` finds
+the best point of a grid over all four angles, tabulating only the ~10
+secondary-angle differences that can hold it, and polishes that point to the
+closed-form optimum.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from scipy.optimize import minimize  # noqa: F401
 VIOLATION_BOUND = 2.0
 MAX_VIOLATION = 2.0 * np.sqrt(2.0)
 
-# scan grid points per angle; the scan holds a few R^2 float64 tables,
-# 512 KiB each at the upper end
+# scan grid points per angle; the scan holds a few (R, 10) float64 tables,
+# 20 KiB each at the upper end
 MIN_RESOLUTION = 8
 MAX_RESOLUTION = 256
 
@@ -85,7 +86,7 @@ class ScanResult:
 
 
 def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, float], float]:
-    """Best grid angles (t, t', p, p') and grid value of S, in O(R^2).
+    """Best grid angles (t, t', p, p') and grid value of S, in O(R).
 
     The functional splits into a part depending on the unprimed primary
     angle and a part depending on the primed one, so for each pair of
@@ -97,18 +98,29 @@ def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, 
     g[i, j, k] = -pair[i, j] + pair[i, k] then depend on (i, j, k) only
     through a = (i + s*j) mod R and d = (k - j) mod R:
 
-        f = h_f[a, d] = c[a] + c[(a + s*d) mod R],
-        g = h_g[a, d] = -c[a] + c[(a + s*d) mod R].
+        f = h_f[a, d] = c[a] + c[(a + s*d) mod R]
+                      = 2 cos(pi*d/R) cos(2*pi*(a + s*d/2)/R),
+        g = h_g[a, d] = -c[a] + c[(a + s*d) mod R]
+                      = -2s sin(pi*d/R) sin(2*pi*(a + s*d/2)/R).
 
     As i runs over the grid so does a, so the extremum over the primary
     angle depends on d alone, and the first best secondary pair is
     (j, k) = (0, d). This picks the same grid point as the dense R^3 search.
+
+    |S| on column d is at most 2(|cos(pi*d/R)| + |sin(pi*d/R)|), which peaks
+    at d = R/4 and 3R/4, and the column nearest R/4 comes within a factor
+    cos(pi/R) of its own bound. So no column more than about one step from
+    both quarter points can win. Only the columns within two steps of R/4 or
+    3R/4 (at most 10) are tabulated, so the tables are ``(R, 10)``, not
+    ``(R, R)``. The columns ascend, so a tie still goes to the smallest d.
     """
     step = np.arange(resolution)
     grid = 2.0 * pi * step / resolution
     cos_grid = np.cos(grid)
     sign = _sign(case)
-    shifted = cos_grid[(step[:, None] + sign * step[None, :]) % resolution]  # [a, d]
+    quarters = (resolution // 4, 3 * resolution // 4)
+    columns = np.array(sorted({(q + k) % resolution for q in quarters for k in range(-2, 3)}))
+    shifted = cos_grid[(step[:, None] + sign * columns[None, :]) % resolution]  # [a, d]
     h_f = cos_grid[:, None] + shifted  # + pair(t,p) + pair(t,p')
     h_g = -cos_grid[:, None] + shifted  # - pair(t',p) + pair(t',p')
 
@@ -120,14 +132,14 @@ def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, 
         (h_f.min(axis=0), h_g.min(axis=0), np.argmin),
     ):
         total = f_part + g_part
-        d = int(np.argmax(np.abs(total)))
-        value = float(total[d])
+        column = int(np.argmax(np.abs(total)))
+        value = float(total[column])
         if abs(value) > best_abs:
-            i_t = int(picker(h_f[:, d]))
-            i_tp = int(picker(h_g[:, d]))
+            i_t = int(picker(h_f[:, column]))
+            i_tp = int(picker(h_g[:, column]))
             best_abs = abs(value)
             best_value = value
-            best_angles = tuple(float(grid[i]) for i in (i_t, i_tp, 0, d))
+            best_angles = tuple(float(grid[i]) for i in (i_t, i_tp, 0, columns[column]))
     return best_angles, best_value
 
 
@@ -149,10 +161,12 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     """Grid search of |S| over all four angles, polished to its closed-form optimum.
 
     The grid stage (``_grid_stage``) finds the best point of an R-point grid
-    per angle. The polish keeps its p, moves p' to the nearest point with
-    p' - p = pi/2 (mod pi), where 2(|cos(delta/2)| + |sin(delta/2)|) peaks
-    at 2*sqrt(2), and sets the primaries to their exact optimum there,
-    shifted by pi when the grid picked the negative orientation of S.
+    per angle in O(R) time and memory, scanning only the secondary-angle
+    differences near pi/2 and 3*pi/2 that can hold it. The polish keeps its
+    p, moves p' to the nearest point with p' - p = pi/2 (mod pi), where
+    2(|cos(delta/2)| + |sin(delta/2)|) peaks at 2*sqrt(2), and sets the
+    primaries to their exact optimum there, shifted by pi when the grid
+    picked the negative orientation of S.
     """
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(

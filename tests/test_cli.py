@@ -184,6 +184,36 @@ def test_chsh_scan_angles_print_as_a_literal_tuple(capsys, resolution):
         assert len(ast.literal_eval(line.split("  at ")[1])) == 4
 
 
+_CHSH_FIXED = (
+    "case 1 fixed set   S  = 2.8284271247461903  at "
+    "(0.0, 1.5707963267948966, 0.7853981633974483, -0.7853981633974483)\n"
+    "case 2 fixed set   S' = 2.8284271247461903  at "
+    "(0.0, 1.5707963267948966, -0.7853981633974483, 0.7853981633974483)\n"
+)
+# at R = 24 and 192 the grid point beats the polish by an ulp, so the angles
+# are the grid's own argmax positions; at R = 192 case 1 picks p' = 3*pi/2
+_CHSH_GRID_POINT = (
+    "case 1 scan max  |S| = 2.8284271247461907  at "
+    "(3.926990816987, 5.497787143782, 0.0, 4.712388980385)\n"
+    "case 2 scan max  |S| = 2.8284271247461907  at "
+    "(3.926990816987, 5.497787143782, 0.0, 1.570796326795)\n"
+)
+_CHSH_POLISHED = (
+    "case 1 scan max  |S| = 2.8284271247461903  at "
+    "(-0.785398163397, -2.356194490192, 0.0, 1.570796326795)\n"
+    "case 2 scan max  |S| = 2.8284271247461903  at "
+    "(0.785398163397, 2.356194490192, 0.0, 1.570796326795)\n"
+)
+_CHSH_SCANS = {24: _CHSH_GRID_POINT, 64: _CHSH_POLISHED, 128: _CHSH_POLISHED, 192: _CHSH_GRID_POINT}
+
+
+@pytest.mark.parametrize("resolution", sorted(_CHSH_SCANS))
+def test_chsh_prints_the_golden_output(capsys, resolution):
+    code, out, err = run_cli(capsys, "chsh", "--resolution", str(resolution))
+    assert (code, err) == (0, "")
+    assert out == _CHSH_FIXED + _CHSH_SCANS[resolution]
+
+
 @pytest.mark.parametrize("value", ["3", "-5", "7", str(MAX_RESOLUTION + 1), "1048576"])
 def test_chsh_resolution_out_of_range_is_usage_error(capsys, monkeypatch, value):
     # R = 1048576 would need 8 TiB R^2 tables: refused before any grid is built

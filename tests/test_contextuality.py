@@ -170,6 +170,58 @@ def test_scan_grid_stage_equals_the_dense_search(case, resolution):
     assert value == dense_value
 
 
+def _quadratic_grid_stage(case, resolution):
+    """The R x R grid stage: every secondary difference d tabulated."""
+    step = np.arange(resolution)
+    grid = 2.0 * np.pi * step / resolution
+    cos_grid = np.cos(grid)
+    sign = 1 if case == 1 else -1
+    shifted = cos_grid[(step[:, None] + sign * step[None, :]) % resolution]  # [a, d]
+    h_f = cos_grid[:, None] + shifted
+    h_g = -cos_grid[:, None] + shifted
+    best_abs, best = -1.0, None
+    for f_part, g_part, picker in (
+        (h_f.max(axis=0), h_g.max(axis=0), np.argmax),
+        (h_f.min(axis=0), h_g.min(axis=0), np.argmin),
+    ):
+        total = f_part + g_part
+        d = int(np.argmax(np.abs(total)))
+        value = float(total[d])
+        if abs(value) > best_abs:
+            i_t, i_tp = int(picker(h_f[:, d])), int(picker(h_g[:, d]))
+            best_abs = abs(value)
+            best = (tuple(float(grid[i]) for i in (i_t, i_tp, 0, d)), value)
+    return best
+
+
+def _grid_bits(angles, value):
+    # float.hex tells -0.0 from 0.0 and every ulp apart
+    return tuple(float.hex(x) for x in (*angles, value))
+
+
+def _scan_bits(result):
+    return _grid_bits(result.angles, result.value) + (float.hex(result.max_abs),)
+
+
+def test_windowed_scan_equals_the_quadratic_search_on_the_whole_domain(monkeypatch):
+    domain = [
+        (case, resolution)
+        for resolution in range(MIN_RESOLUTION, MAX_RESOLUTION + 1)
+        for case in (1, 2)
+    ]
+    grid = {key: _grid_bits(*contextuality._grid_stage(*key)) for key in domain}
+    scan = {key: _scan_bits(scan_max(*key)) for key in domain}
+    quadratic = {key: _quadratic_grid_stage(*key) for key in domain}
+    monkeypatch.setattr(contextuality, "_grid_stage", lambda *key: quadratic[key])
+    mismatches = [
+        key
+        for key in domain
+        if grid[key] != _grid_bits(*quadratic[key]) or scan[key] != _scan_bits(scan_max(*key))
+    ]
+    assert len(domain) == 498
+    assert mismatches == []
+
+
 @seed(1969)
 @settings(max_examples=25, deadline=None, database=None)
 @given(p=_ANGLE, p_prime=_ANGLE)
@@ -197,6 +249,18 @@ def test_scan_memory_stays_quadratic(case):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_scan_memory_stays_linear(case):
+    # the windowed grid stage holds (R, 10) tables; (R, R) ones read 1.6 MiB
+    tracemalloc.start()
+    try:
+        scan_max(case, MAX_RESOLUTION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2**10
 
 
 def test_scan_resolution_validation():
