@@ -28,19 +28,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from . import elements
 from .tensor import (
     DIM,
+    N_SLOTS,
     SLOT_PATH_1,
     SLOT_PATH_2,
     STATE_SHAPE,
     Array,
     _float_or_array,
-    apply_factors,
     apply_slot,
     norms_squared,
 )
@@ -109,6 +109,12 @@ class PhaseSetting:
         lengths = set()
         for name in _PHASE_NAMES:
             value = getattr(self, name)
+            # a float scalar (np.float64 is one) is checked as it is; any
+            # other value takes the array route and numpy's own refusals
+            if isinstance(value, float):
+                if not isfinite(value):
+                    raise ValueError(f"{name} must be finite")
+                continue
             if np.ndim(value) > 1:
                 raise ValueError(f"{name} must be a float or a 1-d array")
             if np.ndim(value) == 1:
@@ -121,10 +127,15 @@ class PhaseSetting:
         if len(lengths) > 1:
             raise ValueError(f"phase arrays must have equal lengths, got {sorted(lengths)}")
         # finite phases can still sum past the float range (summed here, not
-        # through ``delta``, which the operator route must never read)
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(self.theta1 + self.phi1 - self.theta2 - self.phi2)
-        if not np.all(finite):
+        # through ``delta``, which the operator route must never read); float
+        # scalars sum as Python floats, which round as numpy does and never warn
+        t1, t2, p1, p2 = (getattr(self, name) for name in _PHASE_NAMES)
+        if all(isinstance(v, float) for v in (t1, t2, p1, p2)):
+            finite = isfinite(float(t1) + float(p1) - float(t2) - float(p2))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.all(np.isfinite(t1 + p1 - t2 - p2))
+        if not finite:
             raise ValueError("delta = theta1 + phi1 - theta2 - phi2 must be finite")
 
     def __eq__(self, other: object) -> bool:
@@ -235,7 +246,11 @@ def phase_stage(state: Array, ps: PhaseSetting) -> Array:
     """The four phase plates (``elements.plate``), one per slot.
 
     ``state`` is ``(..., 2, 2, 2, 2)``; a sweep ``ps`` gives one state per
-    setting, the settings becoming the leading axis of the result.
+    setting, the settings becoming the leading axis of the result. Every
+    plate is diagonal, so each scales its slot's two halves by the two
+    diagonal entries of the core ``elements.plate`` makes, in the order
+    ``apply_factors`` would apply the four factors: the same values as its
+    multiply-add, without the products by the zero off-diagonal entries.
     """
     plates = (
         elements.plate(1, "path", ps.phi1),
@@ -243,7 +258,16 @@ def phase_stage(state: Array, ps: PhaseSetting) -> Array:
         elements.plate(2, "path", ps.phi2),
         elements.plate(2, "pol", ps.theta2),
     )
-    return apply_factors(state, plates)
+    out = np.asarray(state, dtype=complex)
+    for core, slot in reversed(plates):
+        diagonal = np.diagonal(core, 0, -2, -1)
+        # the two entries laid along the slot's axis, the settings leading;
+        # entry first, as in apply_slot, since a complex product's rounding
+        # depends on its operand order
+        out = diagonal.reshape(
+            diagonal.shape[:-1] + (1,) * slot + (2,) + (1,) * (N_SLOTS - 1 - slot)
+        ) * out
+    return out
 
 
 def bs_prime_stage(state: Array) -> Array:

@@ -39,6 +39,7 @@ from .bench import BenchState, PhaseSetting, SourceSpec, Stage
 from .tensor import DIM, STATE_SHAPE, Array, _float_or_array, norms_squared
 
 _SQRT2 = np.sqrt(2.0)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
 
 # only the frequency difference matters; defaults keep one beat ~ 20 time units
 DEFAULT_OMEGA_1 = 1.0
@@ -78,13 +79,18 @@ def _require_output_stage(state: BenchState) -> None:
         )
 
 
-def project_aa(state: BenchState) -> AaProjection:
-    """Extract the aa branch and its diagonal-basis polarization expansion.
+def _aa_branch(state: BenchState) -> tuple[Array, Array, Array, Array]:
+    """The aa branch of one state or a stack, as ``(N, ...)`` stacks: the
+    (pol1, pol2) block, its squared norm, the block scaled to unit norm and
+    that unit block's diagonal-basis expansion.
 
-    A stacked ``(N, 16)`` state gives every field a leading axis of length N.
+    The expansion is sqrt(2) H U H^T for the Hadamard H, taken as two
+    matrix products over the whole stack: H on every unit block's rows at
+    once, as one (2, 2N) matrix, then H^T on all the resulting rows, as one
+    (2N, 2) matrix. Each entry is the same two-term sum a product per block
+    would form, without one matrix call per block.
     """
     _require_output_stage(state)
-    lead = state.vector.shape[:-1]
     # rows pol1, cols pol2, one block per state
     pol_block = state.vector.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
     branch_norm_sq = np.sum(np.abs(pol_block) ** 2, axis=(1, 2))
@@ -93,8 +99,19 @@ def project_aa(state: BenchState) -> AaProjection:
     # a NaN state divides to NaN fields for its caller to judge, not a warning
     with np.errstate(invalid="ignore"):
         pol_unit = pol_block / np.sqrt(branch_norm_sq)[:, None, None]
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
-    expansion = _SQRT2 * (hadamard @ pol_unit @ hadamard.T)
+    n = len(pol_unit)
+    rows = _HADAMARD @ pol_unit.transpose(1, 0, 2).reshape(2, 2 * n)
+    expansion = (rows.reshape(2 * n, 2) @ _HADAMARD.T).reshape(2, n, 2).transpose(1, 0, 2)
+    return pol_block, branch_norm_sq, pol_unit, _SQRT2 * expansion
+
+
+def project_aa(state: BenchState) -> AaProjection:
+    """Extract the aa branch and its diagonal-basis polarization expansion.
+
+    A stacked ``(N, 16)`` state gives every field a leading axis of length N.
+    """
+    lead = state.vector.shape[:-1]
+    pol_block, branch_norm_sq, pol_unit, expansion = _aa_branch(state)
     # a nonempty aa branch makes the state nonzero
     total = norms_squared(state.vector.reshape(-1, DIM))
     c_vv, c_hh = pol_block[:, 0, 0], pol_block[:, 1, 1]
@@ -112,9 +129,13 @@ def p45_intensity(state: BenchState) -> float | Array:
     """Detection law behind a 45-degree polarizer on the aa branch.
 
     Squared ++ expansion coefficient; equals (1 - cos delta)/2 for bench
-    output states. A stacked state gives one value per state.
+    output states. A stacked state gives one value per state. Only the
+    branch's normalization and expansion are formed, through the helper
+    ``project_aa`` uses, so the ++ entry is its own bit for bit; the state
+    norms, delta readback and branch fraction of a full projection are not.
     """
-    return _float_or_array(np.abs(project_aa(state).expansion[..., 0]) ** 2)
+    plus_plus = _aa_branch(state)[3][:, 0, 0]
+    return _float_or_array((np.abs(plus_plus) ** 2).reshape(state.vector.shape[:-1]))
 
 
 def detect(state: BenchState) -> tuple[float, float, float, float]:

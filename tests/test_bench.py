@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from pathpol import elements
 from pathpol.bench import (
     BenchState,
     PhaseSetting,
@@ -16,7 +19,7 @@ from pathpol.bench import (
 from pathpol.correlations import correlation_report
 from pathpol.detector import detect
 from pathpol.observables import transfer_check
-from pathpol.tensor import basis_state
+from pathpol.tensor import apply_factors, basis_state
 
 SQRT2 = np.sqrt(2.0)
 
@@ -87,6 +90,25 @@ def test_phase_setting_delta():
         PhaseSetting(np.zeros(2), np.zeros(3), 0.0, 0.0)
     with pytest.raises(ValueError, match="theta2 must be a float or a 1-d array"):
         PhaseSetting(0.0, np.zeros((2, 2)), 0.0, 0.0)
+    # a scalar refusal names its field, for a Python float and an np.float64
+    # alike; the other fields are floats or ints (an int holds no NaN or inf)
+    names = ("theta1", "theta2", "phi1", "phi2")
+    for k, name in enumerate(names):
+        for bad in (float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float64("inf")):
+            for others in (0.25, 1):
+                fields = [others] * 4
+                fields[k] = bad
+                with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                    PhaseSetting(*fields)
+    assert PhaseSetting(1, 2, 3, 4).delta == 1 + 3 - 2 - 4
+    assert PhaseSetting(np.float64(0.5), 0.25, 1, 0.0).delta == 1.25
+    # the first bad field in field order is the one named, scalar or array
+    with pytest.raises(ValueError, match="^theta2 must be finite$"):
+        PhaseSetting(0.0, np.float64("nan"), float("inf"), 0)
+    with pytest.raises(ValueError, match="^theta1 must be finite$"):
+        PhaseSetting(np.array([0.0, np.nan]), float("nan"), 0.0, 0.0)
+    with pytest.raises(ValueError, match="^theta1 must be finite$"):
+        PhaseSetting(float("inf"), np.array([0.0, np.nan]), 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -220,6 +242,76 @@ def test_phase_diagonal_is_diagonal_unitary():
     d = phase_stage(basis, PhaseSetting(0.3, -0.7, 1.1, 0.4)).reshape(16, 16).T
     assert np.max(np.abs(d - np.diag(np.diag(d)))) == 0.0
     assert np.max(np.abs(np.abs(np.diag(d)) - 1.0)) < 1e-12
+    # the stage reads only each plate core's diagonal, which is exact only
+    # while every core elements.plate makes is diagonal
+    for source, dof in elements.PLATES:
+        core, _ = elements.plate(source, dof, np.array([0.3, -0.7, 2.9]))
+        assert np.all(core[..., 0, 1] == 0.0) and np.all(core[..., 1, 0] == 0.0)
+
+
+def plate_route(state, ps):
+    """The phase stage as ``apply_factors`` of its four plate factors, the
+    route ``phase_stage`` replaced, kept as its oracle."""
+    return apply_factors(
+        state,
+        (
+            elements.plate(1, "path", ps.phi1),
+            elements.plate(1, "pol", ps.theta1),
+            elements.plate(2, "path", ps.phi2),
+            elements.plate(2, "pol", ps.theta2),
+        ),
+    )
+
+
+def random_tensor(rng, lead=()):
+    return rng.normal(size=lead + (2, 2, 2, 2)) + 1j * rng.normal(size=lead + (2, 2, 2, 2))
+
+
+_ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi)
+
+
+@seed(20180)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    rows=st.lists(st.tuples(_ANGLE, _ANGLE, _ANGLE, _ANGLE), min_size=1, max_size=5),
+    sweep=st.booleans(),
+    lead=st.sampled_from([(), (3, 1), "per-setting"]),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_phase_stage_equals_the_plate_factors(rows, sweep, lead, draw):
+    # single and stacked states, at one setting or a sweep; a "per-setting"
+    # stack holds one state per entry of the setting
+    ps = PhaseSetting(*np.transpose(rows)) if sweep else PhaseSetting(*rows[0])
+    if lead == "per-setting":
+        lead = (len(rows),) if sweep else (1,)
+    state = random_tensor(np.random.default_rng(draw), lead)
+    got, want = phase_stage(state, ps), plate_route(state, ps)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_phase_stage_reads_both_diagonal_entries(monkeypatch):
+    # a plate whose [0, 0] entry is not 1 still acts: the stage scales both
+    # halves of its slot by what elements.plate returns, assuming nothing
+    state = random_tensor(np.random.default_rng(18))
+    ps = PhaseSetting(0.3, -0.7, np.array([1.1, -0.2]), 0.4)
+    before = phase_stage(state, ps)
+    original = elements.plate
+
+    def tilted(source, dof, x):
+        core, slot = original(source, dof, x)
+        if (source, dof) == (2, "path"):
+            core = core.copy()
+            core[..., 0, 0] = np.exp(0.5j)
+        return core, slot
+
+    monkeypatch.setattr(elements, "plate", tilted)
+    after = phase_stage(state, ps)
+    assert np.array_equal(after, plate_route(state, ps))
+    # slot path 2: its a half moves, its b half does not
+    assert np.all(after[:, :, :, 0] != before[:, :, :, 0])
+    assert np.array_equal(after[:, :, :, 1], before[:, :, :, 1])
+    assert np.allclose(after[:, :, :, 0], np.exp(0.5j) * before[:, :, :, 0], rtol=1e-15, atol=0)
 
 
 def test_apply_bs_prime_zero_phase_expansion():

@@ -1,4 +1,8 @@
 import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,10 @@ import pytest
 from pathpol import cli
 from pathpol.cli import CSV_HEADER, main
 from pathpol.contextuality import MAX_RESOLUTION, MIN_RESOLUTION
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +122,65 @@ def test_sweep_fields_print_17_significant_digits(capsys, monkeypatch):
     ]
     assert out.splitlines() == want
     assert out.splitlines()[1].split(",")[2] == "-0"
+
+
+# the exact stdout of three sweeps, captured at a78dec0: any byte that moves
+# fails; 100 rows are not a whole number of formatting blocks
+_SWEEP_GOLDENS = {
+    "sweep_delta_64.csv": ("--set", "sweep.variable=delta"),
+    "sweep_theta1_256.csv": (
+        "--set", "sweep.variable=theta1", "--set", "sweep.points=256",
+        "--set", "amplitudes.i2=2.5",
+    ),
+    "sweep_phi2_100.csv": (
+        "--set", "sweep.variable=phi2", "--set", "sweep.points=100",
+        "--set", "sweep.start=-1.5", "--set", "sweep.stop=2.5",
+        "--set", "phases.theta2=0.3", "--set", "phases.phi1=-0.7",
+        "--set", "amplitudes.i1=0.4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_GOLDENS))
+def test_sweep_prints_the_golden_output(tmp_path, capsys, name):
+    golden = (GOLDEN / name).read_bytes().decode("utf-8")
+    code, out, err = run_cli(capsys, "sweep", *_SWEEP_GOLDENS[name])
+    assert (code, err) == (0, "")
+    assert out == golden
+    # a file gets the same bytes
+    path = tmp_path / name
+    code, out, _ = run_cli(capsys, "sweep", *_SWEEP_GOLDENS[name], "--set", f"output={path}")
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == golden.encode("utf-8")
+
+
+def test_sweep_goldens_cover_whole_and_short_blocks():
+    rows = {len((GOLDEN / name).read_bytes().splitlines()) - 1 for name in _SWEEP_GOLDENS}
+    assert rows == {64, 100, 256}
+    assert {n % cli._CSV_BLOCK_ROWS == 0 for n in rows} == {True, False}
+
+
+def test_sweep_into_a_closed_pipe_ends_quietly(tmp_path):
+    # ~2,000 rows (~250 KB) outgrow a pipe buffer, so the sweep is still
+    # writing when its reader leaves after one line (`pathpol sweep | head -1`)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    argv = ["sweep", "--set", "sweep.variable=delta", "--set", "sweep.points=2000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pathpol.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == (",".join(CSV_HEADER) + "\n").encode()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+    assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 141
 
 
 def test_sweep_without_block_is_config_error(capsys):

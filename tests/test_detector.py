@@ -110,6 +110,52 @@ def test_aa_projections_equal_per_state_readout():
         project_aa(BenchState(Stage.POST_BS_PRIME, np.zeros((2, 16)) + np.eye(16)[15]))
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+_PHASE = st.floats(-2.0 * np.pi, 2.0 * np.pi)
+
+
+@seed(20181)
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    rows=st.lists(st.tuples(_PHASE, _PHASE, _PHASE, _PHASE), min_size=1, max_size=6),
+    mags=st.tuples(st.floats(0.2, 4.0), st.floats(0.2, 4.0)),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_p45_is_the_projection_plus_plus_entry_bit_for_bit(rows, mags, draw):
+    # bench output states and arbitrary ones, each single and stacked
+    rng = np.random.default_rng(draw)
+    s1 = SourceSpec(mags[0] * np.exp(1j * rng.uniform(-np.pi, np.pi)), 1.0)
+    s2 = SourceSpec(mags[1], 1.3)
+    bench_out = apply_bs_prime(evolve_prestate(s1, s2, PhaseSetting(*np.transpose(rows))))
+    drawn = rng.normal(size=(len(rows), 16)) + 1j * rng.normal(size=(len(rows), 16))
+    for stack in (bench_out.vector, drawn):
+        states = [BenchState(Stage.POST_BS_PRIME, v) for v in (stack, *stack)]
+        for state in states:
+            want = np.abs(project_aa(state).expansion[..., 0]) ** 2
+            got = p45_intensity(state)
+            assert np.shape(got) == np.shape(want)
+            assert type(got) is (float if state.vector.ndim == 1 else np.ndarray)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_p45_refuses_an_empty_branch_and_passes_nan_through():
+    bhbh = np.eye(16)[15]
+    for vector in (bhbh, np.array([np.eye(16)[0], bhbh])):
+        state = BenchState(Stage.POST_BS_PRIME, vector)
+        for readout in (p45_intensity, project_aa):
+            with pytest.raises(ValueError, match="^the aa branch of this state is empty$"):
+                readout(state)
+    # a NaN state reads NaN, quietly, alone or beside a finite one
+    nan = np.full(16, np.nan)
+    assert np.isnan(p45_intensity(BenchState(Stage.POST_BS_PRIME, nan)))
+    stacked = p45_intensity(BenchState(Stage.POST_BS_PRIME, [nan, output_state(np.pi).vector]))
+    assert np.isnan(stacked[0])
+    assert stacked[1] == p45_intensity(output_state(np.pi))
+
+
 def test_expansion_is_unit_norm():
     rng = np.random.default_rng(29)
     for _ in range(50):
