@@ -14,6 +14,11 @@ beam splitter on both path slots then produces the state seen by the
 detectors. Prisms before and after the phase stage are label bookkeeping
 only; amplitudes pass through them bit-identically.
 
+This module is the one statement of that chain. One front end builds both
+sources' beams up to the rotator; ``PhaseSetting.plates`` pairs each plate
+with its phase (phi for path, theta for pol); ``source_outputs`` runs each
+source alone to the detectors, which ``detector`` projects.
+
 Every element acts on its own axis, with no Kronecker product built: a
 single beam is a ``(..., 2, 2)`` (path, pol) tensor, a two-beam state a
 ``(..., 2, 2, 2, 2)`` tensor. A batch is an ordinary value: a
@@ -40,8 +45,8 @@ from .tensor import (
     SLOT_PATH_2,
     STATE_SHAPE,
     Array,
-    _float_or_array,
     apply_slot,
+    float_or_array,
     norms_squared,
 )
 
@@ -89,6 +94,7 @@ class SourceSpec:
 
 
 _PHASE_NAMES = ("theta1", "theta2", "phi1", "phi2")
+_PLATE_PHASE = {"path": "phi", "pol": "theta"}
 
 
 @dataclass(frozen=True)
@@ -155,16 +161,23 @@ class PhaseSetting:
         """The single combination the bench output depends on."""
         return self.theta1 + self.phi1 - self.theta2 - self.phi2
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """``()`` for a single setting, ``(N,)`` for a sweep of N."""
+        return np.broadcast_shapes(*(np.shape(getattr(self, name)) for name in _PHASE_NAMES))
 
-def _setting_shape(ps: PhaseSetting) -> tuple[int, ...]:
-    """``()`` for a single setting, ``(N,)`` for a sweep of N."""
-    return np.broadcast_shapes(*(np.shape(getattr(ps, name)) for name in _PHASE_NAMES))
+    def require_single(self) -> None:
+        """Refuse a sweep where a report is defined for one setting only."""
+        if self.shape:
+            raise ValueError("a report takes a single phase setting, not a sweep")
 
-
-def _require_single(ps: PhaseSetting) -> None:
-    """Refuse a sweep where a report is defined for one setting only."""
-    if _setting_shape(ps):
-        raise ValueError("a report takes a single phase setting, not a sweep")
+    def plates(self) -> tuple[tuple[int, str, float | Array], ...]:
+        """``(source, dof, phase)`` of each plate, in ``elements.PLATES`` order:
+        phi drives the path plate of its source, theta the polarization plate."""
+        return tuple(
+            (source, dof, getattr(self, f"{_PLATE_PHASE[dof]}{source}"))
+            for source, dof in elements.PLATES
+        )
 
 
 @dataclass(frozen=True)
@@ -194,18 +207,7 @@ class BenchState:
 
     @property
     def norm_squared(self) -> float | Array:
-        return _float_or_array(norms_squared(self.vector))
-
-
-def _source_beams(a1: complex | Array, a2: complex | Array) -> tuple[Array, Array]:
-    a1 = np.asarray(a1, dtype=complex)
-    a2 = np.asarray(a2, dtype=complex)
-    shape = np.broadcast_shapes(a1.shape, a2.shape) + _BEAM_SHAPE
-    psi = np.zeros(shape, dtype=complex)
-    phi = np.zeros(shape, dtype=complex)
-    psi[..., 1, 0] = a1  # bV
-    phi[..., 0, 0] = a2  # aV
-    return psi, phi
+        return float_or_array(norms_squared(self.vector))
 
 
 def symmetrize(x: Array, y: Array) -> Array:
@@ -231,15 +233,19 @@ def _pr_beam(beam: Array) -> Array:
     return out
 
 
-def _input_stages(a1: complex | Array, a2: complex | Array) -> tuple[Array, Array, Array]:
-    # SOURCE, POST_BS and POST_PR, each beam acted on slot-locally before symmetrizing
-    psi, phi = _source_beams(a1, a2)
-    stages = [symmetrize(psi, phi)]
-    psi, phi = _bs_beam(psi), _bs_beam(phi)
-    stages.append(symmetrize(psi, phi))
-    psi, phi = _pr_beam(psi), _pr_beam(phi)
-    stages.append(symmetrize(psi, phi))
-    return tuple(stages)
+def _front_end(a1: complex | Array, a2: complex | Array) -> tuple[tuple[Array, Array], ...]:
+    """The (source 1, source 2) single-beam pairs at SOURCE, POST_BS and
+    POST_PR: source 1 enters on bV and source 2 on aV, the splitter acts on
+    each beam's path axis and the rotator on its b branch."""
+    a1 = np.asarray(a1, dtype=complex)
+    a2 = np.asarray(a2, dtype=complex)
+    shape = np.broadcast_shapes(a1.shape, a2.shape) + _BEAM_SHAPE
+    psi = np.zeros(shape, dtype=complex)
+    phi = np.zeros(shape, dtype=complex)
+    psi[..., 1, 0] = a1  # bV
+    phi[..., 0, 0] = a2  # aV
+    post_bs = (_bs_beam(psi), _bs_beam(phi))
+    return (psi, phi), post_bs, tuple(_pr_beam(beam) for beam in post_bs)
 
 
 def phase_stage(state: Array, ps: PhaseSetting) -> Array:
@@ -252,12 +258,7 @@ def phase_stage(state: Array, ps: PhaseSetting) -> Array:
     ``apply_factors`` would apply the four factors: the same values as its
     multiply-add, without the products by the zero off-diagonal entries.
     """
-    plates = (
-        elements.plate(1, "path", ps.phi1),
-        elements.plate(1, "pol", ps.theta1),
-        elements.plate(2, "path", ps.phi2),
-        elements.plate(2, "pol", ps.theta2),
-    )
+    plates = [elements.plate(source, dof, x) for source, dof, x in ps.plates()]
     out = np.asarray(state, dtype=complex)
     for core, slot in reversed(plates):
         diagonal = np.diagonal(core, 0, -2, -1)
@@ -283,7 +284,7 @@ def trace_stages(a1: complex | Array, a2: complex | Array, ps: PhaseSetting) -> 
     length, one bench run per entry; the runs become the leading axis.
     Stages follow ``Stage`` order.
     """
-    source, post_bs, post_pr = _input_stages(a1, a2)
+    source, post_bs, post_pr = (symmetrize(*pair) for pair in _front_end(a1, a2))
     phased = phase_stage(post_pr, ps)
     # the inverse prisms restore the plain path labels; amplitudes untouched
     return source, post_bs, post_pr, phased, phased, bs_prime_stage(phased)
@@ -299,8 +300,27 @@ def symmetrized_input(s1: SourceSpec, s2: SourceSpec) -> BenchState:
     Equals (A1 A2 / sqrt2)(|aVaV> - |bHbH>); every correlation in this
     package is an expectation value on this state.
     """
-    psi, phi = _source_beams(s1.amplitude, s2.amplitude)
-    return _state(Stage.POST_PR, symmetrize(_pr_beam(_bs_beam(psi)), _pr_beam(_bs_beam(phi))))
+    return _state(Stage.POST_PR, symmetrize(*_front_end(s1.amplitude, s2.amplitude)[-1]))
+
+
+def source_outputs(ps: PhaseSetting) -> tuple[Array, Array]:
+    """Each unit-amplitude source alone through the front end, its own two
+    plates and the second splitter, as ``(..., 2, 2)`` (path, pol) beams.
+
+    The two diagonal plates act as one entrywise factor, path entry times pol
+    entry. A sweep gives both beams one entry per setting, even where a
+    source's own two phases are floats.
+    """
+    shape = ps.shape
+    diagonal = {}
+    for source, dof, x in ps.plates():
+        core, _ = elements.plate(source, dof, np.broadcast_to(x, shape))
+        diagonal[source, dof] = np.diagonal(core, 0, -2, -1)
+    beams = []
+    for source, beam in zip((1, 2), _front_end(1.0, 1.0)[-1]):
+        path, pol = diagonal[source, "path"], diagonal[source, "pol"]
+        beams.append(_bs_beam(path[..., :, None] * pol[..., None, :] * beam))
+    return beams[0], beams[1]
 
 
 def evolve_prestate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchState:

@@ -168,6 +168,9 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     primaries to their exact optimum there, shifted by pi when the grid
     picked the negative orientation of S.
     """
+    # a bool is an int to Python, but never a grid size
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(
             f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}"

@@ -33,8 +33,7 @@ import numpy as np
 
 from . import bench, observables
 from .bench import PhaseSetting, SourceSpec
-from .observables import sigma
-from .tensor import Array, _float_or_array
+from .tensor import Array, float_or_array
 
 # ratios are nan where |cos delta| is below this, at the closed form's zeros
 COSINE_GUARD = 1e-3
@@ -51,7 +50,7 @@ def _intensities(s1: SourceSpec, s2: SourceSpec) -> tuple[float, float, float]:
 def correlation_closed_form(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float | Array:
     """Normalized correlation of the two detector intensities, formula route."""
     i1, i2, ssq = _intensities(s1, s2)
-    return _float_or_array(4.0 * i1 * i2 * np.cos(ps.delta) / ssq)
+    return float_or_array(4.0 * i1 * i2 * np.cos(ps.delta) / ssq)
 
 
 def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float | Array:
@@ -62,14 +61,9 @@ def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> flo
     Proportional to the closed form with constant ratio -1/4.
     """
     _, _, ssq = _intensities(s1, s2)
-    factors = (
-        sigma(1, "path", ps.phi1),
-        sigma(1, "pol", ps.theta1),
-        sigma(2, "path", ps.phi2),
-        sigma(2, "pol", ps.theta2),
-    )
+    factors = observables.phase_observables(ps, "full")
     start = bench.symmetrized_input(s1, s2).tensor
-    return _float_or_array(observables.product_expectation(start, factors).real / ssq)
+    return float_or_array(observables.product_expectation(start, factors).real / ssq)
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ def _guarded_ratio(
     ratio = np.full(np.shape(closed), nan)
     defined = (np.abs(np.cos(delta)) >= COSINE_GUARD) & (np.abs(closed) >= floor)
     np.divide(numeric, closed, out=ratio, where=defined)
-    return _float_or_array(ratio)
+    return float_or_array(ratio)
 
 
 def _check_shift(value: int, name: str) -> None:
@@ -123,7 +117,7 @@ def g2_hbt(
     taking its intensity to zero relative to the other.
     """
     i1, i2, ssq = _intensities(s1, s2)
-    return _float_or_array(1.0 - 2.0 * i1 * i2 * np.cos(alpha - beta) / ssq)
+    return float_or_array(1.0 - 2.0 * i1 * i2 * np.cos(alpha - beta) / ssq)
 
 
 def g2_generalized(
@@ -139,22 +133,22 @@ def g2_generalized(
     i1, i2, ssq = _intensities(s1, s2)
     signed = -1.0 if (k + l + m + n) % 2 else 1.0
     g2 = (i1 * i1 + i2 * i2 + 2.0 * i1 * i2 * (1.0 - signed * np.cos(ps.delta))) / ssq
-    return _float_or_array(g2)
+    return float_or_array(g2)
 
 
 def correlation_report(
     ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec
 ) -> CorrelationReport:
     """Both correlation routes plus the sixteen raw intensity brackets."""
-    bench._require_single(ps)
+    ps.require_single()
     numeric = correlation_numeric(ps, s1, s2)
     closed = correlation_closed_form(ps, s1, s2)
     shifts = list(product((0, 1), repeat=4))
-    turn = np.array(shifts).T * np.pi  # rows k, l, m, n
+    # k, l, m, n turn theta1, phi1, theta2, phi2 by pi: one sweep of 16 settings
+    k, l, m, n = np.array(shifts).T * np.pi
+    shifted = PhaseSetting(ps.theta1 + k, ps.theta2 + m, ps.phi1 + l, ps.phi2 + n)
     state = bench.symmetrized_input(s1, s2).tensor
-    brackets = observables.joint_intensity(
-        state, ps.theta1 + turn[0], ps.phi1 + turn[1], ps.theta2 + turn[2], ps.phi2 + turn[3]
-    )
+    brackets = observables.joint_intensity(state, shifted)
     terms = tuple(
         TermEntry(k, l, m, n, 1 if (k + l + m + n) % 2 == 0 else -1, float(value))
         for (k, l, m, n), value in zip(shifts, brackets)

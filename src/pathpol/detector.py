@@ -7,9 +7,10 @@ convention that the expansion coefficients are those of the unit-norm
 polarization part scaled by sqrt(2); the squared ++ coefficient is then the
 detection law (1 - cos delta)/2, which ``p45_intensity`` returns. Both read
 one output state or an ``(N, 16)`` stack of them; ``detect`` (the four port
-probabilities) is a single-state report. ``detector_amplitudes`` and
-``autocorrelation_demo`` take one phase setting or a sweep, and a sweep
-gives one entry per setting.
+probabilities) is a single-state report and refuses an empty state.
+``detector_amplitudes`` projects each source's beam from
+``bench.source_outputs``; it and ``autocorrelation_demo`` take one phase
+setting or a sweep, and a sweep gives one entry per setting.
 
 ``autocorrelation_demo`` reinstates the time dependence dropped by the
 bench: the two sources are distinct frequencies, so every first-order
@@ -34,9 +35,9 @@ from math import ceil, pi
 
 import numpy as np
 
-from . import bench, elements
+from . import bench
 from .bench import BenchState, PhaseSetting, SourceSpec, Stage
-from .tensor import DIM, STATE_SHAPE, Array, _float_or_array, norms_squared
+from .tensor import DIM, STATE_SHAPE, Array, float_or_array, norms_squared
 
 _SQRT2 = np.sqrt(2.0)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
@@ -120,8 +121,8 @@ def project_aa(state: BenchState) -> AaProjection:
     return AaProjection(
         pol_unit=pol_unit.reshape(lead + (4,)),
         expansion=expansion.reshape(lead + (4,)),
-        delta=_float_or_array(np.angle(ratio).reshape(lead)),
-        branch_fraction=_float_or_array((branch_norm_sq / total).reshape(lead)),
+        delta=float_or_array(np.angle(ratio).reshape(lead)),
+        branch_fraction=float_or_array((branch_norm_sq / total).reshape(lead)),
     )
 
 
@@ -135,7 +136,7 @@ def p45_intensity(state: BenchState) -> float | Array:
     norms, delta readback and branch fraction of a full projection are not.
     """
     plus_plus = _aa_branch(state)[3][:, 0, 0]
-    return _float_or_array((np.abs(plus_plus) ** 2).reshape(state.vector.shape[:-1]))
+    return float_or_array((np.abs(plus_plus) ** 2).reshape(state.vector.shape[:-1]))
 
 
 def detect(state: BenchState) -> tuple[float, float, float, float]:
@@ -145,6 +146,8 @@ def detect(state: BenchState) -> tuple[float, float, float, float]:
         raise ValueError("detect takes a single state, not a stack")
     grid = state.vector.reshape(2, 2, 2, 2)
     total = state.norm_squared
+    if total == 0.0:
+        raise ValueError("this state is empty")
     return tuple(
         float(np.sum(np.abs(grid[p1, :, p2, :]) ** 2)) / total
         for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -154,27 +157,12 @@ def detect(state: BenchState) -> tuple[float, float, float, float]:
 def detector_amplitudes(ps: PhaseSetting) -> tuple[complex | Array, complex | Array]:
     """Per-source amplitude reaching the (port a, 45 degrees) detector.
 
-    Runs each unit-amplitude source alone through splitter, rotator, its own
-    phase pair, and the second splitter, then projects onto port a and the
-    diagonal polarization. Closed forms: (1 - e^{i(theta1+phi1)})/(2 sqrt2)
-    and (1 + e^{-i(theta2+phi2)})/(2 sqrt2). A sweep gives both amplitudes
-    one entry per setting, even where a source's own two phases are floats.
+    Projects each source's beam from ``bench.source_outputs`` onto port a
+    and the diagonal polarization, <a|(<V| + <H|)/sqrt2. Closed forms:
+    (1 - e^{i(theta1+phi1)})/(2 sqrt2) and (1 + e^{-i(theta2+phi2)})/(2 sqrt2).
+    A sweep gives both amplitudes one entry per setting.
     """
-    shape = bench._setting_shape(ps)
-    out = []
-    for source, beam, theta, phi in zip(
-        (1, 2),
-        bench._source_beams(1.0, 1.0),  # source 1 on b, source 2 on a
-        (np.broadcast_to(ps.theta1, shape), np.broadcast_to(ps.theta2, shape)),
-        (np.broadcast_to(ps.phi1, shape), np.broadcast_to(ps.phi2, shape)),
-    ):
-        beam = bench._pr_beam(bench._bs_beam(beam))
-        # the phase pair is diagonal on the (path, pol) beam: one factor per entry
-        path = np.diagonal(elements.plate(source, "path", phi)[0], 0, -2, -1)
-        pol = np.diagonal(elements.plate(source, "pol", theta)[0], 0, -2, -1)
-        beam = bench._bs_beam(path[..., :, None] * pol[..., None, :] * beam)
-        out.append((beam[..., 0, 0] + beam[..., 0, 1]) / _SQRT2)  # <a| and (<V| + <H|)/sqrt2
-    return out[0], out[1]
+    return tuple((beam[..., 0, 0] + beam[..., 0, 1]) / _SQRT2 for beam in bench.source_outputs(ps))
 
 
 @dataclass(frozen=True)
@@ -258,7 +246,7 @@ def autocorrelation_demo(
         )
     n = max(samples, ceil(needed) + 1)
 
-    shape = bench._setting_shape(ps)
+    shape = ps.shape
     # a single setting runs as a sweep of one, so every setting's numbers come
     # from the same array loops whether it is integrated alone or in a sweep
     u1, u2 = (np.broadcast_to(u, shape).reshape(-1) for u in detector_amplitudes(ps))
@@ -270,13 +258,13 @@ def autocorrelation_demo(
 
     self1 = i1 * i1 * window
     self2 = i2 * i2 * window
+    # the product cross term and the beat's mean square are both 2 I1 I2 window
     cross = 2.0 * i1 * i2 * window
-    beat_ms = 2.0 * i1 * i2 * window
-    leftover = total - (self1 + self2 + cross + beat_ms)
+    leftover = total - (self1 + self2 + cross + cross)
     # a NaN total gives a NaN residual, which no tolerance accepts
     residual = np.divide(np.abs(leftover), total, out=np.zeros_like(total), where=total != 0.0)
-    fields = (total, self1, self2, cross, beat_ms, total - self1 - self2, residual)
-    return AutocorrelationReport(n, *(_float_or_array(f.reshape(shape)) for f in fields))
+    fields = (total, self1, self2, cross, cross, total - self1 - self2, residual)
+    return AutocorrelationReport(n, *(float_or_array(f.reshape(shape)) for f in fields))
 
 
 def _trapezoid_integral(s: Array, c: Array, omega: float, window: float, n: int) -> Array:

@@ -64,6 +64,12 @@ def sigma(source: int, dof: str, phase: float | Array, branch: str = "full") -> 
     return _sigma_core(phase, sense, branch), slot
 
 
+def phase_observables(ps: PhaseSetting, branch: str) -> tuple[tuple[Array, int], ...]:
+    """The ``sigma`` factor (or ``branch`` projector) of each plate of ``ps``,
+    in ``elements.PLATES`` order, each at the phase that drives its plate."""
+    return tuple(sigma(source, dof, x, branch) for source, dof, x in ps.plates())
+
+
 def product_expectation(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
     """<state| f_0 f_1 ... |state> on a ``(2, 2, 2, 2)`` state tensor.
 
@@ -77,26 +83,14 @@ def product_expectation(state: Array, factors: Sequence[tuple[Array, int]]) -> A
     return np.einsum("wxyz,...wxyz->...", state.conj(), apply_factors(state, factors))
 
 
-def joint_intensity(
-    state: Array,
-    theta1: float | Array,
-    phi1: float | Array,
-    theta2: float | Array,
-    phi2: float | Array,
-) -> Array:
+def joint_intensity(state: Array, ps: PhaseSetting) -> Array:
     """Raw joint-intensity bracket <I1(theta1, phi1) I2(theta2, phi2)> (real part).
 
     The intensity operator of each source is the product of its path and
     polarization plus-branch projectors, so the bracket is a four-factor
-    product; equal-length phase arrays give one bracket per entry.
+    product; a sweep ``ps`` gives one bracket per setting.
     """
-    factors = (
-        sigma(1, "path", phi1, "plus"),
-        sigma(1, "pol", theta1, "plus"),
-        sigma(2, "path", phi2, "plus"),
-        sigma(2, "pol", theta2, "plus"),
-    )
-    return product_expectation(state, factors).real
+    return product_expectation(state, phase_observables(ps, "plus")).real
 
 
 def path_a_projector() -> Array:
@@ -127,15 +121,15 @@ class TransferCheckReport:
 def transfer_check(pre: BenchState, ps: PhaseSetting) -> TransferCheckReport:
     """Verify the intensity bracket transfers unchanged along the pipeline,
     from the phased prestate ``pre`` of ``ps`` to its second-splitter image."""
-    bench._require_single(ps)
+    ps.require_single()
     post = bench.apply_bs_prime(pre)
 
     # the phase stage at negated phases undoes it, recovering the symmetrized input
     undo = PhaseSetting(-ps.theta1, -ps.theta2, -ps.phi1, -ps.phi2)
     psi0 = bench.phase_stage(pre.tensor, undo)
 
-    v_sym = float(joint_intensity(psi0, ps.theta1, ps.phi1, ps.theta2, ps.phi2))
-    v_pre = float(joint_intensity(pre.tensor, 0.0, 0.0, 0.0, 0.0))
+    v_sym = float(joint_intensity(psi0, ps))
+    v_pre = float(joint_intensity(pre.tensor, PhaseSetting(0.0, 0.0, 0.0, 0.0)))
     port_a = path_a_projector()
     factors = (
         (port_a, SLOT_PATH_1),

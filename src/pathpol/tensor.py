@@ -91,7 +91,7 @@ def norms_squared(vectors: Array) -> Array:
     return (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real
 
 
-def _float_or_array(x: float | Array) -> float | Array:
+def float_or_array(x: float | Array) -> float | Array:
     """A single result as a plain ``float``, a stack of results unchanged."""
     return float(x) if np.ndim(x) == 0 else x
 

@@ -262,12 +262,11 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
     # every random instance first, one draw per field
     x = rng.uniform(-2.0 * pi, 2.0 * pi, 100)
     advance = (rng.integers(0, 2, 100) == 0)[:, None, None]
-    theta1, theta2, phi1, phi2 = np.transpose(_random_phases(rng, 100))
+    ps = PhaseSetting(*np.transpose(_random_phases(rng, 100)))
     sources = rng.integers(1, 3, 100)
     dofs = np.where(rng.integers(0, 2, 100) == 0, "path", "pol")
     branches = np.array(BRANCHES)[rng.integers(0, 3, 100)]
     pairs = _random_amplitudes(rng, 100)
-    ps = PhaseSetting(theta1, theta2, phi1, phi2)
 
     worst_unitary = 0.0
     for m in (
@@ -296,8 +295,8 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
         )
     # products of factors on several slots need the 16-dim action: each
     # source's intensity projector, then cross-source commutation
-    i1 = _matrices(sigma(1, "path", phi1, "plus"), sigma(1, "pol", theta1, "plus"))
-    i2 = _matrices(sigma(2, "path", phi2, "plus"), sigma(2, "pol", theta2, "plus"))
+    plus = [(s, sigma(s, dof, angle, "plus")) for s, dof, angle in ps.plates()]
+    i1, i2 = (_matrices(*(f for s, f in plus if s == source)) for source in (1, 2))
     worst_proj = _worst(worst_proj, _max_abs(i1 @ i1 - i1), _max_abs(i2 @ i2 - i2))
 
     worst_comm = _max_abs(i1 @ i2 - i2 @ i1)

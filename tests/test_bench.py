@@ -140,6 +140,16 @@ def test_phase_setting_equality_and_hash_cover_sweeps():
     assert PhaseSetting(0.1, 0.2, 0.3, 0.4) != (0.1, 0.2, 0.3, 0.4)
 
 
+def test_plates_pair_each_plate_with_the_phase_that_drives_it():
+    # phi drives the path plate and theta the pol plate, in elements.PLATES order
+    ps = PhaseSetting(theta1=0.1, theta2=0.2, phi1=0.3, phi2=np.array([0.4, 0.5]))
+    plates = ps.plates()
+    assert [plate[:2] for plate in plates] == list(elements.PLATES)
+    (_, _, p1), (_, _, t1), (_, _, p2), (_, _, t2) = plates
+    assert (p1, t1, t2) == (0.3, 0.1, 0.2) and p2 is ps.phi2
+    assert ps.shape == (2,) and PhaseSetting(0.1, 0.2, 0.3, 0.4).shape == ()
+
+
 def test_reports_refuse_a_sweep():
     # a 16-entry sweep would otherwise pair entry k with shift term k
     sweep = PhaseSetting(np.linspace(0.0, 3.0, 16), 0.0, 0.0, 0.0)

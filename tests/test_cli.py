@@ -154,6 +154,32 @@ def test_sweep_prints_the_golden_output(tmp_path, capsys, name):
     assert path.read_bytes() == golden.encode("utf-8")
 
 
+# the exact stdout of verify, correlate and report, captured at 2f02ac6: they
+# pin the autocorrelation row, the report's sixteen brackets and the transfer
+# check. Like the sweep goldens, the bytes are those of the numpy and BLAS
+# they were captured with (numpy 2.4.6, OpenBLAS 0.3.31): another BLAS may
+# round a matrix product apart in the last digits.
+_SET = (
+    "--set", "phases.theta1=0.4", "--set", "phases.phi1=1.1", "--set", "amplitudes.i2=2.5",
+)
+_TEXT_GOLDENS = {
+    "verify_seed_0.txt": ("verify", "--seed", "0"),
+    "verify_seed_12345.txt": ("verify", "--seed", "12345"),
+    "correlate_default.txt": ("correlate",),
+    "correlate_set.txt": ("correlate", *_SET),
+    "report_default.txt": ("report",),
+    "report_set.txt": ("report", *_SET),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TEXT_GOLDENS))
+def test_command_prints_the_golden_output(capsys, name):
+    golden = (GOLDEN / name).read_bytes().decode("utf-8")
+    code, out, err = run_cli(capsys, *_TEXT_GOLDENS[name])
+    assert (code, err) == (0, "")
+    assert out == golden
+
+
 def test_sweep_goldens_cover_whole_and_short_blocks():
     rows = {len((GOLDEN / name).read_bytes().splitlines()) - 1 for name in _SWEEP_GOLDENS}
     assert rows == {64, 100, 256}

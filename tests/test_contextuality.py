@@ -101,6 +101,18 @@ def test_scan_never_exceeds_algebraic_ceiling(case):
     assert result.max_abs <= MAX_VIOLATION + 1e-9
 
 
+@pytest.mark.parametrize("resolution", [64.0, 64.5, True, "64", None])
+def test_scan_refuses_a_non_integer_resolution(resolution):
+    # 64.0 and 64.5 pass the range check and used to fail as grid indices
+    with pytest.raises(ValueError, match=f"^resolution must be an integer, got {resolution!r}$"):
+        scan_max(1, resolution)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_scan_takes_a_numpy_integer_resolution(case):
+    assert scan_max(case, np.int64(64)) == scan_max(case, 64)
+
+
 @pytest.mark.parametrize("resolution", [8, 12, 13, 24, 64, 100, 192, MAX_RESOLUTION])
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_result_is_consistent(case, resolution):

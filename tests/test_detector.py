@@ -198,6 +198,15 @@ def test_detect_probabilities():
         assert abs(p - 0.25) < 1e-12
 
 
+def test_detect_refuses_an_empty_state_and_passes_nan_through():
+    # the zero state used to end in a bare ZeroDivisionError
+    with pytest.raises(ValueError, match="^this state is empty$"):
+        detect(BenchState(Stage.POST_BS_PRIME, np.zeros(16)))
+    probs = detect(BenchState(Stage.POST_BS_PRIME, np.full(16, np.nan)))
+    assert len(probs) == 4
+    assert all(np.isnan(p) for p in probs)
+
+
 def test_detector_amplitudes_closed_forms():
     rng = np.random.default_rng(41)
     for _ in range(50):

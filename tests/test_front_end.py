@@ -1,4 +1,5 @@
-"""The slot-local bench front end and trace against a 16x16 ``np.kron`` oracle.
+"""The slot-local bench front end, trace and per-source outputs against a
+``np.kron`` oracle.
 
 Every reference stage is built here from explicit 4x4 and 16x16 matrices
 with ``np.kron`` (no ``pathpol.tensor``), starting from the two source kets
@@ -90,6 +91,23 @@ def test_batched_trace_equals_per_run_trace(runs):
         for state, batch in zip(trace, stages):
             assert batch.shape == (len(runs), 2, 2, 2, 2)
             assert np.array_equal(state.vector, batch[k].reshape(16))
+
+
+@seed(20145)
+@settings(max_examples=20, deadline=None, database=None)
+@given(phases=settings_)
+def test_source_outputs_match_kron_oracle(phases):
+    # each unit source alone: splitter, rotator, its own path and pol plates,
+    # second splitter
+    theta1, theta2, phi1, phi2 = phases
+    out1, out2 = bench.source_outputs(PhaseSetting(*phases))
+    for beam, ket, plates in (
+        (out1, KET_BV, np.kron(phase(phi1, 1), phase(theta1, 1))),
+        (out2, KET_AV, np.kron(phase(phi2, -1), phase(theta2, -1))),
+    ):
+        want = BS_BEAM @ plates @ PR_BEAM @ BS_BEAM @ ket
+        assert beam.shape == (2, 2)
+        assert np.max(np.abs(beam.reshape(4) - want)) <= TOL
 
 
 def test_single_beam_matrices_match_kron_oracle():

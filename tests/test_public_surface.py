@@ -9,7 +9,8 @@ tracer reads report fields), reads it as an Attribute node. Import lists,
 ``__all__`` strings, docstrings and tests do not count.
 
 ``pathpol verify`` checks the package the way a caller uses it, so
-``verify.py`` reads no name private to another pathpol module.
+``verify.py`` reads no name private to another pathpol module, and no other
+pathpol module does either.
 """
 
 import ast
@@ -81,6 +82,16 @@ def private_reads(tree: ast.AST) -> set[str]:
 def test_verify_reads_nothing_private_of_another_module():
     path = ROOT / "src" / "pathpol" / "verify.py"
     assert private_reads(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_no_module_reads_a_name_private_to_another():
+    # a module reaches another through its public names only
+    found = {
+        path.name: reads
+        for path in sorted((ROOT / "src" / "pathpol").glob("*.py"))
+        if (reads := private_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
 
 
 def test_every_public_name_has_a_caller():
