@@ -53,6 +53,15 @@ def correlation_closed_form(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) ->
     return float_or_array(4.0 * i1 * i2 * np.cos(ps.delta) / ssq)
 
 
+def _numeric_on(
+    start: Array, ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec
+) -> float | Array:
+    """``correlation_numeric`` on a symmetrized input the caller has built."""
+    _, _, ssq = _intensities(s1, s2)
+    factors = observables.phase_observables(ps, "full")
+    return float_or_array(observables.product_expectation(start, factors).real / ssq)
+
+
 def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float | Array:
     """Normalized expectation of the four flip observables, operator route.
 
@@ -60,10 +69,7 @@ def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> flo
     sigma_pol2(theta2)> on the symmetrized input and divides by (I1+I2)^2.
     Proportional to the closed form with constant ratio -1/4.
     """
-    _, _, ssq = _intensities(s1, s2)
-    factors = observables.phase_observables(ps, "full")
-    start = bench.symmetrized_input(s1, s2).tensor
-    return float_or_array(observables.product_expectation(start, factors).real / ssq)
+    return _numeric_on(bench.symmetrized_input(s1, s2).tensor, ps, s1, s2)
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,14 @@ def correlation_report(
 ) -> CorrelationReport:
     """Both correlation routes plus the sixteen raw intensity brackets."""
     ps.require_single()
-    numeric = correlation_numeric(ps, s1, s2)
+    # one symmetrized input serves the numeric route and the sixteen brackets
+    state = bench.symmetrized_input(s1, s2).tensor
+    numeric = _numeric_on(state, ps, s1, s2)
     closed = correlation_closed_form(ps, s1, s2)
     shifts = list(product((0, 1), repeat=4))
     # k, l, m, n turn theta1, phi1, theta2, phi2 by pi: one sweep of 16 settings
     k, l, m, n = np.array(shifts).T * np.pi
     shifted = PhaseSetting(ps.theta1 + k, ps.theta2 + m, ps.phi1 + l, ps.phi2 + n)
-    state = bench.symmetrized_input(s1, s2).tensor
     brackets = observables.joint_intensity(state, shifted)
     terms = tuple(
         TermEntry(k, l, m, n, 1 if (k + l + m + n) % 2 == 0 else -1, float(value))

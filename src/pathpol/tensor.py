@@ -15,8 +15,8 @@ order (``vector.reshape(2, 2, 2, 2)``), and ``apply_slot`` acts with a 2x2
 operator, or a stack of them, on one slot as a two-term multiply-add over
 the slot's two halves of the state. A ``(core, slot)`` pair is a
 factor, and ``apply_factors`` applies a product of them. No 16x16 operator
-matrix is built: where a check needs one, it applies the factors to the 16
-basis tensors.
+matrix is built anywhere: where a check needs an operator identity on the
+16-dim space, it applies both sides to random probe states.
 """
 
 from __future__ import annotations

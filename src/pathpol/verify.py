@@ -19,6 +19,13 @@ per field in a fixed order, then evaluate the operator route for every
 instance in one batched pass of slot-local stacks; the oracles they are
 compared with are written out independently and never share its
 intermediate results.
+
+The property suite checks its 16-dim operator identities without building a
+16x16 matrix: both sides act, slot by slot, on one random unit probe state
+per instance. A nonzero A - B annihilates only the vectors of its kernel, a
+proper subspace of measure zero, so a probe drawn from a continuous
+distribution exposes it almost surely (Freivalds' check). The probes come
+from a child of the verify seed, so the rows' own draws never move.
 """
 
 from __future__ import annotations
@@ -44,8 +51,6 @@ _GRID = 2.0 * pi * np.arange(64) / 64.0
 # theta1 carries delta; the other three phases keep these values
 _DELTA_BASE = PhaseSetting(0.0, 0.15, -0.4, 0.2)
 _DELTA_SETTINGS = phase_setting_for("delta", _GRID, _DELTA_BASE)
-# the 16 basis tensors, with an axis for the instances of an operator stack
-_BASIS = np.eye(DIM, dtype=complex).reshape((DIM, 1) + STATE_SHAPE)
 
 
 @dataclass(frozen=True)
@@ -250,16 +255,20 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     return _row("pipeline-golden-states", worst <= _TOL, worst)
 
 
-def _matrices(*factors: tuple[np.ndarray, int]) -> np.ndarray:
-    """``(N, 16, 16)`` matrices of f_0 f_1 ..., each factor applied as the
-    operator route applies it (its 2x2 core on its own slot) to the 16
-    basis tensors; column k is the image of basis tensor k."""
-    images = apply_factors(_BASIS, factors)
-    return np.moveaxis(images.reshape(DIM, images.shape[1], DIM), 0, -1)
+def _probes(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` random unit states, one per instance: normalized complex
+    Gaussian vectors, so uniform on the 16-dim unit sphere."""
+    real, imag = rng.standard_normal((2, count, DIM))
+    z = real + 1j * imag
+    z /= np.sqrt(norms_squared(z))[:, None]
+    return z.reshape((count,) + STATE_SHAPE)
 
 
-def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
-    # every random instance first, one draw per field
+def _check_property_suite(
+    rng: np.random.Generator, probe_rng: np.random.Generator
+) -> VerifyCheck:
+    # every random instance first, one draw per field; the probe states come
+    # from their own generator, so they never move a later row's draws
     x = rng.uniform(-2.0 * pi, 2.0 * pi, 100)
     advance = (rng.integers(0, 2, 100) == 0)[:, None, None]
     ps = PhaseSetting(*np.transpose(_random_phases(rng, 100)))
@@ -294,18 +303,29 @@ def _check_property_suite(rng: np.random.Generator) -> VerifyCheck:
             _max_abs(plus + minus - eye),
         )
     # products of factors on several slots need the 16-dim action: each
-    # source's intensity projector, then cross-source commutation
+    # source's intensity projector, then cross-source commutation. Both
+    # sides of each identity act, as the operator route acts, on one random
+    # probe state per instance (Freivalds' check; see the module docstring)
+    probes = _probes(probe_rng, len(x))
     plus = [(s, sigma(s, dof, angle, "plus")) for s, dof, angle in ps.plates()]
-    i1, i2 = (_matrices(*(f for s, f in plus if s == source)) for source in (1, 2))
-    worst_proj = _worst(worst_proj, _max_abs(i1 @ i1 - i1), _max_abs(i2 @ i2 - i2))
+    i1, i2 = ([f for s, f in plus if s == source] for source in (1, 2))
+    i1_probe, i2_probe = apply_factors(probes, i1), apply_factors(probes, i2)
+    worst_proj = _worst(
+        worst_proj,
+        _max_abs(apply_factors(i1_probe, i1) - i1_probe),
+        _max_abs(apply_factors(i2_probe, i2) - i2_probe),
+    )
 
-    worst_comm = _max_abs(i1 @ i2 - i2 @ i1)
+    worst_comm = _max_abs(apply_factors(i2_probe, i1) - apply_factors(i1_probe, i2))
     other = {"path": "pol", "pol": "path"}
     for dof, branch in product(other, BRANCHES):
         rows = (dofs == dof) & (branches == branch)
-        a = _matrices(sigma(1, dof, x[rows], branch))
-        b = _matrices(sigma(2, other[dof], -1.3 * x[rows]))
-        worst_comm = _worst(worst_comm, _max_abs(a @ b - b @ a))
+        a = [sigma(1, dof, x[rows], branch)]
+        b = [sigma(2, other[dof], -1.3 * x[rows])]
+        probe = probes[rows]
+        worst_comm = _worst(
+            worst_comm, _max_abs(apply_factors(probe, a + b) - apply_factors(probe, b + a))
+        )
 
     a1, a2, target = _amplitudes(pairs)
     worst_norm = _worst(
@@ -431,14 +451,17 @@ def _check_autocorrelation() -> VerifyCheck:
 
 def run_verify(seed: int = 0) -> VerifyReport:
     """Run every acceptance check once and collect the rows."""
-    rng = np.random.default_rng(seed)
+    # the same stream as default_rng(seed); its first child draws the probes
+    seeds = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seeds)
+    (probe_seeds,) = seeds.spawn(1)
     checks = (
         _check_ghz_closed_form(),
         _check_hbt_reduction(),
         _check_noncontextuality(rng),
         _check_detection_law(),
         _check_pipeline_goldens(rng),
-        _check_property_suite(rng),
+        _check_property_suite(rng, np.random.default_rng(probe_seeds)),
         _check_sigma_route(rng),
         _check_signed_sum(rng),
         _check_transfer_chain(rng),

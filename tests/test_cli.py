@@ -156,7 +156,8 @@ def test_sweep_prints_the_golden_output(tmp_path, capsys, name):
 
 # the exact stdout of verify, correlate and report, captured at 2f02ac6: they
 # pin the autocorrelation row, the report's sixteen brackets and the transfer
-# check. Like the sweep goldens, the bytes are those of the numpy and BLAS
+# check. The verify files' property-suite note was re-captured once, when the
+# suite's commutators moved from 16x16 matrices to probe states. Like the sweep goldens, the bytes are those of the numpy and BLAS
 # they were captured with (numpy 2.4.6, OpenBLAS 0.3.31): another BLAS may
 # round a matrix product apart in the last digits.
 _SET = (

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from pathpol import bench
 from pathpol.bench import PhaseSetting, SourceSpec
+from pathpol.cli import main
 from pathpol.correlations import (
     COSINE_GUARD,
     SIGNED_SUM_FLOOR,
@@ -256,3 +259,24 @@ def test_signed_sum_ratio_is_minus_eight_or_nan_at_any_intensity_ratio(log_ratio
     defined = np.isfinite(report.ratio)
     assert np.all(np.abs(report.ratio[defined] + 8.0) <= 1e-8)
     assert not np.any(defined & (np.abs(report.closed_form) < SIGNED_SUM_FLOOR))
+
+
+def test_correlate_builds_the_symmetrized_input_once(capsys, monkeypatch):
+    # the numeric route and the sixteen brackets read one input state; the
+    # closed-form route reads none, so one build serves the whole command
+    calls = []
+    original = bench.symmetrized_input
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathpol"]
+    for m in modules:
+        for attr, value in list(vars(m).items()):
+            if value is original:
+                monkeypatch.setattr(m, attr, counting)
+
+    assert main(["correlate"]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 1

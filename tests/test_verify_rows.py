@@ -1,6 +1,8 @@
 """``pathpol verify`` rows pinned across seeds, the faults its batched checks
 and its autocorrelation row must catch, and the work one run may do: no
-Kronecker builds, and a bounded number of symmetrized inputs.
+Kronecker builds, a bounded number of symmetrized inputs, a property suite
+that leaves the random stream where its field draws leave it, and a bounded
+peak of memory in that suite.
 
 The pinned strings are the rows as printed before the checks were batched:
 every row's name and status, and the logged constants to their printed
@@ -9,14 +11,16 @@ digits. Residual-scale ``measured`` values are not pinned.
 
 import re
 import sys
+import tracemalloc
 from collections import Counter
+from math import pi
 
 import numpy as np
 import pytest
 
-from pathpol import bench, correlations, detector, elements, observables
+from pathpol import bench, correlations, detector, elements, observables, tensor
 from pathpol.cli import main
-from pathpol.verify import run_verify
+from pathpol.verify import _check_property_suite, run_verify
 
 ROWS = (
     ("ghz-correlation-closed-form", "pass"),
@@ -189,6 +193,12 @@ def test_verify_catches_a_wrong_closed_form_window_sum(capsys, monkeypatch, faul
     assert failing_rows(out) == {"autocorrelation-averaging"}
 
 
+def pathpol_bindings(value):
+    """Every (module, name) of a pathpol module that is bound to ``value``."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathpol"]
+    return [(m, attr) for m in modules for attr, v in vars(m).items() if v is value]
+
+
 def test_verify_call_budget(monkeypatch):
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathpol"]
     # operators act slot by slot: no namespace offers a 16x16 Kronecker build
@@ -202,10 +212,88 @@ def test_verify_call_budget(monkeypatch):
         counts[original.__name__] += 1
         return original(*args, **kwargs)
 
-    bound = [(m, attr) for m in modules for attr, v in vars(m).items() if v is original]
+    bound = pathpol_bindings(original)
     assert (sys.modules[original.__module__], original.__name__) in bound
     for m, attr in bound:
         monkeypatch.setattr(m, attr, counting)
 
     assert run_verify(0).ok
     assert 0 < counts["symmetrized_input"] <= 20
+
+
+def planted_apply_slot(fault):
+    """``tensor.apply_slot`` with one fault, wrapped around the original."""
+    original = tensor.apply_slot
+
+    def apply_slot(op, state, slot):
+        op = np.asarray(op, dtype=complex)
+        if fault == "leaks-a-neighbouring-flip":
+            out = original(op, state, slot)
+            # 1e-9 of the output flipped on the next slot
+            return out + 1e-9 * np.flip(out, axis=(slot + 1) % 4 - 4)
+        if fault == "stacked-core-rows-swapped" and op.ndim > 2:
+            op = op[..., ::-1, :]
+        if fault == "second-term-dropped-on-slot-2" and slot == 2:
+            op = op.copy()
+            op[..., :, 1] = 0.0
+        return original(op, state, slot)
+
+    return apply_slot
+
+
+# the rows each fault fails at seed 0, the same on the 16x16 matrix route
+# the probe-state suite replaced
+_DRIFT_ROWS = {
+    "algebraic-property-suite",
+    "detection-law-45deg",
+    "pipeline-golden-states",
+    "transfer-bracket-chain",
+}
+APPLY_SLOT_FAULTS = {
+    "leaks-a-neighbouring-flip": _DRIFT_ROWS,
+    "stacked-core-rows-swapped": {"algebraic-property-suite"},
+    "second-term-dropped-on-slot-2": _DRIFT_ROWS | {"sigma-route-vs-closed-form"},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(APPLY_SLOT_FAULTS))
+def test_verify_catches_a_faulty_apply_slot(capsys, monkeypatch, fault):
+    # bench binds apply_slot by name; patch every binding of the original
+    planted = planted_apply_slot(fault)
+    bound = pathpol_bindings(tensor.apply_slot)
+    assert (tensor, "apply_slot") in bound
+    for m, attr in bound:
+        monkeypatch.setattr(m, attr, planted)
+    code, out = run(capsys)
+    assert code == 1
+    assert failing_rows(out) == APPLY_SLOT_FAULTS[fault]
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_property_suite_leaves_the_stream_where_its_field_draws_do(seed):
+    rng = np.random.default_rng(seed)
+    assert _check_property_suite(rng, np.random.default_rng(seed + 1)).status == "pass"
+
+    # the suite's seven field draws alone, in its order: the probes come
+    # from their own generator, so every later row draws what it drew before
+    alone = np.random.default_rng(seed)
+    alone.uniform(-2.0 * pi, 2.0 * pi, 100)  # x
+    alone.integers(0, 2, 100)  # advance
+    alone.uniform(-2.0 * pi, 2.0 * pi, (100, 4))  # phases
+    alone.integers(1, 3, 100)  # sources
+    alone.integers(0, 2, 100)  # dofs
+    alone.integers(0, 3, 100)  # branches
+    alone.uniform(0.5, 1.5, (100, 2))  # amplitude pairs: magnitudes,
+    alone.uniform(-pi, pi, (100, 2))  # then phases
+    assert rng.bit_generator.state == alone.bit_generator.state
+
+
+def test_property_suite_memory_stays_at_probe_scale():
+    # one 16-dim probe per instance; (100, 16, 16) operator stacks read 1.9 MiB
+    tracemalloc.start()
+    try:
+        _check_property_suite(np.random.default_rng(0), np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 768 * 2**10
