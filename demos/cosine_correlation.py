@@ -17,7 +17,7 @@ and fits the operator route to kappa * cos(delta).
 
 import numpy as np
 
-from pathpol.bench import PhaseSetting, SourceSpec
+from pathpol.bench import PhaseSetting, SourceSpec, run
 from pathpol.correlations import (
     correlation_closed_form,
     correlation_numeric,
@@ -34,7 +34,7 @@ numeric = []
 for d in deltas:
     ps = PhaseSetting(float(d), 0.0, 0.0, 0.0)
     c = correlation_closed_form(ps, s1, s2)
-    n = correlation_numeric(ps, s1, s2)
+    n = correlation_numeric(run(s1, s2, ps))
     numeric.append(n)
     ratio = f"{n / c:+.6f}" if abs(c) > 1e-3 else "   (cos ~ 0)"
     print(f"{d:8.4f}  {c:+.6f}   {n:+.6f}   {ratio}")

@@ -10,7 +10,7 @@ the port-a branch, prints its diagonal-basis expansion, and sweeps delta.
 
 import numpy as np
 
-from pathpol.bench import PhaseSetting, SourceSpec, apply_bs_prime, evolve_prestate
+from pathpol.bench import PhaseSetting, SourceSpec, run
 from pathpol.detector import detect, p45_intensity, project_aa
 
 s1 = SourceSpec(1.0, 1.0)
@@ -18,7 +18,7 @@ s2 = SourceSpec(1.0, 1.3)
 
 
 def output_state(delta):
-    return apply_bs_prime(evolve_prestate(s1, s2, PhaseSetting(delta, 0.0, 0.0, 0.0)))
+    return run(s1, s2, PhaseSetting(delta, 0.0, 0.0, 0.0)).output
 
 
 # the four port pairs are always equally likely...

@@ -10,7 +10,7 @@ that phase appear.
 
 import numpy as np
 
-from pathpol.bench import PhaseSetting, SourceSpec, pipeline_trace
+from pathpol.bench import PhaseSetting, SourceSpec, run
 from pathpol.tensor import basis_label
 
 s1 = SourceSpec(amplitude=1.0, omega=1.0)
@@ -22,20 +22,28 @@ ps = PhaseSetting(theta1=0.9, theta2=0.2, phi1=0.4, phi2=-0.3)
 print(f"phase setting: {ps}")
 print(f"total phase difference delta = {ps.delta:.6f}\n")
 
-trace = pipeline_trace(s1, s2, ps)
+bench_run = run(s1, s2, ps)
 
-for state in trace:
-    print(f"--- {state.stage.value} ---")
-    v = state.vector
+# every stage of the run, each a (2, 2, 2, 2) tensor read as a 16-vector
+stages = {
+    "source": bench_run.source,
+    "post-bs": bench_run.post_bs,
+    "post-pr": bench_run.input,
+    "post-phases": bench_run.phased,
+    "post-bs-prime": bench_run.output,
+}
+for name, tensor in stages.items():
+    print(f"--- {name} ---")
+    v = tensor.reshape(16)
     for idx in np.flatnonzero(np.abs(v) > 1e-12):
         amp = v[idx]
         print(f"  |{basis_label(int(idx))})  {amp.real:+.6f} {amp.imag:+.6f}i"
               f"   |.|^2 = {abs(amp) ** 2:.6f}")
-    print(f"  norm^2 = {state.norm_squared:.6f}\n")
+    print(f"  norm^2 = {np.vdot(v, v).real:.6f}\n")
 
 # the stage before the output splitter has exactly two occupied components;
 # their amplitude ratio is -exp(i*delta)
-pre = trace[-2].vector
+pre = bench_run.phased.reshape(16)
 occupied = np.flatnonzero(np.abs(pre) > 1e-12)
 ratio = pre[occupied[1]] / pre[occupied[0]]
 wrapped = (ps.delta + np.pi) % (2 * np.pi) - np.pi

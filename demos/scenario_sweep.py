@@ -10,7 +10,7 @@ point when you want the numbers in memory instead of a CSV.
 
 import numpy as np
 
-from pathpol.bench import apply_bs_prime, evolve_prestate
+from pathpol.bench import run
 from pathpol.correlations import correlation_closed_form, correlation_numeric
 from pathpol.detector import p45_intensity
 from pathpol.scenario import parse_scenario, phase_setting_for
@@ -35,10 +35,10 @@ print(f"sweeping {scn.sweep.variable} over "
 print("delta       C_closed      C_operator    p45")
 for value in np.linspace(scn.sweep.start, scn.sweep.stop, scn.sweep.points):
     ps = phase_setting_for(scn.sweep.variable, float(value), scn.phases)
-    state = apply_bs_prime(evolve_prestate(s1, s2, ps))
+    bench_run = run(s1, s2, ps)
     print(f"{ps.delta:8.4f}   {correlation_closed_form(ps, s1, s2):+.8f}  "
-          f"{correlation_numeric(ps, s1, s2):+.8f}  "
-          f"{p45_intensity(state):.8f}")
+          f"{correlation_numeric(bench_run):+.8f}  "
+          f"{p45_intensity(bench_run.output):.8f}")
 
 # overrides work exactly like the CLI's --set flag
 scn = parse_scenario(config_text, overrides=("sweep.points=3", "amplitudes.i2=1.0"))

@@ -9,17 +9,7 @@ evaluates CHSH-type functionals of the resulting cosine law, and models the
 single-detector readout including a time-domain autocorrelation demo.
 """
 
-from .bench import (
-    BenchState,
-    PhaseSetting,
-    SourceSpec,
-    Stage,
-    apply_bs_prime,
-    evolve_prestate,
-    pipeline_trace,
-    symmetrize,
-    symmetrized_input,
-)
+from .bench import BenchRun, PhaseSetting, SourceSpec, run, symmetrize
 from .contextuality import (
     CASE1_SETTING,
     MAX_VIOLATION,
@@ -70,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AaProjection",
     "AutocorrelationReport",
-    "BenchState",
+    "BenchRun",
     "CASE1_SETTING",
     "ConfigError",
     "CorrelationReport",
@@ -80,13 +70,11 @@ __all__ = [
     "ScanResult",
     "Scenario",
     "SourceSpec",
-    "Stage",
     "SweepSpec",
     "TermEntry",
     "TransferCheckReport",
     "VerifyCheck",
     "VerifyReport",
-    "apply_bs_prime",
     "autocorrelation_demo",
     "basis_index",
     "basis_label",
@@ -98,7 +86,6 @@ __all__ = [
     "correlation_report",
     "detect",
     "detector_amplitudes",
-    "evolve_prestate",
     "fit_scaled_cosine",
     "fit_sinusoid",
     "format_report",
@@ -109,13 +96,12 @@ __all__ = [
     "pair",
     "parse_scenario",
     "phase",
-    "pipeline_trace",
     "pol_swap",
     "project_aa",
+    "run",
     "run_verify",
     "scan_max",
     "sum_identity",
     "symmetrize",
-    "symmetrized_input",
     "transfer_check",
 ]

@@ -14,41 +14,33 @@ beam splitter on both path slots then produces the state seen by the
 detectors. Prisms before and after the phase stage are label bookkeeping
 only; amplitudes pass through them bit-identically.
 
-This module is the one statement of that chain. One front end builds both
-sources' beams up to the rotator; ``PhaseSetting.plates`` pairs each plate
-with its phase (phi for path, theta for pol); ``source_outputs`` runs each
-source alone to the detectors, which ``detector`` projects.
+This module is the one statement of that chain, and ``trace_stages`` the
+one function that composes it: one front end builds both sources' beams up
+to the rotator, then the symmetrization, ``phase_stage`` and
+``bs_prime_stage``. ``run`` wraps one pass of it as a frozen ``BenchRun``,
+whose field names say which stage each tensor is. ``PhaseSetting.plates``
+pairs each plate with its phase (phi for path, theta for pol);
+``source_outputs`` runs each source alone to the detectors, which
+``detector`` projects.
 
 Every element acts on its own axis, with no Kronecker product built: a
 single beam is a ``(..., 2, 2)`` (path, pol) tensor, a two-beam state a
 ``(..., 2, 2, 2, 2)`` tensor. A batch is an ordinary value: a
 ``PhaseSetting`` of equal-length arrays is a sweep, and ``phase_stage``,
-``evolve_prestate``, ``apply_bs_prime``, ``pipeline_trace`` and
-``trace_stages`` then give one state per setting as the leading axis (a
-``BenchState`` holding an ``(N, 16)`` stack). ``trace_stages`` also takes
-array amplitudes, one bench run per entry.
+``trace_stages`` and ``run`` then give one state per setting as the leading
+axis of every stage from the phases on. ``trace_stages`` also takes array
+amplitudes, one bench run per entry.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
 import numpy as np
 
 from . import elements
-from .tensor import (
-    DIM,
-    N_SLOTS,
-    SLOT_PATH_1,
-    SLOT_PATH_2,
-    STATE_SHAPE,
-    Array,
-    apply_slot,
-    float_or_array,
-    norms_squared,
-)
+from .tensor import N_SLOTS, SLOT_PATH_1, SLOT_PATH_2, Array, apply_slot
 
 _SQRT2 = np.sqrt(2.0)
 _BEAM_SHAPE = (2, 2)  # one beam: path, pol
@@ -56,17 +48,6 @@ _BEAM_SHAPE = (2, 2)  # one beam: path, pol
 # normal float, so no correlation, g2 or readout of two sources overflows,
 # underflows to an empty branch or turns NaN
 INTENSITY_RANGE = (1e-150, 1e150)
-
-
-class Stage(enum.Enum):
-    """Where a state sits in the pipeline."""
-
-    SOURCE = "source"
-    POST_BS = "post-bs"
-    POST_PR = "post-pr"
-    POST_PHASES = "post-phases"
-    PRE_BS_PRIME = "pre-bs-prime"
-    POST_BS_PRIME = "post-bs-prime"
 
 
 @dataclass(frozen=True)
@@ -180,36 +161,6 @@ class PhaseSetting:
         )
 
 
-@dataclass(frozen=True)
-class BenchState:
-    """A 16-dim state vector, or an ``(N, 16)`` stack of them, tagged with
-    its pipeline stage.
-
-    The rotating global factor e^{-i(omega1+omega2)t} common to every
-    component is not stored in the amplitudes.
-    """
-
-    stage: Stage
-    vector: Array
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=complex)
-        if v.ndim not in (1, 2) or v.shape[-1] != DIM:
-            raise ValueError(f"bench state must have shape ({DIM},) or (N, {DIM}), got {v.shape}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-
-    @property
-    def tensor(self) -> Array:
-        """Read-only ``(..., 2, 2, 2, 2)`` view of ``vector``, one axis per slot."""
-        return self.vector.reshape(self.vector.shape[:-1] + STATE_SHAPE)
-
-    @property
-    def norm_squared(self) -> float | Array:
-        return float_or_array(norms_squared(self.vector))
-
-
 def symmetrize(x: Array, y: Array) -> Array:
     """(x (x) y + y (x) x) / sqrt2 on two ``(..., 2, 2)`` (path, pol) beam
     tensors, giving a ``(..., 2, 2, 2, 2)`` state."""
@@ -234,9 +185,10 @@ def _pr_beam(beam: Array) -> Array:
 
 
 def _front_end(a1: complex | Array, a2: complex | Array) -> tuple[tuple[Array, Array], ...]:
-    """The (source 1, source 2) single-beam pairs at SOURCE, POST_BS and
-    POST_PR: source 1 enters on bV and source 2 on aV, the splitter acts on
-    each beam's path axis and the rotator on its b branch."""
+    """The (source 1, source 2) single-beam pairs as they enter, after the
+    splitter and after the rotator: source 1 enters on bV and source 2 on
+    aV, the splitter acts on each beam's path axis and the rotator on its b
+    branch."""
     a1 = np.asarray(a1, dtype=complex)
     a2 = np.asarray(a2, dtype=complex)
     shape = np.broadcast_shapes(a1.shape, a2.shape) + _BEAM_SHAPE
@@ -278,29 +230,52 @@ def bs_prime_stage(state: Array) -> Array:
 
 
 def trace_stages(a1: complex | Array, a2: complex | Array, ps: PhaseSetting) -> tuple[Array, ...]:
-    """The six stages of ``pipeline_trace`` as ``(..., 2, 2, 2, 2)`` tensors.
+    """The five stages of one bench run, in ``BenchRun`` field order, as
+    ``(..., 2, 2, 2, 2)`` tensors: each early stage's beam pair symmetrized,
+    then the plates and the second splitter.
 
     Amplitudes may be equal-length 1-d arrays and ``ps`` a sweep of the same
-    length, one bench run per entry; the runs become the leading axis.
-    Stages follow ``Stage`` order.
+    length, one bench run per entry; the runs become the leading axis. The
+    prisms around the phase stage are label bookkeeping only, so they leave
+    no stage of their own.
     """
     source, post_bs, post_pr = (symmetrize(*pair) for pair in _front_end(a1, a2))
     phased = phase_stage(post_pr, ps)
-    # the inverse prisms restore the plain path labels; amplitudes untouched
-    return source, post_bs, post_pr, phased, phased, bs_prime_stage(phased)
+    return source, post_bs, post_pr, phased, bs_prime_stage(phased)
 
 
-def _state(stage: Stage, tensor: Array) -> BenchState:
-    return BenchState(stage, tensor.reshape(tensor.shape[:-4] + (DIM,)))
+# compared by identity: a field-wise == of its arrays has no single truth value
+@dataclass(frozen=True, eq=False)
+class BenchRun:
+    """One bench run: its sources, its phase setting and every stage.
 
-
-def symmetrized_input(s1: SourceSpec, s2: SourceSpec) -> BenchState:
-    """The symmetrized two-beam state right after the splitter and rotators.
-
-    Equals (A1 A2 / sqrt2)(|aVaV> - |bHbH>); every correlation in this
-    package is an expectation value on this state.
+    Each stage is a read-only ``(..., 2, 2, 2, 2)`` tensor: ``source`` (the
+    two beams as they enter), ``post_bs`` (after the first splitter),
+    ``input`` (after the rotator: the symmetrized input (A1 A2 / sqrt2)
+    (|aVaV> - |bHbH>) every correlation is an expectation on), ``phased``
+    (after the four plates, two nonzero amplitudes with relative phase
+    -e^{i delta}) and ``output`` (after the second splitter, the state the
+    detectors see). A sweep ``ps`` gives ``phased`` and ``output`` one
+    state per setting on the leading axis. The rotating global factor
+    e^{-i(omega1+omega2)t} common to every component is not stored.
     """
-    return _state(Stage.POST_PR, symmetrize(*_front_end(s1.amplitude, s2.amplitude)[-1]))
+
+    s1: SourceSpec
+    s2: SourceSpec
+    ps: PhaseSetting
+    source: Array
+    post_bs: Array
+    input: Array
+    phased: Array
+    output: Array
+
+
+def run(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchRun:
+    """Run the bench once, through one ``trace_stages`` pass."""
+    stages = trace_stages(s1.amplitude, s2.amplitude, ps)
+    for stage in stages:
+        stage.setflags(write=False)
+    return BenchRun(s1, s2, ps, *stages)
 
 
 def source_outputs(ps: PhaseSetting) -> tuple[Array, Array]:
@@ -321,35 +296,3 @@ def source_outputs(ps: PhaseSetting) -> tuple[Array, Array]:
         path, pol = diagonal[source, "path"], diagonal[source, "pol"]
         beams.append(_bs_beam(path[..., :, None] * pol[..., None, :] * beam))
     return beams[0], beams[1]
-
-
-def evolve_prestate(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchState:
-    """Run the pipeline up to (not including) the second beam splitter.
-
-    Output has exactly two nonzero amplitudes, on |aVaV> and |bHbH>, with
-    relative phase -e^{i delta}; it depends on the four phases only through
-    the sums theta1+phi1 and theta2+phi2. The prism / inverse-prism pair
-    around the phase stage leaves amplitudes bit-identical, so it does not
-    appear here. A sweep ``ps`` gives the ``(N, 16)`` stack.
-    """
-    return _state(Stage.PRE_BS_PRIME, phase_stage(symmetrized_input(s1, s2).tensor, ps))
-
-
-def apply_bs_prime(state: BenchState) -> BenchState:
-    """Second beam splitter, acting on both path slots of a state or a stack."""
-    if state.stage is not Stage.PRE_BS_PRIME:
-        raise ValueError(f"expected a pre-bs-prime state, got stage {state.stage.value!r}")
-    return _state(Stage.POST_BS_PRIME, bs_prime_stage(state.tensor))
-
-
-def pipeline_trace(
-    s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting
-) -> tuple[BenchState, ...]:
-    """All six stages of the bench in order, each as a symmetrized state.
-
-    The early per-beam stages are reported through the same symmetrized lens
-    so that every entry is 16-dim and carries norm |A1 A2|^2; for a sweep
-    ``ps`` the stages from the phases on are ``(N, 16)`` stacks.
-    """
-    tensors = trace_stages(s1.amplitude, s2.amplitude, ps)
-    return tuple(_state(stage, t) for stage, t in zip(Stage, tensors))

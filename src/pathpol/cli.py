@@ -61,9 +61,14 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return parse_scenario(text, tuple(args.set))
 
 
-def _print_correlation(scn: Scenario) -> correlations.CorrelationReport:
-    s1, s2 = scn.sources()
-    report = correlations.correlation_report(scn.phases, s1, s2)
+def _scenario_run(args: argparse.Namespace) -> bench.BenchRun:
+    """The bench run of the scenario the arguments name, at its phases."""
+    scn = _load_scenario(args)
+    return bench.run(*scn.sources(), scn.phases)
+
+
+def _print_correlation(run: bench.BenchRun) -> correlations.CorrelationReport:
+    report = correlations.correlation_report(run)
     print(f"delta     = {_fmt(report.delta)}")
     print(f"C_numeric = {_fmt(report.numeric)}")
     print(f"C_closed  = {_fmt(report.closed_form)}")
@@ -72,7 +77,7 @@ def _print_correlation(scn: Scenario) -> correlations.CorrelationReport:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    _print_correlation(_load_scenario(args))
+    _print_correlation(_scenario_run(args))
     return 0
 
 
@@ -89,15 +94,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     s1, s2 = scn.sources()
     values = np.linspace(scn.sweep.start, scn.sweep.stop, scn.sweep.points)
     ps = phase_setting_for(scn.sweep.variable, values, scn.phases)
-    post = bench.apply_bs_prime(bench.evolve_prestate(s1, s2, ps))
+    run = bench.run(s1, s2, ps)
     table = np.column_stack(
         (
             values,
             ps.delta,
             correlations.correlation_closed_form(ps, s1, s2),
-            correlations.correlation_numeric(ps, s1, s2),
+            correlations.correlation_numeric(run),
             correlations.g2_generalized(0, 0, 0, 0, ps, s1, s2),
-            detector.p45_intensity(post),
+            detector.p45_intensity(run.output),
         )
     )
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
@@ -143,17 +148,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    scn = _load_scenario(args)
-    s1, s2 = scn.sources()
+    run = _scenario_run(args)
     print("[correlation]")
-    corr = _print_correlation(scn)
+    corr = _print_correlation(run)
     print()
     print("[intensity terms]  k l m n sign bracket")
     for t in corr.terms:
         print(f"  {t.k} {t.l} {t.m} {t.n} {t.sign:+d} {_fmt(t.value)}")
     print()
     print("[transfer check]")
-    transfer = observables.transfer_check(bench.evolve_prestate(s1, s2, scn.phases), scn.phases)
+    transfer = observables.transfer_check(run)
     print(f"bracket on symmetrized input = {_fmt(transfer.value_symmetrized)}")
     print(f"bracket on phased prestate   = {_fmt(transfer.value_prestate)}")
     print(f"bracket on output state      = {_fmt(transfer.value_final)}")
@@ -161,7 +165,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"conjugation residual         = {_fmt(transfer.conjugation_residual)}")
     print()
     print("[signed-sum identity]")
-    total = correlations.sum_identity(scn.phases, s1, s2)
+    total = correlations.sum_identity(run.ps, run.s1, run.s2)
     print(f"signed 16-term sum = {_fmt(total.numeric)}")
     print(f"closed form        = {_fmt(total.closed_form)}")
     print(f"ratio              = {_fmt(total.ratio)}")

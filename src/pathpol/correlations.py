@@ -3,7 +3,7 @@
 Every quantity here comes in two routes that must never be merged:
 
 * a numeric route: explicit operator expectation values on the symmetrized
-  input state built by the bench pipeline, each observable acting on its own
+  input state of a ``bench.BenchRun``, each observable acting on its own
   slot; it reads the four phases and never delta;
 * a closed-form route: the normalized formulas
       C(delta)           = 4 I1 I2 cos(delta) / (I1 + I2)^2
@@ -17,9 +17,12 @@ the sixteen shifted g2 terms is -8 times the closed form). Reports expose
 both values and their ratio so the scales stay visible instead of being
 silently normalized away.
 
-``correlation_numeric``, ``correlation_closed_form``, ``g2_generalized``
-and ``sum_identity`` take a sweep ``PhaseSetting`` (and ``g2_hbt`` array
-phases) and then give one value per setting; ``correlation_report`` is a
+The numeric route reads a bench run (``correlation_numeric(run)``,
+``correlation_report(run)``); the closed-form route reads only the sources
+and the phase setting, never a state. ``correlation_closed_form``,
+``g2_generalized`` and ``sum_identity`` take a sweep ``PhaseSetting``
+(``g2_hbt`` array phases), and ``correlation_numeric`` the run of one; each
+then gives one value per setting. ``correlation_report`` is a
 single-setting report.
 """
 
@@ -31,8 +34,8 @@ from math import nan
 
 import numpy as np
 
-from . import bench, observables
-from .bench import PhaseSetting, SourceSpec
+from . import observables
+from .bench import BenchRun, PhaseSetting, SourceSpec
 from .tensor import Array, float_or_array
 
 # ratios are nan where |cos delta| is below this, at the closed form's zeros
@@ -53,23 +56,16 @@ def correlation_closed_form(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) ->
     return float_or_array(4.0 * i1 * i2 * np.cos(ps.delta) / ssq)
 
 
-def _numeric_on(
-    start: Array, ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec
-) -> float | Array:
-    """``correlation_numeric`` on a symmetrized input the caller has built."""
-    _, _, ssq = _intensities(s1, s2)
-    factors = observables.phase_observables(ps, "full")
-    return float_or_array(observables.product_expectation(start, factors).real / ssq)
-
-
-def correlation_numeric(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float | Array:
+def correlation_numeric(run: BenchRun) -> float | Array:
     """Normalized expectation of the four flip observables, operator route.
 
     Evaluates <sigma_path1(phi1) sigma_pol1(theta1) sigma_path2(phi2)
-    sigma_pol2(theta2)> on the symmetrized input and divides by (I1+I2)^2.
-    Proportional to the closed form with constant ratio -1/4.
+    sigma_pol2(theta2)> on the run's symmetrized input and divides by
+    (I1+I2)^2. Proportional to the closed form with constant ratio -1/4.
     """
-    return _numeric_on(bench.symmetrized_input(s1, s2).tensor, ps, s1, s2)
+    _, _, ssq = _intensities(run.s1, run.s2)
+    factors = observables.phase_observables(run.ps, "full")
+    return float_or_array(observables.product_expectation(run.input, factors).real / ssq)
 
 
 @dataclass(frozen=True)
@@ -142,20 +138,18 @@ def g2_generalized(
     return float_or_array(g2)
 
 
-def correlation_report(
-    ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec
-) -> CorrelationReport:
-    """Both correlation routes plus the sixteen raw intensity brackets."""
+def correlation_report(run: BenchRun) -> CorrelationReport:
+    """Both correlation routes plus the sixteen raw intensity brackets; the
+    numeric route and the brackets read the run's symmetrized input."""
+    ps = run.ps
     ps.require_single()
-    # one symmetrized input serves the numeric route and the sixteen brackets
-    state = bench.symmetrized_input(s1, s2).tensor
-    numeric = _numeric_on(state, ps, s1, s2)
-    closed = correlation_closed_form(ps, s1, s2)
+    numeric = correlation_numeric(run)
+    closed = correlation_closed_form(ps, run.s1, run.s2)
     shifts = list(product((0, 1), repeat=4))
     # k, l, m, n turn theta1, phi1, theta2, phi2 by pi: one sweep of 16 settings
     k, l, m, n = np.array(shifts).T * np.pi
     shifted = PhaseSetting(ps.theta1 + k, ps.theta2 + m, ps.phi1 + l, ps.phi2 + n)
-    brackets = observables.joint_intensity(state, shifted)
+    brackets = observables.joint_intensity(run.input, shifted)
     terms = tuple(
         TermEntry(k, l, m, n, 1 if (k + l + m + n) % 2 == 0 else -1, float(value))
         for (k, l, m, n), value in zip(shifts, brackets)

@@ -6,7 +6,8 @@ expands its polarization content in the diagonal (+/-) basis, using the
 convention that the expansion coefficients are those of the unit-norm
 polarization part scaled by sqrt(2); the squared ++ coefficient is then the
 detection law (1 - cos delta)/2, which ``p45_intensity`` returns. Both read
-one output state or an ``(N, 16)`` stack of them; ``detect`` (the four port
+an output tensor, ``bench.BenchRun.output``: one ``(2, 2, 2, 2)`` state or
+an ``(N, 2, 2, 2, 2)`` stack of them; ``detect`` (the four port
 probabilities) is a single-state report and refuses an empty state.
 ``detector_amplitudes`` projects each source's beam from
 ``bench.source_outputs``; it and ``autocorrelation_demo`` take one phase
@@ -36,8 +37,8 @@ from math import ceil, pi
 import numpy as np
 
 from . import bench
-from .bench import BenchState, PhaseSetting, SourceSpec, Stage
-from .tensor import DIM, STATE_SHAPE, Array, float_or_array, norms_squared
+from .bench import PhaseSetting, SourceSpec
+from .tensor import DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, norms_squared
 
 _SQRT2 = np.sqrt(2.0)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
@@ -73,14 +74,15 @@ class AaProjection:
     branch_fraction: float | Array
 
 
-def _require_output_stage(state: BenchState) -> None:
-    if state.stage is not Stage.POST_BS_PRIME:
-        raise ValueError(
-            f"expected a post-bs-prime state, got stage {state.stage.value!r}"
-        )
+def _state_tensor(state: Array) -> Array:
+    """``state`` as a complex ``(..., 2, 2, 2, 2)`` array, one axis per slot."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape[-N_SLOTS:] != STATE_SHAPE:
+        raise ValueError(f"expected a (..., 2, 2, 2, 2) state tensor, got shape {state.shape}")
+    return state
 
 
-def _aa_branch(state: BenchState) -> tuple[Array, Array, Array, Array]:
+def _aa_branch(state: Array) -> tuple[Array, Array, Array, Array]:
     """The aa branch of one state or a stack, as ``(N, ...)`` stacks: the
     (pol1, pol2) block, its squared norm, the block scaled to unit norm and
     that unit block's diagonal-basis expansion.
@@ -91,9 +93,8 @@ def _aa_branch(state: BenchState) -> tuple[Array, Array, Array, Array]:
     (2N, 2) matrix. Each entry is the same two-term sum a product per block
     would form, without one matrix call per block.
     """
-    _require_output_stage(state)
     # rows pol1, cols pol2, one block per state
-    pol_block = state.vector.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
+    pol_block = state.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
     branch_norm_sq = np.sum(np.abs(pol_block) ** 2, axis=(1, 2))
     if np.any(branch_norm_sq == 0.0):
         raise ValueError("the aa branch of this state is empty")
@@ -106,15 +107,17 @@ def _aa_branch(state: BenchState) -> tuple[Array, Array, Array, Array]:
     return pol_block, branch_norm_sq, pol_unit, _SQRT2 * expansion
 
 
-def project_aa(state: BenchState) -> AaProjection:
+def project_aa(state: Array) -> AaProjection:
     """Extract the aa branch and its diagonal-basis polarization expansion.
 
-    A stacked ``(N, 16)`` state gives every field a leading axis of length N.
+    A stacked ``(N, 2, 2, 2, 2)`` output gives every field a leading axis of
+    length N.
     """
-    lead = state.vector.shape[:-1]
+    state = _state_tensor(state)
+    lead = state.shape[:-N_SLOTS]
     pol_block, branch_norm_sq, pol_unit, expansion = _aa_branch(state)
     # a nonempty aa branch makes the state nonzero
-    total = norms_squared(state.vector.reshape(-1, DIM))
+    total = norms_squared(state.reshape(-1, DIM))
     c_vv, c_hh = pol_block[:, 0, 0], pol_block[:, 1, 1]
     ratio = np.divide(-c_hh, c_vv, out=np.full_like(c_vv, np.nan), where=np.abs(c_vv) > 0.0)
 
@@ -126,26 +129,26 @@ def project_aa(state: BenchState) -> AaProjection:
     )
 
 
-def p45_intensity(state: BenchState) -> float | Array:
+def p45_intensity(state: Array) -> float | Array:
     """Detection law behind a 45-degree polarizer on the aa branch.
 
     Squared ++ expansion coefficient; equals (1 - cos delta)/2 for bench
-    output states. A stacked state gives one value per state. Only the
+    output states. A stacked output gives one value per state. Only the
     branch's normalization and expansion are formed, through the helper
     ``project_aa`` uses, so the ++ entry is its own bit for bit; the state
     norms, delta readback and branch fraction of a full projection are not.
     """
+    state = _state_tensor(state)
     plus_plus = _aa_branch(state)[3][:, 0, 0]
-    return float_or_array((np.abs(plus_plus) ** 2).reshape(state.vector.shape[:-1]))
+    return float_or_array((np.abs(plus_plus) ** 2).reshape(state.shape[:-N_SLOTS]))
 
 
-def detect(state: BenchState) -> tuple[float, float, float, float]:
+def detect(state: Array) -> tuple[float, float, float, float]:
     """Port probabilities (aa, ab, ba, bb) of one output state."""
-    _require_output_stage(state)
-    if state.vector.ndim != 1:
+    grid = _state_tensor(state)
+    if grid.shape != STATE_SHAPE:
         raise ValueError("detect takes a single state, not a stack")
-    grid = state.vector.reshape(2, 2, 2, 2)
-    total = state.norm_squared
+    total = float(norms_squared(grid.reshape(DIM)))
     if total == 0.0:
         raise ValueError("this state is empty")
     return tuple(

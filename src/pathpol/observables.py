@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bench, elements
-from .bench import BenchState, PhaseSetting
+from .bench import BenchRun, PhaseSetting
 from .tensor import SLOT_PATH_1, SLOT_PATH_2, STATE_SHAPE, Array, apply_factors, dagger
 
 BRANCHES = ("full", "plus", "minus")
@@ -103,12 +103,13 @@ class TransferCheckReport:
     """Same joint-intensity bracket evaluated at three pipeline stages.
 
     value_symmetrized uses the phase-parameterized projectors on the
-    symmetrized input; value_prestate uses zero-phase projectors on the
-    phased prestate; value_final uses the beam-splitter conjugated
-    projectors (port a times the zero-phase polarization plus branch) on the
-    output state. The three agree exactly; max_difference records the worst
-    pairwise gap actually measured, and conjugation_residual the entrywise
-    error of the projector conjugation identity.
+    symmetrized input, recovered from the phased stage by undoing the
+    plates; value_prestate uses zero-phase projectors on the phased stage;
+    value_final uses the beam-splitter conjugated projectors (port a times
+    the zero-phase polarization plus branch) on the output stage. The three
+    agree exactly; max_difference records the worst pairwise gap actually
+    measured, and conjugation_residual the entrywise error of the projector
+    conjugation identity.
     """
 
     value_symmetrized: float
@@ -118,18 +119,21 @@ class TransferCheckReport:
     conjugation_residual: float
 
 
-def transfer_check(pre: BenchState, ps: PhaseSetting) -> TransferCheckReport:
+def transfer_check(run: BenchRun) -> TransferCheckReport:
     """Verify the intensity bracket transfers unchanged along the pipeline,
-    from the phased prestate ``pre`` of ``ps`` to its second-splitter image."""
+    from the run's phased stage to its output stage.
+
+    The symmetrized input is taken back from the phased stage, not read
+    from ``run.input``, so the check also covers the plates' inversion."""
+    ps = run.ps
     ps.require_single()
-    post = bench.apply_bs_prime(pre)
 
     # the phase stage at negated phases undoes it, recovering the symmetrized input
     undo = PhaseSetting(-ps.theta1, -ps.theta2, -ps.phi1, -ps.phi2)
-    psi0 = bench.phase_stage(pre.tensor, undo)
+    psi0 = bench.phase_stage(run.phased, undo)
 
     v_sym = float(joint_intensity(psi0, ps))
-    v_pre = float(joint_intensity(pre.tensor, PhaseSetting(0.0, 0.0, 0.0, 0.0)))
+    v_pre = float(joint_intensity(run.phased, PhaseSetting(0.0, 0.0, 0.0, 0.0)))
     port_a = path_a_projector()
     factors = (
         (port_a, SLOT_PATH_1),
@@ -137,7 +141,7 @@ def transfer_check(pre: BenchState, ps: PhaseSetting) -> TransferCheckReport:
         (port_a, SLOT_PATH_2),
         sigma(2, "pol", 0.0, "plus"),
     )
-    v_fin = float(product_expectation(post.tensor, factors).real)
+    v_fin = float(product_expectation(run.output, factors).real)
 
     bs = elements.beam_splitter()
     conj = dagger(bs) @ _sigma_core(0.0, 1, "plus") @ bs - port_a

@@ -37,7 +37,7 @@ from math import cos, pi, sqrt
 import numpy as np
 
 from . import bench, contextuality, correlations, detector, elements, observables
-from .bench import BenchState, PhaseSetting, SourceSpec, Stage
+from .bench import PhaseSetting, SourceSpec
 from .observables import BRANCHES, sigma
 from .scenario import Scenario, phase_setting_for
 from .tensor import DIM, STATE_SHAPE, apply_factors, basis_state, dagger, norms_squared
@@ -112,9 +112,12 @@ def _amplitudes(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A1 and A2 of each drawn pair (one row each), and the norm |A1 A2|^2
     every stage must keep."""
     a1, a2 = np.transpose(pairs)
-    # pair by pair: the scalar abs and ** 2 (hypot, pow) may round apart from
-    # numpy's array loops, and the report prints deviations from this norm
-    return a1, a2, np.array([(abs(x) * abs(y)) ** 2 for x, y in pairs])
+    # rounded as the scalar (abs(x) * abs(y)) ** 2 of each pair rounds, which
+    # the report's printed deviations from this norm keep: a numpy complex's
+    # abs is the hypot of its parts and a float's ** 2 is pow, where np.abs
+    # and np.square of an array may round apart
+    product = np.hypot(a1.real, a1.imag) * np.hypot(a2.real, a2.imag)
+    return a1, a2, np.float_power(product, 2)
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -173,10 +176,8 @@ def _check_noncontextuality(rng: np.random.Generator) -> VerifyCheck:
     return _row("noncontextuality-violations", ok, setting_dev, note=note)
 
 
-def _check_detection_law() -> VerifyCheck:
-    s1, s2 = Scenario().sources()
-    post = bench.apply_bs_prime(bench.evolve_prestate(s1, s2, _DELTA_SETTINGS))
-    worst = _max_abs(detector.p45_intensity(post) - 0.5 * (1.0 - np.cos(_GRID)))
+def _check_detection_law(delta_run: bench.BenchRun) -> VerifyCheck:
+    worst = _max_abs(detector.p45_intensity(delta_run.output) - 0.5 * (1.0 - np.cos(_GRID)))
     return _row("detection-law-45deg", worst <= _TOL, worst)
 
 
@@ -219,9 +220,9 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
     a1, a2, target = _amplitudes(pairs)
     ps = PhaseSetting(*np.transpose(rows))
 
-    *_, pre, post = bench.trace_stages(a1, a2, ps)
-    pre = pre.reshape(len(rows), DIM)
-    post = post.reshape(len(rows), DIM)
+    *_, phased, output = bench.trace_stages(a1, a2, ps)
+    pre = phased.reshape(len(rows), DIM)
+    post = output.reshape(len(rows), DIM)
     want_pre = _literal_prestate(a1, a2, ps)
     want_post = _literal_poststate(a1, a2, ps)
     worst = _worst(
@@ -230,7 +231,7 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
         _max_abs(norms_squared(post) - target),
     )
 
-    aa = detector.project_aa(BenchState(Stage.POST_BS_PRIME, post))
+    aa = detector.project_aa(output)
     phase_n = a1 * a2
     phase_n = phase_n / np.abs(phase_n)
     pol_shape = np.zeros((len(rows), 4), dtype=complex)  # VV, VH, HV, HH
@@ -242,15 +243,14 @@ def _check_pipeline_goldens(rng: np.random.Generator) -> VerifyCheck:
         _max_abs(aa.pol_unit - expected_unit),
         _max_abs(np.exp(1j * aa.delta) - np.exp(1j * ps.delta)),
     )
-    # the single-state chain a caller runs, on a unit- and a random-source instance
+    # the single-setting run a caller makes, on a unit- and a random-source instance
     for k in (0, 1):
-        one_pre = bench.evolve_prestate(*_source_pair(*pairs[k]), PhaseSetting(*rows[k]))
-        one_post = bench.apply_bs_prime(one_pre)
+        one = bench.run(*_source_pair(*pairs[k]), PhaseSetting(*rows[k]))
         worst = _worst(
             worst,
-            _max_abs(one_pre.vector - want_pre[k]),
-            _max_abs(one_post.vector - want_post[k]),
-            _max_abs(detector.project_aa(one_post).pol_unit - expected_unit[k]),
+            _max_abs(one.phased.reshape(DIM) - want_pre[k]),
+            _max_abs(one.output.reshape(DIM) - want_post[k]),
+            _max_abs(detector.project_aa(one.output).pol_unit - expected_unit[k]),
         )
     return _row("pipeline-golden-states", worst <= _TOL, worst)
 
@@ -343,16 +343,15 @@ def _check_property_suite(
     return _row("algebraic-property-suite", worst <= _TOL, worst, note=note)
 
 
-def _check_sigma_route(rng: np.random.Generator) -> VerifyCheck:
-    s1, s2 = Scenario().sources()
-    values = correlations.correlation_numeric(_DELTA_SETTINGS, s1, s2)
+def _check_sigma_route(rng: np.random.Generator, delta_run: bench.BenchRun) -> VerifyCheck:
+    values = correlations.correlation_numeric(delta_run)
     kappa, resid = correlations.fit_scaled_cosine(_GRID, values)
 
     dev = 0.0
     probe = phase_setting_for("delta", 0.9, _DELTA_BASE)
     for _ in range(6):
         ra, rb = _random_sources(rng)
-        ratio = correlations.correlation_numeric(probe, ra, rb) / (
+        ratio = correlations.correlation_numeric(bench.run(ra, rb, probe)) / (
             correlations.correlation_closed_form(probe, ra, rb)
         )
         dev = _worst(dev, abs(ratio - (-0.25)))
@@ -377,7 +376,7 @@ def _check_signed_sum(rng: np.random.Generator) -> VerifyCheck:
 def _check_transfer_chain(rng: np.random.Generator) -> VerifyCheck:
     s1, s2 = _random_sources(rng)
     ps = PhaseSetting(*_random_phases(rng)[0])
-    report = observables.transfer_check(bench.evolve_prestate(s1, s2, ps), ps)
+    report = observables.transfer_check(bench.run(s1, s2, ps))
     i1, i2 = s1.intensity, s2.intensity
     formula = 2.0 * i1 * i2 * (1.0 - cos(ps.delta)) / (i1 + i2) ** 2
     ok = report.max_difference <= _TOL and report.conjugation_residual <= _TOL
@@ -455,14 +454,17 @@ def run_verify(seed: int = 0) -> VerifyReport:
     seeds = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
     (probe_seeds,) = seeds.spawn(1)
+    # one run of the default sources over the delta grid: the detection law
+    # reads its output stage, the sigma route its input
+    delta_run = bench.run(*Scenario().sources(), _DELTA_SETTINGS)
     checks = (
         _check_ghz_closed_form(),
         _check_hbt_reduction(),
         _check_noncontextuality(rng),
-        _check_detection_law(),
+        _check_detection_law(delta_run),
         _check_pipeline_goldens(rng),
         _check_property_suite(rng, np.random.default_rng(probe_seeds)),
-        _check_sigma_route(rng),
+        _check_sigma_route(rng, delta_run),
         _check_signed_sum(rng),
         _check_transfer_chain(rng),
         _check_autocorrelation(),

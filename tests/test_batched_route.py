@@ -121,16 +121,16 @@ def test_batched_route_equals_per_point_calls(mags, args, phases):
     s1 = SourceSpec(mags[0] * np.exp(1j * args[0]), 1.0)
     s2 = SourceSpec(mags[1] * np.exp(1j * args[1]), 1.3)
     sweep = PhaseSetting(*(np.array(column) for column in zip(*phases)))
-    numeric = correlations.correlation_numeric(sweep, s1, s2)
-    p45 = detector.p45_intensity(bench.apply_bs_prime(bench.evolve_prestate(s1, s2, sweep)))
+    swept = bench.run(s1, s2, sweep)
+    numeric = correlations.correlation_numeric(swept)
+    p45 = detector.p45_intensity(swept.output)
     for k, row in enumerate(phases):
-        ps = PhaseSetting(*row)
+        one = bench.run(s1, s2, PhaseSetting(*row))
         want_c, want_p45 = reference_row(s1.amplitude, s2.amplitude, *row)
         assert abs(numeric[k] - want_c) <= TOL
         assert abs(p45[k] - want_p45) <= TOL
-        assert numeric[k] == correlations.correlation_numeric(ps, s1, s2)
-        state = bench.apply_bs_prime(bench.evolve_prestate(s1, s2, ps))
-        assert p45[k] == detector.p45_intensity(state)
+        assert numeric[k] == correlations.correlation_numeric(one)
+        assert p45[k] == detector.p45_intensity(one.output)
 
 
 # shifts of (theta1, theta2, phi1, phi2) along these directions keep delta fixed
@@ -150,9 +150,9 @@ def test_both_routes_depend_on_delta_alone(mags, args, base, direction, shift):
     s1 = SourceSpec(mags[0] * np.exp(1j * args[0]), 1.0)
     s2 = SourceSpec(mags[1] * np.exp(1j * args[1]), 1.3)
     moved = tuple(x + shift * k for x, k in zip(base, direction))
-    sweep = PhaseSetting(*(np.array(column) for column in zip(base, moved)))
-    numeric = correlations.correlation_numeric(sweep, s1, s2)
-    p45 = detector.p45_intensity(bench.apply_bs_prime(bench.evolve_prestate(s1, s2, sweep)))
+    swept = bench.run(s1, s2, PhaseSetting(*(np.array(column) for column in zip(base, moved))))
+    numeric = correlations.correlation_numeric(swept)
+    p45 = detector.p45_intensity(swept.output)
     closed = [correlations.correlation_closed_form(PhaseSetting(*p), s1, s2) for p in (base, moved)]
     assert abs(numeric[1] - numeric[0]) < TOL
     assert abs(p45[1] - p45[0]) < TOL
@@ -169,14 +169,37 @@ def test_operator_route_never_touches_closed_form_or_delta(monkeypatch):
 
     s1, s2 = SourceSpec(0.8, 1.0), SourceSpec(1.7j, 1.3)
     theta1, theta2, phi1, phi2 = np.random.default_rng(3).uniform(-np.pi, np.pi, (4, 8))
-    sweep = PhaseSetting(theta1, theta2, phi1, phi2)
-    numeric = correlations.correlation_numeric(sweep, s1, s2)
-    p45 = detector.p45_intensity(bench.apply_bs_prime(bench.evolve_prestate(s1, s2, sweep)))
+    swept = bench.run(s1, s2, PhaseSetting(theta1, theta2, phi1, phi2))
+    numeric = correlations.correlation_numeric(swept)
+    p45 = detector.p45_intensity(swept.output)
     assert numeric.shape == p45.shape == (8,)
 
     ps = PhaseSetting(theta1[0], theta2[0], phi1[0], phi2[0])
-    assert correlations.correlation_numeric(ps, s1, s2) == numeric[0]
-    assert detector.p45_intensity(bench.apply_bs_prime(bench.evolve_prestate(s1, s2, ps))) == p45[0]
+    one = bench.run(s1, s2, ps)
+    assert correlations.correlation_numeric(one) == numeric[0]
+    assert detector.p45_intensity(one.output) == p45[0]
     with pytest.raises(AssertionError, match="closed-form"):
         ps.delta
+
+
+def test_closed_form_route_never_runs_the_bench(patch_everywhere):
+    # the reverse of the test above: with no bench run to be had, every
+    # closed-form function still evaluates over a sweep
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed-form route ran the bench")
+
+    for original in (bench.run, bench.trace_stages):
+        patch_everywhere(original, forbidden)
+
+    s1, s2 = SourceSpec(0.8, 1.0), SourceSpec(1.7j, 1.3)
+    theta1, theta2, phi1, phi2 = np.random.default_rng(5).uniform(-np.pi, np.pi, (4, 8))
+    sweep = PhaseSetting(theta1, theta2, phi1, phi2)
+    closed = correlations.correlation_closed_form(sweep, s1, s2)
+    g2 = correlations.g2_generalized(0, 1, 1, 0, sweep, s1, s2)
+    hbt = correlations.g2_hbt(phi1, phi2, s1, s2)
+    report = correlations.sum_identity(sweep, s1, s2)
+    assert closed.shape == g2.shape == hbt.shape == report.ratio.shape == (8,)
+    assert np.all(np.isfinite(closed) & np.isfinite(g2) & np.isfinite(hbt))
+    with pytest.raises(AssertionError, match="closed-form route ran the bench"):
+        bench.run(s1, s2, sweep)
 

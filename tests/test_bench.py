@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -5,26 +7,25 @@ from hypothesis import strategies as st
 
 from pathpol import elements
 from pathpol.bench import (
-    BenchState,
+    BenchRun,
     PhaseSetting,
     SourceSpec,
-    Stage,
-    apply_bs_prime,
-    evolve_prestate,
     phase_stage,
-    pipeline_trace,
+    run,
     symmetrize,
-    symmetrized_input,
+    trace_stages,
 )
 from pathpol.correlations import correlation_report
 from pathpol.detector import detect
 from pathpol.observables import transfer_check
-from pathpol.tensor import apply_factors, basis_state
+from pathpol.tensor import apply_factors, basis_state, norms_squared
 
 SQRT2 = np.sqrt(2.0)
 
 S1 = SourceSpec(1.0, 1.0)
 S2 = SourceSpec(1.0, 1.3)
+# a run's stage fields, in chain order
+STAGE_FIELDS = ("source", "post_bs", "input", "phased", "output")
 
 
 def random_sources(rng):
@@ -51,10 +52,9 @@ def test_build_sources_enter_on_opposite_ports():
     # source 1 is A1|bV>, source 2 is A2|aV>: the source stage holds only
     # (A1 A2 / sqrt2)(|bVaV> + |aVbV>)
     s1, s2 = SourceSpec(2.0j, 1.0), SourceSpec(3.0, 1.3)
-    source = pipeline_trace(s1, s2, PhaseSetting(0, 0, 0, 0))[0]
-    assert source.stage is Stage.SOURCE
+    source = run(s1, s2, PhaseSetting(0, 0, 0, 0)).source
     expected = 6.0j / SQRT2 * (basis_state(1, 0, 0, 0) + basis_state(0, 0, 1, 0))
-    assert np.array_equal(source.vector, expected)
+    assert np.array_equal(source.reshape(16), expected)
 
 
 def test_source_spec_validation():
@@ -152,13 +152,11 @@ def test_plates_pair_each_plate_with_the_phase_that_drives_it():
 
 def test_reports_refuse_a_sweep():
     # a 16-entry sweep would otherwise pair entry k with shift term k
-    sweep = PhaseSetting(np.linspace(0.0, 3.0, 16), 0.0, 0.0, 0.0)
-    pre = evolve_prestate(S1, S2, sweep)
-    post = apply_bs_prime(pre)
+    sweep = run(S1, S2, PhaseSetting(np.linspace(0.0, 3.0, 16), 0.0, 0.0, 0.0))
     for report in (
-        lambda: correlation_report(sweep, S1, S2),
-        lambda: transfer_check(pre, sweep),
-        lambda: detect(post),
+        lambda: correlation_report(sweep),
+        lambda: transfer_check(sweep),
+        lambda: detect(sweep.output),
     ):
         with pytest.raises(ValueError, match="single"):
             report()
@@ -196,32 +194,43 @@ def test_symmetrize_rejects_wrong_dimension():
         symmetrize(np.ones((2, 2)), np.ones((2, 3)))
 
 
+def phased(s1, s2, ps):
+    """The run's state after the plates, as a flat 16-vector."""
+    return run(s1, s2, ps).phased.reshape(16)
+
+
 def test_bench_state_is_immutable_and_checked():
-    state = symmetrized_input(S1, S2)
-    with pytest.raises(ValueError):
-        state.vector[0] = 1.0
-    with pytest.raises(ValueError):
-        BenchState(Stage.SOURCE, np.zeros(4))
+    # a run is frozen, and every stage it holds is a read-only state tensor
+    bench_run = run(S1, S2, PhaseSetting(np.array([0.1, 0.2, 0.3]), 0.0, 0.0, 0.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bench_run.input = bench_run.output
+    # compared and hashed by identity, never field by field through its arrays
+    assert bench_run == bench_run and len({bench_run, bench_run}) == 1
+    shapes = {"source": (2, 2, 2, 2), "post_bs": (2, 2, 2, 2), "input": (2, 2, 2, 2),
+              "phased": (3, 2, 2, 2, 2), "output": (3, 2, 2, 2, 2)}
+    for name, shape in shapes.items():
+        stage = getattr(bench_run, name)
+        assert stage.shape == shape and stage.dtype == complex
+        with pytest.raises(ValueError):
+            stage[..., 0, 0, 0, 0] = 1.0
 
 
 def test_symmetrized_input_two_components():
-    state = symmetrized_input(S1, S2)
-    assert state.stage is Stage.POST_PR
+    state = run(S1, S2, PhaseSetting(0.7, 0.0, 0.0, 0.0)).input.reshape(16)
     expected = (basis_state(0, 0, 0, 0) - basis_state(1, 1, 1, 1)) / SQRT2
-    assert np.max(np.abs(state.vector - expected)) < 1e-12
+    assert np.max(np.abs(state - expected)) < 1e-12
 
 
 def test_evolve_prestate_zero_phases():
-    pre = evolve_prestate(S1, S2, PhaseSetting(0, 0, 0, 0))
-    assert pre.stage is Stage.PRE_BS_PRIME
-    assert np.max(np.abs(pre.vector - literal_prestate(S1, S2, PhaseSetting(0, 0, 0, 0)))) < 1e-12
+    pre = phased(S1, S2, PhaseSetting(0, 0, 0, 0))
+    assert np.max(np.abs(pre - literal_prestate(S1, S2, PhaseSetting(0, 0, 0, 0)))) < 1e-12
 
 
 def test_evolve_prestate_single_phase_rides_on_b_branch():
     ps = PhaseSetting(0.6, 0.0, 0.0, 0.0)
-    pre = evolve_prestate(S1, S2, ps)
-    assert abs(pre.vector[0] - 1.0 / SQRT2) < 1e-12
-    assert abs(pre.vector[15] - (-np.exp(0.6j) / SQRT2)) < 1e-12
+    pre = phased(S1, S2, ps)
+    assert abs(pre[0] - 1.0 / SQRT2) < 1e-12
+    assert abs(pre[15] - (-np.exp(0.6j) / SQRT2)) < 1e-12
 
 
 def test_evolve_prestate_golden_random():
@@ -229,21 +238,21 @@ def test_evolve_prestate_golden_random():
     for _ in range(100):
         s1, s2 = random_sources(rng)
         ps = random_phases(rng)
-        pre = evolve_prestate(s1, s2, ps)
-        assert np.max(np.abs(pre.vector - literal_prestate(s1, s2, ps))) < 1e-12
-        occupied = np.abs(pre.vector) > 1e-12
+        pre = phased(s1, s2, ps)
+        assert np.max(np.abs(pre - literal_prestate(s1, s2, ps))) < 1e-12
+        occupied = np.abs(pre) > 1e-12
         assert occupied.sum() == 2 and occupied[0] and occupied[15]
         # equal magnitudes on the two components
-        assert abs(abs(pre.vector[0]) - abs(pre.vector[15])) < 1e-12
+        assert abs(abs(pre[0]) - abs(pre[15])) < 1e-12
 
 
 def test_evolve_prestate_depends_only_on_phase_sums():
     rng = np.random.default_rng(29)
     for _ in range(50):
         t1, t2, p1, p2, shift = rng.uniform(-3.0, 3.0, 5)
-        a = evolve_prestate(S1, S2, PhaseSetting(t1, t2, p1, p2))
-        b = evolve_prestate(S1, S2, PhaseSetting(t1 + shift, t2, p1 - shift, p2))
-        assert np.max(np.abs(a.vector - b.vector)) < 1e-12
+        a = phased(S1, S2, PhaseSetting(t1, t2, p1, p2))
+        b = phased(S1, S2, PhaseSetting(t1 + shift, t2, p1 - shift, p2))
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_phase_diagonal_is_diagonal_unitary():
@@ -325,8 +334,7 @@ def test_phase_stage_reads_both_diagonal_entries(monkeypatch):
 
 
 def test_apply_bs_prime_zero_phase_expansion():
-    post = apply_bs_prime(evolve_prestate(S1, S2, PhaseSetting(0, 0, 0, 0)))
-    assert post.stage is Stage.POST_BS_PRIME
+    post = run(S1, S2, PhaseSetting(0, 0, 0, 0)).output.reshape(16)
     expected = (
         0.5
         * (
@@ -343,15 +351,7 @@ def test_apply_bs_prime_zero_phase_expansion():
             + basis_state(1, 1, 1, 1)
         )
     ) / SQRT2
-    assert np.max(np.abs(post.vector - expected)) < 1e-12
-
-
-def test_apply_bs_prime_rejects_wrong_stage():
-    post = apply_bs_prime(evolve_prestate(S1, S2, PhaseSetting(0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        apply_bs_prime(post)
-    with pytest.raises(ValueError):
-        apply_bs_prime(symmetrized_input(S1, S2))
+    assert np.max(np.abs(post - expected)) < 1e-12
 
 
 def test_norm_preserved_at_every_stage():
@@ -360,22 +360,23 @@ def test_norm_preserved_at_every_stage():
         s1, s2 = random_sources(rng)
         ps = random_phases(rng)
         target = (abs(s1.amplitude) * abs(s2.amplitude)) ** 2
-        for state in pipeline_trace(s1, s2, ps):
-            assert abs(state.norm_squared - target) < 1e-12
+        bench_run = run(s1, s2, ps)
+        for name in STAGE_FIELDS:
+            state = getattr(bench_run, name).reshape(16)
+            assert abs(norms_squared(state) - target) < 1e-12
 
 
-def test_pipeline_trace_stage_order_and_prism_identity():
-    trace = pipeline_trace(S1, S2, PhaseSetting(0.4, 0.1, -0.2, 0.9))
-    stages = [t.stage for t in trace]
-    assert stages == [
-        Stage.SOURCE,
-        Stage.POST_BS,
-        Stage.POST_PR,
-        Stage.POST_PHASES,
-        Stage.PRE_BS_PRIME,
-        Stage.POST_BS_PRIME,
-    ]
-    # the prism pair around the phase stage must not move a single bit
-    post_phases = trace[3].vector
-    pre_bs_prime = trace[4].vector
-    assert np.array_equal(post_phases, pre_bs_prime)
+def test_run_holds_the_traced_stages_in_order():
+    # the run's stage fields are the one trace pass, in chain order, bit for
+    # bit; its other fields are the arguments it was made from
+    ps = PhaseSetting(0.4, 0.1, -0.2, 0.9)
+    bench_run = run(S1, S2, ps)
+    fields = [field.name for field in dataclasses.fields(BenchRun)]
+    assert fields == ["s1", "s2", "ps", *STAGE_FIELDS]
+    assert (bench_run.s1, bench_run.s2, bench_run.ps) == (S1, S2, ps)
+    traced = trace_stages(S1.amplitude, S2.amplitude, ps)
+    assert len(traced) == len(STAGE_FIELDS)
+    for name, want in zip(STAGE_FIELDS, traced):
+        assert np.array_equal(getattr(bench_run, name), want)
+    # each stage is a distinct tensor: the prisms around the plates leave none
+    assert not np.array_equal(bench_run.input, bench_run.phased)

@@ -81,6 +81,19 @@ def test_sweep_writes_csv_to_stdout(capsys):
         assert abs(p45 - (1.0 - np.cos(delta)) / 2.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv", [("sweep", "--set", "sweep.variable=delta"), ("report",)], ids=["sweep", "report"]
+)
+def test_command_traces_the_bench_once(capsys, count_calls, argv):
+    # one bench run serves every operator-route column or section, whichever
+    # namespace reaches the trace (``correlate`` is counted in
+    # test_correlations.py); the closed-form route traces nothing
+    calls = count_calls(cli.bench.trace_stages)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
 def test_sweep_writes_file_and_is_deterministic(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     cfg = tmp_path / "scan.cfg"

@@ -1,5 +1,4 @@
 import math
-import sys
 from itertools import product
 
 import numpy as np
@@ -61,7 +60,7 @@ def test_numeric_route_tracks_quarter_of_closed_form():
     for _ in range(40):
         s1, s2 = random_pair(rng)
         ps = PhaseSetting(*rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 4))
-        num = correlation_numeric(ps, s1, s2)
+        num = correlation_numeric(bench.run(s1, s2, ps))
         closed = correlation_closed_form(ps, s1, s2)
         assert abs(num + 0.25 * closed) < 1e-12
 
@@ -69,7 +68,7 @@ def test_numeric_route_tracks_quarter_of_closed_form():
 def test_numeric_route_cosine_fit():
     deltas = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     s1, s2 = UNIT
-    values = np.array([correlation_numeric(setting(d), s1, s2) for d in deltas])
+    values = np.array([correlation_numeric(bench.run(s1, s2, setting(d))) for d in deltas])
     kappa, resid = fit_scaled_cosine(deltas, values)
     assert abs(kappa + 0.25) < 1e-12
     assert resid < 1e-12
@@ -77,7 +76,7 @@ def test_numeric_route_cosine_fit():
 
 def test_report_ratio_and_term_count():
     s1, s2 = UNIT
-    report = correlation_report(setting(0.4), s1, s2)
+    report = correlation_report(bench.run(s1, s2, setting(0.4)))
     assert abs(report.ratio + 0.25) < 1e-12
     assert len(report.terms) == 16
     signs = [t.sign for t in report.terms]
@@ -86,13 +85,13 @@ def test_report_ratio_and_term_count():
 
 def test_report_ratio_guard_near_cosine_zero():
     s1, s2 = UNIT
-    report = correlation_report(setting(np.pi / 2.0), s1, s2)
+    report = correlation_report(bench.run(s1, s2, setting(np.pi / 2.0)))
     assert math.isnan(report.ratio)
 
 
 def intensity_terms(ps, s1, s2):
     """The sixteen shifted joint-intensity terms of the report, by (k, l, m, n)."""
-    return {(t.k, t.l, t.m, t.n): t for t in correlation_report(ps, s1, s2).terms}
+    return {(t.k, t.l, t.m, t.n): t for t in correlation_report(bench.run(s1, s2, ps)).terms}
 
 
 def test_intensity_term_routes_are_proportional():
@@ -235,7 +234,7 @@ def test_sigma_route_is_minus_quarter_of_closed_form(a1, a2, ps):
     # the logged -1/4, for any complex amplitudes, wherever the ratio is defined
     s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
     guarded = np.abs(np.cos(ps.delta)) >= COSINE_GUARD
-    numeric = correlation_numeric(ps, s1, s2)[guarded]
+    numeric = correlation_numeric(bench.run(s1, s2, ps))[guarded]
     assert np.all(np.abs(numeric / correlation_closed_form(ps, s1, s2)[guarded] + 0.25) <= 1e-10)
 
 
@@ -261,22 +260,10 @@ def test_signed_sum_ratio_is_minus_eight_or_nan_at_any_intensity_ratio(log_ratio
     assert not np.any(defined & (np.abs(report.closed_form) < SIGNED_SUM_FLOOR))
 
 
-def test_correlate_builds_the_symmetrized_input_once(capsys, monkeypatch):
-    # the numeric route and the sixteen brackets read one input state; the
-    # closed-form route reads none, so one build serves the whole command
-    calls = []
-    original = bench.symmetrized_input
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathpol"]
-    for m in modules:
-        for attr, value in list(vars(m).items()):
-            if value is original:
-                monkeypatch.setattr(m, attr, counting)
-
+def test_correlate_builds_the_symmetrized_input_once(capsys, count_calls):
+    # the numeric route and the sixteen brackets read one run's input state;
+    # the closed-form route reads none, so one trace serves the whole command
+    calls = count_calls(bench.trace_stages)
     assert main(["correlate"]) == 0
     assert capsys.readouterr().out
     assert len(calls) == 1

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from pathpol.bench import (
-    BenchState,
-    PhaseSetting,
-    SourceSpec,
-    Stage,
-    apply_bs_prime,
-    evolve_prestate,
-    symmetrized_input,
-)
+from pathpol.bench import PhaseSetting, SourceSpec, run
 from pathpol.correlations import fit_scaled_cosine
 from pathpol.detector import (
     MAX_SAMPLES,
@@ -34,12 +26,13 @@ STACK = PhaseSetting(np.linspace(0.0, 3.0, 16), 0.0, 0.0, 0.0)
 
 def output_state(delta: float, s1: SourceSpec = S1, s2: SourceSpec = S2):
     ps = PhaseSetting(delta, 0.0, 0.0, 0.0)
-    return apply_bs_prime(evolve_prestate(s1, s2, ps))
+    return run(s1, s2, ps).output
 
 
-def test_project_aa_requires_output_stage():
-    with pytest.raises(ValueError):
-        project_aa(symmetrized_input(S1, S2))
+def tensors(vectors):
+    """16-vectors, or a stack of them, as ``(..., 2, 2, 2, 2)`` tensors."""
+    vectors = np.asarray(vectors)
+    return vectors.reshape(vectors.shape[:-1] + (2, 2, 2, 2))
 
 
 def test_project_aa_reads_back_delta():
@@ -54,10 +47,7 @@ def test_project_aa_branch_fraction_is_quarter():
     for _ in range(50):
         ps = PhaseSetting(*rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 4))
         a1, a2 = rng.uniform(0.2, 3.0, 2)
-        state = apply_bs_prime(
-            evolve_prestate(SourceSpec(a1, 1.0), SourceSpec(a2, 1.3), ps)
-        )
-        aa = project_aa(state)
+        aa = project_aa(run(SourceSpec(a1, 1.0), SourceSpec(a2, 1.3), ps).output)
         assert abs(aa.branch_fraction - 0.25) < 1e-12
 
 
@@ -84,13 +74,14 @@ def test_project_aa_expansion_coefficients():
         assert abs(aa.expansion[3] - minus) < 1e-12  # --
 
 
-def test_stacked_readouts_require_output_stage():
-    sweep = PhaseSetting(np.array([0.1, 0.7, 2.0]), 0.0, 0.0, 0.0)
-    pre = evolve_prestate(S1, S2, sweep)
-    assert pre.vector.shape == (3, 16)
-    for readout in (p45_intensity, project_aa):
-        with pytest.raises(ValueError, match="post-bs-prime"):
-            readout(pre)
+def test_readouts_take_state_tensors_only():
+    # a flat 16-vector, or an (N, 16) stack, is refused by shape rather than
+    # read as some other stack of states
+    output = run(S1, S2, PhaseSetting(np.array([0.1, 0.7, 2.0]), 0.0, 0.0, 0.0)).output
+    for flat in (output.reshape(3, 16), output[0].reshape(16), np.ones((2, 2, 2))):
+        for readout in (p45_intensity, project_aa, detect):
+            with pytest.raises(ValueError, match=r"\(\.\.\., 2, 2, 2, 2\) state tensor"):
+                readout(flat)
 
 
 def test_aa_projections_equal_per_state_readout():
@@ -100,14 +91,14 @@ def test_aa_projections_equal_per_state_readout():
         output_state(d, SourceSpec(m1 * np.exp(1j * a), 1.0), SourceSpec(m2, 1.3))
         for d, m1, m2, a in rng.uniform(0.3, 3.0, (6, 4))
     ]
-    stacked = project_aa(BenchState(Stage.POST_BS_PRIME, np.array([s.vector for s in states])))
+    stacked = project_aa(np.array(states))
     for k, state in enumerate(states):
         single = project_aa(state)
         for field in ("pol_unit", "expansion", "delta", "branch_fraction"):
             assert np.array_equal(getattr(stacked, field)[k], getattr(single, field))
     assert np.array_equal(np.abs(stacked.expansion[:, 0]) ** 2, [p45_intensity(s) for s in states])
     with pytest.raises(ValueError, match="aa branch"):
-        project_aa(BenchState(Stage.POST_BS_PRIME, np.zeros((2, 16)) + np.eye(16)[15]))
+        project_aa(tensors(np.zeros((2, 16)) + np.eye(16)[15]))
 
 
 def _bits(x):
@@ -129,29 +120,28 @@ def test_p45_is_the_projection_plus_plus_entry_bit_for_bit(rows, mags, draw):
     rng = np.random.default_rng(draw)
     s1 = SourceSpec(mags[0] * np.exp(1j * rng.uniform(-np.pi, np.pi)), 1.0)
     s2 = SourceSpec(mags[1], 1.3)
-    bench_out = apply_bs_prime(evolve_prestate(s1, s2, PhaseSetting(*np.transpose(rows))))
+    bench_out = run(s1, s2, PhaseSetting(*np.transpose(rows))).output
     drawn = rng.normal(size=(len(rows), 16)) + 1j * rng.normal(size=(len(rows), 16))
-    for stack in (bench_out.vector, drawn):
-        states = [BenchState(Stage.POST_BS_PRIME, v) for v in (stack, *stack)]
-        for state in states:
+    for stack in (bench_out, tensors(drawn)):
+        for state in (stack, *stack):
             want = np.abs(project_aa(state).expansion[..., 0]) ** 2
             got = p45_intensity(state)
             assert np.shape(got) == np.shape(want)
-            assert type(got) is (float if state.vector.ndim == 1 else np.ndarray)
+            assert type(got) is (float if state.ndim == 4 else np.ndarray)
             assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_p45_refuses_an_empty_branch_and_passes_nan_through():
     bhbh = np.eye(16)[15]
     for vector in (bhbh, np.array([np.eye(16)[0], bhbh])):
-        state = BenchState(Stage.POST_BS_PRIME, vector)
+        state = tensors(vector)
         for readout in (p45_intensity, project_aa):
             with pytest.raises(ValueError, match="^the aa branch of this state is empty$"):
                 readout(state)
     # a NaN state reads NaN, quietly, alone or beside a finite one
     nan = np.full(16, np.nan)
-    assert np.isnan(p45_intensity(BenchState(Stage.POST_BS_PRIME, nan)))
-    stacked = p45_intensity(BenchState(Stage.POST_BS_PRIME, [nan, output_state(np.pi).vector]))
+    assert np.isnan(p45_intensity(tensors(nan)))
+    stacked = p45_intensity(np.array([tensors(nan), output_state(np.pi)]))
     assert np.isnan(stacked[0])
     assert stacked[1] == p45_intensity(output_state(np.pi))
 
@@ -160,7 +150,7 @@ def test_expansion_is_unit_norm():
     rng = np.random.default_rng(29)
     for _ in range(50):
         ps = PhaseSetting(*rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 4))
-        aa = project_aa(apply_bs_prime(evolve_prestate(S1, S2, ps)))
+        aa = project_aa(run(S1, S2, ps).output)
         assert abs(np.sum(np.abs(aa.expansion) ** 2) - 2.0) < 1e-12
         assert abs(np.sum(np.abs(aa.pol_unit) ** 2) - 1.0) < 1e-12
 
@@ -201,8 +191,8 @@ def test_detect_probabilities():
 def test_detect_refuses_an_empty_state_and_passes_nan_through():
     # the zero state used to end in a bare ZeroDivisionError
     with pytest.raises(ValueError, match="^this state is empty$"):
-        detect(BenchState(Stage.POST_BS_PRIME, np.zeros(16)))
-    probs = detect(BenchState(Stage.POST_BS_PRIME, np.full(16, np.nan)))
+        detect(tensors(np.zeros(16)))
+    probs = detect(tensors(np.full(16, np.nan)))
     assert len(probs) == 4
     assert all(np.isnan(p) for p in probs)
 

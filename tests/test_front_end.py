@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pathpol import bench, correlations, detector
-from pathpol.bench import PhaseSetting, SourceSpec, Stage
+from pathpol.bench import PhaseSetting, SourceSpec
 
 TOL = 1e-12
 I2 = np.eye(2)
@@ -39,8 +39,12 @@ def sym(x, y):
     return (np.kron(x, y) + np.kron(y, x)) / np.sqrt(2.0)
 
 
+# a run's stage fields, in chain order
+STAGE_FIELDS = ("source", "post_bs", "input", "phased", "output")
+
+
 def reference_stages(a1, a2, theta1, theta2, phi1, phi2):
-    """The six stages in ``Stage`` order, from explicit matrices."""
+    """The five stages in ``STAGE_FIELDS`` order, from explicit matrices."""
     psi, phi = a1 * KET_BV, a2 * KET_AV
     stages = [sym(psi, phi)]
     psi, phi = BS_BEAM @ psi, BS_BEAM @ phi
@@ -49,7 +53,7 @@ def reference_stages(a1, a2, theta1, theta2, phi1, phi2):
     stages.append(sym(psi, phi))
     phases = kron4(phase(phi1, 1), phase(theta1, 1), phase(phi2, -1), phase(theta2, -1))
     phased = phases @ stages[-1]
-    stages += [phased, phased, kron4(BS, I2, BS, I2) @ phased]
+    stages += [phased, kron4(BS, I2, BS, I2) @ phased]
     return stages
 
 
@@ -66,15 +70,11 @@ def test_front_end_and_trace_match_kron_oracle(a1, a2, phases):
     want = reference_stages(a1, a2, *phases)
     norm = abs(a1 * a2) ** 2
 
-    start = bench.symmetrized_input(s1, s2)
-    assert start.stage is Stage.POST_PR
-    assert np.max(np.abs(start.vector - want[2])) <= TOL
-
-    trace = bench.pipeline_trace(s1, s2, PhaseSetting(*phases))
-    assert [state.stage for state in trace] == list(Stage)
-    for state, ref in zip(trace, want):
-        assert np.max(np.abs(state.vector - ref)) <= TOL
-        assert abs(state.norm_squared - norm) <= TOL
+    bench_run = bench.run(s1, s2, PhaseSetting(*phases))
+    for name, ref in zip(STAGE_FIELDS, want, strict=True):
+        state = getattr(bench_run, name).reshape(16)
+        assert np.max(np.abs(state - ref)) <= TOL
+        assert abs(np.vdot(state, state).real - norm) <= TOL
 
 
 @seed(20144)
@@ -87,10 +87,10 @@ def test_batched_trace_equals_per_run_trace(runs):
     sweep = PhaseSetting(*(np.array(column) for column in zip(*(run[2] for run in runs))))
     stages = bench.trace_stages(a1, a2, sweep)
     for k, (b1, b2, row) in enumerate(runs):
-        trace = bench.pipeline_trace(SourceSpec(b1, 1.0), SourceSpec(b2, 1.3), PhaseSetting(*row))
-        for state, batch in zip(trace, stages):
+        one = bench.run(SourceSpec(b1, 1.0), SourceSpec(b2, 1.3), PhaseSetting(*row))
+        for name, batch in zip(STAGE_FIELDS, stages, strict=True):
             assert batch.shape == (len(runs), 2, 2, 2, 2)
-            assert np.array_equal(state.vector, batch[k].reshape(16))
+            assert np.array_equal(getattr(one, name), batch[k])
 
 
 @seed(20145)
@@ -143,8 +143,8 @@ def test_batched_trace_and_readout_never_touch_closed_form_or_delta(monkeypatch)
     rng = np.random.default_rng(43)
     a1, a2 = rng.uniform(0.5, 1.5, (2, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6)))
     phases = rng.uniform(-np.pi, np.pi, (4, 6))
-    post = bench.trace_stages(a1, a2, PhaseSetting(*phases))[-1].reshape(6, 16)
-    aa = detector.project_aa(bench.BenchState(Stage.POST_BS_PRIME, post))
+    output = bench.trace_stages(a1, a2, PhaseSetting(*phases))[-1]
+    aa = detector.project_aa(output)
     assert aa.delta.shape == aa.branch_fraction.shape == (6,)
     first = PhaseSetting(*phases[:, 0])
     basis = np.eye(16, dtype=complex).reshape(16, 1, 2, 2, 2, 2)

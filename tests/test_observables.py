@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from pathpol.bench import PhaseSetting, SourceSpec, apply_bs_prime, evolve_prestate, symmetrized_input
-from pathpol.observables import path_a_projector, product_expectation, sigma, transfer_check
+from pathpol.bench import PhaseSetting, SourceSpec, run
+from pathpol.observables import (
+    joint_intensity,
+    path_a_projector,
+    product_expectation,
+    sigma,
+    transfer_check,
+)
 from pathpol.tensor import SLOT_PATH_1, SLOT_PATH_2, apply_factors, basis_state
 
 S1 = SourceSpec(1.0, 1.0)
@@ -148,7 +154,7 @@ def test_expectation_identity_and_validation():
 
 def test_intensity_bracket_on_symmetrized_input():
     # the joint bracket follows (1 - cos delta)/16 at unit amplitudes
-    state = symmetrized_input(S1, S2).tensor
+    state = run(S1, S2, PhaseSetting(0.0, 0.0, 0.0, 0.0)).input
     for d in (0.0, 0.31, np.pi / 2.0, np.pi, 4.4):
         ps = PhaseSetting(d, 0.0, 0.0, 0.0)
         factors = intensity_factors(1, ps.theta1, ps.phi1)
@@ -160,7 +166,7 @@ def test_transfer_check_brackets_agree():
     rng = np.random.default_rng(43)
     for _ in range(25):
         ps = PhaseSetting(*rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 4))
-        report = transfer_check(evolve_prestate(S1, S2, ps), ps)
+        report = transfer_check(run(S1, S2, ps))
         assert report.max_difference < 1e-12
         assert report.conjugation_residual < 1e-12
         assert abs(report.value_symmetrized - (1.0 - np.cos(ps.delta)) / 16.0) < 1e-12
@@ -177,7 +183,7 @@ def test_transfer_bracket_is_unnormalized(a1, a2, phases):
     # the logged scale: the bracket is (I1+I2)^2/32 times the normalized term
     s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
     ps = PhaseSetting(*phases)
-    report = transfer_check(evolve_prestate(s1, s2, ps), ps)
+    report = transfer_check(run(s1, s2, ps))
     i1, i2 = s1.intensity, s2.intensity
     normalized = 2.0 * i1 * i2 * (1.0 - np.cos(ps.delta)) / (i1 + i2) ** 2
     assert abs(report.value_symmetrized - i1 * i2 * (1.0 - np.cos(ps.delta)) / 16.0) <= 1e-12
@@ -186,16 +192,10 @@ def test_transfer_bracket_is_unnormalized(a1, a2, phases):
 
 
 def test_transfer_check_stage_validation():
-    ps = PhaseSetting(0.3, 0.0, 0.0, 0.0)
-    pre = evolve_prestate(S1, S2, ps)
-    # only the phased prestate has a second-splitter image
-    for wrong in (apply_bs_prime(pre), symmetrized_input(S1, S2)):
-        with pytest.raises(ValueError, match="expected a pre-bs-prime state"):
-            transfer_check(wrong, ps)
-    # the output bracket is read on the second-splitter image of ``pre`` itself,
-    # so no mismatched pre/post pair can be passed in
-    report = transfer_check(pre, ps)
-    post = apply_bs_prime(pre).tensor
+    # the check reads one run: its brackets come from that run's own phased
+    # and output stages, so no mismatched pair of stages can be passed in
+    bench_run = run(S1, S2, PhaseSetting(0.3, 0.0, 0.0, 0.0))
+    report = transfer_check(bench_run)
     port_a = path_a_projector()
     factors = (
         (port_a, SLOT_PATH_1),
@@ -203,7 +203,9 @@ def test_transfer_check_stage_validation():
         (port_a, SLOT_PATH_2),
         sigma(2, "pol", 0.0, "plus"),
     )
-    assert report.value_final == float(product_expectation(post, factors).real)
+    assert report.value_final == float(product_expectation(bench_run.output, factors).real)
+    zero = PhaseSetting(0.0, 0.0, 0.0, 0.0)
+    assert report.value_prestate == float(joint_intensity(bench_run.phased, zero))
 
 
 def test_path_projector_conjugation_by_splitter():

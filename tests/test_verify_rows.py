@@ -1,6 +1,6 @@
 """``pathpol verify`` rows pinned across seeds, the faults its batched checks
 and its autocorrelation row must catch, and the work one run may do: no
-Kronecker builds, a bounded number of symmetrized inputs, a property suite
+Kronecker builds, one bench trace per run a row makes, a property suite
 that leaves the random stream where its field draws leave it, and a bounded
 peak of memory in that suite.
 
@@ -12,7 +12,6 @@ digits. Residual-scale ``measured`` values are not pinned.
 import re
 import sys
 import tracemalloc
-from collections import Counter
 from math import pi
 
 import numpy as np
@@ -193,32 +192,18 @@ def test_verify_catches_a_wrong_closed_form_window_sum(capsys, monkeypatch, faul
     assert failing_rows(out) == {"autocorrelation-averaging"}
 
 
-def pathpol_bindings(value):
-    """Every (module, name) of a pathpol module that is bound to ``value``."""
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathpol"]
-    return [(m, attr) for m in modules for attr, v in vars(m).items() if v is value]
-
-
-def test_verify_call_budget(monkeypatch):
+def test_verify_call_budget(count_calls):
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathpol"]
     # operators act slot by slot: no namespace offers a 16x16 Kronecker build
     assert [(m.__name__, a) for m in modules for a in ("kron", "embed") if hasattr(m, a)] == []
 
-    # count every call, whichever pathpol namespace the caller reaches it through
-    counts = Counter()
-    original = bench.symmetrized_input
-
-    def counting(*args, **kwargs):
-        counts[original.__name__] += 1
-        return original(*args, **kwargs)
-
-    bound = pathpol_bindings(original)
-    assert (sys.modules[original.__module__], original.__name__) in bound
-    for m, attr in bound:
-        monkeypatch.setattr(m, attr, counting)
-
+    # one bench trace per run, whichever namespace it is reached through:
+    # the delta-grid run the detection law and sigma route share 1, goldens 3
+    # (the batch and two single runs), property suite 1, the sigma route's
+    # random sources 6, transfer chain 1
+    calls = count_calls(bench.trace_stages)
     assert run_verify(0).ok
-    assert 0 < counts["symmetrized_input"] <= 20
+    assert len(calls) == 12
 
 
 def planted_apply_slot(fault):
@@ -257,16 +242,46 @@ APPLY_SLOT_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", sorted(APPLY_SLOT_FAULTS))
-def test_verify_catches_a_faulty_apply_slot(capsys, monkeypatch, fault):
+def test_verify_catches_a_faulty_apply_slot(capsys, patch_everywhere, fault):
     # bench binds apply_slot by name; patch every binding of the original
-    planted = planted_apply_slot(fault)
-    bound = pathpol_bindings(tensor.apply_slot)
-    assert (tensor, "apply_slot") in bound
-    for m, attr in bound:
-        monkeypatch.setattr(m, attr, planted)
+    patch_everywhere(tensor.apply_slot, planted_apply_slot(fault))
     code, out = run(capsys)
     assert code == 1
     assert failing_rows(out) == APPLY_SLOT_FAULTS[fault]
+
+
+def planted_trace_stages(fault):
+    """``bench.trace_stages`` with one stage replaced, wrapped around the original."""
+    original = bench.trace_stages
+
+    def trace_stages(a1, a2, ps):
+        source, post_bs, post_pr, phased, output = original(a1, a2, ps)
+        if fault == "output-taken-before-bs-prime":
+            output = phased
+        if fault == "phased-with-plates-skipped":
+            phased = np.broadcast_to(post_pr, phased.shape).copy()
+            output = bench.bs_prime_stage(phased)
+        return source, post_bs, post_pr, phased, output
+
+    return trace_stages
+
+
+# the rows each stage fault fails at seed 0: the ones that read the phased or
+# output stage of a run against an oracle; the sigma route reads the input
+# and the property suite only norms, which both faults keep
+_STAGE_ROWS = {"detection-law-45deg", "pipeline-golden-states", "transfer-bracket-chain"}
+STAGE_FAULTS = {
+    "output-taken-before-bs-prime": _STAGE_ROWS,
+    "phased-with-plates-skipped": _STAGE_ROWS,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STAGE_FAULTS))
+def test_verify_catches_a_wrong_bench_stage(capsys, patch_everywhere, fault):
+    patch_everywhere(bench.trace_stages, planted_trace_stages(fault))
+    code, out = run(capsys)
+    assert code == 1
+    assert failing_rows(out) == STAGE_FAULTS[fault]
 
 
 @pytest.mark.parametrize("seed", [0, 12345])
@@ -297,3 +312,4 @@ def test_property_suite_memory_stays_at_probe_scale():
     finally:
         tracemalloc.stop()
     assert peak <= 768 * 2**10
+
