@@ -40,7 +40,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from . import elements
-from .tensor import N_SLOTS, SLOT_PATH_1, SLOT_PATH_2, Array, apply_slot
+from .tensor import N_SLOTS, SLOT_PATH_1, SLOT_PATH_2, Array, apply_slot, matmul2
 
 _SQRT2 = np.sqrt(2.0)
 _BEAM_SHAPE = (2, 2)  # one beam: path, pol
@@ -175,12 +175,12 @@ def symmetrize(x: Array, y: Array) -> Array:
 
 
 def _bs_beam(beam: Array) -> Array:
-    return elements.beam_splitter() @ beam  # acts on the path axis
+    return matmul2(elements.beam_splitter(), beam)  # acts on the path axis
 
 
 def _pr_beam(beam: Array) -> Array:
     out = np.array(beam, dtype=complex)
-    out[..., 1, :] = out[..., 1, :] @ elements.pol_swap().T  # path b only
+    out[..., 1:, :] = matmul2(out[..., 1:, :], elements.pol_swap().T)  # path b only
     return out
 
 
@@ -191,29 +191,26 @@ def _front_end(a1: complex | Array, a2: complex | Array) -> tuple[tuple[Array, A
     branch."""
     a1 = np.asarray(a1, dtype=complex)
     a2 = np.asarray(a2, dtype=complex)
-    shape = np.broadcast_shapes(a1.shape, a2.shape) + _BEAM_SHAPE
-    psi = np.zeros(shape, dtype=complex)
-    phi = np.zeros(shape, dtype=complex)
-    psi[..., 1, 0] = a1  # bV
-    phi[..., 0, 0] = a2  # aV
-    post_bs = (_bs_beam(psi), _bs_beam(phi))
-    return (psi, phi), post_bs, tuple(_pr_beam(beam) for beam in post_bs)
+    # both beams on one leading axis (source 1, source 2): each element acts once
+    beams = np.zeros((2,) + np.broadcast_shapes(a1.shape, a2.shape) + _BEAM_SHAPE, dtype=complex)
+    beams[0, ..., 1, 0] = a1  # bV
+    beams[1, ..., 0, 0] = a2  # aV
+    post_bs = _bs_beam(beams)
+    return tuple(beams), tuple(post_bs), tuple(_pr_beam(post_bs))
 
 
 def phase_stage(state: Array, ps: PhaseSetting) -> Array:
     """The four phase plates (``elements.plate``), one per slot.
 
     ``state`` is ``(..., 2, 2, 2, 2)``; a sweep ``ps`` gives one state per
-    setting, the settings becoming the leading axis of the result. Every
-    plate is diagonal, so each scales its slot's two halves by the two
-    diagonal entries of the core ``elements.plate`` makes, in the order
-    ``apply_factors`` would apply the four factors: the same values as its
-    multiply-add, without the products by the zero off-diagonal entries.
+    setting, the settings becoming the leading axis of the result. Each
+    plate scales its slot's two halves by its diagonal's two entries, in the
+    order ``apply_factors`` would apply the plates as matrices: the same
+    values as its multiply-add, without the products by zero.
     """
     plates = [elements.plate(source, dof, x) for source, dof, x in ps.plates()]
     out = np.asarray(state, dtype=complex)
-    for core, slot in reversed(plates):
-        diagonal = np.diagonal(core, 0, -2, -1)
+    for diagonal, slot in reversed(plates):
         # the two entries laid along the slot's axis, the settings leading;
         # entry first, as in apply_slot, since a complex product's rounding
         # depends on its operand order
@@ -287,12 +284,11 @@ def source_outputs(ps: PhaseSetting) -> tuple[Array, Array]:
     source's own two phases are floats.
     """
     shape = ps.shape
-    diagonal = {}
-    for source, dof, x in ps.plates():
-        core, _ = elements.plate(source, dof, np.broadcast_to(x, shape))
-        diagonal[source, dof] = np.diagonal(core, 0, -2, -1)
-    beams = []
-    for source, beam in zip((1, 2), _front_end(1.0, 1.0)[-1]):
-        path, pol = diagonal[source, "path"], diagonal[source, "pol"]
-        beams.append(_bs_beam(path[..., :, None] * pol[..., None, :] * beam))
-    return beams[0], beams[1]
+    path1, pol1, path2, pol2 = (  # in elements.PLATES order
+        elements.plate(s, d, np.broadcast_to(x, shape))[0] for s, d, x in ps.plates()
+    )
+    beam1, beam2 = _front_end(1.0, 1.0)[-1]
+    return (
+        _bs_beam(path1[..., :, None] * pol1[..., None, :] * beam1),
+        _bs_beam(path2[..., :, None] * pol2[..., None, :] * beam2),
+    )

@@ -184,7 +184,7 @@ def fit_scaled_cosine(deltas: Array, values: Array) -> tuple[float, float]:
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
     c = np.cos(deltas)
-    kappa = float(c @ values / (c @ c))
+    kappa = float(np.sum(c * values) / np.sum(c * c))
     return kappa, float(np.max(np.abs(values - kappa * c)))
 
 
@@ -194,4 +194,4 @@ def fit_sinusoid(x: Array, y: Array) -> tuple[Array, float]:
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coeffs, float(np.max(np.abs(y - design @ coeffs)))
+    return coeffs, float(np.max(np.abs(y - np.sum(design * coeffs, axis=1))))

@@ -2,10 +2,10 @@
 and the time-domain intensity autocorrelation.
 
 ``project_aa`` pulls the component where both beams exit on port a and
-expands its polarization content in the diagonal (+/-) basis, using the
-convention that the expansion coefficients are those of the unit-norm
-polarization part scaled by sqrt(2); the squared ++ coefficient is then the
-detection law (1 - cos delta)/2, which ``p45_intensity`` returns. Both read
+expands its unit-norm polarization block U in the diagonal (+/-) basis as
+sqrt(2) H U H^T, H the Hadamard, through two ``tensor.matmul2`` products;
+the squared ++ coefficient is then the detection law (1 - cos delta)/2, which
+``p45_intensity`` returns, forming that entry alone. Both read
 an output tensor, ``bench.BenchRun.output``: one ``(2, 2, 2, 2)`` state or
 an ``(N, 2, 2, 2, 2)`` stack of them; ``detect`` (the four port
 probabilities) is a single-state report and refuses an empty state.
@@ -38,10 +38,10 @@ import numpy as np
 
 from . import bench
 from .bench import PhaseSetting, SourceSpec
-from .tensor import DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, norms_squared
+from .tensor import DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, matmul2, norms_squared
 
 _SQRT2 = np.sqrt(2.0)
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / _SQRT2  # complex, like the blocks
 
 # only the frequency difference matters; defaults keep one beat ~ 20 time units
 DEFAULT_OMEGA_1 = 1.0
@@ -82,17 +82,11 @@ def _state_tensor(state: Array) -> Array:
     return state
 
 
-def _aa_branch(state: Array) -> tuple[Array, Array, Array, Array]:
+def _aa_branch(state: Array, hadamard: Array = _HADAMARD) -> tuple[Array, Array, Array, Array]:
     """The aa branch of one state or a stack, as ``(N, ...)`` stacks: the
-    (pol1, pol2) block, its squared norm, the block scaled to unit norm and
-    that unit block's diagonal-basis expansion.
-
-    The expansion is sqrt(2) H U H^T for the Hadamard H, taken as two
-    matrix products over the whole stack: H on every unit block's rows at
-    once, as one (2, 2N) matrix, then H^T on all the resulting rows, as one
-    (2N, 2) matrix. Each entry is the same two-term sum a product per block
-    would form, without one matrix call per block.
-    """
+    (pol1, pol2) block, its squared norm, the block scaled to unit norm U and
+    its expansion sqrt(2) H U H^T, H the Hadamard or the rows of it that
+    ``hadamard`` keeps (its first row gives the ++ entry alone)."""
     # rows pol1, cols pol2, one block per state
     pol_block = state.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
     branch_norm_sq = np.sum(np.abs(pol_block) ** 2, axis=(1, 2))
@@ -101,10 +95,8 @@ def _aa_branch(state: Array) -> tuple[Array, Array, Array, Array]:
     # a NaN state divides to NaN fields for its caller to judge, not a warning
     with np.errstate(invalid="ignore"):
         pol_unit = pol_block / np.sqrt(branch_norm_sq)[:, None, None]
-    n = len(pol_unit)
-    rows = _HADAMARD @ pol_unit.transpose(1, 0, 2).reshape(2, 2 * n)
-    expansion = (rows.reshape(2 * n, 2) @ _HADAMARD.T).reshape(2, n, 2).transpose(1, 0, 2)
-    return pol_block, branch_norm_sq, pol_unit, _SQRT2 * expansion
+    expansion = _SQRT2 * matmul2(matmul2(hadamard, pol_unit), hadamard.T)
+    return pol_block, branch_norm_sq, pol_unit, expansion
 
 
 def project_aa(state: Array) -> AaProjection:
@@ -134,12 +126,12 @@ def p45_intensity(state: Array) -> float | Array:
 
     Squared ++ expansion coefficient; equals (1 - cos delta)/2 for bench
     output states. A stacked output gives one value per state. Only the
-    branch's normalization and expansion are formed, through the helper
-    ``project_aa`` uses, so the ++ entry is its own bit for bit; the state
-    norms, delta readback and branch fraction of a full projection are not.
+    branch's normalization and ++ entry are formed, through the helper
+    ``project_aa`` uses, so that entry is its own bit for bit; the rest of
+    a full projection is not.
     """
     state = _state_tensor(state)
-    plus_plus = _aa_branch(state)[3][:, 0, 0]
+    plus_plus = _aa_branch(state, _HADAMARD[:1])[3][:, 0, 0]
     return float_or_array((np.abs(plus_plus) ** 2).reshape(state.shape[:-N_SLOTS]))
 
 

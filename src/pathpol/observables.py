@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bench, elements
 from .bench import BenchRun, PhaseSetting
-from .tensor import SLOT_PATH_1, SLOT_PATH_2, STATE_SHAPE, Array, apply_factors, dagger
+from .tensor import SLOT_PATH_1, SLOT_PATH_2, STATE_SHAPE, Array, apply_factors, dagger, matmul2
 
 BRANCHES = ("full", "plus", "minus")
 
@@ -144,7 +144,7 @@ def transfer_check(run: BenchRun) -> TransferCheckReport:
     v_fin = float(product_expectation(run.output, factors).real)
 
     bs = elements.beam_splitter()
-    conj = dagger(bs) @ _sigma_core(0.0, 1, "plus") @ bs - port_a
+    conj = matmul2(matmul2(dagger(bs), _sigma_core(0.0, 1, "plus")), bs) - port_a
 
     values = (v_sym, v_pre, v_fin)
     max_diff = max(abs(x - y) for x in values for y in values)

@@ -16,7 +16,9 @@ operator, or a stack of them, on one slot as a two-term multiply-add over
 the slot's two halves of the state. A ``(core, slot)`` pair is a
 factor, and ``apply_factors`` applies a product of them. No 16x16 operator
 matrix is built anywhere: where a check needs an operator identity on the
-16-dim space, it applies both sides to random probe states.
+16-dim space, it applies both sides to random probe states. ``matmul2`` is
+the one 2x2 matrix product, the same multiply-add written out, so none goes
+through BLAS, whose rounding depends on the kernel it picks for the host.
 """
 
 from __future__ import annotations
@@ -78,6 +80,16 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
     return out
 
 
+def matmul2(a: Array, b: Array) -> Array:
+    """a @ b for ``(..., n, 2)`` and ``(..., 2, m)`` arrays, leading axes
+    broadcast: entry (i, k) is a[i, 0] b[0, k] + a[i, 1] b[1, k], in that order."""
+    if a.shape[-1:] != (2,) or b.shape[-2:-1] != (2,):
+        raise ValueError(f"matmul2 expects (..., n, 2) @ (..., 2, m), got {a.shape} @ {b.shape}")
+    out = a[..., :, 0:1] * b[..., 0:1, :]
+    out += a[..., :, 1:2] * b[..., 1:2, :]
+    return out
+
+
 def apply_factors(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
     """f_0 f_1 ... |state> for ``(core, slot)`` factors, the last applied first."""
     for core, slot in reversed(factors):
@@ -86,9 +98,9 @@ def apply_factors(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
 
 
 def norms_squared(vectors: Array) -> Array:
-    """<v|v> of each vector along the last axis, reduced as ``np.vdot`` does."""
+    """<v|v> of each vector along the last axis: re^2 + im^2, summed first to last."""
     v = np.asarray(vectors, dtype=complex)
-    return (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real
+    return np.add.accumulate(v.real * v.real + v.imag * v.imag, axis=-1)[..., -1]
 
 
 def float_or_array(x: float | Array) -> float | Array:

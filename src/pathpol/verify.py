@@ -40,7 +40,7 @@ from . import bench, contextuality, correlations, detector, elements, observable
 from .bench import PhaseSetting, SourceSpec
 from .observables import BRANCHES, sigma
 from .scenario import Scenario, phase_setting_for
-from .tensor import DIM, STATE_SHAPE, apply_factors, basis_state, dagger, norms_squared
+from .tensor import DIM, STATE_SHAPE, apply_factors, basis_state, dagger, matmul2, norms_squared
 
 PASS = "pass"
 FAIL = "fail"
@@ -283,7 +283,7 @@ def _check_property_suite(
         elements.pol_swap(),
         np.where(advance, elements.phase(x, 1), elements.phase(x, -1)),
     ):
-        resid = dagger(m) @ m - np.eye(m.shape[-1])
+        resid = matmul2(dagger(m), m) - np.eye(m.shape[-1])
         worst_unitary = _worst(worst_unitary, _max_abs(resid))
     # every phase-stage core is diagonal, so the stage applied to the
     # all-ones tensor is its 16-dim diagonal, which must have unit modulus
@@ -297,9 +297,9 @@ def _check_property_suite(
         full, plus, minus = (sigma(source, "pol", x[sources == source], b)[0] for b in BRANCHES)
         worst_proj = _worst(
             worst_proj,
-            _max_abs(full @ full - eye),
-            _max_abs(plus @ plus - plus),
-            _max_abs(plus @ minus),
+            _max_abs(matmul2(full, full) - eye),
+            _max_abs(matmul2(plus, plus) - plus),
+            _max_abs(matmul2(plus, minus)),
             _max_abs(plus + minus - eye),
         )
     # products of factors on several slots need the 16-dim action: each

@@ -261,25 +261,31 @@ def test_phase_diagonal_is_diagonal_unitary():
     d = phase_stage(basis, PhaseSetting(0.3, -0.7, 1.1, 0.4)).reshape(16, 16).T
     assert np.max(np.abs(d - np.diag(np.diag(d)))) == 0.0
     assert np.max(np.abs(np.abs(np.diag(d)) - 1.0)) < 1e-12
-    # the stage reads only each plate core's diagonal, which is exact only
-    # while every core elements.plate makes is diagonal
-    for source, dof in elements.PLATES:
-        core, _ = elements.plate(source, dof, np.array([0.3, -0.7, 2.9]))
-        assert np.all(core[..., 0, 1] == 0.0) and np.all(core[..., 1, 0] == 0.0)
+    # the stage reads each plate as the diagonal elements.plate gives, which
+    # is the whole plate only while the matrix elements.phase makes for it
+    # is that diagonal and zeros
+    x = np.array([0.3, -0.7, 2.9])
+    for (source, dof), (slot, sign) in elements.PLATES.items():
+        diagonal, plate_slot = elements.plate(source, dof, x)
+        matrix = elements.phase(x, sign)
+        assert plate_slot == slot
+        assert np.all(matrix[..., 0, 1] == 0.0) and np.all(matrix[..., 1, 0] == 0.0)
+        assert np.array_equal(np.diagonal(matrix, 0, -2, -1), diagonal)
+
+
+def plate_factors(ps):
+    """The four plates as full ``elements.phase`` matrices on their slots, in
+    ``elements.PLATES`` order."""
+    return [
+        (elements.phase(x, elements.PLATES[source, dof][1]), elements.PLATES[source, dof][0])
+        for source, dof, x in ps.plates()
+    ]
 
 
 def plate_route(state, ps):
-    """The phase stage as ``apply_factors`` of its four plate factors, the
-    route ``phase_stage`` replaced, kept as its oracle."""
-    return apply_factors(
-        state,
-        (
-            elements.plate(1, "path", ps.phi1),
-            elements.plate(1, "pol", ps.theta1),
-            elements.plate(2, "path", ps.phi2),
-            elements.plate(2, "pol", ps.theta2),
-        ),
-    )
+    """The phase stage as ``apply_factors`` of its four plates as matrices,
+    the route ``phase_stage`` replaced, kept as its oracle."""
+    return apply_factors(state, plate_factors(ps))
 
 
 def random_tensor(rng, lead=()):
@@ -310,23 +316,26 @@ def test_phase_stage_equals_the_plate_factors(rows, sweep, lead, draw):
 
 
 def test_phase_stage_reads_both_diagonal_entries(monkeypatch):
-    # a plate whose [0, 0] entry is not 1 still acts: the stage scales both
-    # halves of its slot by what elements.plate returns, assuming nothing
+    # a plate whose first diagonal entry is not 1 still acts: the stage scales
+    # both halves of its slot by what elements.plate returns, assuming nothing
     state = random_tensor(np.random.default_rng(18))
     ps = PhaseSetting(0.3, -0.7, np.array([1.1, -0.2]), 0.4)
     before = phase_stage(state, ps)
     original = elements.plate
 
     def tilted(source, dof, x):
-        core, slot = original(source, dof, x)
+        diagonal, slot = original(source, dof, x)
         if (source, dof) == (2, "path"):
-            core = core.copy()
-            core[..., 0, 0] = np.exp(0.5j)
-        return core, slot
+            diagonal = diagonal.copy()
+            diagonal[..., 0] = np.exp(0.5j)
+        return diagonal, slot
 
     monkeypatch.setattr(elements, "plate", tilted)
     after = phase_stage(state, ps)
-    assert np.array_equal(after, plate_route(state, ps))
+    # the matrix route with the same entry in the path-2 plate's matrix
+    factors = plate_factors(ps)
+    factors[2][0][..., 0, 0] = np.exp(0.5j)
+    assert np.array_equal(after, apply_factors(state, factors))
     # slot path 2: its a half moves, its b half does not
     assert np.all(after[:, :, :, 0] != before[:, :, :, 0])
     assert np.array_equal(after[:, :, :, 1], before[:, :, :, 1])

@@ -137,8 +137,10 @@ def test_sweep_fields_print_17_significant_digits(capsys, monkeypatch):
     assert out.splitlines()[1].split(",")[2] == "-0"
 
 
-# the exact stdout of three sweeps, captured at a78dec0: any byte that moves
-# fails; 100 rows are not a whole number of formatting blocks
+# the exact stdout of three sweeps, captured at a78dec0 and re-captured once,
+# when every 2x2 product became tensor.matmul2 (the p45 column moved by at
+# most 6 ulp): any byte that moves fails; 100 rows are not a whole number of
+# formatting blocks
 _SWEEP_GOLDENS = {
     "sweep_delta_64.csv": ("--set", "sweep.variable=delta"),
     "sweep_theta1_256.csv": (
@@ -169,10 +171,11 @@ def test_sweep_prints_the_golden_output(tmp_path, capsys, name):
 
 # the exact stdout of verify, correlate and report, captured at 2f02ac6: they
 # pin the autocorrelation row, the report's sixteen brackets and the transfer
-# check. The verify files' property-suite note was re-captured once, when the
-# suite's commutators moved from 16x16 matrices to probe states. Like the sweep goldens, the bytes are those of the numpy and BLAS
-# they were captured with (numpy 2.4.6, OpenBLAS 0.3.31): another BLAS may
-# round a matrix product apart in the last digits.
+# check. The verify files were re-captured twice: when the property suite's
+# commutators moved from 16x16 matrices to probe states, and when every 2x2
+# product became tensor.matmul2. No printed byte goes through BLAS, so these
+# bytes do not depend on the kernel numpy's BLAS picks for the host;
+# test_import.py compares them under a second OpenBLAS kernel.
 _SET = (
     "--set", "phases.theta1=0.4", "--set", "phases.phi1=1.1", "--set", "amplitudes.i2=2.5",
 )
@@ -183,6 +186,11 @@ _TEXT_GOLDENS = {
     "correlate_set.txt": ("correlate", *_SET),
     "report_default.txt": ("report",),
     "report_set.txt": ("report", *_SET),
+}
+# the full argv of every golden, by file name
+GOLDEN_COMMANDS = {
+    **{name: ("sweep", *args) for name, args in _SWEEP_GOLDENS.items()},
+    **_TEXT_GOLDENS,
 }
 
 

@@ -101,9 +101,10 @@ def test_plates_and_observables_share_one_table(x):
     # each plate and its flip observable sit on the table's slot and turn
     # the same way, bit for bit
     for (source, dof), (slot, sign) in PLATES.items():
-        core, core_slot = plate(source, dof, x)
+        diagonal, plate_slot = plate(source, dof, x)
         flip, flip_slot = sigma(source, dof, x)
-        assert core_slot == flip_slot == slot
-        assert np.array_equal(flip[..., 1, 0], core[..., 1, 1])
-        assert np.array_equal(core, phase(x, sign))
+        assert plate_slot == flip_slot == slot
+        assert np.array_equal(flip[..., 1, 0], diagonal[..., 1])
+        assert np.array_equal(diagonal, np.diagonal(phase(x, sign), 0, -2, -1))
+        assert np.all(diagonal[..., 0] == 1.0)
     assert len({slot for slot, _ in PLATES.values()}) == 4

@@ -2,6 +2,9 @@
 2x2 operator lifted onto one slot, read off ``apply_slot``'s images of the
 16 basis tensors and compared with an ``np.kron`` oracle written here."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -14,6 +17,7 @@ from pathpol.tensor import (
     basis_label,
     basis_state,
     dagger,
+    matmul2,
     norms_squared,
 )
 
@@ -160,7 +164,95 @@ def test_norms_squared_reduce_like_vdot():
     norms = norms_squared(vectors)
     assert norms.shape == (2, 5)
     for index in np.ndindex(2, 5):
-        assert norms[index] == np.vdot(vectors[index], vectors[index]).real
+        # bit for bit: re^2 + im^2 of each entry, summed first to last
+        total = 0.0
+        for z in vectors[index].tolist():
+            total += z.real * z.real + z.imag * z.imag
+        assert norms[index] == total
+        # and within a few ulps of the BLAS dot product
+        vdot = np.vdot(vectors[index], vectors[index]).real
+        assert abs(norms[index] - vdot) <= 4 * np.spacing(vdot)
+
+
+def test_matmul2_is_the_written_out_two_term_sum():
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    b = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    got = matmul2(a, b)
+    for i, k in np.ndindex(2, 2):
+        want = a[:, i, 0] * b[:, 0, k] + a[:, i, 1] * b[:, 1, k]
+        assert np.array_equal(got[:, i, k], want)
+    assert np.max(np.abs(got - a @ b)) <= 1e-14
+    # leading axes broadcast, and a block may have one row or one column
+    assert matmul2(a[0], b).shape == (5, 2, 2)
+    assert np.array_equal(matmul2(a[:, :1], b), got[:, :1])
+    assert np.array_equal(matmul2(a, b[:, :, 1:]), got[:, :, 1:])
+    with pytest.raises(ValueError):
+        matmul2(np.eye(3), np.eye(3))
+    with pytest.raises(ValueError):
+        matmul2(I2, np.ones((3, 2)))
+
+
+# the array products that go to BLAS or LAPACK, and so round as the kernel
+# numpy's BLAS picks for the host does
+_BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot"}
+# fit_sinusoid's least squares printed the same bytes on the five OpenBLAS
+# kernels tried (Haswell, Prescott, Sandybridge, Zen, SkylakeX)
+_BLAS_ALLOWED = ["correlations.fit_sinusoid: np.linalg.lstsq"]
+
+
+def blas_calls(tree, module):
+    """``module.function: expression`` of each matrix product in ``tree``: an
+    ``@``, a call of a BLAS-backed numpy function or of ``np.linalg``, and
+    an ``np.einsum`` with ``optimize``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{module}.{node.name}"
+        text = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            text = "@"
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            parts = name.split(".")
+            if (
+                parts[-1] in _BLAS_NAMES
+                or "linalg" in parts
+                or (parts[-1] == "einsum" and any(k.arg == "optimize" for k in node.keywords))
+            ):
+                text = name
+        if text is not None:
+            found.append(f"{where}: {text}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return sorted(found)
+
+
+def test_blas_guard_sees_every_kind_of_product():
+    source = (
+        "def f(a, b):\n"
+        "    a @ b\n"
+        "    a @= b\n"
+        "    np.dot(a, b); a.dot(b); np.vdot(a, b); np.matmul(a, b)\n"
+        "    np.inner(a, b); np.tensordot(a, b); np.linalg.solve(a, b)\n"
+        "    np.einsum('ij,jk', a, b, optimize=True); np.einsum('ij,jk', a, b)\n"
+        "    a * b\n"
+    )
+    found = blas_calls(ast.parse(source), "m")
+    assert len(found) == 10 and all(entry.startswith("m.f: ") for entry in found)
+    assert "m.f: np.einsum" in found and found.count("m.f: np.einsum") == 1
+
+
+def test_no_blas_product_outside_the_allowlist():
+    # a product that goes to BLAS rounds as the host's kernel does; every
+    # 2x2 product is tensor.matmul2, so no printed byte depends on the kernel
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "pathpol").glob("*.py")):
+        found += blas_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == _BLAS_ALLOWED
 
 
 def test_basis_index_label_roundtrip():

@@ -90,10 +90,18 @@ def failing_rows(out):
 
 
 def test_verify_catches_source_2_phases_with_wrong_sign(capsys, monkeypatch):
-    # source 2's polarization and path phases enter as e^{+ix} instead of e^{-ix}
-    original = elements.phase
-    monkeypatch.setattr(elements, "phase", lambda x, sign: original(x, abs(sign)))
+    # source 2's polarization and path phases enter as e^{+ix} instead of
+    # e^{-ix}, in the plates' diagonals and in the matrices made from them
+    original = elements.phase_diagonal
+    flipped = []
+
+    def wrong_sign(x, sign):
+        flipped.append(sign)
+        return original(x, abs(sign))
+
+    monkeypatch.setattr(elements, "phase_diagonal", wrong_sign)
     code, out = run(capsys)
+    assert -1 in flipped
     assert code == 1
     assert {"pipeline-golden-states", "detection-law-45deg"} <= failing_rows(out)
 
@@ -101,17 +109,17 @@ def test_verify_catches_source_2_phases_with_wrong_sign(capsys, monkeypatch):
 @pytest.mark.parametrize("element", ["pol_phase", "path_phase"])
 def test_verify_catches_source_2_phase_with_wrong_sign(capsys, monkeypatch, element):
     # one of source 2's plates, polarization (theta2) or path (phi2), enters as
-    # e^{+ix} instead of e^{-ix}: its core is conjugated wherever it is made
+    # e^{+ix} instead of e^{-ix}: its diagonal is conjugated wherever it is made
     dof = {"pol_phase": "pol", "path_phase": "path"}[element]
     original = elements.plate
     flipped = []
 
     def wrong_sign(source, plate_dof, x):
-        core, slot = original(source, plate_dof, x)
+        diagonal, slot = original(source, plate_dof, x)
         if (source, plate_dof) == (2, dof):
             flipped.append(slot)
-            core = core.conj()
-        return core, slot
+            diagonal = diagonal.conj()
+        return diagonal, slot
 
     monkeypatch.setattr(elements, "plate", wrong_sign)
     code, out = run(capsys)
@@ -282,6 +290,52 @@ def test_verify_catches_a_wrong_bench_stage(capsys, patch_everywhere, fault):
     code, out = run(capsys)
     assert code == 1
     assert failing_rows(out) == STAGE_FAULTS[fault]
+
+
+def planted_element(fault):
+    """The original and a faulty replacement of ``tensor.matmul2`` or
+    ``elements.plate``, the replacement wrapped around the original."""
+    if fault == "matmul2-second-factor-transposed":
+        original = tensor.matmul2
+
+        def matmul2(a, b):
+            b = np.asarray(b)
+            if b.shape[-2:] == (2, 2):
+                b = np.swapaxes(b, -1, -2)
+            return original(a, b)
+
+        return original, matmul2
+    original = elements.plate
+
+    def plate(source, dof, x):
+        diagonal, slot = original(source, dof, x)
+        if fault == "plate-diagonal-entries-swapped" and (source, dof) == (1, "path"):
+            diagonal = diagonal[..., ::-1]
+        return diagonal, slot
+
+    return original, plate
+
+
+# the rows each fault fails at seed 0. A transposed second factor turns
+# every front-end beam's (path, pol) axes and every checked 2x2 identity; a
+# plate's swapped diagonal moves the relative phase by twice its angle
+ELEMENT_FAULTS = {
+    "matmul2-second-factor-transposed": {
+        "algebraic-property-suite",
+        "detection-law-45deg",
+        "pipeline-golden-states",
+        "sigma-route-vs-closed-form",
+    },
+    "plate-diagonal-entries-swapped": _STAGE_ROWS,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ELEMENT_FAULTS))
+def test_verify_catches_a_faulty_product_or_plate(capsys, patch_everywhere, fault):
+    patch_everywhere(*planted_element(fault))
+    code, out = run(capsys)
+    assert code == 1
+    assert failing_rows(out) == ELEMENT_FAULTS[fault]
 
 
 @pytest.mark.parametrize("seed", [0, 12345])
