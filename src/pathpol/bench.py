@@ -14,26 +14,25 @@ beam splitter on both path slots then produces the state seen by the
 detectors. Prisms before and after the phase stage are label bookkeeping
 only; amplitudes pass through them bit-identically.
 
-This module is the one statement of that chain, and ``trace_stages`` the
-one function that composes it: one front end builds both sources' beams up
-to the rotator, then the symmetrization, ``phase_stage`` and
-``bs_prime_stage``. ``run`` wraps one pass of it as a frozen ``BenchRun``,
-whose field names say which stage each tensor is. ``PhaseSetting.plates``
-pairs each plate with its phase (phi for path, theta for pol);
-``source_outputs`` runs each source alone to the detectors, which
-``detector`` projects.
+This module is the one statement of that chain, and ``run`` the one
+function that composes it: one front end builds both sources' beams up to
+the rotator, then the symmetrization, ``phase_stage`` and
+``bs_prime_stage``, held as a frozen ``BenchRun`` whose field names say
+which stage each tensor is. ``PhaseSetting.plates`` pairs each plate with
+its phase (phi for path, theta for pol); ``source_outputs`` runs each
+source alone to the detectors, which ``detector`` projects.
 
 Every element acts on its own axis, with no Kronecker product built: a
 single beam is a ``(..., 2, 2)`` (path, pol) tensor, a two-beam state a
 ``(..., 2, 2, 2, 2)`` tensor. A batch is an ordinary value: a
-``PhaseSetting`` of equal-length arrays is a sweep, and ``phase_stage``,
-``trace_stages`` and ``run`` then give one state per setting as the leading
-axis of every stage from the phases on. ``trace_stages`` also takes array
-amplitudes, one bench run per entry.
+``PhaseSetting`` of equal-length arrays is a sweep, a ``SourceSpec`` whose
+amplitude is a 1-d array a batch of sources, and ``run`` gives one state
+per entry as the leading axis of every stage the batch reaches.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
@@ -50,28 +49,70 @@ _BEAM_SHAPE = (2, 2)  # one beam: path, pol
 INTENSITY_RANGE = (1e-150, 1e150)
 
 
+def _checked(name: str, value: object, complex_ok: bool = False) -> float | complex | Array:
+    """``value`` as a finite float (or complex, if ``complex_ok``) or a
+    read-only 1-d array of them, an int becoming a float; anything else, a
+    bool or a string among them, is refused by ``name``."""
+    if type(value) is int and abs(value) <= 1e308:
+        value = float(value)
+    # the common case first: np.float64 is a float, np.complex128 a complex
+    if isinstance(value, float) or (complex_ok and isinstance(value, complex)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        return value
+    noun = "number" if complex_ok else "float"
+    try:  # kinds int, unsigned, float (and complex)
+        array = np.asarray(value)
+        ok = array.dtype.kind in ("iufc" if complex_ok else "iuf") and array.ndim <= 1
+    except ValueError:  # a ragged sequence
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a {noun} or a 1-d array of {noun}s, got {value!r}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite")
+    if array.ndim == 0:
+        return complex(array) if array.dtype.kind == "c" else float(array)
+    array = array.astype(complex if complex_ok else float)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class SourceSpec:
-    """One monochromatic input beam: complex amplitude and angular frequency."""
+    """One monochromatic input beam: complex amplitude and angular frequency.
 
-    amplitude: complex
+    The amplitude is a number or a 1-d array, a batch of sources, one per
+    entry, under the shape rule of ``PhaseSetting``'s fields.
+    """
+
+    amplitude: complex | Array
     omega: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.amplitude):
-            raise ValueError(f"source amplitude must be finite, got {self.amplitude!r}")
+        a = _checked("source amplitude", self.amplitude, complex_ok=True)
+        omega = _checked("source frequency", self.omega)
+        if isinstance(omega, np.ndarray):
+            raise ValueError("source frequency must be one float, not an array")
+        object.__setattr__(self, "amplitude", a)
+        object.__setattr__(self, "omega", omega)
         # compared as |A|, with the same sqrt a scenario takes of its intensities
         lo, hi = INTENSITY_RANGE
-        if not sqrt(lo) <= abs(self.amplitude) <= sqrt(hi):
-            raise ValueError(
-                f"source amplitude {self.amplitude!r} must have |A|^2 in [{lo:g}, {hi:g}]"
-            )
-        if not np.isfinite(self.omega):
-            raise ValueError("source frequency must be finite")
+        if isinstance(a, np.ndarray):
+            in_range = np.all((sqrt(lo) <= np.abs(a)) & (np.abs(a) <= sqrt(hi)))
+        else:
+            in_range = sqrt(lo) <= abs(a) <= sqrt(hi)
+        if not in_range:
+            raise ValueError(f"source amplitude {a!r} must have |A|^2 in [{lo:g}, {hi:g}]")
 
     @property
-    def intensity(self) -> float:
-        return abs(self.amplitude) ** 2
+    def intensity(self) -> float | Array:
+        """|A|^2, one per entry of a batch, each rounded as the scalar
+        ``abs(A) ** 2`` rounds: a complex's abs is the hypot of its parts and
+        a float's ** 2 is pow, where ``np.abs`` and ``np.square`` may not be."""
+        a = self.amplitude
+        if isinstance(a, np.ndarray):
+            return np.float_power(np.hypot(a.real, a.imag), 2)
+        return abs(a) ** 2
 
 
 _PHASE_NAMES = ("theta1", "theta2", "phi1", "phi2")
@@ -82,7 +123,8 @@ _PLATE_PHASE = {"path": "phi", "pol": "theta"}
 class PhaseSetting:
     """The four tunable phases (pol 1, pol 2, path 1, path 2).
 
-    Each field is a float or a 1-d array; the arrays of one setting have
+    Each field is a float or a 1-d array (an int becomes a float; a bool, a
+    complex or a string is refused by name); the arrays of one setting have
     equal lengths and make it a sweep, one setting per entry (float fields
     hold for every entry).
     """
@@ -96,28 +138,18 @@ class PhaseSetting:
         lengths = set()
         for name in _PHASE_NAMES:
             value = getattr(self, name)
-            # a float scalar (np.float64 is one) is checked as it is; any
-            # other value takes the array route and numpy's own refusals
-            if isinstance(value, float):
-                if not isfinite(value):
-                    raise ValueError(f"{name} must be finite")
-                continue
-            if np.ndim(value) > 1:
-                raise ValueError(f"{name} must be a float or a 1-d array")
-            if np.ndim(value) == 1:
-                value = np.array(value, dtype=float)
-                value.setflags(write=False)
+            if not (isinstance(value, float) and isfinite(value)):  # np.float64 is a float
+                value = _checked(name, value)
                 object.__setattr__(self, name, value)
+            if isinstance(value, np.ndarray):
                 lengths.add(len(value))
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
         if len(lengths) > 1:
             raise ValueError(f"phase arrays must have equal lengths, got {sorted(lengths)}")
         # finite phases can still sum past the float range (summed here, not
         # through ``delta``, which the operator route must never read); float
         # scalars sum as Python floats, which round as numpy does and never warn
         t1, t2, p1, p2 = (getattr(self, name) for name in _PHASE_NAMES)
-        if all(isinstance(v, float) for v in (t1, t2, p1, p2)):
+        if not lengths:
             finite = isfinite(float(t1) + float(p1) - float(t2) - float(p2))
         else:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -145,12 +177,8 @@ class PhaseSetting:
     @property
     def shape(self) -> tuple[int, ...]:
         """``()`` for a single setting, ``(N,)`` for a sweep of N."""
-        return np.broadcast_shapes(*(np.shape(getattr(self, name)) for name in _PHASE_NAMES))
-
-    def require_single(self) -> None:
-        """Refuse a sweep where a report is defined for one setting only."""
-        if self.shape:
-            raise ValueError("a report takes a single phase setting, not a sweep")
+        fields = (self.theta1, self.theta2, self.phi1, self.phi2)
+        return next((v.shape for v in fields if isinstance(v, np.ndarray)), ())
 
     def plates(self) -> tuple[tuple[int, str, float | Array], ...]:
         """``(source, dof, phase)`` of each plate, in ``elements.PLATES`` order:
@@ -226,21 +254,6 @@ def bs_prime_stage(state: Array) -> Array:
     return apply_slot(bs, apply_slot(bs, state, SLOT_PATH_2), SLOT_PATH_1)
 
 
-def trace_stages(a1: complex | Array, a2: complex | Array, ps: PhaseSetting) -> tuple[Array, ...]:
-    """The five stages of one bench run, in ``BenchRun`` field order, as
-    ``(..., 2, 2, 2, 2)`` tensors: each early stage's beam pair symmetrized,
-    then the plates and the second splitter.
-
-    Amplitudes may be equal-length 1-d arrays and ``ps`` a sweep of the same
-    length, one bench run per entry; the runs become the leading axis. The
-    prisms around the phase stage are label bookkeeping only, so they leave
-    no stage of their own.
-    """
-    source, post_bs, post_pr = (symmetrize(*pair) for pair in _front_end(a1, a2))
-    phased = phase_stage(post_pr, ps)
-    return source, post_bs, post_pr, phased, bs_prime_stage(phased)
-
-
 # compared by identity: a field-wise == of its arrays has no single truth value
 @dataclass(frozen=True, eq=False)
 class BenchRun:
@@ -252,8 +265,9 @@ class BenchRun:
     (|aVaV> - |bHbH>) every correlation is an expectation on), ``phased``
     (after the four plates, two nonzero amplitudes with relative phase
     -e^{i delta}) and ``output`` (after the second splitter, the state the
-    detectors see). A sweep ``ps`` gives ``phased`` and ``output`` one
-    state per setting on the leading axis. The rotating global factor
+    detectors see). A batch of sources gives every stage one state per
+    entry on the leading axis, a sweep ``ps`` gives ``phased`` and
+    ``output`` one per setting. The rotating global factor
     e^{-i(omega1+omega2)t} common to every component is not stored.
     """
 
@@ -266,10 +280,39 @@ class BenchRun:
     phased: Array
     output: Array
 
+    def require_single(self) -> None:
+        """Refuse a batch, naming its fields, where a report is defined for
+        one run only."""
+        batched = ", ".join(batch_fields(self.s1, self.s2, self.ps))
+        if batched:
+            raise ValueError(f"a report takes a single run, not a batch of {batched}")
+
+
+def batch_fields(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> dict[str, tuple[int]]:
+    """The shape of each field that holds a batch of sources (an amplitude
+    array) or a sweep, by name; their lengths must agree, refused if not."""
+    amplitudes = (("s1.amplitude", s1.amplitude), ("s2.amplitude", s2.amplitude))
+    shapes = {name: a.shape for name, a in amplitudes if isinstance(a, np.ndarray)}
+    if ps.shape:
+        shapes["ps"] = ps.shape
+    if len(set(shapes.values())) > 1:
+        raise ValueError(f"a batch and a sweep must have equal lengths, got {shapes}")
+    return shapes
+
 
 def run(s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting) -> BenchRun:
-    """Run the bench once, through one ``trace_stages`` pass."""
-    stages = trace_stages(s1.amplitude, s2.amplitude, ps)
+    """Run the bench, the one composition of the chain: each early stage's
+    beam pair symmetrized, then the plates and the second splitter.
+
+    A batch of sources and a sweep of one length (``batch_fields``) give one
+    run per entry, leading every stage they reach. The prisms around the
+    phase stage are label bookkeeping only and leave no stage of their own.
+    """
+    batch_fields(s1, s2, ps)
+    beams = _front_end(s1.amplitude, s2.amplitude)
+    source, post_bs, post_pr = (symmetrize(*pair) for pair in beams)
+    phased = phase_stage(post_pr, ps)
+    stages = (source, post_bs, post_pr, phased, bs_prime_stage(phased))
     for stage in stages:
         stage.setflags(write=False)
     return BenchRun(s1, s2, ps, *stages)

@@ -20,10 +20,10 @@ silently normalized away.
 The numeric route reads a bench run (``correlation_numeric(run)``,
 ``correlation_report(run)``); the closed-form route reads only the sources
 and the phase setting, never a state. ``correlation_closed_form``,
-``g2_generalized`` and ``sum_identity`` take a sweep ``PhaseSetting``
-(``g2_hbt`` array phases), and ``correlation_numeric`` the run of one; each
-then gives one value per setting. ``correlation_report`` is a
-single-setting report.
+``g2_generalized`` and ``sum_identity`` take a sweep ``PhaseSetting`` or a
+batch of sources (``g2_hbt`` array phases), and ``correlation_numeric`` the
+run of either; each then gives one value per entry, bit for bit the value
+of that entry alone. ``correlation_report`` is a single-run report.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import nan
 import numpy as np
 
 from . import observables
-from .bench import BenchRun, PhaseSetting, SourceSpec
+from .bench import BenchRun, PhaseSetting, SourceSpec, batch_fields
 from .tensor import Array, float_or_array
 
 # ratios are nan where |cos delta| is below this, at the closed form's zeros
@@ -45,13 +45,17 @@ COSINE_GUARD = 1e-3
 SIGNED_SUM_FLOOR = 1e-6
 
 
-def _intensities(s1: SourceSpec, s2: SourceSpec) -> tuple[float, float, float]:
+def _intensities(s1: SourceSpec, s2: SourceSpec) -> tuple[float | Array, ...]:
+    """I1, I2 and (I1 + I2)^2, one per entry of a batch of sources; a
+    batch squares by pow, as a float's ** 2 does, and rounds as its entries."""
     i1, i2 = s1.intensity, s2.intensity
-    return i1, i2, (i1 + i2) ** 2
+    total = i1 + i2
+    return i1, i2, np.float_power(total, 2) if isinstance(total, np.ndarray) else total**2
 
 
 def correlation_closed_form(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> float | Array:
     """Normalized correlation of the two detector intensities, formula route."""
+    batch_fields(s1, s2, ps)
     i1, i2, ssq = _intensities(s1, s2)
     return float_or_array(4.0 * i1 * i2 * np.cos(ps.delta) / ssq)
 
@@ -132,6 +136,7 @@ def g2_generalized(
     """
     for v, name in ((k, "k"), (l, "l"), (m, "m"), (n, "n")):
         _check_shift(v, name)
+    batch_fields(s1, s2, ps)
     i1, i2, ssq = _intensities(s1, s2)
     signed = -1.0 if (k + l + m + n) % 2 else 1.0
     g2 = (i1 * i1 + i2 * i2 + 2.0 * i1 * i2 * (1.0 - signed * np.cos(ps.delta))) / ssq
@@ -141,8 +146,8 @@ def g2_generalized(
 def correlation_report(run: BenchRun) -> CorrelationReport:
     """Both correlation routes plus the sixteen raw intensity brackets; the
     numeric route and the brackets read the run's symmetrized input."""
+    run.require_single()
     ps = run.ps
-    ps.require_single()
     numeric = correlation_numeric(run)
     closed = correlation_closed_form(ps, run.s1, run.s2)
     shifts = list(product((0, 1), repeat=4))

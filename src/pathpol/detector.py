@@ -200,8 +200,12 @@ def autocorrelation_demo(
 ) -> AutocorrelationReport:
     """Integrate the squared detector intensity over a finite time window.
 
-    A sweep ``ps`` gives one entry per setting, each on the same n-point grid.
+    A sweep ``ps`` gives one entry per setting, each on the same n-point
+    grid; a batch of sources is refused.
     """
+    for name, source in (("s1", s1), ("s2", s2)):
+        if np.ndim(source.amplitude):
+            raise ValueError(f"{name}.amplitude must be one amplitude, not a batch")
     # a bool is an int to Python, but never a window length
     if isinstance(window, bool) or not isinstance(
         window, (int, float, np.integer, np.floating)

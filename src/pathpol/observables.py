@@ -15,8 +15,9 @@ An observable is a factor, a ``(core, slot)`` pair like every element: the
 2x2 core acts on its own slot of a ``(2, 2, 2, 2)`` state. ``sigma`` makes
 the factor, and ``product_expectation``, the one bracket function, applies
 a product of factors slot by slot through ``tensor.apply_factors``. A
-factor whose phase is an array stands for one observable per entry, so a
-whole phase sweep is one call.
+factor whose phase is an array stands for one observable per entry, and a
+stack of states for one state per entry, so a whole sweep or batch is one
+call.
 """
 
 from __future__ import annotations
@@ -71,16 +72,17 @@ def phase_observables(ps: PhaseSetting, branch: str) -> tuple[tuple[Array, int],
 
 
 def product_expectation(state: Array, factors: Sequence[tuple[Array, int]]) -> Array:
-    """<state| f_0 f_1 ... |state> on a ``(2, 2, 2, 2)`` state tensor.
+    """<state| f_0 f_1 ... |state> on a ``(..., 2, 2, 2, 2)`` state or stack.
 
     Each ``(core, slot)`` factor acts on its own slot; no 16x16 matrix is
-    built. Factors with stacked cores give one value per entry (shape
-    ``(N,)``); single cores give a 0-d array. No normalization is applied.
+    built. The leading axes of the states and of stacked cores broadcast,
+    one value per entry (shape ``(N,)``); one state with single cores gives
+    a 0-d array. No normalization is applied.
     """
     state = np.asarray(state, dtype=complex)
-    if state.shape != STATE_SHAPE:
-        raise ValueError(f"state must be a {STATE_SHAPE} tensor, got shape {state.shape}")
-    return np.einsum("wxyz,...wxyz->...", state.conj(), apply_factors(state, factors))
+    if state.shape[-len(STATE_SHAPE):] != STATE_SHAPE:
+        raise ValueError(f"state must end in axes {STATE_SHAPE}, got shape {state.shape}")
+    return np.einsum("...wxyz,...wxyz->...", state.conj(), apply_factors(state, factors))
 
 
 def joint_intensity(state: Array, ps: PhaseSetting) -> Array:
@@ -125,8 +127,8 @@ def transfer_check(run: BenchRun) -> TransferCheckReport:
 
     The symmetrized input is taken back from the phased stage, not read
     from ``run.input``, so the check also covers the plates' inversion."""
+    run.require_single()
     ps = run.ps
-    ps.require_single()
 
     # the phase stage at negated phases undoes it, recovering the symmetrized input
     undo = PhaseSetting(-ps.theta1, -ps.theta2, -ps.phi1, -ps.phi2)

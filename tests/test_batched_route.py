@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from pathpol import bench, cli, correlations, detector
+from pathpol import bench, cli, correlations, detector, observables
 from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.scenario import SWEEP_VARIABLES
 
@@ -188,7 +188,7 @@ def test_closed_form_route_never_runs_the_bench(patch_everywhere):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closed-form route ran the bench")
 
-    for original in (bench.run, bench.trace_stages):
+    for original in (bench.run, bench.phase_stage, bench.bs_prime_stage):
         patch_everywhere(original, forbidden)
 
     s1, s2 = SourceSpec(0.8, 1.0), SourceSpec(1.7j, 1.3)
@@ -203,3 +203,83 @@ def test_closed_form_route_never_runs_the_bench(patch_everywhere):
     with pytest.raises(AssertionError, match="closed-form route ran the bench"):
         bench.run(s1, s2, sweep)
 
+
+STAGE_FIELDS = ("source", "post_bs", "input", "phased", "output")
+magnitudes = st.floats(0.2, 4.0)
+pairs = st.tuples(magnitudes, angles, magnitudes, angles, st.tuples(angles, angles, angles, angles))
+
+
+@seed(20151)
+@settings(max_examples=12, deadline=None, database=None)
+@given(drawn=st.lists(pairs, min_size=1, max_size=6))
+def test_a_batch_of_sources_equals_its_single_runs_bit_for_bit(drawn):
+    # N drawn source pairs, as a batch at one setting and with a sweep of N:
+    # every stage, the operator route and the closed form, entry k equal to
+    # the single run of pair k
+    a1 = np.array([m1 * np.exp(1j * x1) for m1, x1, _, _, _ in drawn])
+    a2 = np.array([m2 * np.exp(1j * x2) for _, _, m2, x2, _ in drawn])
+    rows = np.array([row for *_, row in drawn])
+    s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
+    for ps, setting_of in (
+        (PhaseSetting(*rows[0]), lambda k: PhaseSetting(*rows[0])),
+        (PhaseSetting(*rows.T), lambda k: PhaseSetting(*rows[k])),
+    ):
+        batch = bench.run(s1, s2, ps)
+        numeric = correlations.correlation_numeric(batch)
+        closed = correlations.correlation_closed_form(ps, s1, s2)
+        assert numeric.shape == closed.shape == (len(drawn),)
+        for k in range(len(drawn)):
+            one_s1, one_s2 = SourceSpec(a1[k], 1.0), SourceSpec(a2[k], 1.3)
+            one = bench.run(one_s1, one_s2, setting_of(k))
+            for name in STAGE_FIELDS:
+                assert np.array_equal(getattr(batch, name)[k], getattr(one, name))
+            assert numeric[k] == correlations.correlation_numeric(one)
+            assert closed[k] == correlations.correlation_closed_form(setting_of(k), one_s1, one_s2)
+
+
+def test_a_batch_closed_form_rounds_as_its_single_entries():
+    # numpy's square and pow round apart on ~1e-3 of doubles; the pairs kept
+    # are ones where they do for |A1| or for I1 + I2, so a batch that squares
+    # where a single source takes pow cannot pass
+    rng = np.random.default_rng(20152)
+    mags, args = rng.uniform(0.2, 4.0, (2, 2, 40_000)), rng.uniform(-np.pi, np.pi, (2, 2, 40_000))
+    a1, a2 = mags * np.exp(1j * args)
+    m1, m2 = np.hypot(a1.real, a1.imag), np.hypot(a2.real, a2.imag)
+
+    def apart(x):
+        return np.square(x) != np.float_power(x, 2)
+
+    keep = apart(m1) | apart(np.float_power(m1, 2) + np.float_power(m2, 2))
+    a1, a2 = a1[keep][:40], a2[keep][:40]
+    assert len(a1) == 40
+    ps = PhaseSetting(0.3, -0.1, 0.7, 0.2)
+    batch = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
+    closed = correlations.correlation_closed_form(ps, *batch)
+    g2 = correlations.g2_generalized(1, 0, 0, 0, ps, *batch)
+    for k in range(len(a1)):
+        one = SourceSpec(a1[k], 1.0), SourceSpec(a2[k], 1.3)
+        assert one[0].intensity == batch[0].intensity[k]
+        assert one[1].intensity == batch[1].intensity[k]
+        assert closed[k] == correlations.correlation_closed_form(ps, *one)
+        assert g2[k] == correlations.g2_generalized(1, 0, 0, 0, ps, *one)
+
+
+def test_a_batch_is_refused_by_name_where_one_run_is_meant():
+    batch = SourceSpec(np.array([1.0, 0.5j, 2.0]), 1.0)
+    one, ps = SourceSpec(0.8, 1.3), PhaseSetting(0.3, 0.1, -0.2, 0.4)
+    batch_run = bench.run(batch, one, ps)
+    for report in (correlations.correlation_report, observables.transfer_check):
+        with pytest.raises(ValueError, match=r"single run, not a batch of s1\.amplitude$"):
+            report(batch_run)
+    with pytest.raises(ValueError, match=r"^s2\.amplitude must be one amplitude, not a batch$"):
+        detector.autocorrelation_demo(one, batch, ps, 1000.0, 10_000)
+    # a batch and a sweep of another length, in the run and the closed form
+    sweep = PhaseSetting(np.zeros(2), 0.0, 0.0, 0.0)
+    for call in (
+        lambda: bench.run(one, batch, sweep),
+        lambda: bench.run(batch, SourceSpec(np.ones(2), 1.3), ps),
+        lambda: correlations.correlation_closed_form(sweep, batch, one),
+        lambda: correlations.g2_generalized(0, 0, 0, 0, sweep, one, batch),
+    ):
+        with pytest.raises(ValueError, match=r"equal lengths, got \{'s.\.amplitude': \(3,\)"):
+            call()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from pathpol import elements
+from pathpol import bench, elements
 from pathpol.bench import (
     BenchRun,
     PhaseSetting,
@@ -13,7 +13,6 @@ from pathpol.bench import (
     phase_stage,
     run,
     symmetrize,
-    trace_stages,
 )
 from pathpol.correlations import correlation_report
 from pathpol.detector import detect
@@ -74,6 +73,43 @@ def test_source_spec_rejects_bad_amplitude(amplitude):
     # non-finite amplitudes and intensities outside INTENSITY_RANGE never get in
     with pytest.raises(ValueError, match="amplitude"):
         SourceSpec(amplitude, 1.0)
+
+
+@pytest.mark.parametrize(
+    "bad", [1j, np.complex128(0.5), np.array([0.1, 1j]), True, np.bool_(False), [True], "0.1"]
+)
+def test_phase_setting_refuses_a_non_real_phase_by_name(bad):
+    # a complex phase once passed and gave |C| > 1, an array dropped its
+    # imaginary part, and a bool stood for a phase
+    for k, name in enumerate(("theta1", "theta2", "phi1", "phi2")):
+        fields = [0.25] * 4
+        fields[k] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be a float or a 1-d array of floats"):
+            PhaseSetting(*fields)
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "1", b"1", None, [1.0, [2.0]], [[1.0]]])
+def test_source_spec_refuses_a_non_number_by_name(bad):
+    with pytest.raises(ValueError, match="^source amplitude must be a number or a 1-d array"):
+        SourceSpec(bad, 1.0)
+    with pytest.raises(ValueError, match="^source frequency must be"):
+        SourceSpec(1.0, bad)
+
+
+def test_integer_fields_become_floats():
+    ps = PhaseSetting(0, np.int64(1), 2, 3)
+    assert all(type(getattr(ps, name)) is float for name in ("theta1", "theta2", "phi1", "phi2"))
+    assert ps == PhaseSetting(0.0, 1.0, 2.0, 3.0)
+    assert type(PhaseSetting(np.arange(3), 0, 0, 0).theta1[0]) is np.float64
+    source = SourceSpec(2, 1)
+    assert (type(source.amplitude), type(source.omega)) == (float, float)
+    assert source.intensity == 4.0
+    # a batch of sources holds a read-only complex array; the frequency is one float
+    batch = SourceSpec([1, 2j], 1.0)
+    assert batch.amplitude.dtype == complex and not batch.amplitude.flags.writeable
+    assert np.array_equal(batch.intensity, [1.0, 4.0])
+    with pytest.raises(ValueError, match="^source frequency must be one float"):
+        SourceSpec(1.0, [1.0, 1.3])
 
 
 def test_phase_setting_delta():
@@ -375,17 +411,30 @@ def test_norm_preserved_at_every_stage():
             assert abs(norms_squared(state) - target) < 1e-12
 
 
+def composed_stages(s1, s2, ps):
+    """The five stages composed here element by element, one beam at a time:
+    source 1 on bV and source 2 on aV, the splitter and the rotator on each
+    beam, each pair symmetrized, then the plates and the second splitter."""
+    beam1, beam2 = np.zeros((2, 2, 2), dtype=complex)
+    beam1[1, 0], beam2[0, 0] = s1.amplitude, s2.amplitude
+    pairs = [(beam1, beam2)]
+    for element in (bench._bs_beam, bench._pr_beam):
+        pairs.append(tuple(element(beam) for beam in pairs[-1]))
+    stages = [symmetrize(*pair) for pair in pairs]
+    stages.append(phase_stage(stages[-1], ps))
+    return [*stages, bench.bs_prime_stage(stages[-1])]
+
+
 def test_run_holds_the_traced_stages_in_order():
-    # the run's stage fields are the one trace pass, in chain order, bit for
-    # bit; its other fields are the arguments it was made from
+    # the run's stage fields are the chain composed in order, bit for bit;
+    # its other fields are the arguments it was made from
     ps = PhaseSetting(0.4, 0.1, -0.2, 0.9)
-    bench_run = run(S1, S2, ps)
+    s1 = SourceSpec(0.7 - 1.1j, 1.0)
+    bench_run = run(s1, S2, ps)
     fields = [field.name for field in dataclasses.fields(BenchRun)]
     assert fields == ["s1", "s2", "ps", *STAGE_FIELDS]
-    assert (bench_run.s1, bench_run.s2, bench_run.ps) == (S1, S2, ps)
-    traced = trace_stages(S1.amplitude, S2.amplitude, ps)
-    assert len(traced) == len(STAGE_FIELDS)
-    for name, want in zip(STAGE_FIELDS, traced):
+    assert (bench_run.s1, bench_run.s2, bench_run.ps) == (s1, S2, ps)
+    for name, want in zip(STAGE_FIELDS, composed_stages(s1, S2, ps), strict=True):
         assert np.array_equal(getattr(bench_run, name), want)
     # each stage is a distinct tensor: the prisms around the plates leave none
     assert not np.array_equal(bench_run.input, bench_run.phased)

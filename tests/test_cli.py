@@ -86,9 +86,9 @@ def test_sweep_writes_csv_to_stdout(capsys):
 )
 def test_command_traces_the_bench_once(capsys, count_calls, argv):
     # one bench run serves every operator-route column or section, whichever
-    # namespace reaches the trace (``correlate`` is counted in
-    # test_correlations.py); the closed-form route traces nothing
-    calls = count_calls(cli.bench.trace_stages)
+    # namespace reaches it (``correlate`` is counted in
+    # test_correlations.py); the closed-form route runs nothing
+    calls = count_calls(cli.bench.run)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
     assert len(calls) == 1

@@ -262,8 +262,8 @@ def test_signed_sum_ratio_is_minus_eight_or_nan_at_any_intensity_ratio(log_ratio
 
 def test_correlate_builds_the_symmetrized_input_once(capsys, count_calls):
     # the numeric route and the sixteen brackets read one run's input state;
-    # the closed-form route reads none, so one trace serves the whole command
-    calls = count_calls(bench.trace_stages)
+    # the closed-form route reads none, so one run serves the whole command
+    calls = count_calls(bench.run)
     assert main(["correlate"]) == 0
     assert capsys.readouterr().out
     assert len(calls) == 1

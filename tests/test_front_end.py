@@ -1,4 +1,4 @@
-"""The slot-local bench front end, trace and per-source outputs against a
+"""The slot-local bench front end, runs and per-source outputs against a
 ``np.kron`` oracle.
 
 Every reference stage is built here from explicit 4x4 and 16x16 matrices
@@ -81,16 +81,16 @@ def test_front_end_and_trace_match_kron_oracle(a1, a2, phases):
 @settings(max_examples=20, deadline=None, database=None)
 @given(runs=st.lists(st.tuples(amplitudes, amplitudes, settings_), min_size=1, max_size=5))
 def test_batched_trace_equals_per_run_trace(runs):
-    # array amplitudes and phases: one bench run per entry, bit for bit
+    # a batch of sources and a sweep: one bench run per entry, bit for bit
     a1 = np.array([run[0] for run in runs])
     a2 = np.array([run[1] for run in runs])
     sweep = PhaseSetting(*(np.array(column) for column in zip(*(run[2] for run in runs))))
-    stages = bench.trace_stages(a1, a2, sweep)
+    batch = bench.run(SourceSpec(a1, 1.0), SourceSpec(a2, 1.3), sweep)
     for k, (b1, b2, row) in enumerate(runs):
         one = bench.run(SourceSpec(b1, 1.0), SourceSpec(b2, 1.3), PhaseSetting(*row))
-        for name, batch in zip(STAGE_FIELDS, stages, strict=True):
-            assert batch.shape == (len(runs), 2, 2, 2, 2)
-            assert np.array_equal(getattr(one, name), batch[k])
+        for name in STAGE_FIELDS:
+            assert getattr(batch, name).shape == (len(runs), 2, 2, 2, 2)
+            assert np.array_equal(getattr(one, name), getattr(batch, name)[k])
 
 
 @seed(20145)
@@ -143,7 +143,7 @@ def test_batched_trace_and_readout_never_touch_closed_form_or_delta(monkeypatch)
     rng = np.random.default_rng(43)
     a1, a2 = rng.uniform(0.5, 1.5, (2, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6)))
     phases = rng.uniform(-np.pi, np.pi, (4, 6))
-    output = bench.trace_stages(a1, a2, PhaseSetting(*phases))[-1]
+    output = bench.run(SourceSpec(a1, 1.0), SourceSpec(a2, 1.3), PhaseSetting(*phases)).output
     aa = detector.project_aa(output)
     assert aa.delta.shape == aa.branch_fraction.shape == (6,)
     first = PhaseSetting(*phases[:, 0])

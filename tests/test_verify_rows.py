@@ -1,6 +1,6 @@
 """``pathpol verify`` rows pinned across seeds, the faults its batched checks
 and its autocorrelation row must catch, and the work one run may do: no
-Kronecker builds, one bench trace per run a row makes, a property suite
+Kronecker builds, seven bench runs per verify, a property suite
 that leaves the random stream where its field draws leave it, and a bounded
 peak of memory in that suite.
 
@@ -9,6 +9,7 @@ every row's name and status, and the logged constants to their printed
 digits. Residual-scale ``measured`` values are not pinned.
 """
 
+import dataclasses
 import re
 import sys
 import tracemalloc
@@ -205,13 +206,13 @@ def test_verify_call_budget(count_calls):
     # operators act slot by slot: no namespace offers a 16x16 Kronecker build
     assert [(m.__name__, a) for m in modules for a in ("kron", "embed") if hasattr(m, a)] == []
 
-    # one bench trace per run, whichever namespace it is reached through:
-    # the delta-grid run the detection law and sigma route share 1, goldens 3
-    # (the batch and two single runs), property suite 1, the sigma route's
-    # random sources 6, transfer chain 1
-    calls = count_calls(bench.trace_stages)
+    # bench runs, whichever namespace reaches them: the delta-grid run the
+    # detection law and sigma route share 1, goldens 3 (the batch and two
+    # single runs), property suite 1, the sigma route's batch of six random
+    # source pairs 1, transfer chain 1
+    calls = count_calls(bench.run)
     assert run_verify(0).ok
-    assert len(calls) == 12
+    assert len(calls) == 7
 
 
 def planted_apply_slot(fault):
@@ -258,20 +259,18 @@ def test_verify_catches_a_faulty_apply_slot(capsys, patch_everywhere, fault):
     assert failing_rows(out) == APPLY_SLOT_FAULTS[fault]
 
 
-def planted_trace_stages(fault):
-    """``bench.trace_stages`` with one stage replaced, wrapped around the original."""
-    original = bench.trace_stages
+def planted_run(fault):
+    """``bench.run`` with one stage replaced, wrapped around the original."""
+    original = bench.run
 
-    def trace_stages(a1, a2, ps):
-        source, post_bs, post_pr, phased, output = original(a1, a2, ps)
+    def run(s1, s2, ps):
+        bench_run = original(s1, s2, ps)
         if fault == "output-taken-before-bs-prime":
-            output = phased
-        if fault == "phased-with-plates-skipped":
-            phased = np.broadcast_to(post_pr, phased.shape).copy()
-            output = bench.bs_prime_stage(phased)
-        return source, post_bs, post_pr, phased, output
+            return dataclasses.replace(bench_run, output=bench_run.phased)
+        phased = np.broadcast_to(bench_run.input, bench_run.phased.shape).copy()
+        return dataclasses.replace(bench_run, phased=phased, output=bench.bs_prime_stage(phased))
 
-    return trace_stages
+    return run
 
 
 # the rows each stage fault fails at seed 0: the ones that read the phased or
@@ -286,7 +285,7 @@ STAGE_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(STAGE_FAULTS))
 def test_verify_catches_a_wrong_bench_stage(capsys, patch_everywhere, fault):
-    patch_everywhere(bench.trace_stages, planted_trace_stages(fault))
+    patch_everywhere(bench.run, planted_run(fault))
     code, out = run(capsys)
     assert code == 1
     assert failing_rows(out) == STAGE_FAULTS[fault]
@@ -336,6 +335,49 @@ def test_verify_catches_a_faulty_product_or_plate(capsys, patch_everywhere, faul
     code, out = run(capsys)
     assert code == 1
     assert failing_rows(out) == ELEMENT_FAULTS[fault]
+
+
+def planted_batch_fault(fault):
+    """The original and a faulty replacement of a function on the batched
+    path, the replacement reading only the first entry of a batch."""
+    if fault == "product-expectation-reads-first-state":
+        original = observables.product_expectation
+
+        def product_expectation(state, factors):
+            state = np.asarray(state, dtype=complex)
+            if state.ndim > 4:
+                state = np.broadcast_to(state[:1], state.shape)
+            return original(state, factors)
+
+        return original, product_expectation
+    original = bench._front_end
+
+    def front_end(a1, a2):
+        a1 = np.asarray(a1)
+        return original(np.broadcast_to(a1[:1], a1.shape) if a1.ndim else a1, a2)
+
+    return original, front_end
+
+
+# the rows each fault fails at seed 0: the sigma route's six source pairs
+# are the one batch of states an observable reads, and the goldens and the
+# property suite run a batch of sources through every stage
+BATCH_FAULTS = {
+    "product-expectation-reads-first-state": {"sigma-route-vs-closed-form"},
+    "front-end-reads-first-source-1-amplitude": {
+        "algebraic-property-suite",
+        "pipeline-golden-states",
+        "sigma-route-vs-closed-form",
+    },
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BATCH_FAULTS))
+def test_verify_catches_a_batch_read_as_its_first_entry(capsys, patch_everywhere, fault):
+    patch_everywhere(*planted_batch_fault(fault))
+    code, out = run(capsys)
+    assert code == 1
+    assert failing_rows(out) == BATCH_FAULTS[fault]
 
 
 @pytest.mark.parametrize("seed", [0, 12345])
