@@ -32,7 +32,6 @@ per entry as the leading axis of every stage the batch reaches.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
@@ -50,15 +49,13 @@ INTENSITY_RANGE = (1e-150, 1e150)
 
 
 def _checked(name: str, value: object, complex_ok: bool = False) -> float | complex | Array:
-    """``value`` as a finite float (or complex, if ``complex_ok``) or a
-    read-only 1-d array of them, an int becoming a float; anything else, a
-    bool or a string among them, is refused by ``name``."""
+    """``value`` as a float (or complex, if ``complex_ok``) or a read-only
+    1-d array of them, an int becoming a float; anything else, a bool or a
+    string among them, is refused by ``name``. The caller tests finiteness."""
     if type(value) is int and abs(value) <= 1e308:
         value = float(value)
     # the common case first: np.float64 is a float, np.complex128 a complex
     if isinstance(value, float) or (complex_ok and isinstance(value, complex)):
-        if not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite")
         return value
     noun = "number" if complex_ok else "float"
     try:  # kinds int, unsigned, float (and complex)
@@ -68,8 +65,6 @@ def _checked(name: str, value: object, complex_ok: bool = False) -> float | comp
         ok = False
     if not ok:
         raise ValueError(f"{name} must be a {noun} or a 1-d array of {noun}s, got {value!r}")
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{name} must be finite")
     if array.ndim == 0:
         return complex(array) if array.dtype.kind == "c" else float(array)
     array = array.astype(complex if complex_ok else float)
@@ -90,19 +85,25 @@ class SourceSpec:
 
     def __post_init__(self) -> None:
         a = _checked("source amplitude", self.amplitude, complex_ok=True)
+        # compared as |A|, with the same sqrt a scenario takes of its
+        # intensities; a NaN or an infinite |A| fails it too, and is named so
+        lo, hi = INTENSITY_RANGE
+        if isinstance(a, np.ndarray):
+            mag = np.abs(a)
+            in_range = ((sqrt(lo) <= mag) & (mag <= sqrt(hi))).all()
+        else:
+            in_range = sqrt(lo) <= abs(a) <= sqrt(hi)
+        if not (in_range or np.isfinite(a).all()):
+            raise ValueError("source amplitude must be finite")
         omega = _checked("source frequency", self.omega)
         if isinstance(omega, np.ndarray):
             raise ValueError("source frequency must be one float, not an array")
-        object.__setattr__(self, "amplitude", a)
-        object.__setattr__(self, "omega", omega)
-        # compared as |A|, with the same sqrt a scenario takes of its intensities
-        lo, hi = INTENSITY_RANGE
-        if isinstance(a, np.ndarray):
-            in_range = np.all((sqrt(lo) <= np.abs(a)) & (np.abs(a) <= sqrt(hi)))
-        else:
-            in_range = sqrt(lo) <= abs(a) <= sqrt(hi)
+        if not isfinite(omega):
+            raise ValueError("source frequency must be finite")
         if not in_range:
             raise ValueError(f"source amplitude {a!r} must have |A|^2 in [{lo:g}, {hi:g}]")
+        object.__setattr__(self, "amplitude", a)
+        object.__setattr__(self, "omega", omega)
 
     @property
     def intensity(self) -> float | Array:
@@ -117,6 +118,7 @@ class SourceSpec:
 
 _PHASE_NAMES = ("theta1", "theta2", "phi1", "phi2")
 _PLATE_PHASE = {"path": "phi", "pol": "theta"}
+_PLATE_FIELDS = tuple((s, d, _PLATE_PHASE[d] + str(s)) for s, d in elements.PLATES)
 
 
 @dataclass(frozen=True)
@@ -138,24 +140,26 @@ class PhaseSetting:
         lengths = set()
         for name in _PHASE_NAMES:
             value = getattr(self, name)
-            if not (isinstance(value, float) and isfinite(value)):  # np.float64 is a float
+            if not isinstance(value, float):  # np.float64 is a float
                 value = _checked(name, value)
                 object.__setattr__(self, name, value)
-            if isinstance(value, np.ndarray):
-                lengths.add(len(value))
+                if isinstance(value, np.ndarray):
+                    lengths.add(len(value))
         if len(lengths) > 1:
             raise ValueError(f"phase arrays must have equal lengths, got {sorted(lengths)}")
-        # finite phases can still sum past the float range (summed here, not
-        # through ``delta``, which the operator route must never read); float
-        # scalars sum as Python floats, which round as numpy does and never warn
-        t1, t2, p1, p2 = (getattr(self, name) for name in _PHASE_NAMES)
+        # one test of the sum covers a NaN or an inf in any field and finite
+        # phases that overflow it (not through ``delta``, which the operator route
+        # must never read); float scalars sum as Python floats, which never warn
+        t1, t2, p1, p2 = fields = (self.theta1, self.theta2, self.phi1, self.phi2)
         if not lengths:
             finite = isfinite(float(t1) + float(p1) - float(t2) - float(p2))
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.all(np.isfinite(t1 + p1 - t2 - p2))
-        if not finite:
-            raise ValueError("delta = theta1 + phi1 - theta2 - phi2 must be finite")
+                finite = np.isfinite(t1 + p1 - t2 - p2).all()
+        if not finite:  # named by the first field to blame, if any
+            bad = [n for n, v in zip(_PHASE_NAMES, fields) if not np.isfinite(v).all()]
+            name = bad[0] if bad else "delta = theta1 + phi1 - theta2 - phi2"
+            raise ValueError(f"{name} must be finite")
 
     def __eq__(self, other: object) -> bool:
         """Same shape and same values in every field: a float never equals a
@@ -177,16 +181,15 @@ class PhaseSetting:
     @property
     def shape(self) -> tuple[int, ...]:
         """``()`` for a single setting, ``(N,)`` for a sweep of N."""
-        fields = (self.theta1, self.theta2, self.phi1, self.phi2)
-        return next((v.shape for v in fields if isinstance(v, np.ndarray)), ())
+        for value in (self.theta1, self.theta2, self.phi1, self.phi2):
+            if isinstance(value, np.ndarray):
+                return value.shape
+        return ()
 
     def plates(self) -> tuple[tuple[int, str, float | Array], ...]:
         """``(source, dof, phase)`` of each plate, in ``elements.PLATES`` order:
         phi drives the path plate of its source, theta the polarization plate."""
-        return tuple(
-            (source, dof, getattr(self, f"{_PLATE_PHASE[dof]}{source}"))
-            for source, dof in elements.PLATES
-        )
+        return tuple((source, dof, getattr(self, name)) for source, dof, name in _PLATE_FIELDS)
 
 
 def symmetrize(x: Array, y: Array) -> Array:
@@ -198,8 +201,8 @@ def symmetrize(x: Array, y: Array) -> Array:
         raise ValueError("symmetrize expects two (..., 2, 2) single-beam tensors")
     # one product per entry, x (x) y and y (x) x each in its own factor order
     xy = x[..., :, :, None, None] * y[..., None, None, :, :]
-    yx = y[..., :, :, None, None] * x[..., None, None, :, :]
-    return (xy + yx) / _SQRT2
+    xy += y[..., :, :, None, None] * x[..., None, None, :, :]
+    return np.divide(xy, _SQRT2, out=xy)
 
 
 def _bs_beam(beam: Array) -> Array:
@@ -220,7 +223,8 @@ def _front_end(a1: complex | Array, a2: complex | Array) -> tuple[tuple[Array, A
     a1 = np.asarray(a1, dtype=complex)
     a2 = np.asarray(a2, dtype=complex)
     # both beams on one leading axis (source 1, source 2): each element acts once
-    beams = np.zeros((2,) + np.broadcast_shapes(a1.shape, a2.shape) + _BEAM_SHAPE, dtype=complex)
+    shape = a1.shape if a1.shape == a2.shape else np.broadcast_shapes(a1.shape, a2.shape)
+    beams = np.zeros((2,) + shape + _BEAM_SHAPE, dtype=complex)
     beams[0, ..., 1, 0] = a1  # bV
     beams[1, ..., 0, 0] = a2  # aV
     post_bs = _bs_beam(beams)
@@ -324,14 +328,13 @@ def source_outputs(ps: PhaseSetting) -> tuple[Array, Array]:
 
     The two diagonal plates act as one entrywise factor, path entry times pol
     entry. A sweep gives both beams one entry per setting, even where a
-    source's own two phases are floats.
+    source's own two phases are floats: its one beam is then broadcast, read-only.
     """
-    shape = ps.shape
-    path1, pol1, path2, pol2 = (  # in elements.PLATES order
-        elements.plate(s, d, np.broadcast_to(x, shape))[0] for s, d, x in ps.plates()
-    )
+    shape = ps.shape + _BEAM_SHAPE
+    path1, pol1, path2, pol2 = (elements.plate(*p)[0] for p in ps.plates())  # PLATES order
     beam1, beam2 = _front_end(1.0, 1.0)[-1]
-    return (
+    beams = (
         _bs_beam(path1[..., :, None] * pol1[..., None, :] * beam1),
         _bs_beam(path2[..., :, None] * pol2[..., None, :] * beam2),
     )
+    return tuple(b if b.shape == shape else np.broadcast_to(b, shape) for b in beams)

@@ -108,11 +108,6 @@ def _guarded_ratio(
     return float_or_array(ratio)
 
 
-def _check_shift(value: int, name: str) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value}")
-
-
 def g2_hbt(
     alpha: float | Array, beta: float | Array, s1: SourceSpec, s2: SourceSpec
 ) -> float | Array:
@@ -134,8 +129,9 @@ def g2_generalized(
     Reduces to ``g2_hbt(phi1, phi2)`` when both polarization phases are held
     equal and all shifts vanish.
     """
-    for v, name in ((k, "k"), (l, "l"), (m, "m"), (n, "n")):
-        _check_shift(v, name)
+    for v, name in zip((k, l, m, n), "klmn"):
+        if v not in (0, 1):
+            raise ValueError(f"{name} must be 0 or 1, got {v}")
     batch_fields(s1, s2, ps)
     i1, i2, ssq = _intensities(s1, s2)
     signed = -1.0 if (k + l + m + n) % 2 else 1.0
@@ -189,8 +185,8 @@ def fit_scaled_cosine(deltas: Array, values: Array) -> tuple[float, float]:
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
     c = np.cos(deltas)
-    kappa = float(np.sum(c * values) / np.sum(c * c))
-    return kappa, float(np.max(np.abs(values - kappa * c)))
+    kappa = float((c * values).sum() / (c * c).sum())
+    return kappa, float(np.abs(values - kappa * c).max())
 
 
 def fit_sinusoid(x: Array, y: Array) -> tuple[Array, float]:
@@ -199,4 +195,4 @@ def fit_sinusoid(x: Array, y: Array) -> tuple[Array, float]:
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coeffs, float(np.max(np.abs(y - np.sum(design * coeffs, axis=1))))
+    return coeffs, float(np.abs(y - (design * coeffs).sum(axis=1)).max())

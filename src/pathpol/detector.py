@@ -32,7 +32,7 @@ form: O(1) work per setting, whatever n, every setting of a sweep at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, pi
+from math import ceil, isfinite, pi
 
 import numpy as np
 
@@ -89,8 +89,8 @@ def _aa_branch(state: Array, hadamard: Array = _HADAMARD) -> tuple[Array, Array,
     ``hadamard`` keeps (its first row gives the ++ entry alone)."""
     # rows pol1, cols pol2, one block per state
     pol_block = state.reshape((-1,) + STATE_SHAPE)[:, 0, :, 0, :]
-    branch_norm_sq = np.sum(np.abs(pol_block) ** 2, axis=(1, 2))
-    if np.any(branch_norm_sq == 0.0):
+    branch_norm_sq = (np.abs(pol_block) ** 2).sum(axis=(1, 2))
+    if (branch_norm_sq == 0.0).any():
         raise ValueError("the aa branch of this state is empty")
     # a NaN state divides to NaN fields for its caller to judge, not a warning
     with np.errstate(invalid="ignore"):
@@ -204,19 +204,17 @@ def autocorrelation_demo(
     grid; a batch of sources is refused.
     """
     for name, source in (("s1", s1), ("s2", s2)):
-        if np.ndim(source.amplitude):
+        if isinstance(source.amplitude, np.ndarray):
             raise ValueError(f"{name}.amplitude must be one amplitude, not a batch")
     # a bool is an int to Python, but never a window length
-    if isinstance(window, bool) or not isinstance(
-        window, (int, float, np.integer, np.floating)
-    ):
+    if isinstance(window, bool) or not isinstance(window, (int, float, np.integer, np.floating)):
         raise ValueError(f"window must be a real number, got {window!r}")
-    if not np.isfinite(window):
+    if not isfinite(window):
         raise ValueError(f"window must be finite, got {window!r}")
     # (|A1| + |A2|)^4 bounds the squared intensity, so this bounds the
     # integral and every term it is compared with
     reach = abs(s1.amplitude) + abs(s2.amplitude)
-    if not np.isfinite(reach * reach * reach * reach * window):
+    if not isfinite(reach * reach * reach * reach * window):
         raise ValueError(
             f"window={window:g} overflows the integral: (|A1| + |A2|)^4 * window "
             f"must be at most {np.finfo(float).max:.6g}"

@@ -24,10 +24,12 @@ PLATES = {
     (2, "pol"): (SLOT_POL_2, -1),
 }
 
+_BEAM_SPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+
 
 def beam_splitter() -> Array:
     """Symmetric 50/50 splitter: |a> -> (|a>+|b>)/sqrt2, |b> -> (|a>-|b>)/sqrt2."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    return _BEAM_SPLITTER.copy()
 
 
 def pol_swap() -> Array:
@@ -41,7 +43,8 @@ def phase_diagonal(x: float | Array, sign: int) -> Array:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     x = np.asarray(x, dtype=float)
-    out = np.ones(x.shape + (2,), dtype=complex)
+    out = np.empty(x.shape + (2,), dtype=complex)
+    out[..., 0] = 1.0
     out[..., 1] = np.exp(1j * sign * x)
     return out
 

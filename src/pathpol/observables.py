@@ -150,4 +150,4 @@ def transfer_check(run: BenchRun) -> TransferCheckReport:
 
     values = (v_sym, v_pre, v_fin)
     max_diff = max(abs(x - y) for x in values for y in values)
-    return TransferCheckReport(v_sym, v_pre, v_fin, max_diff, float(np.max(np.abs(conj))))
+    return TransferCheckReport(v_sym, v_pre, v_fin, max_diff, float(np.abs(conj).max()))

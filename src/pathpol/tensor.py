@@ -105,7 +105,7 @@ def norms_squared(vectors: Array) -> Array:
 
 def float_or_array(x: float | Array) -> float | Array:
     """A single result as a plain ``float``, a stack of results unchanged."""
-    return float(x) if np.ndim(x) == 0 else x
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 def dagger(m: Array) -> Array:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import cos, pi, sqrt
+from math import cos, isnan, nan, pi, sqrt
 
 import numpy as np
 
@@ -122,12 +122,13 @@ def _amplitudes(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _max_abs(x: np.ndarray) -> float:
     # an empty stack (no instance drew that case) has nothing to violate
-    return float(np.max(np.abs(x), initial=0.0))
+    return float(np.abs(x).max(initial=0.0))
 
 
 def _worst(*deviations: float) -> float:
-    # np.max, not max: max(0.0, nan) is 0.0, and a NaN must reach the row
-    return float(np.max(deviations))
+    # as np.max: a NaN anywhere reaches the row (max(0.0, nan) alone is 0.0),
+    # and of equal values (0.0 and -0.0) the last wins
+    return nan if any(map(isnan, deviations)) else float(max(reversed(deviations)))
 
 
 def _check_ghz_closed_form() -> VerifyCheck:
@@ -154,7 +155,7 @@ def _check_hbt_reduction() -> VerifyCheck:
         _max_abs(g2 - correlations.g2_generalized(0, 0, 0, 0, shifted, s1, s2)),
     )
     values = correlations.g2_generalized(0, 0, 0, 0, PhaseSetting(_GRID, 0.0, 0.0, 0.0), s1, s2)
-    lo, hi = np.min(values), np.max(values)
+    lo, hi = values.min(), values.max()
     range_exact = lo == 0.5 and hi == 1.5
     note = f"range [{lo:.1f}, {hi:.1f}] exact={range_exact}"
     return _row("hbt-reduction", worst <= _TOL and range_exact, worst, note=note)
@@ -363,8 +364,8 @@ def _check_signed_sum(rng: np.random.Generator) -> VerifyCheck:
     s1, s2 = _random_sources(rng)
     ratios = correlations.sum_identity(_DELTA_SETTINGS, s1, s2).ratio
     ratios = ratios[np.abs(np.cos(_GRID)) >= correlations.COSINE_GUARD]
-    mean = float(np.mean(ratios))
-    dev = float(np.max(np.abs(ratios - mean)))
+    mean = float(ratios.mean())
+    dev = float(np.abs(ratios - mean).max())
     # the constant itself is documented: a constant ratio alone is not enough
     ok = dev <= 1e-10 and abs(mean - (-8.0)) <= 1e-10
     note = f"signed 16-term sum = {mean:.12g} x closed form (ratio spread {dev:.2e})"
@@ -417,12 +418,10 @@ def _check_autocorrelation() -> VerifyCheck:
     # windows sized to an odd number of beat half-periods: the surviving
     # endpoint contribution of the slowest term is then window-independent,
     # so the relative residual halves when the window (nearly) doubles
-    residuals = []
-    for m, n in ((317, 20_001), (635, 40_064), (1271, 80_191)):
-        window = m * pi / beat
-        residuals.append(
-            detector.autocorrelation_demo(s1, s2, ps, window, n).residual
-        )
+    residuals = [
+        detector.autocorrelation_demo(s1, s2, ps, m * pi / beat, n).residual
+        for m, n in ((317, 20_001), (635, 40_064), (1271, 80_191))
+    ]
     ratio_a = residuals[1] / residuals[0]
     ratio_b = residuals[2] / residuals[1]
     halving = 0.4 <= ratio_a <= 0.6 and 0.4 <= ratio_b <= 0.6

@@ -10,7 +10,8 @@ resolutions, ``sweep`` of each of the five variables at 7, 64 and 300
 points, ``correlate`` and ``report`` at two settings, and the seven demos.
 ``--check`` names every output whose digest moved, and every output missing
 from either side, and exits 1 if there is any. The name does not match
-pytest's ``test_*.py`` pattern, so the suite does not collect it.
+pytest's ``test_*.py`` pattern, so the suite does not collect it;
+``test_digests.py`` recomputes a trimmed subset through ``digests(names)``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import io
 import runpy
 import sys
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "golden" / "digests.txt"
@@ -53,13 +56,16 @@ def _stdout(action) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def digests() -> dict[str, str]:
-    """sha256 of each output's stdout, by output name."""
-    outputs = {name: _stdout(lambda: cli.main(list(argv))) for name, argv in commands().items()}
+def digests(names: Iterable[str] | None = None) -> dict[str, str]:
+    """sha256 of each output's stdout, by output name: every output, or only
+    the ``names`` given."""
+    actions = {name: partial(cli.main, list(argv)) for name, argv in commands().items()}
     for path in sorted((ROOT / "demos").glob("*.py")):
-        demo = str(path)
-        outputs[f"demo {path.name}"] = _stdout(lambda: runpy.run_path(demo, run_name="__main__"))
-    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+        actions[f"demo {path.name}"] = partial(runpy.run_path, str(path), run_name="__main__")
+    return {
+        name: hashlib.sha256(_stdout(actions[name])).hexdigest()
+        for name in (actions if names is None else names)
+    }
 
 
 def read_digests(path: Path) -> dict[str, str]:

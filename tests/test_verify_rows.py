@@ -1,8 +1,9 @@
 """``pathpol verify`` rows pinned across seeds, the faults its batched checks
 and its autocorrelation row must catch, and the work one run may do: no
-Kronecker builds, seven bench runs per verify, a property suite
-that leaves the random stream where its field draws leave it, and a bounded
-peak of memory in that suite.
+Kronecker builds, seven bench runs per verify, a fault patched in after a
+clean run caught as in a fresh one (nothing cached across calls), reducers
+that let a NaN reach the row, a property suite that leaves the random stream
+where its field draws leave it, and a bounded peak of memory in that suite.
 
 The pinned strings are the rows as printed before the checks were batched:
 every row's name and status, and the logged constants to their printed
@@ -10,17 +11,19 @@ digits. Residual-scale ``measured`` values are not pinned.
 """
 
 import dataclasses
+import itertools
+import math
 import re
 import sys
 import tracemalloc
-from math import pi
+from math import inf, nan, pi
 
 import numpy as np
 import pytest
 
-from pathpol import bench, correlations, detector, elements, observables, tensor
+from pathpol import bench, contextuality, correlations, detector, elements, observables, tensor
 from pathpol.cli import main
-from pathpol.verify import _check_property_suite, run_verify
+from pathpol.verify import _check_property_suite, _max_abs, _worst, run_verify
 
 ROWS = (
     ("ghz-correlation-closed-form", "pass"),
@@ -211,8 +214,86 @@ def test_verify_call_budget(count_calls):
     # single runs), property suite 1, the sigma route's batch of six random
     # source pairs 1, transfer chain 1
     calls = count_calls(bench.run)
+    # and no check's work is dropped: the autocorrelation row integrates 5
+    # times, one per window, each projecting both sources' outputs (plus its
+    # sampled oracle's 6th); hbt 3 and the signed sum 16 g2 terms; 2 CHSH scans
+    demos = count_calls(detector.autocorrelation_demo)
+    outputs = count_calls(bench.source_outputs)
+    g2 = count_calls(correlations.g2_generalized)
+    scans = count_calls(contextuality.scan_max)
     assert run_verify(0).ok
     assert len(calls) == 7
+    assert (len(demos), len(outputs), len(g2), len(scans)) == (5, 6, 19, 2)
+
+
+def lossy_rotator():
+    original = elements.pol_swap
+    return original, lambda: 0.99 * original()
+
+
+def biased_splitter():
+    cos, sin = np.cos(0.6), np.sin(0.6)
+    return elements.beam_splitter, lambda: np.array([[cos, sin], [sin, -cos]], dtype=complex)
+
+
+# the rows each element fault fails at seed 0, whether the process has run
+# verify before or not: the lossy rotator of test_verify_catches_lossy_rotator
+# and the biased splitter of test_cli.py's test_verify_catches_tampered_splitter
+LATE_FAULTS = {
+    lossy_rotator: {
+        "algebraic-property-suite",
+        "detection-law-45deg",
+        "pipeline-golden-states",
+        "sigma-route-vs-closed-form",
+    },
+    biased_splitter: {
+        "detection-law-45deg",
+        "pipeline-golden-states",
+        "sigma-route-vs-closed-form",
+        "transfer-bracket-chain",
+    },
+}
+
+
+@pytest.mark.parametrize("fault", list(LATE_FAULTS), ids=lambda fault: fault.__name__)
+def test_a_fault_patched_in_after_a_clean_run_is_caught(patch_everywhere, fault):
+    # an element, front end or row cached by the clean run would hide the
+    # fault from the next: every call must build what it reads again
+    ps = bench.PhaseSetting(0.7, 0.2, 0.4, -0.3)
+    clean = detector.detector_amplitudes(ps)
+    assert run_verify(0).ok
+    patch_everywhere(*fault())
+    report = run_verify(0)
+    assert {c.name for c in report.checks if c.status == "fail"} == LATE_FAULTS[fault]
+    # the autocorrelation row's oracle reads the same detector amplitudes, so
+    # no row sees a stale source_outputs front end; the amplitudes must move
+    assert not np.allclose(detector.detector_amplitudes(ps), clean)
+
+
+def test_verify_reducers_let_a_nan_through_wherever_it_sits():
+    # a bare max drops a NaN that is not first (max(0.0, nan) is 0.0) or,
+    # scanning in reverse, not last; the row must see it in every position
+    for n in range(1, 6):
+        for k in range(n):
+            values = [1e-16 * (j + 1) for j in range(n)]
+            values[k] = nan
+            assert math.isnan(_worst(*values))
+            assert math.isnan(_max_abs(np.array(values)))
+            stack = np.full((3, n), 1e-16 + 1e-16j)
+            stack[1, k] = complex(nan, 0.0)
+            assert math.isnan(_max_abs(stack))
+    # an empty stack (no instance drew that case) has nothing to violate
+    assert _max_abs(np.empty(0)) == 0.0
+    assert _max_abs(np.empty((0, 16), dtype=complex)) == 0.0
+    # signed zeros and infinities as np.max gives them, the sign of 0 included
+    for n in range(1, 5):
+        for values in itertools.product((0.0, -0.0, 1.0, inf, -inf), repeat=n):
+            for got, want in (
+                (_worst(*values), np.max(values)),
+                (_max_abs(np.array(values)), np.max(np.abs(values), initial=0.0)),
+            ):
+                assert type(got) is float
+                assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 def planted_apply_slot(fault):
