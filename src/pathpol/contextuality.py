@@ -40,7 +40,7 @@ from scipy.optimize import minimize  # noqa: F401
 VIOLATION_BOUND = 2.0
 MAX_VIOLATION = 2.0 * np.sqrt(2.0)
 
-# scan grid points per angle; the scan holds a few (R, 10) float64 tables,
+# scan grid points per angle; the scan holds a few (10, R) float64 tables,
 # 20 KiB each at the upper end
 MIN_RESOLUTION = 8
 MAX_RESOLUTION = 256
@@ -111,8 +111,12 @@ def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, 
     at d = R/4 and 3R/4, and the column nearest R/4 comes within a factor
     cos(pi/R) of its own bound. So no column more than about one step from
     both quarter points can win. Only the columns within two steps of R/4 or
-    3R/4 (at most 10) are tabulated, so the tables are ``(R, 10)``, not
-    ``(R, R)``. The columns ascend, so a tie still goes to the smallest d.
+    3R/4 (at most 10) are tabulated, as the rows of (column, a) tables: one
+    wrapped ``take`` gathers them with no modulo arithmetic, h_f and h_g
+    share one ``(2, columns, R)`` array (h_g as ``shifted - c``, the bits of
+    ``-c + shifted``), and one ``max`` and one ``min`` run along its last,
+    contiguous axis. That is about twice as fast at R = 192 as (a, column)
+    tables and four strided reductions. Columns ascend: ties go to least d.
     """
     step = np.arange(resolution)
     grid = 2.0 * pi * step / resolution
@@ -120,25 +124,21 @@ def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, 
     sign = _sign(case)
     quarters = (resolution // 4, 3 * resolution // 4)
     columns = np.array(sorted({(q + k) % resolution for q in quarters for k in range(-2, 3)}))
-    shifted = cos_grid[(step[:, None] + sign * columns[None, :]) % resolution]  # [a, d]
-    h_f = cos_grid[:, None] + shifted  # + pair(t,p) + pair(t,p')
-    h_g = -cos_grid[:, None] + shifted  # - pair(t',p) + pair(t',p')
+    shifted = cos_grid.take(step + sign * columns[:, None], mode="wrap")  # [d, a]
+    h = np.empty((2, columns.size, resolution))
+    np.add(cos_grid, shifted, out=h[0])  # h_f: + pair(t,p) + pair(t,p')
+    np.subtract(shifted, cos_grid, out=h[1])  # h_g: - pair(t',p) + pair(t',p')
 
     best_abs = -1.0
     best_angles = (0.0, 0.0, 0.0, 0.0)
     best_value = 0.0
-    for f_part, g_part, picker in (
-        (h_f.max(axis=0), h_g.max(axis=0), np.argmax),
-        (h_f.min(axis=0), h_g.min(axis=0), np.argmin),
-    ):
-        total = f_part + g_part
-        column = int(np.argmax(np.abs(total)))
+    for parts, picker in ((h.max(axis=2), np.ndarray.argmax), (h.min(axis=2), np.ndarray.argmin)):
+        total = parts[0] + parts[1]
+        column = int(np.abs(total).argmax())
         value = float(total[column])
         if abs(value) > best_abs:
-            i_t = int(picker(h_f[:, column]))
-            i_tp = int(picker(h_g[:, column]))
-            best_abs = abs(value)
-            best_value = value
+            i_t, i_tp = picker(h[0, column]), picker(h[1, column])
+            best_abs, best_value = abs(value), value
             best_angles = tuple(float(grid[i]) for i in (i_t, i_tp, 0, columns[column]))
     return best_angles, best_value
 

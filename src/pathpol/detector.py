@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite, pi
+from sys import float_info
 
 import numpy as np
 
@@ -209,6 +210,11 @@ def autocorrelation_demo(
     # a bool is an int to Python, but never a window length
     if isinstance(window, bool) or not isinstance(window, (int, float, np.integer, np.floating)):
         raise ValueError(f"window must be a real number, got {window!r}")
+    # isfinite overflows on an int past the float range; its digits stay unprinted
+    if isinstance(window, int) and abs(window) > float_info.max:
+        raise ValueError(
+            f"window must be within the float range, got a {window.bit_length()}-bit integer"
+        )
     if not isfinite(window):
         raise ValueError(f"window must be finite, got {window!r}")
     # (|A1| + |A2|)^4 bounds the squared intensity, so this bounds the
@@ -232,14 +238,16 @@ def autocorrelation_demo(
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
 
     # fastest surviving oscillation is twice the beat
     needed = SAMPLES_PER_PERIOD * window * (2.0 * beat) / (2.0 * pi)
     # compared as a float first: a huge window must not reach ceil()
-    if max(samples, needed + 1.0) > MAX_SAMPLES:
+    if needed + 1.0 > MAX_SAMPLES:
         raise ValueError(
             f"window={window:g} with samples={samples} needs "
-            f"{max(samples, needed + 1.0):.6g} samples, above MAX_SAMPLES={MAX_SAMPLES}"
+            f"{needed + 1.0:.6g} samples, above MAX_SAMPLES={MAX_SAMPLES}"
         )
     n = max(samples, ceil(needed) + 1)
 

@@ -126,8 +126,9 @@ def _max_abs(x: np.ndarray) -> float:
 
 
 def _worst(*deviations: float) -> float:
-    # as np.max: a NaN anywhere reaches the row (max(0.0, nan) alone is 0.0),
-    # and of equal values (0.0 and -0.0) the last wins
+    # a NaN anywhere reaches the row (max(0.0, nan) alone is 0.0), and of
+    # equal values (0.0 and -0.0) the last wins, where np.max's tie between
+    # them depends on the SIMD loop numpy dispatches
     return nan if any(map(isnan, deviations)) else float(max(reversed(deviations)))
 
 

@@ -237,6 +237,17 @@ def test_sweep_without_block_is_config_error(capsys):
     assert "config error: sweep requires a sweep block" in err
 
 
+def test_sweep_into_a_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "sweep.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--set", "sweep.variable=delta", "--set", f"output={path}"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot write output {str(path)!r}: ")
+    assert err.count("\n") == 1
+    assert not path.parent.exists()
+
+
 def test_sweep_other_variables_change_delta(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -346,6 +346,28 @@ def test_autocorrelation_refuses_a_window_that_is_not_a_real_number(window):
             autocorrelation_demo(S1, S2, ps, window, 20_000)
 
 
+@pytest.mark.parametrize(
+    "window, samples, field",
+    [
+        (10**400, 20_000, "window"),
+        (-(10**400), 20_000, "window"),
+        (4000.0, 10**400, "samples"),
+        (4000.0, MAX_SAMPLES + 1, "samples"),
+    ],
+    ids=["huge-int-window", "huge-negative-int-window", "huge-int-samples", "samples-above-max"],
+)
+def test_autocorrelation_refuses_an_out_of_range_integer_by_name(monkeypatch, window, samples, field):
+    # 10**400 is an int past the float range: isfinite (window) and the
+    # message's float formatting (samples) raised a bare OverflowError
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the time grid must not be allocated")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            autocorrelation_demo(S1, S2, ps, window, samples)
+
+
 @pytest.mark.skipif(
     not hasattr(np, "trapezoid"), reason="numpy < 2.0 has no trapezoid"
 )
