@@ -38,7 +38,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from . import elements
-from .tensor import N_SLOTS, SLOT_PATH_1, SLOT_PATH_2, Array, apply_slot, matmul2
+from .tensor import N_SLOTS, SLOT_PATH_1, SLOT_PATH_2, Array, apply_slot, matmul2, shown
 
 _SQRT2 = np.sqrt(2.0)
 _BEAM_SHAPE = (2, 2)  # one beam: path, pol
@@ -64,7 +64,9 @@ def _checked(name: str, value: object, complex_ok: bool = False) -> float | comp
     except ValueError:  # a ragged sequence
         ok = False
     if not ok:
-        raise ValueError(f"{name} must be a {noun} or a 1-d array of {noun}s, got {value!r}")
+        raise ValueError(
+            f"{name} must be a {noun} or a 1-d array of {noun}s, got {shown(value)}"
+        )
     if array.ndim == 0:
         return complex(array) if array.dtype.kind == "c" else float(array)
     array = array.astype(complex if complex_ok else float)
@@ -101,7 +103,7 @@ class SourceSpec:
         if not isfinite(omega):
             raise ValueError("source frequency must be finite")
         if not in_range:
-            raise ValueError(f"source amplitude {a!r} must have |A|^2 in [{lo:g}, {hi:g}]")
+            raise ValueError(f"source amplitude {shown(a)} must have |A|^2 in [{lo:g}, {hi:g}]")
         object.__setattr__(self, "amplitude", a)
         object.__setattr__(self, "omega", omega)
 

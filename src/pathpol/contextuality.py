@@ -30,6 +30,8 @@ from math import cos, pi
 
 import numpy as np
 
+from .tensor import shown
+
 # Unused here, and kept bound for the benchmark harness, which breaks on
 # every traced run without it: perfbench/tracer.py (Tracer.install) wraps
 # ``contextuality.minimize``, and perfbench/run.py (import_seconds) takes the
@@ -57,7 +59,7 @@ def case2_setting(anchor: float = 0.0) -> tuple[float, float, float, float]:
 def _sign(case: int) -> int:
     """The sign s of the secondary angle in pair(x, y) = cos(x + s*y)."""
     if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case}")
+        raise ValueError(f"case must be 1 or 2, got {shown(case)}")
     return 1 if case == 1 else -1
 
 
@@ -170,10 +172,10 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     """
     # a bool is an int to Python, but never a grid size
     if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
+        raise ValueError(f"resolution must be an integer, got {shown(resolution)}")
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(
-            f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}"
+            f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {shown(resolution)}"
         )
 
     grid_angles, grid_value = _grid_stage(case, resolution)

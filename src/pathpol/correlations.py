@@ -36,7 +36,7 @@ import numpy as np
 
 from . import observables
 from .bench import BenchRun, PhaseSetting, SourceSpec, batch_fields
-from .tensor import Array, float_or_array
+from .tensor import Array, float_or_array, shown
 
 # ratios are nan where |cos delta| is below this, at the closed form's zeros
 COSINE_GUARD = 1e-3
@@ -131,7 +131,7 @@ def g2_generalized(
     """
     for v, name in zip((k, l, m, n), "klmn"):
         if v not in (0, 1):
-            raise ValueError(f"{name} must be 0 or 1, got {v}")
+            raise ValueError(f"{name} must be 0 or 1, got {shown(v)}")
     batch_fields(s1, s2, ps)
     i1, i2, ssq = _intensities(s1, s2)
     signed = -1.0 if (k + l + m + n) % 2 else 1.0

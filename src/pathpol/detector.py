@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bench
 from .bench import PhaseSetting, SourceSpec
-from .tensor import DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, matmul2, norms_squared
+from .tensor import DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, matmul2, norms_squared, shown
 
 _SQRT2 = np.sqrt(2.0)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / _SQRT2  # complex, like the blocks
@@ -209,14 +209,12 @@ def autocorrelation_demo(
             raise ValueError(f"{name}.amplitude must be one amplitude, not a batch")
     # a bool is an int to Python, but never a window length
     if isinstance(window, bool) or not isinstance(window, (int, float, np.integer, np.floating)):
-        raise ValueError(f"window must be a real number, got {window!r}")
-    # isfinite overflows on an int past the float range; its digits stay unprinted
+        raise ValueError(f"window must be a real number, got {shown(window)}")
+    # isfinite overflows on an int past the float range
     if isinstance(window, int) and abs(window) > float_info.max:
-        raise ValueError(
-            f"window must be within the float range, got a {window.bit_length()}-bit integer"
-        )
+        raise ValueError(f"window must be within the float range, got {shown(window)}")
     if not isfinite(window):
-        raise ValueError(f"window must be finite, got {window!r}")
+        raise ValueError(f"window must be finite, got {shown(window)}")
     # (|A1| + |A2|)^4 bounds the squared intensity, so this bounds the
     # integral and every term it is compared with
     reach = abs(s1.amplitude) + abs(s2.amplitude)
@@ -235,11 +233,11 @@ def autocorrelation_demo(
         )
     # a bool is an int to Python, but never a sample count
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+        raise ValueError(f"samples must be an integer, got {shown(samples)}")
     if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {shown(samples)}")
     if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {shown(samples)}")
 
     # fastest surviving oscillation is twice the beat
     needed = SAMPLES_PER_PERIOD * window * (2.0 * beat) / (2.0 * pi)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import SLOT_PATH_1, SLOT_PATH_2, SLOT_POL_1, SLOT_POL_2, Array
+from .tensor import SLOT_PATH_1, SLOT_PATH_2, SLOT_POL_1, SLOT_POL_2, Array, shown
 
 # (source, dof) -> (slot, sign)
 PLATES = {
@@ -41,7 +41,7 @@ def phase_diagonal(x: float | Array, sign: int) -> Array:
     """(1, e^{i*sign*x}), the diagonal of a phase plate on the (a, b) or the
     (V, H) doublet; an array of phases gives shape ``x.shape + (2,)``."""
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise ValueError(f"sign must be +1 or -1, got {shown(sign)}")
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape + (2,), dtype=complex)
     out[..., 0] = 1.0

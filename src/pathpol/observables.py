@@ -29,7 +29,16 @@ import numpy as np
 
 from . import bench, elements
 from .bench import BenchRun, PhaseSetting
-from .tensor import SLOT_PATH_1, SLOT_PATH_2, STATE_SHAPE, Array, apply_factors, dagger, matmul2
+from .tensor import (
+    SLOT_PATH_1,
+    SLOT_PATH_2,
+    STATE_SHAPE,
+    Array,
+    apply_factors,
+    dagger,
+    matmul2,
+    shown,
+)
 
 BRANCHES = ("full", "plus", "minus")
 
@@ -56,11 +65,11 @@ def sigma(source: int, dof: str, phase: float | Array, branch: str = "full") -> 
     ``phase`` may be a 1-d array; the core is then a stack, one per entry.
     """
     if source not in (1, 2):
-        raise ValueError(f"source must be 1 or 2, got {source}")
+        raise ValueError(f"source must be 1 or 2, got {shown(source)}")
     if dof not in ("path", "pol"):
-        raise ValueError(f"dof must be 'path' or 'pol', got {dof!r}")
+        raise ValueError(f"dof must be 'path' or 'pol', got {shown(dof)}")
     if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+        raise ValueError(f"branch must be one of {BRANCHES}, got {shown(branch)}")
     slot, sense = elements.PLATES[(source, dof)]
     return _sigma_core(phase, sense, branch), slot
 

@@ -19,10 +19,13 @@ matrix is built anywhere: where a check needs an operator identity on the
 16-dim space, it applies both sides to random probe states. ``matmul2`` is
 the one 2x2 matrix product, the same multiply-add written out, so none goes
 through BLAS, whose rounding depends on the kernel it picks for the host.
+
+``shown`` renders the value every refusal in the package names.
 """
 
 from __future__ import annotations
 
+from sys import float_info
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +59,17 @@ PATH_LABELS = "ab"
 POL_LABELS = "VH"
 
 
+def shown(value: object) -> str:
+    """``value`` as a refusal names it: its repr, but an int past the float
+    range by its bit length, as str() refuses an int of more than 4300 digits."""
+    if isinstance(value, int) and abs(value) > float_info.max:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+    try:
+        return repr(value)
+    except ValueError:  # a container holding such an int
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def apply_slot(op: Array, state: Array, slot: int) -> Array:
     """Act with a 2x2 operator on one slot of a ``(..., 2, 2, 2, 2)`` state.
 
@@ -72,7 +86,7 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
     if state.shape[-N_SLOTS:] != STATE_SHAPE:
         raise ValueError(f"state must end in axes {STATE_SHAPE}, got shape {state.shape}")
     if not 0 <= slot < N_SLOTS:
-        raise ValueError(f"slot must be in 0..3, got {slot}")
+        raise ValueError(f"slot must be in 0..3, got {shown(slot)}")
     # each product already has the output's shape and slot order
     (col0, half0), (col1, half1) = _TERMS[slot]
     out = op[col0] * state[half0]
@@ -130,7 +144,7 @@ def basis_state(path1: int, pol1: int, path2: int, pol2: int) -> Array:
 def basis_label(index: int) -> str:
     """Human-readable label of a flat index: 0 -> 'aVaV', 15 -> 'bHbH'."""
     if not 0 <= index < DIM:
-        raise ValueError(f"index must be in 0..15, got {index}")
+        raise ValueError(f"index must be in 0..15, got {shown(index)}")
     bits = [(index >> k) & 1 for k in (3, 2, 1, 0)]
     return (
         PATH_LABELS[bits[0]]

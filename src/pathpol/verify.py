@@ -395,13 +395,12 @@ def _sampled_total(
     """One setting's windowed integral the direct way: the intensity
     I1 + I2 + 2|c| cos((omega1 - omega2) t + arg c) sampled on the time grid,
     squared, and integrated by numpy's trapezoid rule."""
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0
     u1, u2 = detector.detector_amplitudes(ps)
     e1, e2 = s1.amplitude * u1, s2.amplitude * u2
     c = e1 * np.conj(e2)
     times = np.linspace(0.0, window, samples)
     beat = 2.0 * abs(c) * np.cos((s1.omega - s2.omega) * times + np.angle(c))
-    return float(trapezoid((abs(e1) ** 2 + abs(e2) ** 2 + beat) ** 2, times))
+    return float(np.trapezoid((abs(e1) ** 2 + abs(e2) ** 2 + beat) ** 2, times))
 
 
 def _check_autocorrelation() -> VerifyCheck:

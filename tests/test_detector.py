@@ -368,9 +368,6 @@ def test_autocorrelation_refuses_an_out_of_range_integer_by_name(monkeypatch, wi
             autocorrelation_demo(S1, S2, ps, window, samples)
 
 
-@pytest.mark.skipif(
-    not hasattr(np, "trapezoid"), reason="numpy < 2.0 has no trapezoid"
-)
 def test_autocorrelation_never_names_trapz_when_trapezoid_exists(monkeypatch):
     # numpy 2.4 removed trapz: any lookup of it goes to the module __getattr__
     looked_up = []
@@ -415,25 +412,23 @@ complex_amplitudes = st.builds(lambda m, a: m * np.exp(1j * a), st.floats(0.2, 4
 def _trapezoid_reference(s1, s2, ps, window, samples):
     """One setting's total the direct way: the intensity sampled on a fresh
     grid, squared, and integrated by numpy's own trapezoid routine."""
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
     u1, u2 = detector_amplitudes(ps)
     a1, a2 = s1.amplitude * u1, s2.amplitude * u2
     c = a1 * np.conj(a2)
     times = np.linspace(0.0, window, samples)
     intensity = 2.0 * abs(c) * np.cos((s1.omega - s2.omega) * times + np.angle(c))
     intensity += abs(a1) ** 2 + abs(a2) ** 2
-    return float(trapezoid(intensity**2, times))
+    return float(np.trapezoid(intensity**2, times))
 
 
 def _field_reference(s1, s2, ps, window, samples):
     """The same integral from the two fields themselves: |E1 + E2|^4 sampled
     with each source at its own frequency."""
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
     u1, u2 = detector_amplitudes(ps)
     times = np.linspace(0.0, window, samples)
     field = s1.amplitude * u1 * np.exp(1j * s1.omega * times)
     field = field + s2.amplitude * u2 * np.exp(1j * s2.omega * times)
-    return float(trapezoid(np.abs(field) ** 4, times))
+    return float(np.trapezoid(np.abs(field) ** 4, times))
 
 
 @seed(20150)

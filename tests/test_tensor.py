@@ -10,6 +10,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from pathpol.bench import PhaseSetting, SourceSpec
+from pathpol.contextuality import pair, scan_max
+from pathpol.correlations import g2_generalized
+from pathpol.detector import autocorrelation_demo
+from pathpol.elements import phase_diagonal
+from pathpol.observables import sigma
+from pathpol.scenario import Scenario
 from pathpol.tensor import (
     DIM,
     apply_slot,
@@ -19,6 +26,7 @@ from pathpol.tensor import (
     dagger,
     matmul2,
     norms_squared,
+    shown,
 )
 
 I2 = np.eye(2)
@@ -269,3 +277,45 @@ def test_basis_index_label_roundtrip():
         basis_index(2, 0, 0, 0)
     with pytest.raises(ValueError):
         basis_label(16)
+
+
+def test_shown_names_an_int_past_the_float_range_by_its_bit_length():
+    assert shown(10**5000) == "a 16610-bit integer"
+    assert shown(-(10**5000)) == "a negative 16610-bit integer"
+    assert shown(2**1024) == "a 1025-bit integer"
+    # within the float range an int keeps its digits, and every value its repr
+    assert shown(2**1023) == repr(2**1023)
+    assert (shown(3), shown(0.5), shown("x"), shown(None)) == ("3", "0.5", "'x'", "None")
+    assert shown([10**5000]) == "a list holding an integer too long to print"
+
+
+_PS = PhaseSetting(0.1, 0.0, 0.0, 0.0)
+_SOURCES = Scenario().sources()
+_STATE = basis_state(0, 0, 0, 0).reshape(2, 2, 2, 2)
+_ENTRY_POINTS = {
+    "autocorrelation_demo-samples": (
+        "samples",
+        lambda h: autocorrelation_demo(*_SOURCES, _PS, 4000.0, h),
+    ),
+    "scan_max-resolution": ("resolution", lambda h: scan_max(1, h)),
+    "scan_max-case": ("case", lambda h: scan_max(h, 64)),
+    "pair-case": ("case", lambda h: pair(h, 0.1, 0.2)),
+    "g2_generalized-k": ("k", lambda h: g2_generalized(h, 0, 0, 0, _PS, *_SOURCES)),
+    "basis_label-index": ("index", basis_label),
+    "apply_slot-slot": ("slot", lambda h: apply_slot(I2, _STATE, h)),
+    "SourceSpec-amplitude": ("source amplitude", lambda h: SourceSpec(h, 1.0)),
+    "SourceSpec-omega": ("source frequency", lambda h: SourceSpec(1.0, h)),
+    "PhaseSetting-theta1": ("theta1", lambda h: PhaseSetting(h, 0.0, 0.0, 0.0)),
+    "phase_diagonal-sign": ("sign", lambda h: phase_diagonal(0.1, h)),
+    "sigma-source": ("source", lambda h: sigma(h, "pol", 0.1)),
+}
+
+
+@pytest.mark.parametrize("huge", [10**5000, -(10**5000)], ids=["positive", "negative"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_huge_int_by_name(entry, huge):
+    # str() of an int of more than 4300 digits raises its own ValueError,
+    # which names no field (test_detector.py covers the window)
+    field, call = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{field} must .*, got {shown(huge)}$"):
+        call(huge)

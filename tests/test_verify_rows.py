@@ -1,9 +1,12 @@
-"""``pathpol verify`` rows pinned across seeds, the faults its batched checks
-and its autocorrelation row must catch, and the work one run may do: no
-Kronecker builds, seven bench runs per verify, a fault patched in after a
-clean run caught as in a fresh one (nothing cached across calls), reducers
-that let a NaN reach the row, a property suite that leaves the random stream
-where its field draws leave it, and a bounded peak of memory in that suite.
+"""``pathpol verify`` rows pinned across seeds, the fault catalogue, and the
+work one run may do.
+
+The catalogue plants every fault the rows must catch, one entry each, and
+pins it to the exact rows it fails at seed 0, after a clean run in the same
+process, so a value cached across calls would show. The work: no Kronecker
+builds, seven bench runs per verify, reducers that let a NaN reach the row,
+a property suite that leaves the random stream where its field draws leave
+it, and a bounded peak of memory in that suite.
 
 The pinned strings are the rows as printed before the checks were batched:
 every row's name and status, and the logged constants to their printed
@@ -93,79 +96,86 @@ def failing_rows(out):
     return {name for name, row in parse_rows(out).items() if row[0] == "fail"}
 
 
-def test_verify_catches_source_2_phases_with_wrong_sign(capsys, monkeypatch):
-    # source 2's polarization and path phases enter as e^{+ix} instead of
-    # e^{-ix}, in the plates' diagonals and in the matrices made from them
-    original = elements.phase_diagonal
-    flipped = []
+# The fault catalogue. Each entry plants one fault: a builder of the
+# (original, replacement) pair that patch_everywhere swaps in wherever the
+# package binds the original, and the exact set of rows `pathpol verify`
+# then fails at seed 0. To add a fault, add an entry; its test id is its name.
 
-    def wrong_sign(x, sign):
-        flipped.append(sign)
-        return original(x, abs(sign))
-
-    monkeypatch.setattr(elements, "phase_diagonal", wrong_sign)
-    code, out = run(capsys)
-    assert -1 in flipped
-    assert code == 1
-    assert {"pipeline-golden-states", "detection-law-45deg"} <= failing_rows(out)
+GHZ, HBT, CHSH, DETECTION, GOLDEN, PROPERTY, SIGMA, SIGNED_SUM, TRANSFER_CHAIN, AUTOCORRELATION = (
+    name for name, _ in ROWS
+)
 
 
-@pytest.mark.parametrize("element", ["pol_phase", "path_phase"])
-def test_verify_catches_source_2_phase_with_wrong_sign(capsys, monkeypatch, element):
-    # one of source 2's plates, polarization (theta2) or path (phi2), enters as
-    # e^{+ix} instead of e^{-ix}: its diagonal is conjugated wherever it is made
-    dof = {"pol_phase": "pol", "path_phase": "path"}[element]
+def planted(original, args=None, result=None):
+    """``original`` and a replacement that calls it on ``args(*a)`` in place
+    of its arguments ``a`` and returns ``result`` of what it returns."""
+
+    def replacement(*a):
+        out = original(*(args(*a) if args else a))
+        return result(out) if result else out
+
+    return original, replacement
+
+
+def first_entry(x, core_ndim):
+    """``x`` with every entry of its batch axis read as the first."""
+    x = np.asarray(x)
+    return np.broadcast_to(x[:1], x.shape) if x.ndim > core_ndim else x
+
+
+def plate_fault(source, dof, change):
+    """``elements.plate`` with ``change`` applied to one plate's diagonal."""
+
     original = elements.plate
-    flipped = []
 
-    def wrong_sign(source, plate_dof, x):
-        diagonal, slot = original(source, plate_dof, x)
-        if (source, plate_dof) == (2, dof):
-            flipped.append(slot)
-            diagonal = diagonal.conj()
-        return diagonal, slot
+    def plate(s, d, x):
+        diagonal, slot = original(s, d, x)
+        return (change(diagonal) if (s, d) == (source, dof) else diagonal), slot
 
-    monkeypatch.setattr(elements, "plate", wrong_sign)
-    code, out = run(capsys)
-    assert flipped
-    assert code == 1
-    assert {"pipeline-golden-states", "detection-law-45deg"} <= failing_rows(out)
+    return original, plate
 
 
-def test_verify_catches_scaled_plus_branch_core(capsys, monkeypatch):
+def nan_off_diagonal(m):
+    m[0, 1] = nan
+    return m
+
+
+def scaled_plus_branch_core():
     original = observables._sigma_core
 
-    def scaled(phase, sense, branch):
-        core = original(phase, sense, branch)
-        return 1.01 * core if branch == "plus" else core
+    def core(phase, sense, branch):
+        out = original(phase, sense, branch)
+        return 1.01 * out if branch == "plus" else out
 
-    monkeypatch.setattr(observables, "_sigma_core", scaled)
-    code, out = run(capsys)
-    assert code == 1
-    assert "algebraic-property-suite" in failing_rows(out)
+    return original, core
 
 
-def test_verify_catches_lossy_rotator(capsys, monkeypatch):
-    # a rotator that loses 1 % of the amplitude breaks the batched norms and goldens
-    original = elements.pol_swap
-    monkeypatch.setattr(elements, "pol_swap", lambda: 0.99 * original())
-    code, out = run(capsys)
-    assert code == 1
-    assert {"algebraic-property-suite", "pipeline-golden-states"} <= failing_rows(out)
+def apply_slot_fault(fault):
+    """``tensor.apply_slot`` with one fault, wrapped around the original."""
+    original = tensor.apply_slot
+
+    def apply_slot(op, state, slot):
+        op = np.asarray(op, dtype=complex)
+        if fault == "leaks-a-neighbouring-flip":
+            out = original(op, state, slot)
+            # 1e-9 of the output flipped on the next slot
+            return out + 1e-9 * np.flip(out, axis=(slot + 1) % 4 - 4)
+        if fault == "stacked-core-rows-swapped" and op.ndim > 2:
+            op = op[..., ::-1, :]
+        if fault == "second-term-dropped-on-slot-2" and slot == 2:
+            op = op.copy()
+            op[..., :, 1] = 0.0
+        return original(op, state, slot)
+
+    return original, apply_slot
 
 
-def test_verify_catches_a_wrong_signed_sum_constant(capsys, monkeypatch):
-    # g2's parity taken from k alone keeps the ratio constant, at 0 instead of -8
-    original = correlations.g2_generalized
-    monkeypatch.setattr(
-        correlations, "g2_generalized", lambda k, l, m, n, *rest: original(k, 0, 0, 0, *rest)
-    )
-    code, out = run(capsys)
-    assert code == 1
-    assert "signed-sum-vs-closed-form" in failing_rows(out)
+def plates_skipped(run):
+    phased = np.broadcast_to(run.input, run.phased.shape).copy()
+    return dataclasses.replace(run, phased=phased, output=bench.bs_prime_stage(phased))
 
 
-def planted_trapezoid_integral(fault):
+def window_sum_fault(fault):
     """``detector._trapezoid_integral`` written out again with one fault."""
 
     def integral(s, c, omega, window, n):
@@ -188,20 +198,169 @@ def planted_trapezoid_integral(fault):
             series = series + weight * (geometric - 0.5 * ends)
         return h * series
 
-    return integral
+    return detector._trapezoid_integral, integral
 
 
-@pytest.mark.parametrize(
-    "fault",
-    ["dropped-end-halves", "flipped-2theta-sign", "n-1-in-geometric-sum", "last-sample-is-first"],
-)
-def test_verify_catches_a_wrong_closed_form_window_sum(capsys, monkeypatch, fault):
-    # each fault moves the total by under 1e-3 and keeps the residual ratios
-    # at 0.499: the sampled-total gap sees every one, the cos fit two of them
-    monkeypatch.setattr(detector, "_trapezoid_integral", planted_trapezoid_integral(fault))
+_BIASED = np.array([[np.cos(0.6), np.sin(0.6)], [np.sin(0.6), -np.cos(0.6)]], dtype=complex)
+# the rows that read the phased or output stage of a run against an oracle
+_STAGE_ROWS = {DETECTION, GOLDEN, TRANSFER_CHAIN}
+# and the property suite, which sees a state that drifts off its norm
+_DRIFT_ROWS = _STAGE_ROWS | {PROPERTY}
+
+CATALOGUE = {
+    # elements: source 2's phases (or one of its plates) advance as e^{+ix};
+    # a plate's diagonal swapped moves the relative phase by twice its angle
+    "source-2-phases-with-wrong-sign": (
+        lambda: planted(elements.phase_diagonal, args=lambda x, sign: (x, abs(sign))),
+        _STAGE_ROWS,
+    ),
+    "source-2-pol-plate-with-wrong-sign": (lambda: plate_fault(2, "pol", np.conj), _STAGE_ROWS),
+    "source-2-path-plate-with-wrong-sign": (lambda: plate_fault(2, "path", np.conj), _STAGE_ROWS),
+    "plate-diagonal-entries-swapped": (
+        lambda: plate_fault(1, "path", lambda diagonal: diagonal[..., ::-1]),
+        _STAGE_ROWS,
+    ),
+    "lossy-rotator": (
+        lambda: planted(elements.pol_swap, result=lambda m: 0.99 * m),
+        {PROPERTY, DETECTION, GOLDEN, SIGMA},
+    ),
+    # max(0.0, nan) is 0.0: each row must combine its deviations so a NaN reaches it
+    "nan-rotator-entry": (
+        lambda: planted(elements.pol_swap, result=nan_off_diagonal),
+        {PROPERTY, DETECTION, GOLDEN, SIGMA, TRANSFER_CHAIN, AUTOCORRELATION},
+    ),
+    "biased-splitter": (
+        lambda: (elements.beam_splitter, lambda: _BIASED.copy()),
+        {DETECTION, GOLDEN, SIGMA, TRANSFER_CHAIN},
+    ),
+    # tensor: a transposed second factor turns every front-end beam's
+    # (path, pol) axes and every checked 2x2 identity
+    "matmul2-second-factor-transposed": (
+        lambda: planted(
+            tensor.matmul2,
+            args=lambda a, b: (a, np.swapaxes(b, -1, -2) if b.shape[-2:] == (2, 2) else b),
+        ),
+        {PROPERTY, DETECTION, GOLDEN, SIGMA},
+    ),
+    "apply-slot-leaks-a-neighbouring-flip": (
+        lambda: apply_slot_fault("leaks-a-neighbouring-flip"),
+        _DRIFT_ROWS,
+    ),
+    "apply-slot-stacked-core-rows-swapped": (
+        lambda: apply_slot_fault("stacked-core-rows-swapped"),
+        {PROPERTY},
+    ),
+    "apply-slot-second-term-dropped-on-slot-2": (
+        lambda: apply_slot_fault("second-term-dropped-on-slot-2"),
+        _DRIFT_ROWS | {SIGMA},
+    ),
+    # bench: a stage replaced, or a batch of sources read as its first entry
+    # (the goldens and the property suite run a batch through every stage)
+    "output-taken-before-bs-prime": (
+        lambda: planted(bench.run, result=lambda run: dataclasses.replace(run, output=run.phased)),
+        _STAGE_ROWS,
+    ),
+    "phased-with-plates-skipped": (
+        lambda: planted(bench.run, result=plates_skipped),
+        _STAGE_ROWS,
+    ),
+    "front-end-reads-first-source-1-amplitude": (
+        lambda: planted(bench._front_end, args=lambda a1, a2: (first_entry(a1, 0), a2)),
+        {PROPERTY, GOLDEN, SIGMA},
+    ),
+    # observables: the sigma route's six source pairs are the one batch of
+    # states an observable reads
+    "product-expectation-reads-first-state": (
+        lambda: planted(
+            observables.product_expectation,
+            args=lambda state, factors: (first_entry(state, 4), factors),
+        ),
+        {SIGMA},
+    ),
+    "scaled-plus-branch-core": (scaled_plus_branch_core, {PROPERTY, TRANSFER_CHAIN}),
+    # correlations: g2's parity taken from k alone keeps the signed-sum ratio
+    # constant, at 0 instead of -8
+    "g2-parity-from-k-alone": (
+        lambda: planted(
+            correlations.g2_generalized, args=lambda k, l, m, n, *rest: (k, 0, 0, 0, *rest)
+        ),
+        {SIGNED_SUM},
+    ),
+    # the closed form reads delta with phi2's sign flipped
+    "closed-form-phi2-with-wrong-sign": (
+        lambda: planted(
+            correlations.correlation_closed_form,
+            args=lambda ps, *sources: (dataclasses.replace(ps, phi2=-ps.phi2), *sources),
+        ),
+        {GHZ, SIGMA, SIGNED_SUM},
+    ),
+    # g2 reads source 1's polarization phase as source 2's, and back
+    "g2-swaps-the-polarization-phases": (
+        lambda: planted(
+            correlations.g2_generalized,
+            args=lambda k, l, m, n, ps, *sources: (
+                k, l, m, n, dataclasses.replace(ps, theta1=ps.theta2, theta2=ps.theta1), *sources
+            ),
+        ),
+        {HBT, SIGNED_SUM},
+    ),
+    # contextuality: case 2's pair correlation taken with case 1's sign
+    "pair-reads-case-2-as-case-1": (
+        lambda: planted(contextuality.pair, args=lambda case, x, y: (1, x, y)),
+        {CHSH},
+    ),
+    # detector: a NaN amplitude makes every integral NaN, and nothing raises;
+    # each window-sum fault moves the total by under 1e-3 and keeps the
+    # residual ratios at 0.499: the sampled-total gap sees every one, the cos
+    # fit two of them
+    "nan-detector-amplitude": (
+        lambda: (detector.detector_amplitudes, lambda ps: (complex("nan"), 0.5)),
+        {AUTOCORRELATION},
+    ),
+    **{
+        f"window-sum-{fault}": (lambda fault=fault: window_sum_fault(fault), {AUTOCORRELATION})
+        for fault in (
+            "dropped-end-halves",
+            "flipped-2theta-sign",
+            "n-1-in-geometric-sum",
+            "last-sample-is-first",
+        )
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def after_a_clean_run():
+    """One clean verify in this process before any fault is planted: an
+    element, front end or row cached across calls would hide every later
+    fault. Returns a setting and its detector amplitudes, read before it."""
+    ps = bench.PhaseSetting(0.7, 0.2, 0.4, -0.3)
+    amplitudes = detector.detector_amplitudes(ps)
+    assert run_verify(0).ok
+    return ps, amplitudes
+
+
+@pytest.mark.parametrize("name", list(CATALOGUE))
+def test_fault_fails_exactly_its_rows(capsys, after_a_clean_run, patch_everywhere, name):
+    build, rows = CATALOGUE[name]
+    patch_everywhere(*build())
     code, out = run(capsys)
     assert code == 1
-    assert failing_rows(out) == {"autocorrelation-averaging"}
+    assert list(parse_rows(out)) == [row for row, _ in ROWS]
+    assert failing_rows(out) == rows
+
+
+def test_the_catalogue_fails_every_row():
+    assert set().union(*(rows for _, rows in CATALOGUE.values())) == set(dict(ROWS))
+
+
+@pytest.mark.parametrize("name", ["lossy-rotator", "biased-splitter"])
+def test_detector_amplitudes_move_under_an_element_fault(after_a_clean_run, patch_everywhere, name):
+    # the autocorrelation row's oracle reads the same detector amplitudes as
+    # the row, so no row sees a front end cached by the clean run: they must move
+    ps, clean = after_a_clean_run
+    patch_everywhere(*CATALOGUE[name][0]())
+    assert not np.allclose(detector.detector_amplitudes(ps), clean)
 
 
 def test_verify_call_budget(count_calls):
@@ -224,50 +383,6 @@ def test_verify_call_budget(count_calls):
     assert run_verify(0).ok
     assert len(calls) == 7
     assert (len(demos), len(outputs), len(g2), len(scans)) == (5, 6, 19, 2)
-
-
-def lossy_rotator():
-    original = elements.pol_swap
-    return original, lambda: 0.99 * original()
-
-
-def biased_splitter():
-    cos, sin = np.cos(0.6), np.sin(0.6)
-    return elements.beam_splitter, lambda: np.array([[cos, sin], [sin, -cos]], dtype=complex)
-
-
-# the rows each element fault fails at seed 0, whether the process has run
-# verify before or not: the lossy rotator of test_verify_catches_lossy_rotator
-# and the biased splitter of test_cli.py's test_verify_catches_tampered_splitter
-LATE_FAULTS = {
-    lossy_rotator: {
-        "algebraic-property-suite",
-        "detection-law-45deg",
-        "pipeline-golden-states",
-        "sigma-route-vs-closed-form",
-    },
-    biased_splitter: {
-        "detection-law-45deg",
-        "pipeline-golden-states",
-        "sigma-route-vs-closed-form",
-        "transfer-bracket-chain",
-    },
-}
-
-
-@pytest.mark.parametrize("fault", list(LATE_FAULTS), ids=lambda fault: fault.__name__)
-def test_a_fault_patched_in_after_a_clean_run_is_caught(patch_everywhere, fault):
-    # an element, front end or row cached by the clean run would hide the
-    # fault from the next: every call must build what it reads again
-    ps = bench.PhaseSetting(0.7, 0.2, 0.4, -0.3)
-    clean = detector.detector_amplitudes(ps)
-    assert run_verify(0).ok
-    patch_everywhere(*fault())
-    report = run_verify(0)
-    assert {c.name for c in report.checks if c.status == "fail"} == LATE_FAULTS[fault]
-    # the autocorrelation row's oracle reads the same detector amplitudes, so
-    # no row sees a stale source_outputs front end; the amplitudes must move
-    assert not np.allclose(detector.detector_amplitudes(ps), clean)
 
 
 def test_verify_reducers_let_a_nan_through_wherever_it_sits():
@@ -299,171 +414,6 @@ def test_verify_reducers_let_a_nan_through_wherever_it_sits():
             ):
                 assert type(got) is float
                 assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
-
-
-def planted_apply_slot(fault):
-    """``tensor.apply_slot`` with one fault, wrapped around the original."""
-    original = tensor.apply_slot
-
-    def apply_slot(op, state, slot):
-        op = np.asarray(op, dtype=complex)
-        if fault == "leaks-a-neighbouring-flip":
-            out = original(op, state, slot)
-            # 1e-9 of the output flipped on the next slot
-            return out + 1e-9 * np.flip(out, axis=(slot + 1) % 4 - 4)
-        if fault == "stacked-core-rows-swapped" and op.ndim > 2:
-            op = op[..., ::-1, :]
-        if fault == "second-term-dropped-on-slot-2" and slot == 2:
-            op = op.copy()
-            op[..., :, 1] = 0.0
-        return original(op, state, slot)
-
-    return apply_slot
-
-
-# the rows each fault fails at seed 0, the same on the 16x16 matrix route
-# the probe-state suite replaced
-_DRIFT_ROWS = {
-    "algebraic-property-suite",
-    "detection-law-45deg",
-    "pipeline-golden-states",
-    "transfer-bracket-chain",
-}
-APPLY_SLOT_FAULTS = {
-    "leaks-a-neighbouring-flip": _DRIFT_ROWS,
-    "stacked-core-rows-swapped": {"algebraic-property-suite"},
-    "second-term-dropped-on-slot-2": _DRIFT_ROWS | {"sigma-route-vs-closed-form"},
-}
-
-
-@pytest.mark.parametrize("fault", sorted(APPLY_SLOT_FAULTS))
-def test_verify_catches_a_faulty_apply_slot(capsys, patch_everywhere, fault):
-    # bench binds apply_slot by name; patch every binding of the original
-    patch_everywhere(tensor.apply_slot, planted_apply_slot(fault))
-    code, out = run(capsys)
-    assert code == 1
-    assert failing_rows(out) == APPLY_SLOT_FAULTS[fault]
-
-
-def planted_run(fault):
-    """``bench.run`` with one stage replaced, wrapped around the original."""
-    original = bench.run
-
-    def run(s1, s2, ps):
-        bench_run = original(s1, s2, ps)
-        if fault == "output-taken-before-bs-prime":
-            return dataclasses.replace(bench_run, output=bench_run.phased)
-        phased = np.broadcast_to(bench_run.input, bench_run.phased.shape).copy()
-        return dataclasses.replace(bench_run, phased=phased, output=bench.bs_prime_stage(phased))
-
-    return run
-
-
-# the rows each stage fault fails at seed 0: the ones that read the phased or
-# output stage of a run against an oracle; the sigma route reads the input
-# and the property suite only norms, which both faults keep
-_STAGE_ROWS = {"detection-law-45deg", "pipeline-golden-states", "transfer-bracket-chain"}
-STAGE_FAULTS = {
-    "output-taken-before-bs-prime": _STAGE_ROWS,
-    "phased-with-plates-skipped": _STAGE_ROWS,
-}
-
-
-@pytest.mark.parametrize("fault", sorted(STAGE_FAULTS))
-def test_verify_catches_a_wrong_bench_stage(capsys, patch_everywhere, fault):
-    patch_everywhere(bench.run, planted_run(fault))
-    code, out = run(capsys)
-    assert code == 1
-    assert failing_rows(out) == STAGE_FAULTS[fault]
-
-
-def planted_element(fault):
-    """The original and a faulty replacement of ``tensor.matmul2`` or
-    ``elements.plate``, the replacement wrapped around the original."""
-    if fault == "matmul2-second-factor-transposed":
-        original = tensor.matmul2
-
-        def matmul2(a, b):
-            b = np.asarray(b)
-            if b.shape[-2:] == (2, 2):
-                b = np.swapaxes(b, -1, -2)
-            return original(a, b)
-
-        return original, matmul2
-    original = elements.plate
-
-    def plate(source, dof, x):
-        diagonal, slot = original(source, dof, x)
-        if fault == "plate-diagonal-entries-swapped" and (source, dof) == (1, "path"):
-            diagonal = diagonal[..., ::-1]
-        return diagonal, slot
-
-    return original, plate
-
-
-# the rows each fault fails at seed 0. A transposed second factor turns
-# every front-end beam's (path, pol) axes and every checked 2x2 identity; a
-# plate's swapped diagonal moves the relative phase by twice its angle
-ELEMENT_FAULTS = {
-    "matmul2-second-factor-transposed": {
-        "algebraic-property-suite",
-        "detection-law-45deg",
-        "pipeline-golden-states",
-        "sigma-route-vs-closed-form",
-    },
-    "plate-diagonal-entries-swapped": _STAGE_ROWS,
-}
-
-
-@pytest.mark.parametrize("fault", sorted(ELEMENT_FAULTS))
-def test_verify_catches_a_faulty_product_or_plate(capsys, patch_everywhere, fault):
-    patch_everywhere(*planted_element(fault))
-    code, out = run(capsys)
-    assert code == 1
-    assert failing_rows(out) == ELEMENT_FAULTS[fault]
-
-
-def planted_batch_fault(fault):
-    """The original and a faulty replacement of a function on the batched
-    path, the replacement reading only the first entry of a batch."""
-    if fault == "product-expectation-reads-first-state":
-        original = observables.product_expectation
-
-        def product_expectation(state, factors):
-            state = np.asarray(state, dtype=complex)
-            if state.ndim > 4:
-                state = np.broadcast_to(state[:1], state.shape)
-            return original(state, factors)
-
-        return original, product_expectation
-    original = bench._front_end
-
-    def front_end(a1, a2):
-        a1 = np.asarray(a1)
-        return original(np.broadcast_to(a1[:1], a1.shape) if a1.ndim else a1, a2)
-
-    return original, front_end
-
-
-# the rows each fault fails at seed 0: the sigma route's six source pairs
-# are the one batch of states an observable reads, and the goldens and the
-# property suite run a batch of sources through every stage
-BATCH_FAULTS = {
-    "product-expectation-reads-first-state": {"sigma-route-vs-closed-form"},
-    "front-end-reads-first-source-1-amplitude": {
-        "algebraic-property-suite",
-        "pipeline-golden-states",
-        "sigma-route-vs-closed-form",
-    },
-}
-
-
-@pytest.mark.parametrize("fault", sorted(BATCH_FAULTS))
-def test_verify_catches_a_batch_read_as_its_first_entry(capsys, patch_everywhere, fault):
-    patch_everywhere(*planted_batch_fault(fault))
-    code, out = run(capsys)
-    assert code == 1
-    assert failing_rows(out) == BATCH_FAULTS[fault]
 
 
 @pytest.mark.parametrize("seed", [0, 12345])
