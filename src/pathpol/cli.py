@@ -1,5 +1,11 @@
 """Command-line harness: correlate, sweep, chsh, verify, report.
 
+Each command's options are declared once, in ``_COMMANDS``. An argv of the
+form ``<command> (<flag> <value>)*``, with every flag spelled out and no
+value starting with ``-``, is read straight off that table; argparse, built
+from the same table by ``build_parser``, reads every other argv and prints
+all help, usage and error text. Both give the same ``argparse.Namespace``.
+
 Exit codes: 0 success, 1 verify found failing checks, 2 usage or
 configuration error, 141 stdout closed before the output was complete. All
 angles are radians; CSV output carries full double precision (17
@@ -13,7 +19,7 @@ import functools
 import os
 import sys
 from math import inf
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +41,8 @@ def _fmt(x: float) -> str:
 
 
 def _bounded_int(lo: int, hi: float = inf):
-    """argparse type: an int in [lo, hi]."""
+    """Option converter: an int in [lo, hi]; a refusal is an
+    ``argparse.ArgumentTypeError``, worded as argparse words its own."""
 
     def parse(text: str) -> int:
         try:
@@ -172,53 +179,115 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="scenario file (key = value lines)")
-    sub.add_argument(
+class _Option(NamedTuple):
+    """One option of a command: ``flag VALUE`` stores ``convert(VALUE)`` in
+    ``dest``, or appends it to a copy of ``default`` when ``append``.
+    ``help`` and ``metavar`` are for argparse's help text."""
+
+    flag: str
+    dest: str
+    convert: Callable[[str], object]
+    default: object
+    help: str
+    append: bool = False
+    metavar: str | None = None
+
+
+_SCENARIO_OPTIONS = (
+    _Option("--config", "config", str, None, "scenario file (key = value lines)"),
+    _Option(
         "--set",
-        action="append",
-        default=[],
+        "set",
+        str,
+        [],
+        "override one scenario key (repeatable)",
+        append=True,
         metavar="KEY=VALUE",
-        help="override one scenario key (repeatable)",
-    )
+    ),
+)
+
+# command -> (help, options), in the order the help text lists them
+_COMMANDS = {
+    "correlate": ("both correlation routes at one setting", _SCENARIO_OPTIONS),
+    "sweep": ("CSV sweep of one phase variable", _SCENARIO_OPTIONS),
+    "chsh": (
+        "four-term functionals and their scan maxima",
+        (
+            _Option(
+                "--resolution",
+                "resolution",
+                _bounded_int(contextuality.MIN_RESOLUTION, contextuality.MAX_RESOLUTION),
+                64,
+                "scan grid points per angle "
+                f"({contextuality.MIN_RESOLUTION}..{contextuality.MAX_RESOLUTION})",
+            ),
+        ),
+    ),
+    "verify": (
+        "run every acceptance check",
+        (_Option("--seed", "seed", _bounded_int(0), 0, "seed for randomized checks (>= 0)"),),
+    ),
+    "report": ("correlate + transfer check + signed sum", _SCENARIO_OPTIONS),
+}
+# command -> {flag: option}, as _read_args looks flags up
+_FLAGS = {command: {o.flag: o for o in options} for command, (_, options) in _COMMANDS.items()}
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="pathpol",
         description="Two-source path/polarization interference bench simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("correlate", help="both correlation routes at one setting")
-    _add_scenario_args(p)
-
-    p = sub.add_parser("sweep", help="CSV sweep of one phase variable")
-    _add_scenario_args(p)
-
-    p = sub.add_parser("chsh", help="four-term functionals and their scan maxima")
-    p.add_argument(
-        "--resolution",
-        type=_bounded_int(contextuality.MIN_RESOLUTION, contextuality.MAX_RESOLUTION),
-        default=64,
-        help="scan grid points per angle "
-        f"({contextuality.MIN_RESOLUTION}..{contextuality.MAX_RESOLUTION})",
-    )
-
-    p = sub.add_parser("verify", help="run every acceptance check")
-    p.add_argument(
-        "--seed", type=_bounded_int(0), default=0, help="seed for randomized checks (>= 0)"
-    )
-
-    p = sub.add_parser("report", help="correlate + transfer check + signed sum")
-    _add_scenario_args(p)
-
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for o in options:
+            p.add_argument(
+                o.flag,
+                action="append" if o.append else "store",
+                dest=o.dest,
+                type=o.convert,
+                default=o.default,
+                metavar=o.metavar,
+                help=o.help,
+            )
     return parser
 
 
+def _read_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """``argv`` read off ``_COMMANDS``, or None unless it is a command and
+    then flag-value pairs, each flag exact, each value not starting with
+    ``-`` and accepted by its converter.
+
+    None sends ``-h``, ``--flag=value``, an abbreviated or unknown flag, a
+    missing value and a refused value to argparse, which words every help
+    and error. A namespace returned equals ``build_parser().parse_args(argv)``.
+    """
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None or len(argv) % 2 == 0:
+        return None
+    # a copy of each list default, which the appends below extend
+    values = {o.dest: list(o.default) if o.append else o.default for o in flags.values()}
+    for i in range(1, len(argv), 2):
+        option, text = flags.get(argv[i]), argv[i + 1]
+        if option is None or text.startswith("-"):
+            return None
+        try:
+            value = option.convert(text)
+        except argparse.ArgumentTypeError:
+            return None
+        if option.append:
+            values[option.dest].append(value)
+        else:
+            values[option.dest] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_args(argv) or build_parser().parse_args(argv)
     try:
         # looked up at call time, so a wrapped or patched command is the one run
         code = globals()[f"cmd_{args.command}"](args)

@@ -57,5 +57,10 @@ def phase(x: float | Array, sign: int) -> Array:
 def plate(source: int, dof: str, x: float | Array) -> tuple[Array, int]:
     """The phase plate of source (1|2) on dof ('path'|'pol') at ``x``, as
     ``(diagonal, slot)``, with the sign and slot ``PLATES`` gives it."""
-    slot, sign = PLATES[(source, dof)]
+    try:
+        slot, sign = PLATES[(source, dof)]
+    except KeyError:  # named only here, so a good plate costs one lookup
+        if source not in (1, 2):
+            raise ValueError(f"source must be 1 or 2, got {shown(source)}") from None
+        raise ValueError(f"dof must be 'path' or 'pol', got {shown(dof)}") from None
     return phase_diagonal(x, sign), slot

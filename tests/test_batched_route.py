@@ -237,10 +237,13 @@ def test_a_batch_of_sources_equals_its_single_runs_bit_for_bit(drawn):
             assert closed[k] == correlations.correlation_closed_form(setting_of(k), one_s1, one_s2)
 
 
-def test_a_batch_closed_form_rounds_as_its_single_entries():
-    # numpy's square and pow round apart on ~1e-3 of doubles; the pairs kept
-    # are ones where they do for |A1| or for I1 + I2, so a batch that squares
-    # where a single source takes pow cannot pass
+def assert_a_batch_rounds_as_its_single_entries():
+    """Batch intensities, closed forms and g2 equal their single entries'.
+
+    numpy's square and pow round apart on ~1e-3 of doubles; the pairs kept
+    are ones where they do for |A1| or for I1 + I2, so a batch that squares
+    where a single source takes pow cannot pass.
+    """
     rng = np.random.default_rng(20152)
     mags, args = rng.uniform(0.2, 4.0, (2, 2, 40_000)), rng.uniform(-np.pi, np.pi, (2, 2, 40_000))
     a1, a2 = mags * np.exp(1j * args)
@@ -262,6 +265,37 @@ def test_a_batch_closed_form_rounds_as_its_single_entries():
         assert one[1].intensity == batch[1].intensity[k]
         assert closed[k] == correlations.correlation_closed_form(ps, *one)
         assert g2[k] == correlations.g2_generalized(1, 0, 0, 0, ps, *one)
+
+
+def test_a_batch_closed_form_rounds_as_its_single_entries():
+    assert_a_batch_rounds_as_its_single_entries()
+
+
+def _squared_intensity(spec):
+    a = spec.amplitude
+    return np.square(np.hypot(a.real, a.imag)) if isinstance(a, np.ndarray) else abs(a) ** 2
+
+
+def _squared_total(s1, s2):
+    i1, i2 = s1.intensity, s2.intensity
+    total = i1 + i2
+    return i1, i2, np.square(total) if isinstance(total, np.ndarray) else total**2
+
+
+@pytest.mark.parametrize(
+    "owner, name, fault",
+    [
+        (SourceSpec, "intensity", property(_squared_intensity)),
+        (correlations, "_intensities", _squared_total),
+    ],
+    ids=["batch-intensity-by-square", "batch-total-by-square"],
+)
+def test_a_batch_that_squares_fails_the_rounding_check(monkeypatch, owner, name, fault):
+    # under either fault every verify row and every digest is unchanged: this
+    # check is the only one that fails
+    monkeypatch.setattr(owner, name, fault)
+    with pytest.raises(AssertionError):
+        assert_a_batch_rounds_as_its_single_entries()
 
 
 def test_a_batch_is_refused_by_name_where_one_run_is_meant():

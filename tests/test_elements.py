@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -108,3 +110,19 @@ def test_plates_and_observables_share_one_table(x):
         assert np.array_equal(diagonal, np.diagonal(phase(x, sign), 0, -2, -1))
         assert np.all(diagonal[..., 0] == 1.0)
     assert len({slot for slot, _ in PLATES.values()}) == 4
+
+
+@pytest.mark.parametrize(
+    "source, dof, message",
+    [
+        (3, "pol", "source must be 1 or 2, got 3"),
+        (1, "spin", "dof must be 'path' or 'pol', got 'spin'"),
+        (0, "spin", "source must be 1 or 2, got 0"),
+    ],
+    ids=["source", "dof", "both"],
+)
+def test_plate_refuses_a_bad_source_or_dof_as_sigma_does(source, dof, message):
+    # a plate outside the table was a bare KeyError
+    for factory in (plate, sigma):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            factory(source, dof, 0.1)

@@ -14,7 +14,7 @@ from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.contextuality import pair, scan_max
 from pathpol.correlations import g2_generalized
 from pathpol.detector import autocorrelation_demo
-from pathpol.elements import phase_diagonal
+from pathpol.elements import phase_diagonal, plate
 from pathpol.observables import sigma
 from pathpol.scenario import Scenario
 from pathpol.tensor import (
@@ -308,6 +308,8 @@ _ENTRY_POINTS = {
     "PhaseSetting-theta1": ("theta1", lambda h: PhaseSetting(h, 0.0, 0.0, 0.0)),
     "phase_diagonal-sign": ("sign", lambda h: phase_diagonal(0.1, h)),
     "sigma-source": ("source", lambda h: sigma(h, "pol", 0.1)),
+    "plate-source": ("source", lambda h: plate(h, "pol", 0.1)),
+    "plate-dof": ("dof", lambda h: plate(1, h, 0.1)),
 }
 
 
