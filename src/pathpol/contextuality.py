@@ -30,7 +30,7 @@ from math import cos, pi
 
 import numpy as np
 
-from .tensor import shown
+from .tensor import is_bool, shown
 
 # Unused here, and kept bound for the benchmark harness, which breaks on
 # every traced run without it: perfbench/tracer.py (Tracer.install) wraps
@@ -58,7 +58,7 @@ def case2_setting(anchor: float = 0.0) -> tuple[float, float, float, float]:
 
 def _sign(case: int) -> int:
     """The sign s of the secondary angle in pair(x, y) = cos(x + s*y)."""
-    if case not in (1, 2):
+    if is_bool(case) or case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {shown(case)}")
     return 1 if case == 1 else -1
 
@@ -87,8 +87,8 @@ class ScanResult:
     value: float
 
 
-def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, float], float]:
-    """Best grid angles (t, t', p, p') and grid value of S, in O(R).
+def _grid_stage(case: int, resolution: int) -> tuple[float, float]:
+    """Secondary angle p' of the best grid point, with p = 0, and its S, in O(R).
 
     The functional splits into a part depending on the unprimed primary
     angle and a part depending on the primed one, so for each pair of
@@ -106,8 +106,8 @@ def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, 
                       = -2s sin(pi*d/R) sin(2*pi*(a + s*d/2)/R).
 
     As i runs over the grid so does a, so the extremum over the primary
-    angle depends on d alone, and the first best secondary pair is
-    (j, k) = (0, d). This picks the same grid point as the dense R^3 search.
+    angles depends on d alone, and the first best secondary pair is
+    (j, k) = (0, d): the grid's first point and column d.
 
     |S| on column d is at most 2(|cos(pi*d/R)| + |sin(pi*d/R)|), which peaks
     at d = R/4 and 3R/4, and the column nearest R/4 comes within a factor
@@ -117,8 +117,8 @@ def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, 
     wrapped ``take`` gathers them with no modulo arithmetic, h_f and h_g
     share one ``(2, columns, R)`` array (h_g as ``shifted - c``, the bits of
     ``-c + shifted``), and one ``max`` and one ``min`` run along its last,
-    contiguous axis. That is about twice as fast at R = 192 as (a, column)
-    tables and four strided reductions. Columns ascend: ties go to least d.
+    contiguous axis. Columns ascend: ties go to least d, and to the maximum
+    of S over its minimum.
     """
     step = np.arange(resolution)
     grid = 2.0 * pi * step / resolution
@@ -131,18 +131,13 @@ def _grid_stage(case: int, resolution: int) -> tuple[tuple[float, float, float, 
     np.add(cos_grid, shifted, out=h[0])  # h_f: + pair(t,p) + pair(t,p')
     np.subtract(shifted, cos_grid, out=h[1])  # h_g: - pair(t',p) + pair(t',p')
 
-    best_abs = -1.0
-    best_angles = (0.0, 0.0, 0.0, 0.0)
-    best_value = 0.0
-    for parts, picker in ((h.max(axis=2), np.ndarray.argmax), (h.min(axis=2), np.ndarray.argmin)):
+    best_value = 0.0  # |S| on the grid exceeds 2 at every resolution
+    for parts in (h.max(axis=2), h.min(axis=2)):
         total = parts[0] + parts[1]
         column = int(np.abs(total).argmax())
-        value = float(total[column])
-        if abs(value) > best_abs:
-            i_t, i_tp = picker(h[0, column]), picker(h[1, column])
-            best_abs, best_value = abs(value), value
-            best_angles = tuple(float(grid[i]) for i in (i_t, i_tp, 0, columns[column]))
-    return best_angles, best_value
+        if abs(total[column]) > abs(best_value):
+            best_column, best_value = column, float(total[column])
+    return float(grid[columns[best_column]]), best_value
 
 
 def _best_primaries(case: int, p: float, p_prime: float) -> tuple[float, float]:
@@ -164,28 +159,24 @@ def scan_max(case: int, resolution: int) -> ScanResult:
 
     The grid stage (``_grid_stage``) finds the best point of an R-point grid
     per angle in O(R) time and memory, scanning only the secondary-angle
-    differences near pi/2 and 3*pi/2 that can hold it. The polish keeps its
-    p, moves p' to the nearest point with p' - p = pi/2 (mod pi), where
-    2(|cos(delta/2)| + |sin(delta/2)|) peaks at 2*sqrt(2), and sets the
+    differences near pi/2 and 3*pi/2 that can hold it, with p = 0. The
+    polish keeps p, moves p' to the nearest point with p' - p = pi/2 (mod pi),
+    where 2(|cos(delta/2)| + |sin(delta/2)|) peaks at 2*sqrt(2), and sets the
     primaries to their exact optimum there, shifted by pi when the grid
-    picked the negative orientation of S.
+    picked the negative orientation of S. The polish alone is returned: a
+    grid point can read an ulp above 2*sqrt(2); the polish, at no R in range.
     """
-    # a bool is an int to Python, but never a grid size
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+    if is_bool(resolution) or not isinstance(resolution, (int, np.integer)):
         raise ValueError(f"resolution must be an integer, got {shown(resolution)}")
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(
             f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {shown(resolution)}"
         )
 
-    grid_angles, grid_value = _grid_stage(case, resolution)
-    _, _, p, p_grid = grid_angles
-    p_prime = p + pi / 2.0 + pi * round((p_grid - p - pi / 2.0) / pi)
-    t, t_prime = _best_primaries(case, p, p_prime)
+    p_grid, grid_value = _grid_stage(case, resolution)
+    p_prime = pi / 2.0 + pi * round((p_grid - pi / 2.0) / pi)
+    t, t_prime = _best_primaries(case, 0.0, p_prime)
     if grid_value < 0.0:
         t, t_prime = t + pi, t_prime + pi
-    angles = (t, t_prime, p, p_prime)
-    value = functional(case, *angles)
-    if abs(value) < abs(grid_value):  # the polish must never lose ground
-        angles, value = grid_angles, grid_value
-    return ScanResult(abs(value), angles, value)
+    value = functional(case, t, t_prime, 0.0, p_prime)
+    return ScanResult(abs(value), (t, t_prime, 0.0, p_prime), value)

@@ -39,7 +39,9 @@ import numpy as np
 
 from . import bench
 from .bench import PhaseSetting, SourceSpec
-from .tensor import DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, matmul2, norms_squared, shown
+from .tensor import (
+    DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, is_bool, matmul2, norms_squared, shown
+)
 
 _SQRT2 = np.sqrt(2.0)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / _SQRT2  # complex, like the blocks
@@ -207,8 +209,7 @@ def autocorrelation_demo(
     for name, source in (("s1", s1), ("s2", s2)):
         if isinstance(source.amplitude, np.ndarray):
             raise ValueError(f"{name}.amplitude must be one amplitude, not a batch")
-    # a bool is an int to Python, but never a window length
-    if isinstance(window, bool) or not isinstance(window, (int, float, np.integer, np.floating)):
+    if is_bool(window) or not isinstance(window, (int, float, np.integer, np.floating)):
         raise ValueError(f"window must be a real number, got {shown(window)}")
     # isfinite overflows on an int past the float range
     if isinstance(window, int) and abs(window) > float_info.max:
@@ -231,8 +232,7 @@ def autocorrelation_demo(
             f"window * |omega1 - omega2| must be >= {MIN_BEATS:g}, "
             f"got {window * beat:g}"
         )
-    # a bool is an int to Python, but never a sample count
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+    if is_bool(samples) or not isinstance(samples, (int, np.integer)):
         raise ValueError(f"samples must be an integer, got {shown(samples)}")
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {shown(samples)}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import SLOT_PATH_1, SLOT_PATH_2, SLOT_POL_1, SLOT_POL_2, Array, shown
+from .tensor import SLOT_PATH_1, SLOT_PATH_2, SLOT_POL_1, SLOT_POL_2, Array, is_bool, shown
 
 # (source, dof) -> (slot, sign)
 PLATES = {
@@ -40,7 +40,7 @@ def pol_swap() -> Array:
 def phase_diagonal(x: float | Array, sign: int) -> Array:
     """(1, e^{i*sign*x}), the diagonal of a phase plate on the (a, b) or the
     (V, H) doublet; an array of phases gives shape ``x.shape + (2,)``."""
-    if sign not in (1, -1):
+    if is_bool(sign) or sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {shown(sign)}")
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape + (2,), dtype=complex)
@@ -57,10 +57,10 @@ def phase(x: float | Array, sign: int) -> Array:
 def plate(source: int, dof: str, x: float | Array) -> tuple[Array, int]:
     """The phase plate of source (1|2) on dof ('path'|'pol') at ``x``, as
     ``(diagonal, slot)``, with the sign and slot ``PLATES`` gives it."""
+    if is_bool(source) or source not in (1, 2):
+        raise ValueError(f"source must be 1 or 2, got {shown(source)}")
     try:
         slot, sign = PLATES[(source, dof)]
-    except KeyError:  # named only here, so a good plate costs one lookup
-        if source not in (1, 2):
-            raise ValueError(f"source must be 1 or 2, got {shown(source)}") from None
+    except KeyError:
         raise ValueError(f"dof must be 'path' or 'pol', got {shown(dof)}") from None
     return phase_diagonal(x, sign), slot

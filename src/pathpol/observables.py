@@ -36,6 +36,7 @@ from .tensor import (
     Array,
     apply_factors,
     dagger,
+    is_bool,
     matmul2,
     shown,
 )
@@ -64,7 +65,7 @@ def sigma(source: int, dof: str, phase: float | Array, branch: str = "full") -> 
 
     ``phase`` may be a 1-d array; the core is then a stack, one per entry.
     """
-    if source not in (1, 2):
+    if is_bool(source) or source not in (1, 2):
         raise ValueError(f"source must be 1 or 2, got {shown(source)}")
     if dof not in ("path", "pol"):
         raise ValueError(f"dof must be 'path' or 'pol', got {shown(dof)}")

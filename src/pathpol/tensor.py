@@ -20,7 +20,8 @@ matrix is built anywhere: where a check needs an operator identity on the
 the one 2x2 matrix product, the same multiply-add written out, so none goes
 through BLAS, whose rounding depends on the kernel it picks for the host.
 
-``shown`` renders the value every refusal in the package names.
+``shown`` renders the value every refusal names; ``is_bool`` marks a bool,
+which no index, count or choice takes.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def shown(value: object) -> str:
         return f"a {type(value).__name__} holding an integer too long to print"
 
 
+def is_bool(value: object) -> bool:
+    """Whether ``value`` is a bool, Python's or numpy's: each equals 0 or 1,
+    but none is an index, a count or a choice, whose checks refuse it."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def apply_slot(op: Array, state: Array, slot: int) -> Array:
     """Act with a 2x2 operator on one slot of a ``(..., 2, 2, 2, 2)`` state.
 
@@ -85,7 +92,7 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
         raise ValueError(f"apply_slot expects 2x2 operators, got shape {op.shape}")
     if state.shape[-N_SLOTS:] != STATE_SHAPE:
         raise ValueError(f"state must end in axes {STATE_SHAPE}, got shape {state.shape}")
-    if not 0 <= slot < N_SLOTS:
+    if is_bool(slot) or not 0 <= slot < N_SLOTS:
         raise ValueError(f"slot must be in 0..3, got {shown(slot)}")
     # each product already has the output's shape and slot order
     (col0, half0), (col1, half1) = _TERMS[slot]
@@ -129,8 +136,8 @@ def dagger(m: Array) -> Array:
 
 def basis_index(path1: int, pol1: int, path2: int, pol2: int) -> int:
     for v in (path1, pol1, path2, pol2):
-        if v not in (0, 1):
-            raise ValueError("basis digits must be 0 or 1")
+        if is_bool(v) or v not in (0, 1):
+            raise ValueError(f"basis digits must be 0 or 1, got {shown(v)}")
     return 8 * path1 + 4 * pol1 + 2 * path2 + pol2
 
 
@@ -143,7 +150,7 @@ def basis_state(path1: int, pol1: int, path2: int, pol2: int) -> Array:
 
 def basis_label(index: int) -> str:
     """Human-readable label of a flat index: 0 -> 'aVaV', 15 -> 'bHbH'."""
-    if not 0 <= index < DIM:
+    if is_bool(index) or not 0 <= index < DIM:
         raise ValueError(f"index must be in 0..15, got {shown(index)}")
     bits = [(index >> k) & 1 for k in (3, 2, 1, 0)]
     return (

@@ -316,12 +316,13 @@ _CHSH_FIXED = (
     "case 2 fixed set   S' = 2.8284271247461903  at "
     "(0.0, 1.5707963267948966, -0.7853981633974483, 0.7853981633974483)\n"
 )
-# at R = 24 and 192 the grid point beats the polish by an ulp, so the angles
-# are the grid's own argmax positions; at R = 192 case 1 picks p' = 3*pi/2
+# at R = 24 and 192 the grid picks the negative orientation of S, and case 1
+# picks p' = 3*pi/2; its grid point reads an ulp above 2*sqrt(2), but the scan
+# prints the polish, four ulp (case 1) and two ulp (case 2) below the grid point
 _CHSH_GRID_POINT = (
-    "case 1 scan max  |S| = 2.8284271247461907  at "
+    "case 1 scan max  |S| = 2.828427124746189  at "
     "(3.926990816987, 5.497787143782, 0.0, 4.712388980385)\n"
-    "case 2 scan max  |S| = 2.8284271247461907  at "
+    "case 2 scan max  |S| = 2.8284271247461898  at "
     "(3.926990816987, 5.497787143782, 0.0, 1.570796326795)\n"
 )
 _CHSH_POLISHED = (

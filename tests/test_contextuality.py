@@ -1,5 +1,5 @@
 import tracemalloc
-from math import cos
+from math import cos, ulp
 
 import numpy as np
 import pytest
@@ -97,8 +97,14 @@ def test_scan_reaches_maximal_violation(case):
 
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_never_exceeds_algebraic_ceiling(case):
-    result = scan_max(case, resolution=32)
-    assert result.max_abs <= MAX_VIOLATION + 1e-9
+    # with no slack: at R = 24, 48, 96 and 192 the grid point reads an ulp
+    # above 2*sqrt(2), and the scan prints the polish, which does not
+    over = [
+        resolution
+        for resolution in range(MIN_RESOLUTION, MAX_RESOLUTION + 1)
+        if not scan_max(case, resolution).max_abs <= MAX_VIOLATION
+    ]
+    assert over == []
 
 
 @pytest.mark.parametrize("resolution", [64.0, 64.5, True, "64", None])
@@ -124,12 +130,14 @@ def test_scan_result_is_consistent(case, resolution):
     assert result.max_abs == abs(result.value)
     assert abs(value - result.value) <= 1e-12
     # the polish keeps the orientation of S that the grid stage picked, and
-    # never loses ground on it
+    # never reads more than 4 ulp below it: where R is a multiple of 4 the
+    # grid point is the optimum up to rounding (4 ulp is the widest gap, case
+    # 1 at R = 24, 48, 96 and 192), and elsewhere the polish gains on it
     _, grid_value = contextuality._grid_stage(case, resolution)
     assert np.sign(result.value) == np.sign(grid_value)
-    assert result.max_abs >= abs(grid_value)
+    assert result.max_abs >= abs(grid_value) - 4 * ulp(MAX_VIOLATION)
     assert abs(result.max_abs - MAX_VIOLATION) <= 1e-12
-    assert result.max_abs <= MAX_VIOLATION + 1e-12
+    assert result.max_abs <= MAX_VIOLATION
 
 
 def test_scan_reaches_the_ceiling_at_every_resolution():
@@ -143,7 +151,7 @@ def test_scan_reaches_the_ceiling_at_every_resolution():
 @pytest.mark.parametrize("resolution", [8, 24, 48, 64, 96, 128, 192, 256])
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_angles_are_python_floats(case, resolution):
-    # at R = 24, 48, 96 and 192 the grid point wins by an ulp over the polish
+    # the polish's angles, at R where it moves p' and where it does not
     result = scan_max(case, resolution)
     assert all(type(a) is float for a in result.angles)
     assert type(result.value) is float and type(result.max_abs) is float
@@ -176,10 +184,11 @@ def _dense_grid_stage(case, resolution):
 @pytest.mark.parametrize("resolution", [8, 12, 13, 64, 100])
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_grid_stage_equals_the_dense_search(case, resolution):
-    angles, value = contextuality._grid_stage(case, resolution)
-    dense_angles, dense_value = _dense_grid_stage(case, resolution)
-    assert angles == dense_angles
-    assert value == dense_value
+    # the grid stage returns the dense search's p' and value; its p is the
+    # grid's first point, which the polish takes as given
+    (_, _, dense_p, dense_p_prime), dense_value = _dense_grid_stage(case, resolution)
+    assert dense_p == 0.0
+    assert contextuality._grid_stage(case, resolution) == (dense_p_prime, dense_value)
 
 
 def _quadratic_grid_stage(case, resolution):
@@ -206,13 +215,13 @@ def _quadratic_grid_stage(case, resolution):
     return best
 
 
-def _grid_bits(angles, value):
+def _bits(*values):
     # float.hex tells -0.0 from 0.0 and every ulp apart
-    return tuple(float.hex(x) for x in (*angles, value))
+    return tuple(float.hex(x) for x in values)
 
 
 def _scan_bits(result):
-    return _grid_bits(result.angles, result.value) + (float.hex(result.max_abs),)
+    return _bits(*result.angles, result.value, result.max_abs)
 
 
 def test_windowed_scan_equals_the_quadratic_search_on_the_whole_domain(monkeypatch):
@@ -221,14 +230,19 @@ def test_windowed_scan_equals_the_quadratic_search_on_the_whole_domain(monkeypat
         for resolution in range(MIN_RESOLUTION, MAX_RESOLUTION + 1)
         for case in (1, 2)
     ]
-    grid = {key: _grid_bits(*contextuality._grid_stage(*key)) for key in domain}
+    grid = {key: contextuality._grid_stage(*key) for key in domain}
     scan = {key: _scan_bits(scan_max(*key)) for key in domain}
-    quadratic = {key: _quadratic_grid_stage(*key) for key in domain}
+    # the quadratic search's p' and value, the part of its point the polish reads
+    quadratic = {}
+    for key in domain:
+        (_, _, p, p_prime), value = _quadratic_grid_stage(*key)
+        assert p == 0.0
+        quadratic[key] = (p_prime, value)
     monkeypatch.setattr(contextuality, "_grid_stage", lambda *key: quadratic[key])
     mismatches = [
         key
         for key in domain
-        if grid[key] != _grid_bits(*quadratic[key]) or scan[key] != _scan_bits(scan_max(*key))
+        if _bits(*grid[key]) != _bits(*quadratic[key]) or scan[key] != _scan_bits(scan_max(*key))
     ]
     assert len(domain) == 498
     assert mismatches == []

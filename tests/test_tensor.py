@@ -302,6 +302,7 @@ _ENTRY_POINTS = {
     "pair-case": ("case", lambda h: pair(h, 0.1, 0.2)),
     "g2_generalized-k": ("k", lambda h: g2_generalized(h, 0, 0, 0, _PS, *_SOURCES)),
     "basis_label-index": ("index", basis_label),
+    "basis_index-digit": ("basis digits", lambda h: basis_index(1, h, 0, 0)),
     "apply_slot-slot": ("slot", lambda h: apply_slot(I2, _STATE, h)),
     "SourceSpec-amplitude": ("source amplitude", lambda h: SourceSpec(h, 1.0)),
     "SourceSpec-omega": ("source frequency", lambda h: SourceSpec(1.0, h)),
@@ -321,3 +322,13 @@ def test_every_entry_point_refuses_a_huge_int_by_name(entry, huge):
     field, call = _ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=f"^{field} must .*, got {shown(huge)}$"):
         call(huge)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bool_by_name(entry, flag):
+    # True == 1 and False == 0, so an index or a choice would take a bool for
+    # one of its values; an amplitude or a phase refuses it as a non-number
+    field, call = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{field} must .*, got {shown(flag)}$"):
+        call(flag)
