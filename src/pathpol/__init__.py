@@ -42,7 +42,6 @@ from .detector import (
 )
 from .elements import (
     beam_splitter,
-    phase,
     pol_swap,
 )
 from .observables import TransferCheckReport, transfer_check
@@ -95,7 +94,6 @@ __all__ = [
     "p45_intensity",
     "pair",
     "parse_scenario",
-    "phase",
     "pol_swap",
     "project_aa",
     "run",

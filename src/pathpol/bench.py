@@ -88,10 +88,12 @@ class SourceSpec:
     def __post_init__(self) -> None:
         a = _checked("source amplitude", self.amplitude, complex_ok=True)
         # compared as |A|, with the same sqrt a scenario takes of its
-        # intensities; a NaN or an infinite |A| fails it too, and is named so
+        # intensities (a batch's |A| the hypot of its parts, as a complex's abs
+        # is, which np.abs may round apart); a NaN or an infinite |A| fails it
+        # too, and is named so
         lo, hi = INTENSITY_RANGE
         if isinstance(a, np.ndarray):
-            mag = np.abs(a)
+            mag = np.hypot(a.real, a.imag)
             in_range = ((sqrt(lo) <= mag) & (mag <= sqrt(hi))).all()
         else:
             in_range = sqrt(lo) <= abs(a) <= sqrt(hi)
@@ -118,7 +120,8 @@ class SourceSpec:
         return abs(a) ** 2
 
 
-_PHASE_NAMES = ("theta1", "theta2", "phi1", "phi2")
+# the field names of a PhaseSetting, in field order
+PHASE_NAMES = ("theta1", "theta2", "phi1", "phi2")
 _PLATE_PHASE = {"path": "phi", "pol": "theta"}
 _PLATE_FIELDS = tuple((s, d, _PLATE_PHASE[d] + str(s)) for s, d in elements.PLATES)
 
@@ -140,7 +143,7 @@ class PhaseSetting:
 
     def __post_init__(self) -> None:
         lengths = set()
-        for name in _PHASE_NAMES:
+        for name in PHASE_NAMES:
             value = getattr(self, name)
             if not isinstance(value, float):  # np.float64 is a float
                 value = _checked(name, value)
@@ -159,7 +162,7 @@ class PhaseSetting:
             with np.errstate(over="ignore", invalid="ignore"):
                 finite = np.isfinite(t1 + p1 - t2 - p2).all()
         if not finite:  # named by the first field to blame, if any
-            bad = [n for n, v in zip(_PHASE_NAMES, fields) if not np.isfinite(v).all()]
+            bad = [n for n, v in zip(PHASE_NAMES, fields) if not np.isfinite(v).all()]
             name = bad[0] if bad else "delta = theta1 + phi1 - theta2 - phi2"
             raise ValueError(f"{name} must be finite")
 
@@ -168,11 +171,11 @@ class PhaseSetting:
         1-entry array, and 0.0 equals -0.0."""
         if not isinstance(other, PhaseSetting):
             return NotImplemented
-        pairs = ((getattr(self, name), getattr(other, name)) for name in _PHASE_NAMES)
+        pairs = ((getattr(self, name), getattr(other, name)) for name in PHASE_NAMES)
         return all(np.shape(a) == np.shape(b) and np.array_equal(a, b) for a, b in pairs)
 
     def __hash__(self) -> int:
-        values = (getattr(self, name) for name in _PHASE_NAMES)
+        values = (getattr(self, name) for name in PHASE_NAMES)
         return hash(tuple((np.shape(v), tuple(np.ravel(v).tolist())) for v in values))
 
     @property

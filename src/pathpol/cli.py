@@ -180,30 +180,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 class _Option(NamedTuple):
-    """One option of a command: ``flag VALUE`` stores ``convert(VALUE)`` in
-    ``dest``, or appends it to a copy of ``default`` when ``append``.
-    ``help`` and ``metavar`` are for argparse's help text."""
+    """One option of a command: ``flag VALUE`` stores ``convert(VALUE)``
+    under the flag's name without ``--``, or appends it to a copy of
+    ``default`` when that is a list. ``help`` and ``metavar`` are for
+    argparse's help text."""
 
     flag: str
-    dest: str
     convert: Callable[[str], object]
     default: object
     help: str
-    append: bool = False
     metavar: str | None = None
 
 
 _SCENARIO_OPTIONS = (
-    _Option("--config", "config", str, None, "scenario file (key = value lines)"),
-    _Option(
-        "--set",
-        "set",
-        str,
-        [],
-        "override one scenario key (repeatable)",
-        append=True,
-        metavar="KEY=VALUE",
-    ),
+    _Option("--config", str, None, "scenario file (key = value lines)"),
+    _Option("--set", str, [], "override one scenario key (repeatable)", metavar="KEY=VALUE"),
 )
 
 # command -> (help, options), in the order the help text lists them
@@ -215,7 +206,6 @@ _COMMANDS = {
         (
             _Option(
                 "--resolution",
-                "resolution",
                 _bounded_int(contextuality.MIN_RESOLUTION, contextuality.MAX_RESOLUTION),
                 64,
                 "scan grid points per angle "
@@ -225,7 +215,7 @@ _COMMANDS = {
     ),
     "verify": (
         "run every acceptance check",
-        (_Option("--seed", "seed", _bounded_int(0), 0, "seed for randomized checks (>= 0)"),),
+        (_Option("--seed", _bounded_int(0), 0, "seed for randomized checks (>= 0)"),),
     ),
     "report": ("correlate + transfer check + signed sum", _SCENARIO_OPTIONS),
 }
@@ -246,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         for o in options:
             p.add_argument(
                 o.flag,
-                action="append" if o.append else "store",
-                dest=o.dest,
+                action="append" if isinstance(o.default, list) else "store",
                 type=o.convert,
                 default=o.default,
                 metavar=o.metavar,
@@ -268,8 +257,11 @@ def _read_args(argv: Sequence[str]) -> argparse.Namespace | None:
     flags = _FLAGS.get(argv[0]) if argv else None
     if flags is None or len(argv) % 2 == 0:
         return None
-    # a copy of each list default, which the appends below extend
-    values = {o.dest: list(o.default) if o.append else o.default for o in flags.values()}
+    # by each flag's name, with a copy of each list default for the appends below
+    values = {
+        o.flag[2:]: list(o.default) if isinstance(o.default, list) else o.default
+        for o in flags.values()
+    }
     for i in range(1, len(argv), 2):
         option, text = flags.get(argv[i]), argv[i + 1]
         if option is None or text.startswith("-"):
@@ -278,10 +270,10 @@ def _read_args(argv: Sequence[str]) -> argparse.Namespace | None:
             value = option.convert(text)
         except argparse.ArgumentTypeError:
             return None
-        if option.append:
-            values[option.dest].append(value)
+        if isinstance(option.default, list):
+            values[option.flag[2:]].append(value)
         else:
-            values[option.dest] = value
+            values[option.flag[2:]] = value
     return argparse.Namespace(command=argv[0], **values)
 
 

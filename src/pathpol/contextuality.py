@@ -30,7 +30,7 @@ from math import cos, pi
 
 import numpy as np
 
-from .tensor import is_bool, shown
+from .tensor import is_bool, is_integer, shown
 
 # Unused here, and kept bound for the benchmark harness, which breaks on
 # every traced run without it: perfbench/tracer.py (Tracer.install) wraps
@@ -80,11 +80,11 @@ def functional(case: int, t: float, t_prime: float, p: float, p_prime: float) ->
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Extremum of |S| over the four free angles."""
+    """Extremum of |S| over the four free angles; S itself is
+    ``functional(case, *angles)``."""
 
     max_abs: float
     angles: tuple[float, float, float, float]
-    value: float
 
 
 def _grid_stage(case: int, resolution: int) -> tuple[float, float]:
@@ -166,7 +166,7 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     picked the negative orientation of S. The polish alone is returned: a
     grid point can read an ulp above 2*sqrt(2); the polish, at no R in range.
     """
-    if is_bool(resolution) or not isinstance(resolution, (int, np.integer)):
+    if not is_integer(resolution):
         raise ValueError(f"resolution must be an integer, got {shown(resolution)}")
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(
@@ -178,5 +178,5 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     t, t_prime = _best_primaries(case, 0.0, p_prime)
     if grid_value < 0.0:
         t, t_prime = t + pi, t_prime + pi
-    value = functional(case, t, t_prime, 0.0, p_prime)
-    return ScanResult(abs(value), (t, t_prime, 0.0, p_prime), value)
+    angles = (t, t_prime, 0.0, p_prime)
+    return ScanResult(abs(functional(case, *angles)), angles)

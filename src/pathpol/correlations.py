@@ -43,6 +43,9 @@ COSINE_GUARD = 1e-3
 # the signed sum cancels sixteen g2 ~ 1 terms to ~1e-15, so its ratio is also
 # nan where the closed form is smaller than this (a small I1 I2 / (I1 + I2)^2)
 SIGNED_SUM_FLOOR = 1e-6
+# the sixteen pi-shifts (k, l, m, n) of (theta1, phi1, theta2, phi2), each
+# with its sign (-1)^{k+l+m+n}
+_SHIFT_SIGNS = {shift: -1 if sum(shift) % 2 else 1 for shift in product((0, 1), repeat=4)}
 
 
 def _intensities(s1: SourceSpec, s2: SourceSpec) -> tuple[float | Array, ...]:
@@ -134,7 +137,7 @@ def g2_generalized(
             raise ValueError(f"{name} must be 0 or 1, got {shown(v)}")
     batch_fields(s1, s2, ps)
     i1, i2, ssq = _intensities(s1, s2)
-    signed = -1.0 if (k + l + m + n) % 2 else 1.0
+    signed = _SHIFT_SIGNS[k, l, m, n]
     g2 = (i1 * i1 + i2 * i2 + 2.0 * i1 * i2 * (1.0 - signed * np.cos(ps.delta))) / ssq
     return float_or_array(g2)
 
@@ -146,14 +149,13 @@ def correlation_report(run: BenchRun) -> CorrelationReport:
     ps = run.ps
     numeric = correlation_numeric(run)
     closed = correlation_closed_form(ps, run.s1, run.s2)
-    shifts = list(product((0, 1), repeat=4))
     # k, l, m, n turn theta1, phi1, theta2, phi2 by pi: one sweep of 16 settings
-    k, l, m, n = np.array(shifts).T * np.pi
+    k, l, m, n = np.array(list(_SHIFT_SIGNS)).T * np.pi
     shifted = PhaseSetting(ps.theta1 + k, ps.theta2 + m, ps.phi1 + l, ps.phi2 + n)
     brackets = observables.joint_intensity(run.input, shifted)
     terms = tuple(
-        TermEntry(k, l, m, n, 1 if (k + l + m + n) % 2 == 0 else -1, float(value))
-        for (k, l, m, n), value in zip(shifts, brackets)
+        TermEntry(*shift, sign, float(value))
+        for (shift, sign), value in zip(_SHIFT_SIGNS.items(), brackets)
     )
     return CorrelationReport(
         ps.delta, numeric, closed, _guarded_ratio(numeric, closed, ps.delta), terms
@@ -170,8 +172,7 @@ def sum_identity(ps: PhaseSetting, s1: SourceSpec, s2: SourceSpec) -> Correlatio
     """
     terms = []
     total = 0.0
-    for k, l, m, n in product((0, 1), repeat=4):
-        sign = 1 if (k + l + m + n) % 2 == 0 else -1
+    for (k, l, m, n), sign in _SHIFT_SIGNS.items():
         value = g2_generalized(k, l, m, n, ps, s1, s2)
         total += sign * value
         terms.append(TermEntry(k, l, m, n, sign, value))

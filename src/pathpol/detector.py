@@ -40,7 +40,8 @@ import numpy as np
 from . import bench
 from .bench import PhaseSetting, SourceSpec
 from .tensor import (
-    DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, is_bool, matmul2, norms_squared, shown
+    DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, is_bool, is_integer, matmul2, norms_squared,
+    shown, state_tensor,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -77,14 +78,6 @@ class AaProjection:
     branch_fraction: float | Array
 
 
-def _state_tensor(state: Array) -> Array:
-    """``state`` as a complex ``(..., 2, 2, 2, 2)`` array, one axis per slot."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape[-N_SLOTS:] != STATE_SHAPE:
-        raise ValueError(f"expected a (..., 2, 2, 2, 2) state tensor, got shape {state.shape}")
-    return state
-
-
 def _aa_branch(state: Array, hadamard: Array = _HADAMARD) -> tuple[Array, Array, Array, Array]:
     """The aa branch of one state or a stack, as ``(N, ...)`` stacks: the
     (pol1, pol2) block, its squared norm, the block scaled to unit norm U and
@@ -108,7 +101,7 @@ def project_aa(state: Array) -> AaProjection:
     A stacked ``(N, 2, 2, 2, 2)`` output gives every field a leading axis of
     length N.
     """
-    state = _state_tensor(state)
+    state = state_tensor(state)
     lead = state.shape[:-N_SLOTS]
     pol_block, branch_norm_sq, pol_unit, expansion = _aa_branch(state)
     # a nonempty aa branch makes the state nonzero
@@ -133,14 +126,14 @@ def p45_intensity(state: Array) -> float | Array:
     ``project_aa`` uses, so that entry is its own bit for bit; the rest of
     a full projection is not.
     """
-    state = _state_tensor(state)
+    state = state_tensor(state)
     plus_plus = _aa_branch(state, _HADAMARD[:1])[3][:, 0, 0]
     return float_or_array((np.abs(plus_plus) ** 2).reshape(state.shape[:-N_SLOTS]))
 
 
 def detect(state: Array) -> tuple[float, float, float, float]:
     """Port probabilities (aa, ab, ba, bb) of one output state."""
-    grid = _state_tensor(state)
+    grid = state_tensor(state)
     if grid.shape != STATE_SHAPE:
         raise ValueError("detect takes a single state, not a stack")
     total = float(norms_squared(grid.reshape(DIM)))
@@ -232,7 +225,7 @@ def autocorrelation_demo(
             f"window * |omega1 - omega2| must be >= {MIN_BEATS:g}, "
             f"got {window * beat:g}"
         )
-    if is_bool(samples) or not isinstance(samples, (int, np.integer)):
+    if not is_integer(samples):
         raise ValueError(f"samples must be an integer, got {shown(samples)}")
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {shown(samples)}")

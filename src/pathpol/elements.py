@@ -2,12 +2,14 @@
 
 Path operators act on the (a, b) doublet, polarization operators on (V, H).
 A phase plate is the same diagonal on either doublet, so one factory,
-``phase_diagonal``, makes every plate; ``phase`` lays it out as a matrix.
+``phase_diagonal``, makes every plate.
 
 ``PLATES`` is the one statement of the bench's plate convention: the slot
 each (source, dof) phase plate sits on, and its sign. Elements attached to
 source 1 advance phases as e^{+i x}, elements attached to source 2 as
-e^{-i x}. ``plate`` makes the ``(diagonal, slot)`` pair of one plate.
+e^{-i x}. ``slot_and_sign`` is the one lookup in it, refusing any other
+(source, dof) by name; ``plate`` makes the ``(diagonal, slot)`` pair of one
+plate, and ``observables.sigma`` places its flip observable by the same lookup.
 """
 
 from __future__ import annotations
@@ -49,18 +51,18 @@ def phase_diagonal(x: float | Array, sign: int) -> Array:
     return out
 
 
-def phase(x: float | Array, sign: int) -> Array:
-    """diag(``phase_diagonal(x, sign)``), or its ``x.shape + (2, 2)`` stack."""
-    return np.where(np.eye(2, dtype=bool), phase_diagonal(x, sign)[..., None, :], 0.0)
+def slot_and_sign(source: int, dof: str) -> tuple[int, int]:
+    """``PLATES``' (slot, sign) for source (1|2) and dof, the string 'path'
+    or 'pol'; any other source or dof is refused by name."""
+    if is_bool(source) or source not in (1, 2):
+        raise ValueError(f"source must be 1 or 2, got {shown(source)}")
+    if not isinstance(dof, str) or dof not in ("path", "pol"):
+        raise ValueError(f"dof must be 'path' or 'pol', got {shown(dof)}")
+    return PLATES[(source, dof)]
 
 
 def plate(source: int, dof: str, x: float | Array) -> tuple[Array, int]:
     """The phase plate of source (1|2) on dof ('path'|'pol') at ``x``, as
     ``(diagonal, slot)``, with the sign and slot ``PLATES`` gives it."""
-    if is_bool(source) or source not in (1, 2):
-        raise ValueError(f"source must be 1 or 2, got {shown(source)}")
-    try:
-        slot, sign = PLATES[(source, dof)]
-    except KeyError:
-        raise ValueError(f"dof must be 'path' or 'pol', got {shown(dof)}") from None
+    slot, sign = slot_and_sign(source, dof)
     return phase_diagonal(x, sign), slot

@@ -7,9 +7,10 @@ gets a one-parameter family of flip observables
 
 with s = +1 for observables attached to source 1 and s = -1 for source 2
 (the plate signs of ``elements.PLATES``, which also gives each observable
-its slot). ``branch='plus'``/``'minus'`` select the rank-1 eigenprojectors
-instead of the full observable; the intensity operator of one source is the
-product of its two plus-branch projectors (path and polarization).
+its slot, both read through ``elements.slot_and_sign``).
+``branch='plus'``/``'minus'`` select the rank-1 eigenprojectors instead of
+the full observable; the intensity operator of one source is the product
+of its two plus-branch projectors (path and polarization).
 
 An observable is a factor, a ``(core, slot)`` pair like every element: the
 2x2 core acts on its own slot of a ``(2, 2, 2, 2)`` state. ``sigma`` makes
@@ -32,13 +33,12 @@ from .bench import BenchRun, PhaseSetting
 from .tensor import (
     SLOT_PATH_1,
     SLOT_PATH_2,
-    STATE_SHAPE,
     Array,
     apply_factors,
     dagger,
-    is_bool,
     matmul2,
     shown,
+    state_tensor,
 )
 
 BRANCHES = ("full", "plus", "minus")
@@ -65,13 +65,9 @@ def sigma(source: int, dof: str, phase: float | Array, branch: str = "full") -> 
 
     ``phase`` may be a 1-d array; the core is then a stack, one per entry.
     """
-    if is_bool(source) or source not in (1, 2):
-        raise ValueError(f"source must be 1 or 2, got {shown(source)}")
-    if dof not in ("path", "pol"):
-        raise ValueError(f"dof must be 'path' or 'pol', got {shown(dof)}")
+    slot, sense = elements.slot_and_sign(source, dof)
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {shown(branch)}")
-    slot, sense = elements.PLATES[(source, dof)]
     return _sigma_core(phase, sense, branch), slot
 
 
@@ -89,9 +85,7 @@ def product_expectation(state: Array, factors: Sequence[tuple[Array, int]]) -> A
     one value per entry (shape ``(N,)``); one state with single cores gives
     a 0-d array. No normalization is applied.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape[-len(STATE_SHAPE):] != STATE_SHAPE:
-        raise ValueError(f"state must end in axes {STATE_SHAPE}, got shape {state.shape}")
+    state = state_tensor(state)
     return np.einsum("...wxyz,...wxyz->...", state.conj(), apply_factors(state, factors))
 
 

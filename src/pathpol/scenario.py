@@ -28,11 +28,11 @@ from math import isfinite, pi, sqrt
 
 import numpy as np
 
-from .bench import INTENSITY_RANGE, PhaseSetting, SourceSpec
+from .bench import INTENSITY_RANGE, PHASE_NAMES, PhaseSetting, SourceSpec
 from .detector import DEFAULT_OMEGA_1, DEFAULT_OMEGA_2
 from .tensor import Array
 
-SWEEP_VARIABLES = ("theta1", "theta2", "phi1", "phi2", "delta")
+SWEEP_VARIABLES = PHASE_NAMES + ("delta",)
 # a sweep peaks at ~1.0 KiB of resident memory per point (+100 MiB at the
 # cap over a ~78 MiB interpreter, nearly all of it state stacks), so
 # longer sweeps are refused before anything is allocated
@@ -85,13 +85,11 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"invalid integer for {key}: {raw!r}") from None
 
 
+_PHASE_KEYS = tuple(f"phases.{name}" for name in PHASE_NAMES)
 _KNOWN_KEYS = (
     "amplitudes.i1",
     "amplitudes.i2",
-    "phases.theta1",
-    "phases.theta2",
-    "phases.phi1",
-    "phases.phi2",
+    *_PHASE_KEYS,
     "sweep.variable",
     "sweep.start",
     "sweep.stop",
@@ -124,12 +122,7 @@ def _build(table: dict[str, str]) -> Scenario:
             raise ConfigError(f"{key} must be in [{lo:g}, {hi:g}], got {value:g}")
 
     try:
-        phases = PhaseSetting(
-            theta1=_parse_float("phases.theta1", table.get("phases.theta1", "0.0")),
-            theta2=_parse_float("phases.theta2", table.get("phases.theta2", "0.0")),
-            phi1=_parse_float("phases.phi1", table.get("phases.phi1", "0.0")),
-            phi2=_parse_float("phases.phi2", table.get("phases.phi2", "0.0")),
-        )
+        phases = PhaseSetting(*(_parse_float(key, table.get(key, "0.0")) for key in _PHASE_KEYS))
     except ValueError as exc:  # finite phases whose delta overflows
         raise ConfigError(f"phases: {exc}") from None
 

@@ -20,8 +20,10 @@ matrix is built anywhere: where a check needs an operator identity on the
 the one 2x2 matrix product, the same multiply-add written out, so none goes
 through BLAS, whose rounding depends on the kernel it picks for the host.
 
+``state_tensor`` is the one check of the ``(..., 2, 2, 2, 2)`` state shape.
 ``shown`` renders the value every refusal names; ``is_bool`` marks a bool,
-which no index, count or choice takes.
+which no index, count or choice takes, and ``is_integer`` the ints and
+numpy integers an index or a count takes.
 """
 
 from __future__ import annotations
@@ -77,6 +79,20 @@ def is_bool(value: object) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def state_tensor(state: Array) -> Array:
+    """``state`` as a complex ``(..., 2, 2, 2, 2)`` array, one axis per slot;
+    any other shape is refused."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape[-N_SLOTS:] != STATE_SHAPE:
+        raise ValueError(f"expected a (..., 2, 2, 2, 2) state tensor, got shape {state.shape}")
+    return state
+
+
 def apply_slot(op: Array, state: Array, slot: int) -> Array:
     """Act with a 2x2 operator on one slot of a ``(..., 2, 2, 2, 2)`` state.
 
@@ -87,12 +103,12 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
     and x1 the state's entries 0 and 1 on ``slot``.
     """
     op = np.asarray(op, dtype=complex)
-    state = np.asarray(state, dtype=complex)
     if op.shape[-2:] != (2, 2):
         raise ValueError(f"apply_slot expects 2x2 operators, got shape {op.shape}")
-    if state.shape[-N_SLOTS:] != STATE_SHAPE:
-        raise ValueError(f"state must end in axes {STATE_SHAPE}, got shape {state.shape}")
-    if is_bool(slot) or not 0 <= slot < N_SLOTS:
+    state = state_tensor(state)
+    if not is_integer(slot):
+        raise ValueError(f"slot must be an integer, got {shown(slot)}")
+    if not 0 <= slot < N_SLOTS:
         raise ValueError(f"slot must be in 0..3, got {shown(slot)}")
     # each product already has the output's shape and slot order
     (col0, half0), (col1, half1) = _TERMS[slot]
@@ -136,7 +152,7 @@ def dagger(m: Array) -> Array:
 
 def basis_index(path1: int, pol1: int, path2: int, pol2: int) -> int:
     for v in (path1, pol1, path2, pol2):
-        if is_bool(v) or v not in (0, 1):
+        if not is_integer(v) or v not in (0, 1):
             raise ValueError(f"basis digits must be 0 or 1, got {shown(v)}")
     return 8 * path1 + 4 * pol1 + 2 * path2 + pol2
 
@@ -150,7 +166,9 @@ def basis_state(path1: int, pol1: int, path2: int, pol2: int) -> Array:
 
 def basis_label(index: int) -> str:
     """Human-readable label of a flat index: 0 -> 'aVaV', 15 -> 'bHbH'."""
-    if is_bool(index) or not 0 <= index < DIM:
+    if not is_integer(index):
+        raise ValueError(f"index must be an integer, got {shown(index)}")
+    if not 0 <= index < DIM:
         raise ValueError(f"index must be in 0..15, got {shown(index)}")
     bits = [(index >> k) & 1 for k in (3, 2, 1, 0)]
     return (

@@ -272,7 +272,7 @@ def _check_property_suite(
     # every random instance first, one draw per field; the probe states come
     # from their own generator, so they never move a later row's draws
     x = rng.uniform(-2.0 * pi, 2.0 * pi, 100)
-    advance = (rng.integers(0, 2, 100) == 0)[:, None, None]
+    advance = (rng.integers(0, 2, 100) == 0)[:, None]
     ps = PhaseSetting(*np.transpose(_random_phases(rng, 100)))
     sources = rng.integers(1, 3, 100)
     dofs = np.where(rng.integers(0, 2, 100) == 0, "path", "pol")
@@ -280,13 +280,12 @@ def _check_property_suite(
     pairs = _random_amplitudes(rng, 100)
 
     worst_unitary = 0.0
-    for m in (
-        elements.beam_splitter(),
-        elements.pol_swap(),
-        np.where(advance, elements.phase(x, 1), elements.phase(x, -1)),
-    ):
-        resid = matmul2(dagger(m), m) - np.eye(m.shape[-1])
+    for m in (elements.beam_splitter(), elements.pol_swap()):
+        resid = matmul2(dagger(m), m) - np.eye(2)
         worst_unitary = _worst(worst_unitary, _max_abs(resid))
+    # each plate is the diagonal phase_diagonal gives the bench, either sign
+    plates = np.where(advance, elements.phase_diagonal(x, 1), elements.phase_diagonal(x, -1))
+    worst_unitary = _worst(worst_unitary, _max_abs(plates.conj() * plates - 1.0))
     # every phase-stage core is diagonal, so the stage applied to the
     # all-ones tensor is its 16-dim diagonal, which must have unit modulus
     diagonal = bench.phase_stage(np.ones(STATE_SHAPE), ps)

@@ -228,6 +228,8 @@ def test_a_batch_of_sources_equals_its_single_runs_bit_for_bit(drawn):
         numeric = correlations.correlation_numeric(batch)
         closed = correlations.correlation_closed_form(ps, s1, s2)
         assert numeric.shape == closed.shape == (len(drawn),)
+        for name in STAGE_FIELDS:
+            assert getattr(batch, name).shape == (len(drawn), 2, 2, 2, 2)
         for k in range(len(drawn)):
             one_s1, one_s2 = SourceSpec(a1[k], 1.0), SourceSpec(a2[k], 1.3)
             one = bench.run(one_s1, one_s2, setting_of(k))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pathpol import bench, elements
 from pathpol.bench import (
+    INTENSITY_RANGE,
     BenchRun,
     PhaseSetting,
     SourceSpec,
@@ -73,6 +74,27 @@ def test_source_spec_rejects_bad_amplitude(amplitude):
     # non-finite amplitudes and intensities outside INTENSITY_RANGE never get in
     with pytest.raises(ValueError, match="amplitude"):
         SourceSpec(amplitude, 1.0)
+
+
+def test_a_batch_entry_is_accepted_exactly_when_its_amplitude_alone_is():
+    # |A| just inside and just outside both ends of the range, at random
+    # angles: a batch took np.abs, which rounds apart from a complex's abs
+    # (the hypot of its parts) on about a third of draws, and so refused
+    # some amplitudes that a single source accepted
+    rng = np.random.default_rng(20300)
+    accepted = {"single": [], "batch": []}
+    for bound in np.sqrt(INTENSITY_RANGE):
+        mags = bound * (1.0 + np.finfo(float).eps * rng.integers(-4, 5, 1000))
+        for a in mags * np.exp(1j * rng.uniform(-np.pi, np.pi, 1000)):
+            for kind, value in (("single", complex(a)), ("batch", np.array([a]))):
+                try:
+                    SourceSpec(value, 1.0)
+                except ValueError:
+                    accepted[kind].append(False)
+                else:
+                    accepted[kind].append(True)
+    assert 0 < sum(accepted["single"]) < len(accepted["single"])
+    assert accepted["batch"] == accepted["single"]
 
 
 @pytest.mark.parametrize(
@@ -297,23 +319,26 @@ def test_phase_diagonal_is_diagonal_unitary():
     d = phase_stage(basis, PhaseSetting(0.3, -0.7, 1.1, 0.4)).reshape(16, 16).T
     assert np.max(np.abs(d - np.diag(np.diag(d)))) == 0.0
     assert np.max(np.abs(np.abs(np.diag(d)) - 1.0)) < 1e-12
-    # the stage reads each plate as the diagonal elements.plate gives, which
-    # is the whole plate only while the matrix elements.phase makes for it
-    # is that diagonal and zeros
+    # the stage reads each plate as the diagonal elements.plate gives: the
+    # table's phase_diagonal, on the table's slot
     x = np.array([0.3, -0.7, 2.9])
     for (source, dof), (slot, sign) in elements.PLATES.items():
         diagonal, plate_slot = elements.plate(source, dof, x)
-        matrix = elements.phase(x, sign)
         assert plate_slot == slot
-        assert np.all(matrix[..., 0, 1] == 0.0) and np.all(matrix[..., 1, 0] == 0.0)
-        assert np.array_equal(np.diagonal(matrix, 0, -2, -1), diagonal)
+        assert np.array_equal(diagonal, elements.phase_diagonal(x, sign))
+
+
+def plate_matrix(x, sign):
+    """diag(``phase_diagonal(x, sign)``) with exact zeros off the diagonal,
+    or its ``x.shape + (2, 2)`` stack."""
+    return np.where(np.eye(2, dtype=bool), elements.phase_diagonal(x, sign)[..., None, :], 0.0)
 
 
 def plate_factors(ps):
-    """The four plates as full ``elements.phase`` matrices on their slots, in
-    ``elements.PLATES`` order."""
+    """The four plates as full matrices on their slots, in ``elements.PLATES``
+    order."""
     return [
-        (elements.phase(x, elements.PLATES[source, dof][1]), elements.PLATES[source, dof][0])
+        (plate_matrix(x, elements.PLATES[source, dof][1]), elements.PLATES[source, dof][0])
         for source, dof, x in ps.plates()
     ]
 

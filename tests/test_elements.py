@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 from pathpol.elements import (
     PLATES,
     beam_splitter,
-    phase,
+    phase_diagonal,
     plate,
     pol_swap,
 )
 from pathpol.observables import _sigma_core, sigma
 
 SQRT2 = np.sqrt(2.0)
+
+
+def phase(x, sign):
+    """A plate as the 2x2 matrix diag(``phase_diagonal(x, sign)``)."""
+    return np.diag(phase_diagonal(x, sign))
 
 
 def test_beam_splitter_port_actions():
@@ -46,12 +51,13 @@ def test_path_phase_quarter_turn_conjugate_sign():
 
 
 def test_phase_stacks_one_matrix_per_entry():
+    # one diagonal per entry, each that of the entry alone
     x = np.array([0.0, 0.4, -2.5])
-    stack = phase(x, -1)
-    assert stack.shape == (3, 2, 2)
+    stack = phase_diagonal(x, -1)
+    assert stack.shape == (3, 2)
     for k, xk in enumerate(x):
-        assert np.array_equal(stack[k], phase(xk, -1))
-    assert np.array_equal(stack[:, 1, 1], np.exp(-1j * x))
+        assert np.array_equal(stack[k], phase_diagonal(xk, -1))
+    assert np.array_equal(stack[:, 1], np.exp(-1j * x))
 
 
 def test_phase_elements_invert_with_opposite_phase():
@@ -65,7 +71,7 @@ def test_phase_elements_invert_with_opposite_phase():
 def test_phase_sign_validation():
     for sign in (0, 2, -2):
         with pytest.raises(ValueError, match=f"sign must be \\+1 or -1, got {sign}"):
-            phase(0.3, sign)
+            phase_diagonal(0.3, sign)
 
 
 phases = st.floats(-2.0 * np.pi, 2.0 * np.pi)
@@ -107,7 +113,7 @@ def test_plates_and_observables_share_one_table(x):
         flip, flip_slot = sigma(source, dof, x)
         assert plate_slot == flip_slot == slot
         assert np.array_equal(flip[..., 1, 0], diagonal[..., 1])
-        assert np.array_equal(diagonal, np.diagonal(phase(x, sign), 0, -2, -1))
+        assert np.array_equal(diagonal, phase_diagonal(x, sign))
         assert np.all(diagonal[..., 0] == 1.0)
     assert len({slot for slot, _ in PLATES.values()}) == 4
 
@@ -118,11 +124,16 @@ def test_plates_and_observables_share_one_table(x):
         (3, "pol", "source must be 1 or 2, got 3"),
         (1, "spin", "dof must be 'path' or 'pol', got 'spin'"),
         (0, "spin", "source must be 1 or 2, got 0"),
+        (1, ["pol"], "dof must be 'path' or 'pol', got ['pol']"),
+        (2, None, "dof must be 'path' or 'pol', got None"),
+        (1, b"pol", "dof must be 'path' or 'pol', got b'pol'"),
     ],
-    ids=["source", "dof", "both"],
+    ids=["source", "dof", "both", "dof-list", "dof-None", "dof-bytes"],
 )
 def test_plate_refuses_a_bad_source_or_dof_as_sigma_does(source, dof, message):
-    # a plate outside the table was a bare KeyError
+    # both read one checked lookup: a plate outside the table was a bare
+    # KeyError, and a list dof reached the table unhashed, a TypeError
     for factory in (plate, sigma):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             factory(source, dof, 0.1)
+

@@ -77,22 +77,6 @@ def test_front_end_and_trace_match_kron_oracle(a1, a2, phases):
         assert abs(np.vdot(state, state).real - norm) <= TOL
 
 
-@seed(20144)
-@settings(max_examples=20, deadline=None, database=None)
-@given(runs=st.lists(st.tuples(amplitudes, amplitudes, settings_), min_size=1, max_size=5))
-def test_batched_trace_equals_per_run_trace(runs):
-    # a batch of sources and a sweep: one bench run per entry, bit for bit
-    a1 = np.array([run[0] for run in runs])
-    a2 = np.array([run[1] for run in runs])
-    sweep = PhaseSetting(*(np.array(column) for column in zip(*(run[2] for run in runs))))
-    batch = bench.run(SourceSpec(a1, 1.0), SourceSpec(a2, 1.3), sweep)
-    for k, (b1, b2, row) in enumerate(runs):
-        one = bench.run(SourceSpec(b1, 1.0), SourceSpec(b2, 1.3), PhaseSetting(*row))
-        for name in STAGE_FIELDS:
-            assert getattr(batch, name).shape == (len(runs), 2, 2, 2, 2)
-            assert np.array_equal(getattr(one, name), getattr(batch, name)[k])
-
-
 @seed(20145)
 @settings(max_examples=20, deadline=None, database=None)
 @given(phases=settings_)

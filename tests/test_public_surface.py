@@ -8,13 +8,20 @@ when one of those files, or a ``perfbench/*.py`` file (the benchmark's
 tracer reads report fields), reads it as an Attribute node. Import lists,
 ``__all__`` strings, docstrings and tests do not count.
 
+A field name that two public dataclasses share is matched per owner
+instead: ``SHARED_FIELD_READERS`` names, for each owner of such a field, a
+function that reads that owner's field, and the function must read it.
+
 ``pathpol verify`` checks the package the way a caller uses it, so
 ``verify.py`` reads no name private to another pathpol module, and no other
-pathpol module does either.
+pathpol module does either. Each folded bench convention is spelled in one
+module: the plate table is subscripted only in ``elements.py``, and the
+phase names are written out only in ``bench.py``.
 """
 
 import ast
 import dataclasses
+from collections import defaultdict
 from pathlib import Path
 
 import pathpol
@@ -22,6 +29,15 @@ import pathpol
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted((ROOT / "src" / "pathpol").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 FIELD_READERS = FILES + sorted((ROOT / "perfbench").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "pathpol").glob("*.py"))
+
+# (owner, field) -> (file, function reading that owner's field there)
+SHARED_FIELD_READERS = {
+    ("AaProjection", "delta"): ("src/pathpol/verify.py", "_check_pipeline_goldens"),
+    ("CorrelationReport", "delta"): ("src/pathpol/cli.py", "_print_correlation"),
+    ("BenchRun", "output"): ("src/pathpol/observables.py", "transfer_check"),
+    ("Scenario", "output"): ("src/pathpol/cli.py", "cmd_sweep"),
+}
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _READS = (ast.Name, ast.Attribute)
@@ -98,17 +114,67 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(pathpol.__all__) - _names_read_in(FILES)) == []
 
 
+def _read_in_function(field: str, path: str, function: str) -> bool:
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    [node] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+    return field in names_read(node, kinds=(ast.Attribute,))
+
+
 def test_every_field_of_a_public_dataclass_is_read():
     used = _names_read_in(FIELD_READERS, kinds=(ast.Attribute,))
     public = [getattr(pathpol, name) for name in pathpol.__all__]
-    unread = [
-        f"{cls.__name__}.{field.name}"
+    fields = [
+        (cls.__name__, field.name)
         for cls in public
         if isinstance(cls, type) and dataclasses.is_dataclass(cls)
         for field in dataclasses.fields(cls)
-        if field.name not in used
+    ]
+    owners = defaultdict(set)
+    for owner, name in fields:
+        owners[name].add(owner)
+    # a shared name read anywhere may be the other owner's field
+    shared = {(owner, name) for owner, name in fields if len(owners[name]) > 1}
+    assert set(SHARED_FIELD_READERS) <= shared
+    unread = [
+        f"{owner}.{name}"
+        for owner, name in fields
+        if not (
+            _read_in_function(name, *SHARED_FIELD_READERS[owner, name])
+            if (owner, name) in SHARED_FIELD_READERS
+            else (owner, name) not in shared and name in used
+        )
     ]
     assert unread == []
+
+
+# each folded convention, and the one module that may spell it out
+CONVENTION_HOMES = {"PLATES subscript": "elements.py", "phase name": "bench.py"}
+
+
+def convention_spellings(path: Path) -> list[tuple[str, int, str]]:
+    """``(convention, line, text)`` of each ``PLATES`` subscript and each
+    phase-name string literal in ``path``, in line order."""
+    names = {"theta1", "theta2", "phi1", "phi2"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Subscript):
+            table = node.value
+            if getattr(table, "id", getattr(table, "attr", None)) == "PLATES":
+                found.append(("PLATES subscript", node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Constant) and node.value in names:
+            found.append(("phase name", node.lineno, repr(node.value)))
+    return sorted(found, key=lambda spelling: spelling[1])
+
+
+def test_each_bench_convention_is_spelled_in_one_module():
+    # every other module derives from the plate lookup and the phase names
+    stray = [
+        (path.name, *spelling)
+        for path in SOURCES
+        for spelling in convention_spellings(path)
+        if path.name != CONVENTION_HOMES[spelling[0]]
+    ]
+    assert stray == []
 
 
 def test_guard_ignores_definitions_imports_and_docstrings():
@@ -135,3 +201,19 @@ def test_private_read_guard_sees_attributes_and_imports():
     )
     want = {"observables._core", "pathpol.bench._beam", "bench._x", "pt.m._y"}
     assert private_reads(tree) == want
+
+
+def test_convention_guard_sees_subscripts_and_literals(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        '"""theta1 in a docstring"""\n'
+        "a = elements.PLATES[1, 'pol']\n"
+        "b = PLATES[key]\n"
+        "c = {'phi2': 0, 'x': PLATES}\n"
+        "d = f'phases.{name}', 'theta10'\n"
+    )
+    assert convention_spellings(path) == [
+        ("PLATES subscript", 2, "elements.PLATES[1, 'pol']"),
+        ("PLATES subscript", 3, "PLATES[key]"),
+        ("phase name", 4, "'phi2'"),
+    ]

@@ -332,3 +332,24 @@ def test_every_entry_point_refuses_a_bool_by_name(entry, flag):
     field, call = _ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=f"^{field} must .*, got {shown(flag)}$"):
         call(flag)
+
+
+_INDEX_ENTRIES = ("apply_slot-slot", "basis_label-index", "basis_index-digit")
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, "3", "1"], ids=["1.0", "1.5", "'3'", "'1'"])
+@pytest.mark.parametrize("entry", _INDEX_ENTRIES)
+def test_every_index_refuses_a_float_or_a_string_by_name(entry, value):
+    # 1.0 passed the range checks, and then failed as a tuple index or gave
+    # the float basis index 8.0; a string failed in a comparison with an int
+    field, call = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{field} must .*, got {shown(value)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int8, np.uint16])
+def test_every_index_takes_a_numpy_integer(integer):
+    assert np.array_equal(apply_slot(I2, _STATE, integer(3)), apply_slot(I2, _STATE, 3))
+    assert basis_label(integer(11)) == basis_label(11)
+    assert basis_index(integer(1), 0, integer(1), 1) == 11
+    assert np.array_equal(basis_state(integer(1), 0, 0, 0), basis_state(1, 0, 0, 0))
