@@ -38,7 +38,9 @@ from math import isfinite, sqrt
 import numpy as np
 
 from . import elements
-from .tensor import N_SLOTS, SLOT_PATH_1, SLOT_PATH_2, Array, apply_slot, matmul2, shown
+from .tensor import (
+    N_SLOTS, SLOT_PATH_1, SLOT_PATH_2, Array, apply_slot, matmul2, real_scalar, shown,
+)
 
 _SQRT2 = np.sqrt(2.0)
 _BEAM_SHAPE = (2, 2)  # one beam: path, pol
@@ -99,11 +101,7 @@ class SourceSpec:
             in_range = sqrt(lo) <= abs(a) <= sqrt(hi)
         if not (in_range or np.isfinite(a).all()):
             raise ValueError("source amplitude must be finite")
-        omega = _checked("source frequency", self.omega)
-        if isinstance(omega, np.ndarray):
-            raise ValueError("source frequency must be one float, not an array")
-        if not isfinite(omega):
-            raise ValueError("source frequency must be finite")
+        omega = real_scalar("source frequency", self.omega)
         if not in_range:
             raise ValueError(f"source amplitude {shown(a)} must have |A|^2 in [{lo:g}, {hi:g}]")
         object.__setattr__(self, "amplitude", a)

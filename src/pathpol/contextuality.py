@@ -30,7 +30,7 @@ from math import cos, pi
 
 import numpy as np
 
-from .tensor import is_bool, is_integer, shown
+from .tensor import choice
 
 # Unused here, and kept bound for the benchmark harness, which breaks on
 # every traced run without it: perfbench/tracer.py (Tracer.install) wraps
@@ -58,9 +58,7 @@ def case2_setting(anchor: float = 0.0) -> tuple[float, float, float, float]:
 
 def _sign(case: int) -> int:
     """The sign s of the secondary angle in pair(x, y) = cos(x + s*y)."""
-    if is_bool(case) or case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {shown(case)}")
-    return 1 if case == 1 else -1
+    return 1 if choice("case", case, (1, 2), "1 or 2") == 1 else -1
 
 
 def pair(case: int, x: float, y: float) -> float:
@@ -166,12 +164,8 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     picked the negative orientation of S. The polish alone is returned: a
     grid point can read an ulp above 2*sqrt(2); the polish, at no R in range.
     """
-    if not is_integer(resolution):
-        raise ValueError(f"resolution must be an integer, got {shown(resolution)}")
-    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-        raise ValueError(
-            f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {shown(resolution)}"
-        )
+    span = f"an integer in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]"
+    choice("resolution", resolution, range(MIN_RESOLUTION, MAX_RESOLUTION + 1), span)
 
     p_grid, grid_value = _grid_stage(case, resolution)
     p_prime = pi / 2.0 + pi * round((p_grid - pi / 2.0) / pi)

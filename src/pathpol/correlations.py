@@ -36,7 +36,7 @@ import numpy as np
 
 from . import observables
 from .bench import BenchRun, PhaseSetting, SourceSpec, batch_fields
-from .tensor import Array, float_or_array, is_bool, shown
+from .tensor import Array, choice, float_or_array
 
 # ratios are nan where |cos delta| is below this, at the closed form's zeros
 COSINE_GUARD = 1e-3
@@ -133,8 +133,7 @@ def g2_generalized(
     equal and all shifts vanish.
     """
     for v, name in zip((k, l, m, n), "klmn"):
-        if is_bool(v) or v not in (0, 1):
-            raise ValueError(f"{name} must be 0 or 1, got {shown(v)}")
+        choice(name, v, (0, 1), "0 or 1")
     batch_fields(s1, s2, ps)
     i1, i2, ssq = _intensities(s1, s2)
     signed = _SHIFT_SIGNS[k, l, m, n]

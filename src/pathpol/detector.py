@@ -33,15 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite, pi
-from sys import float_info
 
 import numpy as np
 
 from . import bench
 from .bench import PhaseSetting, SourceSpec
 from .tensor import (
-    DIM, N_SLOTS, STATE_SHAPE, Array, float_or_array, is_bool, is_integer, matmul2, norms_squared,
-    shown, state_tensor,
+    DIM, N_SLOTS, STATE_SHAPE, Array, choice, float_or_array, matmul2, norms_squared, real_scalar,
+    state_tensor,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -202,13 +201,7 @@ def autocorrelation_demo(
     for name, source in (("s1", s1), ("s2", s2)):
         if isinstance(source.amplitude, np.ndarray):
             raise ValueError(f"{name}.amplitude must be one amplitude, not a batch")
-    if is_bool(window) or not isinstance(window, (int, float, np.integer, np.floating)):
-        raise ValueError(f"window must be a real number, got {shown(window)}")
-    # isfinite overflows on an int past the float range
-    if isinstance(window, int) and abs(window) > float_info.max:
-        raise ValueError(f"window must be within the float range, got {shown(window)}")
-    if not isfinite(window):
-        raise ValueError(f"window must be finite, got {shown(window)}")
+    window = real_scalar("window", window)
     # (|A1| + |A2|)^4 bounds the squared intensity, so this bounds the
     # integral and every term it is compared with
     reach = abs(s1.amplitude) + abs(s2.amplitude)
@@ -225,12 +218,8 @@ def autocorrelation_demo(
             f"window * |omega1 - omega2| must be >= {MIN_BEATS:g}, "
             f"got {window * beat:g}"
         )
-    if not is_integer(samples):
-        raise ValueError(f"samples must be an integer, got {shown(samples)}")
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {shown(samples)}")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {shown(samples)}")
+    span = f"an integer in [{MIN_SAMPLES}, {MAX_SAMPLES}]"
+    choice("samples", samples, range(MIN_SAMPLES, MAX_SAMPLES + 1), span)
 
     # fastest surviving oscillation is twice the beat
     needed = SAMPLES_PER_PERIOD * window * (2.0 * beat) / (2.0 * pi)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import SLOT_PATH_1, SLOT_PATH_2, SLOT_POL_1, SLOT_POL_2, Array, is_bool, shown
+from .tensor import SLOT_PATH_1, SLOT_PATH_2, SLOT_POL_1, SLOT_POL_2, Array, choice
 
 # (source, dof) -> (slot, sign)
 PLATES = {
@@ -42,8 +42,7 @@ def pol_swap() -> Array:
 def phase_diagonal(x: float | Array, sign: int) -> Array:
     """(1, e^{i*sign*x}), the diagonal of a phase plate on the (a, b) or the
     (V, H) doublet; an array of phases gives shape ``x.shape + (2,)``."""
-    if is_bool(sign) or sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {shown(sign)}")
+    choice("sign", sign, (1, -1), "+1 or -1")
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape + (2,), dtype=complex)
     out[..., 0] = 1.0
@@ -54,10 +53,8 @@ def phase_diagonal(x: float | Array, sign: int) -> Array:
 def slot_and_sign(source: int, dof: str) -> tuple[int, int]:
     """``PLATES``' (slot, sign) for source (1|2) and dof, the string 'path'
     or 'pol'; any other source or dof is refused by name."""
-    if is_bool(source) or source not in (1, 2):
-        raise ValueError(f"source must be 1 or 2, got {shown(source)}")
-    if not isinstance(dof, str) or dof not in ("path", "pol"):
-        raise ValueError(f"dof must be 'path' or 'pol', got {shown(dof)}")
+    choice("source", source, (1, 2), "1 or 2")
+    choice("dof", dof, ("path", "pol"), "'path' or 'pol'")
     return PLATES[(source, dof)]
 
 

@@ -35,9 +35,9 @@ from .tensor import (
     SLOT_PATH_2,
     Array,
     apply_factors,
+    choice,
     dagger,
     matmul2,
-    shown,
     state_tensor,
 )
 
@@ -66,8 +66,7 @@ def sigma(source: int, dof: str, phase: float | Array, branch: str = "full") -> 
     ``phase`` may be a 1-d array; the core is then a stack, one per entry.
     """
     slot, sense = elements.slot_and_sign(source, dof)
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {shown(branch)}")
+    choice("branch", branch, BRANCHES, f"one of {BRANCHES}")
     return _sigma_core(phase, sense, branch), slot
 
 

@@ -21,13 +21,15 @@ the one 2x2 matrix product, the same multiply-add written out, so none goes
 through BLAS, whose rounding depends on the kernel it picks for the host.
 
 ``state_tensor`` is the one check of the ``(..., 2, 2, 2, 2)`` state shape.
-``shown`` renders the value every refusal names; ``is_bool`` marks a bool,
-which no index, count or choice takes, and ``is_integer`` the ints and
-numpy integers an index or a count takes.
+The refusals at the package's boundary share one vocabulary: ``shown``
+renders the value every refusal names, ``choice`` is the one check of an
+index, a count or a choice, and ``real_scalar`` the one check of a single
+finite real number.
 """
 
 from __future__ import annotations
 
+from math import isfinite
 from sys import float_info
 from typing import Sequence
 
@@ -43,6 +45,7 @@ SLOT_PATH_1 = 0
 SLOT_POL_1 = 1
 SLOT_PATH_2 = 2
 SLOT_POL_2 = 3
+_SLOTS = range(N_SLOTS)
 
 # per slot and term j of ``apply_slot``: column j of an operator with its
 # rows laid along the slot axis, and the state's half j on that slot kept as
@@ -73,15 +76,34 @@ def shown(value: object) -> str:
         return f"a {type(value).__name__} holding an integer too long to print"
 
 
-def is_bool(value: object) -> bool:
-    """Whether ``value`` is a bool, Python's or numpy's: each equals 0 or 1,
-    but none is an index, a count or a choice, whose checks refuse it."""
-    return isinstance(value, (bool, np.bool_))
+def choice(name: str, value: object, allowed: tuple | range, wording: str) -> object:
+    """``value`` if it is one of ``allowed`` and of its kind: a str for a named
+    choice, an int or a numpy integer for an index, a count or a numeric
+    choice. Anything else is refused by ``name``, ``wording`` saying what it
+    must be; a bool or a float is refused even where it equals an allowed int."""
+    if type(value) is int:  # the common case first
+        ok = value in allowed
+    elif isinstance(value, str):  # tested against a tuple only: a range scans it
+        ok = not isinstance(allowed, range) and value in allowed
+    else:  # a numpy integer is tested as an int, which a range tests without a scan
+        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        ok = ok and int(value) in allowed
+    if ok:
+        return value
+    raise ValueError(f"{name} must be {wording}, got {shown(value)}")
 
 
-def is_integer(value: object) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def real_scalar(name: str, value: object) -> float:
+    """``value`` as a float if it is one finite real number: an int, a float
+    or a numpy integer or float. Anything else, a bool, an array or an int
+    past the float range among them, is refused by ``name``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        # float() overflows on an int past the float range
+        if not isinstance(value, int) or abs(value) <= float_info.max:
+            x = float(value)
+            if isfinite(x):
+                return x
+    raise ValueError(f"{name} must be a finite real number, got {shown(value)}")
 
 
 def state_tensor(state: Array) -> Array:
@@ -106,10 +128,7 @@ def apply_slot(op: Array, state: Array, slot: int) -> Array:
     if op.shape[-2:] != (2, 2):
         raise ValueError(f"apply_slot expects 2x2 operators, got shape {op.shape}")
     state = state_tensor(state)
-    if not is_integer(slot):
-        raise ValueError(f"slot must be an integer, got {shown(slot)}")
-    if not 0 <= slot < N_SLOTS:
-        raise ValueError(f"slot must be in 0..3, got {shown(slot)}")
+    choice("slot", slot, _SLOTS, "an integer in 0..3")
     # each product already has the output's shape and slot order
     (col0, half0), (col1, half1) = _TERMS[slot]
     out = op[col0] * state[half0]
@@ -152,8 +171,7 @@ def dagger(m: Array) -> Array:
 
 def basis_index(path1: int, pol1: int, path2: int, pol2: int) -> int:
     for v in (path1, pol1, path2, pol2):
-        if not is_integer(v) or v not in (0, 1):
-            raise ValueError(f"basis digits must be 0 or 1, got {shown(v)}")
+        choice("basis digits", v, (0, 1), "0 or 1")
     return 8 * path1 + 4 * pol1 + 2 * path2 + pol2
 
 
@@ -166,10 +184,7 @@ def basis_state(path1: int, pol1: int, path2: int, pol2: int) -> Array:
 
 def basis_label(index: int) -> str:
     """Human-readable label of a flat index: 0 -> 'aVaV', 15 -> 'bHbH'."""
-    if not is_integer(index):
-        raise ValueError(f"index must be an integer, got {shown(index)}")
-    if not 0 <= index < DIM:
-        raise ValueError(f"index must be in 0..15, got {shown(index)}")
+    choice("index", index, range(DIM), "an integer in 0..15")
     bits = [(index >> k) & 1 for k in (3, 2, 1, 0)]
     return (
         PATH_LABELS[bits[0]]

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from pathpol.bench import (
 from pathpol.correlations import correlation_report
 from pathpol.detector import detect
 from pathpol.observables import transfer_check
-from pathpol.tensor import apply_factors, basis_state, norms_squared
+from pathpol.tensor import apply_factors, basis_state, norms_squared, shown
 
 SQRT2 = np.sqrt(2.0)
 
@@ -114,7 +115,8 @@ def test_phase_setting_refuses_a_non_real_phase_by_name(bad):
 def test_source_spec_refuses_a_non_number_by_name(bad):
     with pytest.raises(ValueError, match="^source amplitude must be a number or a 1-d array"):
         SourceSpec(bad, 1.0)
-    with pytest.raises(ValueError, match="^source frequency must be"):
+    refusal = f"source frequency must be a finite real number, got {shown(bad)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         SourceSpec(1.0, bad)
 
 
@@ -130,7 +132,8 @@ def test_integer_fields_become_floats():
     batch = SourceSpec([1, 2j], 1.0)
     assert batch.amplitude.dtype == complex and not batch.amplitude.flags.writeable
     assert np.array_equal(batch.intensity, [1.0, 4.0])
-    with pytest.raises(ValueError, match="^source frequency must be one float"):
+    refusal = "source frequency must be a finite real number, got [1.0, 1.3]"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         SourceSpec(1.0, [1.0, 1.3])
 
 

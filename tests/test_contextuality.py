@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import cos, ulp
 
@@ -107,10 +108,13 @@ def test_scan_never_exceeds_algebraic_ceiling(case):
     assert over == []
 
 
+_RESOLUTION_REFUSAL = f"resolution must be an integer in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got "
+
+
 @pytest.mark.parametrize("resolution", [64.0, 64.5, True, "64", None])
 def test_scan_refuses_a_non_integer_resolution(resolution):
     # 64.0 and 64.5 pass the range check and used to fail as grid indices
-    with pytest.raises(ValueError, match=f"^resolution must be an integer, got {resolution!r}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(_RESOLUTION_REFUSAL)}{resolution!r}$"):
         scan_max(1, resolution)
 
 
@@ -279,11 +283,11 @@ def test_scan_memory_stays_linear(case):
 
 
 def test_scan_resolution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_RESOLUTION_REFUSAL)}7$"):
         scan_max(1, resolution=7)
-    with pytest.raises(ValueError, match=f"resolution must be in .*, got {MAX_RESOLUTION + 1}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(_RESOLUTION_REFUSAL)}{MAX_RESOLUTION + 1}$"):
         scan_max(1, resolution=MAX_RESOLUTION + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^case must be 1 or 2, got 5$"):
         scan_max(5, resolution=64)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,11 +18,14 @@ from pathpol.detector import (
     p45_intensity,
     project_aa,
 )
+from pathpol.tensor import norms_squared
 
 S1 = SourceSpec(1.0, 1.0)
 S2 = SourceSpec(1.0, 1.3)
 # a 16-setting sweep, for the refusals that must hold for a stack too
 STACK = PhaseSetting(np.linspace(0.0, 3.0, 16), 0.0, 0.0, 0.0)
+_WINDOW_REFUSAL = "window must be a finite real number, got "
+_SAMPLES_REFUSAL = f"samples must be an integer in [{MIN_SAMPLES}, {MAX_SAMPLES}], got "
 
 
 def output_state(delta: float, s1: SourceSpec = S1, s2: SourceSpec = S2):
@@ -188,6 +192,41 @@ def test_detect_probabilities():
         assert abs(p - 0.25) < 1e-12
 
 
+def _port_blocks(state):
+    """Each port pair's share of a 16-vector's norm, the (aa, ab, ba, bb)
+    blocks read straight off the flat index 8*path1 + 4*pol1 + 2*path2 + pol2."""
+    vector = np.asarray(state).reshape(16)
+    total = np.sum(np.abs(vector) ** 2)
+    blocks = []
+    for p1 in (0, 1):
+        for p2 in (0, 1):
+            port = [8 * p1 + 4 * o1 + 2 * p2 + o2 for o1 in (0, 1) for o2 in (0, 1)]
+            blocks.append(np.sum(np.abs(vector[port]) ** 2) / total)
+    return blocks
+
+
+def test_detect_normalizes_a_state_whose_norm_is_not_one():
+    # A = (1.3, 0.6): the output is a product of the two beams, ||psi||^2 = (1.3 * 0.6)^2
+    state = output_state(1.3, SourceSpec(1.3, 1.0), SourceSpec(0.6, 1.3))
+    assert abs(norms_squared(state.reshape(16)) - 0.6084) < 1e-15
+    probs = detect(state)
+    assert abs(sum(probs) - 1.0) < 1e-15
+    assert np.allclose(probs, _port_blocks(state), rtol=0.0, atol=1e-15)
+    assert np.allclose(probs, detect(output_state(1.3)), rtol=0.0, atol=1e-15)
+
+
+def test_detect_reads_a_scaled_random_state_as_the_state():
+    rng = np.random.default_rng(17)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+    probs = detect(tensors(psi))
+    for c in (3.7, 0.05j, -1.9 + 0.4j):
+        scaled = detect(tensors(c * psi))
+        assert abs(sum(scaled) - 1.0) < 1e-15
+        assert np.allclose(scaled, _port_blocks(c * psi), rtol=0.0, atol=1e-15)
+        assert np.allclose(scaled, probs, rtol=0.0, atol=1e-15)
+
+
 def test_detect_refuses_an_empty_state_and_passes_nan_through():
     # the zero state used to end in a bare ZeroDivisionError
     with pytest.raises(ValueError, match="^this state is empty$"):
@@ -218,12 +257,25 @@ def test_detector_amplitude_intensity_laws():
 
 def test_autocorrelation_preconditions():
     ps = PhaseSetting(0.5, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^sources must have distinct frequencies \(omega1 != omega2\)$"
+    ):
         autocorrelation_demo(S1, SourceSpec(1.0, 1.0), ps, 10_000.0, 20_000)
-    with pytest.raises(ValueError):
+    refusal = "window * |omega1 - omega2| must be >= 100, got 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         autocorrelation_demo(S1, S2, ps, 10.0, 20_000)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_SAMPLES_REFUSAL)}100$"):
         autocorrelation_demo(S1, S2, ps, 10_000.0, 100)
+
+
+def test_autocorrelation_beat_count_bound_is_inclusive():
+    # the beat is exactly 0.5, so window * beat is exact on either side of 100
+    s1, s2 = SourceSpec(1.0, 1.0), SourceSpec(1.0, 1.5)
+    ps = PhaseSetting(0.5, 0.0, 0.0, 0.0)
+    assert autocorrelation_demo(s1, s2, ps, 200.0, MIN_SAMPLES).total > 0.0
+    refusal = "window * |omega1 - omega2| must be >= 100, got 99.5"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        autocorrelation_demo(s1, s2, ps, 199.0, MIN_SAMPLES)
 
 
 def test_autocorrelation_decomposition_is_consistent():
@@ -330,7 +382,7 @@ def test_autocorrelation_refuses_a_sample_count_that_is_not_an_integer(monkeypat
 
     monkeypatch.setattr(np, "linspace", no_allocation)
     for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
-        with pytest.raises(ValueError, match="samples must be an integer"):
+        with pytest.raises(ValueError, match=f"^{re.escape(_SAMPLES_REFUSAL)}{samples!r}$"):
             autocorrelation_demo(S1, S2, ps, 4000.0, samples)
 
 
@@ -342,21 +394,24 @@ def test_autocorrelation_refuses_a_sample_count_that_is_not_an_integer(monkeypat
 def test_autocorrelation_refuses_a_window_that_is_not_a_real_number(window):
     # "4000" and None failed in np.isfinite, 4000j on <: a bare TypeError
     for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
-        with pytest.raises(ValueError, match="window must be a real number"):
+        refusal = f"{_WINDOW_REFUSAL}{window!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             autocorrelation_demo(S1, S2, ps, window, 20_000)
 
 
 @pytest.mark.parametrize(
-    "window, samples, field",
+    "window, samples, refusal",
     [
-        (10**400, 20_000, "window"),
-        (-(10**400), 20_000, "window"),
-        (4000.0, 10**400, "samples"),
-        (4000.0, MAX_SAMPLES + 1, "samples"),
+        (10**400, 20_000, f"{_WINDOW_REFUSAL}a 1329-bit integer"),
+        (-(10**400), 20_000, f"{_WINDOW_REFUSAL}a negative 1329-bit integer"),
+        (4000.0, 10**400, f"{_SAMPLES_REFUSAL}a 1329-bit integer"),
+        (4000.0, MAX_SAMPLES + 1, f"{_SAMPLES_REFUSAL}{MAX_SAMPLES + 1}"),
     ],
     ids=["huge-int-window", "huge-negative-int-window", "huge-int-samples", "samples-above-max"],
 )
-def test_autocorrelation_refuses_an_out_of_range_integer_by_name(monkeypatch, window, samples, field):
+def test_autocorrelation_refuses_an_out_of_range_integer_by_name(
+    monkeypatch, window, samples, refusal
+):
     # 10**400 is an int past the float range: isfinite (window) and the
     # message's float formatting (samples) raised a bare OverflowError
     def no_allocation(*args, **kwargs):
@@ -364,7 +419,7 @@ def test_autocorrelation_refuses_an_out_of_range_integer_by_name(monkeypatch, wi
 
     monkeypatch.setattr(np, "linspace", no_allocation)
     for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             autocorrelation_demo(S1, S2, ps, window, samples)
 
 

@@ -16,7 +16,9 @@ function that reads that owner's field, and the function must read it.
 ``verify.py`` reads no name private to another pathpol module, and no other
 pathpol module does either. Each folded bench convention is spelled in one
 module: the plate table is subscripted only in ``elements.py``, and the
-phase names are written out only in ``bench.py``.
+phase names are written out only in ``bench.py``. Each boundary refusal of
+an index, a count or a choice is spelled only in ``tensor.py``, by
+``tensor.choice``, and no module binds a bool test of its own.
 """
 
 import ast
@@ -177,6 +179,60 @@ def test_each_bench_convention_is_spelled_in_one_module():
     assert stray == []
 
 
+def hand_written_choices(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, test)`` of each ``if`` whose test holds a ``not in`` or a
+    range comparison (``lo <= x < hi``, or one bound of a name by a named
+    constant, ``x < MIN_X``) and whose body raises a ``ValueError``, and
+    ``(line, name)`` of each binding of ``is_bool``."""
+    def raises_value_error(body):
+        return any(
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "ValueError"
+            for statement in body
+            for node in ast.walk(statement)
+        )
+
+    def range_test(node):
+        sides = [node.left, *node.comparators]
+        bound = all(isinstance(side, ast.Name) for side in sides) and any(
+            side.id.isupper() for side in sides
+        )
+        ordered = all(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+        return ordered and (len(node.ops) > 1 or bound)
+
+    def choice_test(test):
+        return any(
+            isinstance(node, ast.Compare)
+            and (any(isinstance(op, ast.NotIn) for op in node.ops) or range_test(node))
+            for node in ast.walk(test)
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and choice_test(node.test) and raises_value_error(node.body):
+            found.append((node.lineno, ast.unparse(node.test)))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "is_bool":
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id == "is_bool":
+                found.append((node.lineno, node.id))
+        elif isinstance(node, ast.alias) and (node.asname or node.name) == "is_bool":
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_each_choice_refusal_is_spelled_in_tensor_alone():
+    # every other module refuses an index, a count or a choice through tensor.choice
+    stray = [
+        (path.name, *spelling)
+        for path in SOURCES
+        for spelling in hand_written_choices(ast.parse(path.read_text(encoding="utf-8")))
+        if path.name != "tensor.py" or spelling[1] == "is_bool"
+    ]
+    assert stray == []
+
+
 def test_guard_ignores_definitions_imports_and_docstrings():
     tree = ast.parse(
         '"""mentions unused_a"""\n'
@@ -201,6 +257,33 @@ def test_private_read_guard_sees_attributes_and_imports():
     )
     want = {"observables._core", "pathpol.bench._beam", "bench._x", "pt.m._y"}
     assert private_reads(tree) == want
+
+
+def test_choice_guard_sees_membership_ranges_and_bool_tests():
+    tree = ast.parse(
+        "from .tensor import is_bool\n"
+        "if is_bool(v) or v not in (1, 2):\n"
+        "    raise ValueError(v)\n"
+        "if not 0 <= slot < 4:\n"
+        "    if slot:\n"
+        "        raise ValueError(slot)\n"
+        "if key not in table:\n"
+        "    raise ConfigError(key)\n"
+        "if x < 100 or x * beat < MIN_BEATS:\n"
+        "    raise ValueError(x)\n"
+        "if samples > MAX_SAMPLES:\n"
+        "    raise ValueError(samples)\n"
+        "ok = lo <= v <= hi\n"
+        "def is_bool(v):\n"
+        "    return v\n"
+    )
+    assert hand_written_choices(tree) == [
+        (1, "is_bool"),
+        (2, "is_bool(v) or v not in (1, 2)"),
+        (4, "not 0 <= slot < 4"),
+        (11, "samples > MAX_SAMPLES"),
+        (14, "is_bool"),
+    ]
 
 
 def test_convention_guard_sees_subscripts_and_literals(tmp_path):

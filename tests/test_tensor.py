@@ -3,6 +3,7 @@
 16 basis tensors and compared with an ``np.kron`` oracle written here."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,7 @@ _ENTRY_POINTS = {
     "sigma-source": ("source", lambda h: sigma(h, "pol", 0.1)),
     "plate-source": ("source", lambda h: plate(h, "pol", 0.1)),
     "plate-dof": ("dof", lambda h: plate(1, h, 0.1)),
+    "sigma-branch": ("branch", lambda h: sigma(1, "pol", 0.1, h)),
 }
 
 
@@ -334,16 +336,47 @@ def test_every_entry_point_refuses_a_bool_by_name(entry, flag):
         call(flag)
 
 
-_INDEX_ENTRIES = ("apply_slot-slot", "basis_label-index", "basis_index-digit")
+# every index, count and numeric choice, and every named choice
+_INT_ENTRIES = (
+    "apply_slot-slot",
+    "basis_label-index",
+    "basis_index-digit",
+    "sigma-source",
+    "plate-source",
+    "phase_diagonal-sign",
+    "pair-case",
+    "scan_max-case",
+    "g2_generalized-k",
+    "scan_max-resolution",
+    "autocorrelation_demo-samples",
+)
+_STR_ENTRIES = ("plate-dof", "sigma-branch")
 
 
-@pytest.mark.parametrize("value", [1.0, 1.5, "3", "1"], ids=["1.0", "1.5", "'3'", "'1'"])
-@pytest.mark.parametrize("entry", _INDEX_ENTRIES)
+@pytest.mark.parametrize(
+    "value", [1.0, 1.5, np.float64(2.0), "3", "1"], ids=["1.0", "1.5", "np.float64", "'3'", "'1'"]
+)
+@pytest.mark.parametrize("entry", _INT_ENTRIES)
 def test_every_index_refuses_a_float_or_a_string_by_name(entry, value):
     # 1.0 passed the range checks, and then failed as a tuple index or gave
-    # the float basis index 8.0; a string failed in a comparison with an int
+    # the float basis index 8.0, and 1.0 equals source 1, sign +1, case 1 and
+    # shift 1; a string failed in a comparison with an int
     field, call = _ENTRY_POINTS[entry]
-    with pytest.raises(ValueError, match=f"^{field} must .*, got {shown(value)}$"):
+    refusal = f"^{re.escape(field)} must .*, got {re.escape(shown(value))}$"
+    with pytest.raises(ValueError, match=refusal):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, 1, b"pol", ["full"], np.array("full")],
+    ids=["None", "1", "bytes", "list", "0-d-array"],
+)
+@pytest.mark.parametrize("entry", _STR_ENTRIES)
+def test_every_named_choice_refuses_a_non_string_by_name(entry, value):
+    # a 0-d array of 'full' equals 'full', and passed as a branch
+    field, call = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{field} must .*, got {re.escape(shown(value))}$"):
         call(value)
 
 
@@ -353,3 +386,6 @@ def test_every_index_takes_a_numpy_integer(integer):
     assert basis_label(integer(11)) == basis_label(11)
     assert basis_index(integer(1), 0, integer(1), 1) == 11
     assert np.array_equal(basis_state(integer(1), 0, 0, 0), basis_state(1, 0, 0, 0))
+    # and so does a numeric choice
+    assert pair(integer(2), 0.1, 0.2) == pair(2, 0.1, 0.2)
+    assert np.array_equal(plate(integer(2), "pol", 0.1)[0], plate(2, "pol", 0.1)[0])
