@@ -106,13 +106,16 @@ def project_aa(state: Array) -> AaProjection:
     # a nonempty aa branch makes the state nonzero
     total = norms_squared(state.reshape(-1, DIM))
     c_vv, c_hh = pol_block[:, 0, 0], pol_block[:, 1, 1]
-    ratio = np.divide(-c_hh, c_vv, out=np.full_like(c_vv, np.nan), where=np.abs(c_vv) > 0.0)
+    # an infinite amplitude divides to NaN fields, as a NaN state does
+    with np.errstate(invalid="ignore"):
+        ratio = np.divide(-c_hh, c_vv, out=np.full_like(c_vv, np.nan), where=np.abs(c_vv) > 0.0)
+        branch_fraction = branch_norm_sq / total
 
     return AaProjection(
         pol_unit=pol_unit.reshape(lead + (4,)),
         expansion=expansion.reshape(lead + (4,)),
         delta=float_or_array(np.angle(ratio).reshape(lead)),
-        branch_fraction=float_or_array((branch_norm_sq / total).reshape(lead)),
+        branch_fraction=float_or_array(branch_fraction.reshape(lead)),
     )
 
 

@@ -106,7 +106,7 @@ def argvs(draw):
 
 
 @seed(20280)
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(argv=argvs())
 def test_what_the_table_reads_argparse_reads_the_same(argv):
     read = cli._read_args(argv)

@@ -1,9 +1,7 @@
-"""The operator route of ``pathpol sweep`` against an independent oracle.
-
-The reference operators are written out here with ``np.kron`` on 2x2 blocks
-(no ``pathpol.tensor``), and the reference input state is the documented
-(A1 A2 / sqrt2)(|aVaV> - |bHbH>), so a fault shared by the program's tensor
-helpers cannot cancel out.
+"""The operator route of ``pathpol sweep`` against the ``np.kron`` model in
+``reference.py``, whose input state is the documented
+(A1 A2 / sqrt2)(|aVaV> - |bHbH>) and which uses no ``pathpol.tensor``, so a
+fault shared by the program's tensor helpers cannot cancel out.
 """
 
 import contextlib
@@ -17,48 +15,10 @@ from hypothesis import strategies as st
 from pathpol import bench, cli, correlations, detector, observables
 from pathpol.bench import PhaseSetting, SourceSpec
 from pathpol.scenario import SWEEP_VARIABLES
+from reference import STAGE_FIELDS, sweep_row
 
 TOL = 1e-12
-I2 = np.eye(2)
-KET_A = np.array([1.0, 0.0])
-KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 PHASE_NAMES = ("theta1", "theta2", "phi1", "phi2")
-
-
-def kron4(a, b, c, d):
-    return np.kron(np.kron(np.kron(a, b), c), d)
-
-
-def flip(x, sense):
-    return np.array([[0.0, np.exp(-1j * sense * x)], [np.exp(1j * sense * x), 0.0]])
-
-
-def phase(x, sense):
-    return np.diag([1.0, np.exp(1j * sense * x)])
-
-
-def reference_input(a1, a2):
-    psi = np.zeros(16, dtype=complex)
-    psi[0], psi[15] = 1.0, -1.0  # |aVaV>, |bHbH>
-    return a1 * a2 / np.sqrt(2.0) * psi
-
-
-def reference_row(a1, a2, theta1, theta2, phi1, phi2):
-    """C_numeric and p45 of one setting from explicit 16x16 matrices."""
-    psi = reference_input(a1, a2)
-    sigmas = kron4(flip(phi1, 1), flip(theta1, 1), flip(phi2, -1), flip(theta2, -1))
-    c_numeric = np.vdot(psi, sigmas @ psi).real / (abs(a1) ** 2 + abs(a2) ** 2) ** 2
-
-    out = kron4(BS, I2, BS, I2) @ kron4(
-        phase(phi1, 1), phase(theta1, 1), phase(phi2, -1), phase(theta2, -1)
-    ) @ psi
-    port_a = np.outer(KET_A, KET_A)
-    both_a = kron4(port_a, I2, port_a, I2)
-    both_45 = kron4(port_a, np.outer(KET_PLUS, KET_PLUS), port_a, np.outer(KET_PLUS, KET_PLUS))
-    # squared ++ coefficient of sqrt2 * (unit aa polarization block)
-    p45 = 2.0 * np.vdot(out, both_45 @ out).real / np.vdot(out, both_a @ out).real
-    return c_numeric, p45
 
 
 def pinned(variable, value, base):
@@ -75,7 +35,7 @@ angles = st.floats(-2.0 * np.pi, 2.0 * np.pi)
 
 
 @seed(20141)
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(
     i1=st.floats(0.05, 20.0),
     i2=st.floats(0.05, 20.0),
@@ -102,7 +62,7 @@ def test_sweep_operator_columns_match_kron_oracle(i1, i2, base, variable, span, 
         assert var == value
         phases = pinned(variable, float(value), base)
         delta = phases["theta1"] + phases["phi1"] - phases["theta2"] - phases["phi2"]
-        want_c, want_p45 = reference_row(a1, a2, **phases)
+        want_c, want_p45 = sweep_row(a1, a2, **phases)
         assert abs(c_numeric - want_c) <= TOL
         assert abs(p45 - want_p45) <= TOL
         assert abs(c_numeric + c_closed / 4.0) <= TOL
@@ -110,7 +70,7 @@ def test_sweep_operator_columns_match_kron_oracle(i1, i2, base, variable, span, 
 
 
 @seed(20142)
-@settings(max_examples=20, deadline=None, database=None)
+@settings(max_examples=20)
 @given(
     mags=st.tuples(st.floats(0.2, 4.0), st.floats(0.2, 4.0)),
     args=st.tuples(angles, angles),
@@ -126,7 +86,7 @@ def test_batched_route_equals_per_point_calls(mags, args, phases):
     p45 = detector.p45_intensity(swept.output)
     for k, row in enumerate(phases):
         one = bench.run(s1, s2, PhaseSetting(*row))
-        want_c, want_p45 = reference_row(s1.amplitude, s2.amplitude, *row)
+        want_c, want_p45 = sweep_row(s1.amplitude, s2.amplitude, *row)
         assert abs(numeric[k] - want_c) <= TOL
         assert abs(p45[k] - want_p45) <= TOL
         assert numeric[k] == correlations.correlation_numeric(one)
@@ -138,7 +98,7 @@ DELTA_KEEPING = ((1, 1, 0, 0), (1, 0, -1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0,
 
 
 @seed(20143)
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(
     mags=st.tuples(st.floats(0.2, 4.0), st.floats(0.2, 4.0)),
     args=st.tuples(angles, angles),
@@ -204,13 +164,12 @@ def test_closed_form_route_never_runs_the_bench(patch_everywhere):
         bench.run(s1, s2, sweep)
 
 
-STAGE_FIELDS = ("source", "post_bs", "input", "phased", "output")
 magnitudes = st.floats(0.2, 4.0)
 pairs = st.tuples(magnitudes, angles, magnitudes, angles, st.tuples(angles, angles, angles, angles))
 
 
 @seed(20151)
-@settings(max_examples=12, deadline=None, database=None)
+@settings(max_examples=12)
 @given(drawn=st.lists(pairs, min_size=1, max_size=6))
 def test_a_batch_of_sources_equals_its_single_runs_bit_for_bit(drawn):
     # N drawn source pairs, as a batch at one setting and with a sweep of N:

@@ -20,13 +20,12 @@ from pathpol.correlations import correlation_report
 from pathpol.detector import detect
 from pathpol.observables import transfer_check
 from pathpol.tensor import apply_factors, basis_state, norms_squared, shown
+from reference import STAGE_FIELDS
 
 SQRT2 = np.sqrt(2.0)
 
 S1 = SourceSpec(1.0, 1.0)
 S2 = SourceSpec(1.0, 1.3)
-# a run's stage fields, in chain order
-STAGE_FIELDS = ("source", "post_bs", "input", "phased", "output")
 
 
 def random_sources(rng):
@@ -360,7 +359,7 @@ _ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi)
 
 
 @seed(20180)
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(
     rows=st.lists(st.tuples(_ANGLE, _ANGLE, _ANGLE, _ANGLE), min_size=1, max_size=5),
     sweep=st.booleans(),

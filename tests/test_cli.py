@@ -1,7 +1,4 @@
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +9,6 @@ from pathpol.cli import CSV_HEADER, main
 from pathpol.contextuality import MAX_RESOLUTION, MIN_RESOLUTION
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -208,27 +204,12 @@ def test_sweep_goldens_cover_whole_and_short_blocks():
     assert {n % cli._CSV_BLOCK_ROWS == 0 for n in rows} == {True, False}
 
 
-def test_sweep_into_a_closed_pipe_ends_quietly(tmp_path):
-    # ~2,000 rows (~250 KB) outgrow a pipe buffer, so the sweep is still
-    # writing when its reader leaves after one line (`pathpol sweep | head -1`)
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    argv = ["sweep", "--set", "sweep.variable=delta", "--set", "sweep.points=2000"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pathpol.cli", *argv],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    try:
-        assert proc.stdout.readline() == (",".join(CSV_HEADER) + "\n").encode()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-    finally:
-        proc.kill()
-        proc.wait()
-    assert err == b""
-    assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 141
+def test_sweep_into_a_closed_pipe_ends_quietly(fresh_interpreter):
+    # `python -m pathpol.cli` writing a sweep that outgrows the pipe buffer
+    # (conftest.CLOSED_PIPE_SWEEP), its reader gone after one line
+    assert fresh_interpreter.header == (",".join(CSV_HEADER) + "\n").encode()
+    assert fresh_interpreter.stderr == b""
+    assert fresh_interpreter.returncode == cli.EXIT_STDOUT_CLOSED == 141
 
 
 def test_sweep_without_block_is_config_error(capsys):

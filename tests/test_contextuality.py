@@ -69,7 +69,7 @@ _ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
 
 
 @seed(1880)
-@settings(max_examples=50, deadline=None, database=None)
+@settings(max_examples=50)
 @given(t=_ANGLE, t_prime=_ANGLE, p=_ANGLE, p_prime=_ANGLE)
 def test_case_2_functional_is_the_cos_difference_sum(t, t_prime, p, p_prime):
     # x + (-1)*y is x - y in IEEE arithmetic, so the fold is exact
@@ -254,7 +254,7 @@ def test_windowed_scan_equals_the_quadratic_search_on_the_whole_domain(monkeypat
 
 
 @seed(1969)
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25)
 @given(p=_ANGLE, p_prime=_ANGLE)
 def test_best_primaries_attain_the_closed_form(p, p_prime):
     half = (p_prime - p) / 2.0

@@ -33,6 +33,16 @@ def output_state(delta: float, s1: SourceSpec = S1, s2: SourceSpec = S2):
     return run(s1, s2, ps).output
 
 
+@pytest.fixture
+def no_time_grid(monkeypatch):
+    """Fail any allocation of a sampled time grid (``np.linspace``)."""
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the time grid must not be allocated")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+
+
 def tensors(vectors):
     """16-vectors, or a stack of them, as ``(..., 2, 2, 2, 2)`` tensors."""
     vectors = np.asarray(vectors)
@@ -113,7 +123,7 @@ _PHASE = st.floats(-2.0 * np.pi, 2.0 * np.pi)
 
 
 @seed(20181)
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25)
 @given(
     rows=st.lists(st.tuples(_PHASE, _PHASE, _PHASE, _PHASE), min_size=1, max_size=6),
     mags=st.tuples(st.floats(0.2, 4.0), st.floats(0.2, 4.0)),
@@ -148,6 +158,12 @@ def test_p45_refuses_an_empty_branch_and_passes_nan_through():
     stacked = p45_intensity(np.array([tensors(nan), output_state(np.pi)]))
     assert np.isnan(stacked[0])
     assert stacked[1] == p45_intensity(output_state(np.pi))
+    # so does an infinite amplitude, everywhere or at aVaV alone
+    for vector in (np.full(16, np.inf), np.where(np.arange(16) == 0, np.inf, 0.0)):
+        state = tensors(vector)
+        assert np.isnan(p45_intensity(state))
+        assert np.isnan(project_aa(state).branch_fraction)
+        assert np.isnan(detect(state)[0])
 
 
 def test_expansion_is_unit_norm():
@@ -356,12 +372,8 @@ def test_autocorrelation_cross_term_carries_detection_law():
 
 
 @pytest.mark.parametrize("window", [1e9, float("inf"), float("nan")])
-def test_autocorrelation_refuses_oversized_window_before_allocating(monkeypatch, window):
+def test_autocorrelation_refuses_oversized_window_before_allocating(no_time_grid, window):
     # window=1e9 would need ~1.9e9 samples (a 14 GiB series): refused up front
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("the time grid must not be allocated")
-
-    monkeypatch.setattr(np, "linspace", no_allocation)
     for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
         with pytest.raises(ValueError, match="window") as info:
             autocorrelation_demo(S1, S2, ps, window, 10_000)
@@ -375,12 +387,8 @@ def test_autocorrelation_refuses_oversized_window_before_allocating(monkeypatch,
     [20_000.0, float("nan"), True, np.True_, "20000"],
     ids=["float", "nan", "bool", "numpy-bool", "str"],
 )
-def test_autocorrelation_refuses_a_sample_count_that_is_not_an_integer(monkeypatch, samples):
+def test_autocorrelation_refuses_a_sample_count_that_is_not_an_integer(no_time_grid, samples):
     # 20000.0 and NaN reached linspace (a bare TypeError), "20000" failed on <
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("the time grid must not be allocated")
-
-    monkeypatch.setattr(np, "linspace", no_allocation)
     for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
         with pytest.raises(ValueError, match=f"^{re.escape(_SAMPLES_REFUSAL)}{samples!r}$"):
             autocorrelation_demo(S1, S2, ps, 4000.0, samples)
@@ -410,14 +418,10 @@ def test_autocorrelation_refuses_a_window_that_is_not_a_real_number(window):
     ids=["huge-int-window", "huge-negative-int-window", "huge-int-samples", "samples-above-max"],
 )
 def test_autocorrelation_refuses_an_out_of_range_integer_by_name(
-    monkeypatch, window, samples, refusal
+    no_time_grid, window, samples, refusal
 ):
     # 10**400 is an int past the float range: isfinite (window) and the
     # message's float formatting (samples) raised a bare OverflowError
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("the time grid must not be allocated")
-
-    monkeypatch.setattr(np, "linspace", no_allocation)
     for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             autocorrelation_demo(S1, S2, ps, window, samples)
@@ -441,12 +445,8 @@ def test_autocorrelation_never_names_trapz_when_trapezoid_exists(monkeypatch):
     assert "trapz" not in looked_up
 
 
-def test_autocorrelation_refuses_an_overflowing_integral_before_allocating(monkeypatch):
+def test_autocorrelation_refuses_an_overflowing_integral_before_allocating(no_time_grid):
     # (2e75)^4 * 1e9 is not a finite float: the total would be inf and the residual NaN
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("the time grid must not be allocated")
-
-    monkeypatch.setattr(np, "linspace", no_allocation)
     loud = SourceSpec(1e75, 1.0), SourceSpec(1e75, 1.0001)
     for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
         with pytest.raises(ValueError, match="window") as info:
@@ -487,7 +487,7 @@ def _field_reference(s1, s2, ps, window, samples):
 
 
 @seed(20150)
-@settings(max_examples=20, deadline=None, database=None)
+@settings(max_examples=20)
 @given(a1=complex_amplitudes, a2=complex_amplitudes, phases=st.tuples(angles, angles, angles, angles))
 def test_autocorrelation_intensity_is_the_squared_field_sum(a1, a2, phases):
     # the integrand is the squared intensity |E1 + E2|^2, each source at its
@@ -501,7 +501,7 @@ def test_autocorrelation_intensity_is_the_squared_field_sum(a1, a2, phases):
 
 
 @seed(20151)
-@settings(max_examples=15, deadline=None, database=None)
+@settings(max_examples=15)
 @given(
     a1=complex_amplitudes,
     a2=complex_amplitudes,
@@ -522,13 +522,9 @@ def test_autocorrelation_total_is_numpy_trapezoid_bit_for_bit(a1, a2, phases, be
     assert abs(report.total - cos_form) <= 1e-14 * cos_form
 
 
-def test_autocorrelation_cost_does_not_grow_with_samples(monkeypatch):
+def test_autocorrelation_cost_does_not_grow_with_samples(no_time_grid):
     # the closed-form sum does O(settings) work: no time grid, and a 16-setting
     # call at the largest sample count holds no per-sample array
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("the time grid must not be allocated")
-
-    monkeypatch.setattr(np, "linspace", no_allocation)
     autocorrelation_demo(S1, S2, STACK, 4000.0, MAX_SAMPLES)  # warm-up
     tracemalloc.start()
     try:
@@ -545,7 +541,7 @@ phase_lists = st.lists(st.tuples(angles, angles, angles, angles), min_size=1, ma
 
 
 @seed(20152)
-@settings(max_examples=20, deadline=None, database=None)
+@settings(max_examples=20)
 @given(
     a1=complex_amplitudes,
     a2=complex_amplitudes,

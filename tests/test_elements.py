@@ -80,7 +80,7 @@ phases = st.floats(-2.0 * np.pi, 2.0 * np.pi)
 # both senses on every drawn phase
 @pytest.mark.parametrize("sign", [1, -1])
 @seed(20145)
-@settings(max_examples=50, deadline=None, database=None)
+@settings(max_examples=50)
 @given(x=phases)
 def test_all_elements_unitary(sign, x):
     for m in (beam_splitter(), pol_swap(), phase(x, sign)):
@@ -90,20 +90,23 @@ def test_all_elements_unitary(sign, x):
 
 @pytest.mark.parametrize("sense", [1, -1])
 @seed(20146)
-@settings(max_examples=50, deadline=None, database=None)
+@settings(max_examples=50)
 @given(x=phases)
 def test_sigma_cores_flip_and_project(sense, x):
-    # the flip squares to one; its two branches are complementary projectors
+    # the flip squares to one and is the difference of its two branches,
+    # which are complementary projectors
     full, plus, minus = (_sigma_core(x, sense, b) for b in ("full", "plus", "minus"))
     eye = np.eye(2)
     assert np.max(np.abs(full @ full - eye)) <= 1e-12
+    assert np.max(np.abs(full - (plus - minus))) <= 1e-12
     assert np.max(np.abs(plus @ plus - plus)) <= 1e-12
+    assert np.max(np.abs(minus @ minus - minus)) <= 1e-12
     assert np.max(np.abs(plus @ minus)) <= 1e-12
     assert np.max(np.abs(plus + minus - eye)) <= 1e-12
 
 
 @seed(20150)
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(x=st.one_of(phases, st.lists(phases, min_size=1, max_size=8).map(np.array)))
 def test_plates_and_observables_share_one_table(x):
     # each plate and its flip observable sit on the table's slot and turn

@@ -1,10 +1,7 @@
-"""The slot-local bench front end, runs and per-source outputs against a
-``np.kron`` oracle.
-
-Every reference stage is built here from explicit 4x4 and 16x16 matrices
-with ``np.kron`` (no ``pathpol.tensor``), starting from the two source kets
-A1|bV> and A2|aV>, so a fault shared by the program's beam stages and tensor
-helpers cannot cancel out.
+"""The slot-local bench front end, runs and per-source outputs against the
+``np.kron`` model in ``reference.py``, which starts from the two source kets
+A1|bV> and A2|aV> and uses no ``pathpol.tensor``, so a fault shared by the
+program's beam stages and tensor helpers cannot cancel out.
 """
 
 import numpy as np
@@ -14,47 +11,9 @@ from hypothesis import strategies as st
 
 from pathpol import bench, correlations, detector
 from pathpol.bench import PhaseSetting, SourceSpec
+from reference import BS_BEAM, KET_AV, KET_BV, PR_BEAM, STAGE_FIELDS, phase, stages, sym
 
 TOL = 1e-12
-I2 = np.eye(2)
-BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-KEEP_A = np.diag([1.0, 0.0])
-KEEP_B = np.diag([0.0, 1.0])
-BS_BEAM = np.kron(BS, I2)
-PR_BEAM = np.kron(KEEP_A, I2) + np.kron(KEEP_B, SWAP)
-KET_AV = np.array([1.0, 0.0, 0.0, 0.0])
-KET_BV = np.array([0.0, 0.0, 1.0, 0.0])
-
-
-def kron4(a, b, c, d):
-    return np.kron(np.kron(np.kron(a, b), c), d)
-
-
-def phase(x, sense):
-    return np.diag([1.0, np.exp(1j * sense * x)])
-
-
-def sym(x, y):
-    return (np.kron(x, y) + np.kron(y, x)) / np.sqrt(2.0)
-
-
-# a run's stage fields, in chain order
-STAGE_FIELDS = ("source", "post_bs", "input", "phased", "output")
-
-
-def reference_stages(a1, a2, theta1, theta2, phi1, phi2):
-    """The five stages in ``STAGE_FIELDS`` order, from explicit matrices."""
-    psi, phi = a1 * KET_BV, a2 * KET_AV
-    stages = [sym(psi, phi)]
-    psi, phi = BS_BEAM @ psi, BS_BEAM @ phi
-    stages.append(sym(psi, phi))
-    psi, phi = PR_BEAM @ psi, PR_BEAM @ phi
-    stages.append(sym(psi, phi))
-    phases = kron4(phase(phi1, 1), phase(theta1, 1), phase(phi2, -1), phase(theta2, -1))
-    phased = phases @ stages[-1]
-    stages += [phased, kron4(BS, I2, BS, I2) @ phased]
-    return stages
 
 
 angles = st.floats(-2.0 * np.pi, 2.0 * np.pi)
@@ -63,11 +22,11 @@ settings_ = st.tuples(angles, angles, angles, angles)
 
 
 @seed(20143)
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(a1=amplitudes, a2=amplitudes, phases=settings_)
 def test_front_end_and_trace_match_kron_oracle(a1, a2, phases):
     s1, s2 = SourceSpec(a1, 1.0), SourceSpec(a2, 1.3)
-    want = reference_stages(a1, a2, *phases)
+    want = stages(a1, a2, *phases)
     norm = abs(a1 * a2) ** 2
 
     bench_run = bench.run(s1, s2, PhaseSetting(*phases))
@@ -78,7 +37,7 @@ def test_front_end_and_trace_match_kron_oracle(a1, a2, phases):
 
 
 @seed(20145)
-@settings(max_examples=20, deadline=None, database=None)
+@settings(max_examples=20)
 @given(phases=settings_)
 def test_source_outputs_match_kron_oracle(phases):
     # each unit source alone: splitter, rotator, its own path and pol plates,

@@ -12,12 +12,11 @@ from pathpol.observables import (
     transfer_check,
 )
 from pathpol.tensor import SLOT_PATH_1, SLOT_PATH_2, apply_factors, basis_state
+from reference import kron4
 
 S1 = SourceSpec(1.0, 1.0)
 S2 = SourceSpec(1.0, 1.3)
 
-I2 = np.eye(2)
-PLUS2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
 BASIS = np.eye(16, dtype=complex).reshape(16, 2, 2, 2, 2)
 
 
@@ -27,12 +26,12 @@ def matrix(*factors):
     return apply_factors(BASIS, factors).reshape(16, 16).T
 
 
-def sigma_pol(source, theta, branch="full"):
-    return matrix(sigma(source, "pol", theta, branch))
+def sigma_pol(source, theta):
+    return matrix(sigma(source, "pol", theta))
 
 
-def sigma_path(source, phi, branch="full"):
-    return matrix(sigma(source, "path", phi, branch))
+def sigma_path(source, phi):
+    return matrix(sigma(source, "path", phi))
 
 
 def intensity_factors(source, theta, phi):
@@ -66,72 +65,17 @@ def test_sigma_source_sign_convention():
     assert abs(v2[1] - np.exp(-0.8j)) < 1e-15  # |aVaH> amplitude
 
 
-def test_sigma_full_is_difference_of_branches():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        spec = dict(
-            source=int(rng.integers(1, 3)),
-            dof="path" if rng.integers(0, 2) else "pol",
-            phase=float(rng.uniform(-6.0, 6.0)),
-        )
-        full = matrix(sigma(branch="full", **spec))
-        plus = matrix(sigma(branch="plus", **spec))
-        minus = matrix(sigma(branch="minus", **spec))
-        assert np.max(np.abs(full - (plus - minus))) < 1e-12
-        assert np.max(np.abs(full @ full - np.eye(16))) < 1e-12
-
-
 def test_sigma_eigenvalues_half_and_half():
     vals = np.linalg.eigvalsh(sigma_pol(1, 1.234))
     assert np.sum(np.abs(vals - 1.0) < 1e-9) == 8
     assert np.sum(np.abs(vals + 1.0) < 1e-9) == 8
 
 
-def test_projector_algebra():
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        spec = dict(
-            source=int(rng.integers(1, 3)),
-            dof="path" if rng.integers(0, 2) else "pol",
-            phase=float(rng.uniform(-6.0, 6.0)),
-        )
-        plus = matrix(sigma(branch="plus", **spec))
-        minus = matrix(sigma(branch="minus", **spec))
-        assert np.max(np.abs(plus @ plus - plus)) < 1e-12
-        assert np.max(np.abs(minus @ minus - minus)) < 1e-12
-        assert np.max(np.abs(plus @ minus)) < 1e-12
-        assert np.max(np.abs(plus + minus - np.eye(16))) < 1e-12
-
-
-def test_source_operators_commute():
-    rng = np.random.default_rng(37)
-    for _ in range(100):
-        a = matrix(
-            sigma(
-                1,
-                "path" if rng.integers(0, 2) else "pol",
-                float(rng.uniform(-6.0, 6.0)),
-                ("full", "plus", "minus")[int(rng.integers(0, 3))],
-            )
-        )
-        b = matrix(
-            sigma(
-                2,
-                "path" if rng.integers(0, 2) else "pol",
-                float(rng.uniform(-6.0, 6.0)),
-                ("full", "plus", "minus")[int(rng.integers(0, 3))],
-            )
-        )
-        assert np.max(np.abs(a @ b - b @ a)) < 1e-12
-
-
 def test_intensity_operator_zero_phase_pattern():
     # acting on |aVaV>: source-1 factors become the diagonal pattern, source 2 untouched
     op = matrix(*intensity_factors(1, 0.0, 0.0))
     out = op @ basis_state(0, 0, 0, 0)
-    expected = 0.25 * np.kron(
-        np.kron(np.kron([1.0, 1.0], [1.0, 1.0]), [1.0, 0.0]), [1.0, 0.0]
-    )
+    expected = 0.25 * kron4([1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [1.0, 0.0])
     assert np.max(np.abs(out - expected)) < 1e-15
 
 
@@ -177,7 +121,7 @@ complex_amplitudes = st.builds(lambda m, a: m * np.exp(1j * a), st.floats(0.2, 4
 
 
 @seed(20149)
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25)
 @given(a1=complex_amplitudes, a2=complex_amplitudes, phases=st.tuples(*[angles] * 4))
 def test_transfer_bracket_is_unnormalized(a1, a2, phases):
     # the logged scale: the bracket is (I1+I2)^2/32 times the normalized term

@@ -19,12 +19,17 @@ module: the plate table is subscripted only in ``elements.py``, and the
 phase names are written out only in ``bench.py``. Each boundary refusal of
 an index, a count or a choice is spelled only in ``tensor.py``, by
 ``tensor.choice``, and no module binds a bool test of its own.
+
+The suite states its own Hypothesis policy once, in ``conftest.py``, and
+every ``@settings`` inherits it.
 """
 
 import ast
 import dataclasses
 from collections import defaultdict
 from pathlib import Path
+
+from hypothesis import settings
 
 import pathpol
 
@@ -300,3 +305,11 @@ def test_convention_guard_sees_subscripts_and_literals(tmp_path):
         ("PLATES subscript", 3, "PLATES[key]"),
         ("phase name", 4, "'phi2'"),
     ]
+
+
+def test_property_tests_inherit_the_suite_profile():
+    # a lost profile fails here by name, not as a deadline flake on a slow
+    # host or a failure replayed from an example database
+    drawn = settings(max_examples=7)
+    assert drawn.deadline is None
+    assert drawn.database is None

@@ -206,7 +206,7 @@ assignments = st.lists(
 
 
 @seed(20150)
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(first=assignments, later=assignments)
 def test_file_and_overrides_round_trip(first, later):
     # a sweep key needs sweep.variable, so every drawn table carries one first
@@ -242,7 +242,7 @@ BAD_VALUES["sweep.points"] = st.one_of(
 
 
 @seed(20151)
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(
     bad=st.sampled_from(sorted(BAD_VALUES)).flatmap(
         lambda key: st.tuples(st.just(key), BAD_VALUES[key])

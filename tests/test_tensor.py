@@ -1,6 +1,6 @@
 """Tensor helpers. A test named for ``embed`` checks the 16x16 matrix of a
 2x2 operator lifted onto one slot, read off ``apply_slot``'s images of the
-16 basis tensors and compared with an ``np.kron`` oracle written here."""
+16 basis tensors and compared with the ``np.kron`` model in ``reference.py``."""
 
 import ast
 import re
@@ -29,17 +29,7 @@ from pathpol.tensor import (
     norms_squared,
     shown,
 )
-
-I2 = np.eye(2)
-X = np.array([[0.0, 1.0], [1.0, 0.0]])
-BS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-
-def kron_embedded(op, slot):
-    """Oracle: the 16x16 matrix of a 2x2 operator on one slot, from np.kron."""
-    factors = [I2] * 4
-    factors[slot] = op
-    return np.kron(np.kron(np.kron(factors[0], factors[1]), factors[2]), factors[3])
+from reference import BS, I2, SWAP, kron4, kron_embedded
 
 
 def embedded(op, slot):
@@ -55,13 +45,13 @@ def test_embed_identity_any_slot(slot):
 
 
 def test_embed_flips_one_factor():
-    out = apply_slot(X, basis_state(0, 0, 0, 0).reshape(2, 2, 2, 2), 1)
+    out = apply_slot(SWAP, basis_state(0, 0, 0, 0).reshape(2, 2, 2, 2), 1)
     assert np.array_equal(out.reshape(DIM), basis_state(0, 1, 0, 0))
 
 
 def test_embed_matches_kron_build():
     built = embedded(BS, 0) @ embedded(BS, 2)
-    direct = np.kron(np.kron(np.kron(BS, I2), BS), I2)
+    direct = kron4(BS, I2, BS, I2)
     assert np.max(np.abs(built - direct)) < 1e-15
 
 
@@ -124,7 +114,7 @@ LEADING_FORMS = ("single-on-single", "single-on-stack", "stack-on-stack", "stack
 @pytest.mark.parametrize("form", LEADING_FORMS)
 @pytest.mark.parametrize("slot", range(4))
 @seed(20149)
-@settings(max_examples=10, deadline=None, database=None)
+@settings(max_examples=10)
 @given(n=st.integers(1, 6), draw=st.integers(0, 2**32 - 1))
 def test_apply_slot_matches_kron_oracle(slot, form, n, draw):
     rng = np.random.default_rng(draw)
@@ -164,7 +154,7 @@ def test_apply_slot_validation():
 
 
 def test_dagger_of_a_stack_conjugates_each_matrix():
-    assert np.array_equal(dagger(np.stack([BS, 1j * X]))[1], -1j * X)
+    assert np.array_equal(dagger(np.stack([BS, 1j * SWAP]))[1], -1j * SWAP)
 
 
 def test_norms_squared_reduce_like_vdot():
