@@ -17,9 +17,12 @@ sign pattern + + - + (the minus sits on the (primed, unprimed) cross term):
 
 Each term is bounded by 1, so any value outside [-2, 2] violates the
 noncontextual bound; both families attain 2*sqrt(2). ``scan_max`` finds
-the best point of a grid over all four angles, tabulating only the ~10
-secondary-angle differences that can hold it, and polishes that point to the
-closed-form optimum.
+the best point of a grid over all four angles and polishes that point to the
+closed-form optimum. Its grid stage evaluates only the points that can hold
+the extremum: at most six secondary-angle differences, those within one step
+of a quarter turn, and on each the two grid points beside each analytic peak
+of its two primary parts. Every point left out loses by at least 3.2e-4
+at every resolution, so the result is that of the full grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ from scipy.optimize import minimize  # noqa: F401
 VIOLATION_BOUND = 2.0
 MAX_VIOLATION = 2.0 * np.sqrt(2.0)
 
-# scan grid points per angle; the scan holds a few (10, R) float64 tables,
-# 20 KiB each at the upper end
+# scan grid points per angle; the grid stage holds one R-point cosine table,
+# as a two-period list (a 12 KiB tracemalloc peak at the upper end), and
+# evaluates at most 48 of its sums. Over this whole range every point it
+# skips loses to the one it keeps by at least 3.2e-4 (see _grid_stage)
 MIN_RESOLUTION = 8
 MAX_RESOLUTION = 256
 
@@ -109,33 +114,49 @@ def _grid_stage(case: int, resolution: int) -> tuple[float, float]:
 
     |S| on column d is at most 2(|cos(pi*d/R)| + |sin(pi*d/R)|), which peaks
     at d = R/4 and 3R/4, and the column nearest R/4 comes within a factor
-    cos(pi/R) of its own bound. So no column more than about one step from
-    both quarter points can win. Only the columns within two steps of R/4 or
-    3R/4 (at most 10) are tabulated, as the rows of (column, a) tables: one
-    wrapped ``take`` gathers them with no modulo arithmetic, h_f and h_g
-    share one ``(2, columns, R)`` array (h_g as ``shifted - c``, the bits of
-    ``-c + shifted``), and one ``max`` and one ``min`` run along its last,
-    contiguous axis. Columns ascend: ties go to least d, and to the maximum
-    of S over its minimum.
+    cos(pi/R) of its own bound. So only the columns within one step of R//4
+    or 3R//4 (at most 6) are evaluated; on the whole resolution range every
+    other column loses to the winner by at least 3.2e-4 (least at case 1,
+    R = 255). Along a column, h_f is a sinusoid in a with its peaks where
+    a + s*d/2 = 0 or R/2 (mod R), and h_g one with its peaks where
+    a + s*d/2 = R/4 or 3R/4, so each extremum sits at the grid point on one
+    side of a peak or the other: the floor of a = (Q - 2*s*d)/4 for Q = 0,
+    2R (h_f) or R, 3R (h_g), or the point after it. Every other grid point
+    of a kept column is beaten by the column's extremum by at least 4.2e-4
+    (least at case 1, R = 255, d = 190). Those eight sums per column are
+    Python floats with the operands, and the operand order, of the full
+    tables ``cos_grid + shifted`` and ``shifted - cos_grid``, so the maxima
+    and minima are the tables' bits. Columns ascend: ties go to least d, and
+    to the maximum of S over its minimum.
     """
-    step = np.arange(resolution)
-    grid = 2.0 * pi * step / resolution
-    cos_grid = np.cos(grid)
+    grid = 2.0 * pi * np.arange(resolution) / resolution
+    # two periods of c[a]; every index below lies in [-R/2, 5R/4], so a
+    # plain (or negative) list index reads c[a mod R]
+    c = np.cos(grid).tolist() * 2
     sign = _sign(case)
     quarters = (resolution // 4, 3 * resolution // 4)
-    columns = np.array(sorted({(q + k) % resolution for q in quarters for k in range(-2, 3)}))
-    shifted = cos_grid.take(step + sign * columns[:, None], mode="wrap")  # [d, a]
-    h = np.empty((2, columns.size, resolution))
-    np.add(cos_grid, shifted, out=h[0])  # h_f: + pair(t,p) + pair(t,p')
-    np.subtract(shifted, cos_grid, out=h[1])  # h_g: - pair(t',p) + pair(t',p')
+    columns = sorted({(q + k) % resolution for q in quarters for k in (-1, 0, 1)})
+
+    maxima, minima = [], []
+    for d in columns:
+        shift = sign * d
+        # h_f = c[a] + c[a + s*d] at the floor points of its peaks Q = 0, 2R
+        a, b = (-2 * shift) // 4, (2 * resolution - 2 * shift) // 4
+        f = (c[a] + c[a + shift], c[a + 1] + c[a + 1 + shift],
+             c[b] + c[b + shift], c[b + 1] + c[b + 1 + shift])
+        # h_g = c[a + s*d] - c[a] at the floor points of its peaks Q = R, 3R
+        a, b = (resolution - 2 * shift) // 4, (3 * resolution - 2 * shift) // 4
+        g = (c[a + shift] - c[a], c[a + 1 + shift] - c[a + 1],
+             c[b + shift] - c[b], c[b + 1 + shift] - c[b + 1])
+        maxima.append(max(f) + max(g))
+        minima.append(min(f) + min(g))
 
     best_value = 0.0  # |S| on the grid exceeds 2 at every resolution
-    for parts in (h.max(axis=2), h.min(axis=2)):
-        total = parts[0] + parts[1]
-        column = int(np.abs(total).argmax())
-        if abs(total[column]) > abs(best_value):
-            best_column, best_value = column, float(total[column])
-    return float(grid[columns[best_column]]), best_value
+    for totals in (maxima, minima):
+        for d, total in zip(columns, totals):
+            if abs(total) > abs(best_value):
+                best_column, best_value = d, total
+    return float(grid[best_column]), best_value
 
 
 def _best_primaries(case: int, p: float, p_prime: float) -> tuple[float, float]:
@@ -156,8 +177,10 @@ def scan_max(case: int, resolution: int) -> ScanResult:
     """Grid search of |S| over all four angles, polished to its closed-form optimum.
 
     The grid stage (``_grid_stage``) finds the best point of an R-point grid
-    per angle in O(R) time and memory, scanning only the secondary-angle
-    differences near pi/2 and 3*pi/2 that can hold it, with p = 0. The
+    per angle, with p = 0, from one R-point cosine table and at most 48 of
+    its sums: the grid points beside the analytic peaks of the secondary-angle
+    differences within one step of pi/2 and 3*pi/2. Every other point loses
+    by at least 3.2e-4, so it is the full grid's point, bit for bit. The
     polish keeps p, moves p' to the nearest point with p' - p = pi/2 (mod pi),
     where 2(|cos(delta/2)| + |sin(delta/2)|) peaks at 2*sqrt(2), and sets the
     primaries to their exact optimum there, shifted by pi when the grid

@@ -134,13 +134,16 @@ def p45_intensity(state: Array) -> float | Array:
 
 
 def detect(state: Array) -> tuple[float, float, float, float]:
-    """Port probabilities (aa, ab, ba, bb) of one output state."""
+    """Port probabilities (aa, ab, ba, bb) of one output state; NaN on all
+    four for a state with a NaN or infinite amplitude."""
     grid = state_tensor(state)
     if grid.shape != STATE_SHAPE:
         raise ValueError("detect takes a single state, not a stack")
     total = float(norms_squared(grid.reshape(DIM)))
     if total == 0.0:
         raise ValueError("this state is empty")
+    if not isfinite(total):  # 0/inf would read as a clean 0.0 on the other ports
+        return (float("nan"),) * 4
     return tuple(
         float(np.sum(np.abs(grid[p1, :, p2, :]) ** 2)) / total
         for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1))

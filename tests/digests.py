@@ -4,9 +4,9 @@
     python tests/digests.py > tests/golden/digests.txt   # re-capture
     python tests/digests.py --check         # compare with the committed file
 
-The outputs are the stdout of 92 commands, run in process:
-``verify --seed s`` for s in 0..59 and 12345, ``chsh`` at five
-resolutions, ``sweep`` of each of the five variables at 7, 64 and 300
+The outputs are the stdout of 336 commands, run in process:
+``verify --seed s`` for s in 0..59 and 12345, ``chsh`` at every resolution
+in 8..256, ``sweep`` of each of the five variables at 7, 64 and 300
 points, ``correlate`` and ``report`` at two settings, and the seven demos.
 ``--check`` names every output whose digest moved, and every output missing
 from either side, and exits 1 if there is any. The name does not match
@@ -38,7 +38,7 @@ _SET = ("--set", "phases.theta1=0.4", "--set", "phases.phi1=1.1", "--set", "ampl
 def commands() -> dict[str, tuple[str, ...]]:
     """The argv of every CLI output, by output name."""
     argvs = [("verify", "--seed", str(s)) for s in (*range(60), 12345)]
-    argvs += [("chsh", "--resolution", str(r)) for r in (8, 13, 64, 100, 256)]
+    argvs += [("chsh", "--resolution", str(r)) for r in range(8, 257)]
     argvs += [
         ("sweep", "--set", f"sweep.variable={var}", "--set", f"sweep.points={n}")
         for var in ("theta1", "theta2", "phi1", "phi2", "delta")

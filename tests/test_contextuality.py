@@ -196,15 +196,20 @@ def test_scan_grid_stage_equals_the_dense_search(case, resolution):
     assert contextuality._grid_stage(case, resolution) == (dense_p_prime, dense_value)
 
 
-def _quadratic_grid_stage(case, resolution):
-    """The R x R grid stage: every secondary difference d tabulated."""
+def _quadratic_tables(case, resolution):
+    """The grid and the R x R tables h_f[a, d] and h_g[a, d]: every secondary
+    difference d tabulated."""
     step = np.arange(resolution)
     grid = 2.0 * np.pi * step / resolution
     cos_grid = np.cos(grid)
     sign = 1 if case == 1 else -1
     shifted = cos_grid[(step[:, None] + sign * step[None, :]) % resolution]  # [a, d]
-    h_f = cos_grid[:, None] + shifted
-    h_g = -cos_grid[:, None] + shifted
+    return grid, cos_grid[:, None] + shifted, -cos_grid[:, None] + shifted
+
+
+def _quadratic_grid_stage(case, resolution):
+    """The R x R grid stage."""
+    grid, h_f, h_g = _quadratic_tables(case, resolution)
     best_abs, best = -1.0, None
     for f_part, g_part, picker in (
         (h_f.max(axis=0), h_g.max(axis=0), np.argmax),
@@ -253,6 +258,39 @@ def test_windowed_scan_equals_the_quadratic_search_on_the_whole_domain(monkeypat
     assert mismatches == []
 
 
+def test_pruned_grid_stage_skips_only_points_that_lose_by_a_margin():
+    # _grid_stage evaluates the columns d within one step of R//4 and 3R//4
+    # and, on each, the floor point of every peak (4a = Q - 2*s*d with Q = 0,
+    # 2R for h_f and R, 3R for h_g) and the point after it. Everything else
+    # loses: a skipped column to the winner, a skipped point to its column's
+    # maximum and minimum. Measured least margins: 3.2e-4 for a column (case
+    # 1, R = 255) and 4.2e-4 for a point (case 1, R = 255, d = 190)
+    column_margins, point_margins = [], []
+    for resolution in range(MIN_RESOLUTION, MAX_RESOLUTION + 1):
+        for case in (1, 2):
+            _, h_f, h_g = _quadratic_tables(case, resolution)
+            sign = 1 if case == 1 else -1
+            totals = np.abs([h_f.max(axis=0) + h_g.max(axis=0), h_f.min(axis=0) + h_g.min(axis=0)])
+            quarters = (resolution // 4, 3 * resolution // 4)
+            kept = np.array(sorted({(q + k) % resolution for q in quarters for k in (-1, 0, 1)}))
+            skipped = np.delete(totals, kept, axis=1)
+            column_margins.append((totals.max() - skipped.max(), case, resolution))
+            for table, places in ((h_f, (0, 2)), (h_g, (1, 3))):
+                columns = table[:, kept]  # [a, kept column]
+                skip = np.ones(columns.shape, dtype=bool)
+                for q in places:
+                    floor = (q * resolution - 2 * sign * kept) // 4
+                    skip[floor % resolution, range(kept.size)] = False
+                    skip[(floor + 1) % resolution, range(kept.size)] = False
+                margin = np.minimum(
+                    columns.max(axis=0) - np.where(skip, columns, -np.inf).max(axis=0),
+                    np.where(skip, columns, np.inf).min(axis=0) - columns.min(axis=0),
+                )
+                point_margins.append((margin.min(), case, resolution, int(kept[margin.argmin()])))
+    assert min(column_margins)[0] >= 1e-4, min(column_margins)
+    assert min(point_margins)[0] >= 1e-4, min(point_margins)
+
+
 @seed(1969)
 @settings(max_examples=25)
 @given(p=_ANGLE, p_prime=_ANGLE)
@@ -272,14 +310,15 @@ def test_best_primaries_attain_the_closed_form(p, p_prime):
 
 @pytest.mark.parametrize("case", [1, 2])
 def test_scan_memory_stays_linear(case):
-    # the windowed grid stage holds (R, 10) tables; (R, R) ones read 1.6 MiB
+    # the grid stage holds one R-point cosine table, as a two-period list
+    # (a ~12 KiB peak); (R, 10) tables read ~90 KiB and (R, R) ones 1.6 MiB
     tracemalloc.start()
     try:
         scan_max(case, MAX_RESOLUTION)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 256 * 2**10
+    assert peak <= 32 * 2**10
 
 
 def test_scan_resolution_validation():

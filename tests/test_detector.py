@@ -12,6 +12,7 @@ from pathpol.correlations import fit_scaled_cosine
 from pathpol.detector import (
     MAX_SAMPLES,
     MIN_SAMPLES,
+    SAMPLES_PER_PERIOD,
     autocorrelation_demo,
     detect,
     detector_amplitudes,
@@ -163,7 +164,7 @@ def test_p45_refuses_an_empty_branch_and_passes_nan_through():
         state = tensors(vector)
         assert np.isnan(p45_intensity(state))
         assert np.isnan(project_aa(state).branch_fraction)
-        assert np.isnan(detect(state)[0])
+        assert np.isnan(detect(state)).all()
 
 
 def test_expansion_is_unit_norm():
@@ -380,6 +381,34 @@ def test_autocorrelation_refuses_oversized_window_before_allocating(no_time_grid
         if np.isfinite(window):
             assert "samples" in str(info.value)
             assert str(MAX_SAMPLES) in str(info.value)
+
+
+def _needed(window):
+    """Samples a window needs for S1 and S2: SAMPLES_PER_PERIOD per period of
+    twice their beat."""
+    return SAMPLES_PER_PERIOD * window * (2.0 * abs(S1.omega - S2.omega)) / (2.0 * np.pi)
+
+
+def test_autocorrelation_takes_a_window_that_needs_exactly_max_samples(no_time_grid):
+    # below 2**21 the + 1.0 is exact, so this window needs MAX_SAMPLES - 1
+    # intervals to the bit; the next float up needs a sliver more
+    window = (MAX_SAMPLES - 1) * 2.0 * np.pi / (SAMPLES_PER_PERIOD * 2.0 * abs(S1.omega - S2.omega))
+    assert _needed(window) + 1.0 == MAX_SAMPLES
+    above = np.nextafter(window, np.inf)
+    assert _needed(above) + 1.0 > MAX_SAMPLES
+    for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
+        assert autocorrelation_demo(S1, S2, ps, window, MIN_SAMPLES).samples == MAX_SAMPLES
+        with pytest.raises(ValueError, match=f"needs 2e\\+06 samples, above MAX_SAMPLES={MAX_SAMPLES}$"):
+            autocorrelation_demo(S1, S2, ps, above, MIN_SAMPLES)
+
+
+@pytest.mark.parametrize("window", [5236.0, 20_000.0, 123_456.7])
+def test_autocorrelation_grid_is_the_needed_count_plus_one(window):
+    # each window needs more than MIN_SAMPLES samples, so the grid takes
+    # ceil(needed) intervals, one point more than that
+    assert _needed(window) > MIN_SAMPLES
+    report = autocorrelation_demo(S1, S2, PhaseSetting(0.3, 0.0, 0.0, 0.0), window, MIN_SAMPLES)
+    assert report.samples == np.ceil(_needed(window)) + 1
 
 
 @pytest.mark.parametrize(

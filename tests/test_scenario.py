@@ -134,6 +134,12 @@ def test_sweep_points_bound():
         parse_scenario(f"sweep.variable = delta\nsweep.points = {over}\n")
 
 
+def test_sweep_points_accepts_the_cap():
+    # a parse only: no sweep of MAX_SWEEP_POINTS points is run
+    scenario = parse_scenario(f"sweep.variable = delta\nsweep.points = {MAX_SWEEP_POINTS}\n")
+    assert scenario.sweep.points == MAX_SWEEP_POINTS
+
+
 def test_dash_output_means_stdout():
     assert parse_scenario("output = -\n").output is None
     assert parse_scenario("output = rows.csv\n").output == "rows.csv"
