@@ -35,6 +35,7 @@ from .detector import (
     AaProjection,
     AutocorrelationReport,
     autocorrelation_demo,
+    autocorrelation_windows,
     detect,
     detector_amplitudes,
     p45_intensity,
@@ -75,6 +76,7 @@ __all__ = [
     "VerifyCheck",
     "VerifyReport",
     "autocorrelation_demo",
+    "autocorrelation_windows",
     "basis_index",
     "basis_label",
     "basis_state",

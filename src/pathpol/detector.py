@@ -12,6 +12,13 @@ probabilities) is a single-state report and refuses an empty state.
 ``detector_amplitudes`` projects each source's beam from
 ``bench.source_outputs``; it and ``autocorrelation_demo`` take one phase
 setting or a sweep, and a sweep gives one entry per setting.
+``autocorrelation_windows`` is the same integral over a sweep with its own
+window and sample count per setting; ``pathpol verify`` integrates its
+twenty windows in one such call. It is a second name, not array windows for
+``autocorrelation_demo``, because perfbench's tracer sums the ``samples`` of
+every ``autocorrelation_demo`` call as one number: the two entry points
+share their checks and kernel, and stay apart until the benchmark's
+counters change.
 
 ``autocorrelation_demo`` reinstates the time dependence dropped by the
 bench: the two sources are distinct frequencies, so every first-order
@@ -26,11 +33,13 @@ residual measures how well a finite sampled window cancels the oscillating
 terms; but the grid is never built. The square is a constant plus cosines
 at the beat and twice the beat, and the trapezoid sum of a cosine over a
 uniform grid is a geometric series, so the rule's value is taken in closed
-form: O(1) work per setting, whatever n, every setting of a sweep at once.
+form: O(1) work per setting, whatever n (or window), every setting of a
+sweep at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import ceil, isfinite, pi
 
@@ -177,12 +186,14 @@ class AutocorrelationReport:
     u2 from ``detector_amplitudes``. ``residual`` is the leftover
     oscillatory fraction of the total (NaN when the total is); it decays
     as 1/(window |omega1 - omega2|). ``samples`` is the length of the time
-    grid the sum stands for, one grid for every setting. A sweep makes every
-    other field an array, one entry per setting; a single setting gives
-    floats.
+    grid the sum stands for. From ``autocorrelation_demo`` it is one int, a
+    grid for every setting, and a sweep makes every other field an array,
+    one entry per setting; a single setting gives floats. From
+    ``autocorrelation_windows`` every field, ``samples`` too, is an array
+    with one entry per setting.
     """
 
-    samples: int
+    samples: int | Array
     total: float | Array
     self_term_1: float | Array
     self_term_2: float | Array
@@ -202,11 +213,60 @@ def autocorrelation_demo(
     """Integrate the squared detector intensity over a finite time window.
 
     A sweep ``ps`` gives one entry per setting, each on the same n-point
-    grid; a batch of sources is refused.
+    grid; a batch of sources is refused. ``samples`` is a Python int.
     """
+    beat = _beat(s1, s2)
+    window, n = _window_grid(s1, s2, beat, window, samples)
+    return _report(s1, s2, ps, window, n)
+
+
+def autocorrelation_windows(
+    s1: SourceSpec,
+    s2: SourceSpec,
+    ps: PhaseSetting,
+    windows: Sequence[float],
+    samples: Sequence[int],
+) -> AutocorrelationReport:
+    """``autocorrelation_demo`` over a sweep of K settings, entry k at its own
+    window ``windows[k]`` and sample count ``samples[k]``: every field,
+    ``samples`` included, is a K-long array whose entry k equals
+    ``autocorrelation_demo(s1, s2, setting k, windows[k], samples[k])``.
+
+    Each entry is refused as ``autocorrelation_demo`` refuses its one window,
+    in the same words after the entry's name; the sources are refused once.
+    """
+    if ps.shape != (len(windows),) or len(samples) != len(windows):
+        settings = f"{ps.shape[0]} settings" if ps.shape else "one setting"
+        raise ValueError(
+            f"ps must be a sweep of one setting per window and sample count, got "
+            f"{settings}, {len(windows)} windows and {len(samples)} counts"
+        )
+    beat = _beat(s1, s2)
+    window, n = np.empty(len(windows)), np.empty(len(windows), dtype=int)
+    for k, entry in enumerate(zip(windows, samples)):
+        try:
+            window[k], n[k] = _window_grid(s1, s2, beat, *entry)
+        except ValueError as exc:
+            raise ValueError(f"setting {k}: {exc}") from None
+    return _report(s1, s2, ps, window, n)
+
+
+def _beat(s1: SourceSpec, s2: SourceSpec) -> float:
+    """|omega1 - omega2| of two single sources of distinct frequencies."""
     for name, source in (("s1", s1), ("s2", s2)):
         if isinstance(source.amplitude, np.ndarray):
             raise ValueError(f"{name}.amplitude must be one amplitude, not a batch")
+    beat = abs(s1.omega - s2.omega)
+    if beat == 0.0:
+        raise ValueError("sources must have distinct frequencies (omega1 != omega2)")
+    return beat
+
+
+def _window_grid(
+    s1: SourceSpec, s2: SourceSpec, beat: float, window: float, samples: int
+) -> tuple[float, int]:
+    """``window`` as a float and the length of the grid it is summed on, at
+    least ``samples`` and ``SAMPLES_PER_PERIOD`` per period of twice the beat."""
     window = real_scalar("window", window)
     # (|A1| + |A2|)^4 bounds the squared intensity, so this bounds the
     # integral and every term it is compared with
@@ -216,9 +276,6 @@ def autocorrelation_demo(
             f"window={window:g} overflows the integral: (|A1| + |A2|)^4 * window "
             f"must be at most {np.finfo(float).max:.6g}"
         )
-    beat = abs(s1.omega - s2.omega)
-    if beat == 0.0:
-        raise ValueError("sources must have distinct frequencies (omega1 != omega2)")
     if window * beat < MIN_BEATS:
         raise ValueError(
             f"window * |omega1 - omega2| must be >= {MIN_BEATS:g}, "
@@ -235,8 +292,15 @@ def autocorrelation_demo(
             f"window={window:g} with samples={samples} needs "
             f"{needed + 1.0:.6g} samples, above MAX_SAMPLES={MAX_SAMPLES}"
         )
-    n = max(samples, ceil(needed) + 1)
+    # a Python int, whatever integer type the caller passed
+    return window, max(int(samples), ceil(needed) + 1)
 
+
+def _report(
+    s1: SourceSpec, s2: SourceSpec, ps: PhaseSetting, window: float | Array, n: int | Array
+) -> AutocorrelationReport:
+    """The report of checked sources over ``ps``, with one window and grid
+    length for every setting or one per setting."""
     shape = ps.shape
     # a single setting runs as a sweep of one, so every setting's numbers come
     # from the same array loops whether it is integrated alone or in a sweep

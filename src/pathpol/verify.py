@@ -30,7 +30,7 @@ from a child of the verify seed, so the rows' own draws never move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import cos, isnan, nan, pi, sqrt
 
@@ -407,41 +407,44 @@ def _check_autocorrelation() -> VerifyCheck:
     beat = abs(s1.omega - s2.omega)
     ps = PhaseSetting(0.7, 0.2, 0.4, -0.3)
 
-    window = 1000.0 / beat
-    base = detector.autocorrelation_demo(s1, s2, ps, window, 10_000)
+    # four windows at ps (the base window, then three sized to an odd number
+    # of beat half-periods), then a delta sweep at a whole-beat window: one
+    # integral over twenty settings, each on its own window and grid
+    odd = ((317, 20_001), (635, 40_064), (1271, 80_191))
+    fit_window = 2.0 * pi * 160 / beat
+    deltas = 2.0 * pi * np.arange(16) / 16.0
+    sweep = phase_setting_for("delta", deltas, ps)
+    windows = [1000.0 / beat, *(m * pi / beat for m, _ in odd), *[fit_window] * 16]
+    samples = [10_000, *(n for _, n in odd), *[10_000] * 16]
+    settings = replace(sweep, theta1=np.concatenate((np.full(4, ps.theta1), sweep.theta1)))
+    report = detector.autocorrelation_windows(s1, s2, settings, windows, samples)
+    residuals = report.residual[:4].tolist()
+
     # the kernel sums the trapezoid rule in closed form; sampling the same
     # grid must give the same total to rounding
-    sampled = _sampled_total(s1, s2, ps, window, base.samples)
-    sampled_gap = abs(base.total - sampled) / sampled
+    sampled = _sampled_total(s1, s2, ps, windows[0], int(report.samples[0]))
+    sampled_gap = abs(float(report.total[0]) - sampled) / sampled
 
-    # windows sized to an odd number of beat half-periods: the surviving
-    # endpoint contribution of the slowest term is then window-independent,
-    # so the relative residual halves when the window (nearly) doubles
-    residuals = [
-        detector.autocorrelation_demo(s1, s2, ps, m * pi / beat, n).residual
-        for m, n in ((317, 20_001), (635, 40_064), (1271, 80_191))
-    ]
-    ratio_a = residuals[1] / residuals[0]
-    ratio_b = residuals[2] / residuals[1]
+    # at odd half-period windows the surviving endpoint contribution of the
+    # slowest term is window-independent, so the relative residual halves
+    # when the window (nearly) doubles
+    ratio_a = residuals[2] / residuals[1]
+    ratio_b = residuals[3] / residuals[2]
     halving = 0.4 <= ratio_a <= 0.6 and 0.4 <= ratio_b <= 0.6
 
     # whole-beat window kills every oscillatory term in the trapezoid sum,
     # leaving the pure cos(delta) law of the cross term
-    fit_window = 2.0 * pi * 160 / beat
-    deltas = 2.0 * pi * np.arange(16) / 16.0
-    sweep = phase_setting_for("delta", deltas, ps)
-    cross = detector.autocorrelation_demo(s1, s2, sweep, fit_window, 10_000).cross_measured
-    coeffs, fit_resid = correlations.fit_sinusoid(deltas, cross)
+    coeffs, fit_resid = correlations.fit_sinusoid(deltas, report.cross_measured[4:])
     amplitude = float(np.hypot(coeffs[1], coeffs[2]))
     fit_ok = fit_resid <= 1e-12 * amplitude
 
-    ok = base.residual <= 1e-2 and halving and fit_ok and sampled_gap <= 1e-13
+    ok = residuals[0] <= 1e-2 and halving and fit_ok and sampled_gap <= 1e-13
     note = (
         f"residual ratios {ratio_a:.3f}, {ratio_b:.3f}; "
         f"cos-fit residual {fit_resid / amplitude:.2e} of amplitude; "
         f"sampled-total gap {sampled_gap:.2e}"
     )
-    return _row("autocorrelation-averaging", ok, base.residual, tol=1e-2, note=note)
+    return _row("autocorrelation-averaging", ok, residuals[0], tol=1e-2, note=note)
 
 
 def run_verify(seed: int = 0) -> VerifyReport:

@@ -206,7 +206,14 @@ def test_sweep_goldens_cover_whole_and_short_blocks():
 
 def test_sweep_into_a_closed_pipe_ends_quietly(fresh_interpreter):
     # `python -m pathpol.cli` writing a sweep that outgrows the pipe buffer
-    # (conftest.CLOSED_PIPE_SWEEP), its reader gone after one line
+    # (conftest.CLOSED_PIPE_SWEEP), its reader gone after one line.
+    # cli.main's os.dup2 onto the null device is not what this sees pass: on
+    # CPython 3.11 the write that raises BrokenPipeError leaves stdout's
+    # buffer empty (a flush in the handler succeeds, for print and write
+    # loops of 1- to 20,000-byte lines), so the exit flush fails only if
+    # something writes after the error, and nothing does. The line stays as
+    # Python's signal documentation advises, for interpreters that keep the
+    # unwritten bytes
     assert fresh_interpreter.header == (",".join(CSV_HEADER) + "\n").encode()
     assert fresh_interpreter.stderr == b""
     assert fresh_interpreter.returncode == cli.EXIT_STDOUT_CLOSED == 141

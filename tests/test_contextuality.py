@@ -234,7 +234,7 @@ def _scan_bits(result):
     return _bits(*result.angles, result.max_abs)
 
 
-def test_windowed_scan_equals_the_quadratic_search_on_the_whole_domain(monkeypatch):
+def test_pruned_grid_stage_equals_the_quadratic_search_on_the_whole_domain(monkeypatch):
     domain = [
         (case, resolution)
         for resolution in range(MIN_RESOLUTION, MAX_RESOLUTION + 1)

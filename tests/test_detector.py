@@ -14,6 +14,7 @@ from pathpol.detector import (
     MIN_SAMPLES,
     SAMPLES_PER_PERIOD,
     autocorrelation_demo,
+    autocorrelation_windows,
     detect,
     detector_amplitudes,
     p45_intensity,
@@ -608,3 +609,116 @@ def test_stacked_detector_calls_equal_their_single_calls(a1, a2, rows, fixed):
         column = getattr(stacked, field.name)
         assert column.shape == (len(rows),)
         assert np.array_equal(column, values, equal_nan=True)
+
+
+# window * beat from 101 beats (clear of the 100-beat bound after rounding)
+# to 20,000, whose grid needs ~127,000 of the 2,000,000 samples allowed
+beat_counts = st.floats(101.0, 20_000.0)
+sample_counts = st.integers(MIN_SAMPLES, MAX_SAMPLES)
+counts = st.one_of(sample_counts, sample_counts.map(np.int64))
+
+
+@seed(20153)
+@settings(max_examples=25)
+@given(
+    a1=complex_amplitudes,
+    a2=complex_amplitudes,
+    entries=st.lists(
+        st.tuples(st.tuples(angles, angles, angles, angles), beat_counts, counts),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_window_sweep_entries_equal_their_single_window_calls(a1, a2, entries):
+    # entry k of one call over K windows is the single-window call at
+    # setting k, its window and its sample count, bit for bit on every field
+    s1, s2 = SourceSpec(a1, S1.omega), SourceSpec(a2, S2.omega)
+    beat = abs(s1.omega - s2.omega)
+    rows, beats, samples = zip(*entries)
+    windows = [b / beat for b in beats]
+    sweep = PhaseSetting(*(np.array(column) for column in zip(*rows)))
+    report = autocorrelation_windows(s1, s2, sweep, windows, samples)
+    singles = [
+        autocorrelation_demo(s1, s2, PhaseSetting(*row), w, n)
+        for row, w, n in zip(rows, windows, samples)
+    ]
+    for field in dataclasses.fields(report):
+        values = [getattr(r, field.name) for r in singles]
+        column = getattr(report, field.name)
+        assert column.shape == (len(entries),)
+        assert all(type(v) is (int if field.name == "samples" else float) for v in values)
+        assert np.array_equal(column, values, equal_nan=True)
+
+
+# sources and a window each entry may take: loud sources overflow at 1e9
+QUIET = (S1, S2, 4000.0)
+LOUD = (SourceSpec(1e75, 1.0), SourceSpec(1e75, 1.0001), 1e7)
+
+
+@pytest.mark.parametrize(
+    "sources, window, samples",
+    [
+        (QUIET, "4000", 20_000),
+        (QUIET, float("nan"), 20_000),
+        (QUIET, 10.0, 20_000),
+        (LOUD, 1e9, 20_000),
+        (QUIET, 4000.0, 100),
+        (QUIET, 4000.0, 20_000.0),
+        (QUIET, 1e7, MIN_SAMPLES),
+    ],
+    ids=["not-a-real", "nan", "beat-count", "overflow", "sample-range", "float-samples", "need"],
+)
+def test_window_sweep_refuses_an_entry_in_the_single_call_words(
+    no_time_grid, sources, window, samples
+):
+    # one bad entry among good ones: refused as the single-window call
+    # refuses it, after the entry's name
+    s1, s2, good = sources
+    sweep = PhaseSetting(np.array([0.1, 0.2, 0.3]), 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError) as single:
+        autocorrelation_demo(s1, s2, PhaseSetting(0.2, 0.0, 0.0, 0.0), window, samples)
+    with pytest.raises(ValueError) as swept:
+        autocorrelation_windows(s1, s2, sweep, [good, window, good], [20_000, samples, 20_000])
+    assert str(swept.value) == f"setting 1: {single.value}"
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [(SourceSpec(np.array([1.0, 2.0]), 1.0), S2), (S1, SourceSpec(1.0, 1.0))],
+    ids=["batch-of-sources", "one-frequency"],
+)
+def test_window_sweep_refuses_its_sources_once_in_the_single_call_words(sources):
+    # the sources are every entry's, so their refusal names no entry
+    sweep = PhaseSetting(np.array([0.1, 0.2]), 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError) as single:
+        autocorrelation_demo(*sources, PhaseSetting(0.1, 0.0, 0.0, 0.0), 4000.0, 20_000)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+        autocorrelation_windows(*sources, sweep, [4000.0, 4000.0], [20_000, 20_000])
+
+
+@pytest.mark.parametrize(
+    "ps, windows, samples",
+    [
+        (PhaseSetting(0.1, 0.0, 0.0, 0.0), [4000.0], [20_000]),
+        (STACK, [4000.0] * 15, [20_000] * 15),
+        (STACK, [4000.0] * 16, [20_000] * 15),
+    ],
+    ids=["one-setting", "short-windows", "short-samples"],
+)
+def test_window_sweep_takes_one_window_and_count_per_setting(ps, windows, samples):
+    with pytest.raises(ValueError, match="^ps must be a sweep of one setting per window"):
+        autocorrelation_windows(S1, S2, ps, windows, samples)
+
+
+@pytest.mark.parametrize("samples", [MIN_SAMPLES, 50_000, np.int64(50_000), np.int32(MIN_SAMPLES)])
+def test_single_window_call_takes_scalars_and_reports_an_int(samples):
+    # perfbench's tracer adds the samples of every autocorrelation_demo call
+    # to one float counter and writes it as JSON: an array there fails every
+    # traced run. So a window sweep goes through autocorrelation_windows, and
+    # the two entry points stay apart until the benchmark's counters change
+    for ps in (PhaseSetting(0.3, 0.0, 0.0, 0.0), STACK):
+        assert type(autocorrelation_demo(S1, S2, ps, 4000.0, samples).samples) is int
+        with pytest.raises(ValueError, match=f"^{re.escape(_WINDOW_REFUSAL)}"):
+            autocorrelation_demo(S1, S2, ps, np.array([4000.0, 5000.0]), samples)
+        with pytest.raises(ValueError, match=f"^{re.escape(_SAMPLES_REFUSAL)}"):
+            autocorrelation_demo(S1, S2, ps, 4000.0, np.array([samples, samples]))

@@ -373,16 +373,37 @@ def test_verify_call_budget(count_calls):
     # single runs), property suite 1, the sigma route's batch of six random
     # source pairs 1, transfer chain 1
     calls = count_calls(bench.run)
-    # and no check's work is dropped: the autocorrelation row integrates 5
-    # times, one per window, each projecting both sources' outputs (plus its
-    # sampled oracle's 6th); hbt 3 and the signed sum 16 g2 terms; 2 CHSH scans
+    # and no check's work is dropped: the autocorrelation row integrates its
+    # 20 windows in one call, which projects both sources' outputs once (its
+    # sampled oracle a 2nd time); hbt 3 and the signed sum 16 g2 terms; 2
+    # CHSH scans. autocorrelation_demo stays off verify: perfbench's tracer
+    # sums the samples of every call to it as one number
     demos = count_calls(detector.autocorrelation_demo)
+    windows = count_calls(detector.autocorrelation_windows)
     outputs = count_calls(bench.source_outputs)
     g2 = count_calls(correlations.g2_generalized)
     scans = count_calls(contextuality.scan_max)
     assert run_verify(0).ok
     assert len(calls) == 7
-    assert (len(demos), len(outputs), len(g2), len(scans)) == (5, 6, 19, 2)
+    assert (len(demos), len(windows), len(outputs), len(g2), len(scans)) == (0, 1, 2, 19, 2)
+
+    # the base window and the three odd half-period windows at one setting,
+    # then the 16-setting delta sweep at the whole-beat window
+    [(s1, s2, settings, widths, samples)] = windows
+    beat = abs(s1.omega - s2.omega)
+    assert list(zip(widths, samples)) == [
+        (1000.0 / beat, 10_000),
+        (317 * pi / beat, 20_001),
+        (635 * pi / beat, 40_064),
+        (1271 * pi / beat, 80_191),
+        *[(2.0 * pi * 160 / beat, 10_000)] * 16,
+    ]
+    base = bench.PhaseSetting(0.7, 0.2, 0.4, -0.3)
+    assert settings.shape == (20,)
+    assert [settings.theta1[:4].tolist(), settings.theta2, settings.phi1, settings.phi2] == [
+        [base.theta1] * 4, base.theta2, base.phi1, base.phi2
+    ]
+    assert np.allclose(settings.delta[4:], 2.0 * pi * np.arange(16) / 16.0, rtol=0, atol=1e-14)
 
 
 def test_verify_reducers_let_a_nan_through_wherever_it_sits():
